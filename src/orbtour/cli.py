@@ -6,7 +6,7 @@ command line, config snapshot, seeds, input hashes and wall time; manifests
 are the only place timestamps appear.
 
 Exit codes: 0 success, 2 infeasible-but-completed, 3 partial refinement,
-1 error.
+4 verification failed, 1 error.
 """
 from __future__ import annotations
 
@@ -76,6 +76,15 @@ def derived_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
+def _config_from(cls, data: dict, path: str):
+    """``cls(**data)``, with unknown keys reported as a schema error."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise SchemaError(f"{path}: unknown {cls.__name__} key(s): "
+                          f"{', '.join(unknown)}")
+    return cls(**data)
+
+
 def _scenario_config(path: str | None) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig()
@@ -85,7 +94,7 @@ def _scenario_config(path: str | None) -> ScenarioConfig:
         data["insertion_inclination"] = math.radians(data.pop("insertion_inclination_deg"))
     if "insertion_raan_deg" in data:
         data["insertion_raan"] = math.radians(data.pop("insertion_raan_deg"))
-    return ScenarioConfig(**data)
+    return _config_from(ScenarioConfig, data, path)
 
 
 def _optimizer_config(path: str | None, seed: int | None) -> OptimizerConfig:
@@ -97,7 +106,7 @@ def _optimizer_config(path: str | None, seed: int | None) -> OptimizerConfig:
         data["algorithms"] = tuple(data["algorithms"])
     if seed is not None:
         data["seed"] = seed
-    return OptimizerConfig(**data)
+    return _config_from(OptimizerConfig, data, path)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +241,11 @@ def cmd_verify(args) -> int:
                    [args.scenario, args.tour, args.arcs],
                    [args.out] + ([args.csv] if args.csv else []),
                    {}, time.time() - t0)
+    failed = [leg.label for leg in report.legs if not leg.passed]
+    if failed:
+        print(f"verify: {len(failed)} leg(s) failed: {', '.join(failed)}",
+              file=sys.stderr)
+        return 4
     return 0
 
 
@@ -267,8 +281,12 @@ MC_FIELDS = ["scenario", "seed", "n_bundles", "fuel_kg", "dv_mps", "tof_days",
              "inc_std_deg", "inc_range_deg"]
 
 
-def summarize_rows(rows: list[dict]) -> list[dict]:
-    """Fuel statistics grouped by bundle count."""
+SUMMARY_FIELDS = ["n_bundles", "count", "fuel_mean_kg", "fuel_std_kg",
+                  "fuel_min_kg", "fuel_max_kg", "feasible_fraction"]
+
+
+def write_summary(rows: list[dict], path: str | Path) -> list[dict]:
+    """Write fuel statistics grouped by bundle count as CSV; returns them."""
     groups: dict[int, list[dict]] = {}
     for row in rows:
         groups.setdefault(int(row["n_bundles"]), []).append(row)
@@ -283,6 +301,10 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
                     "fuel_min_kg": float(np.min(fuels)),
                     "fuel_max_kg": float(np.max(fuels)),
                     "feasible_fraction": float(np.mean(feas))})
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
+        writer.writeheader()
+        writer.writerows(out)
     return out
 
 
@@ -334,13 +356,7 @@ def cmd_montecarlo(args) -> int:
             with open(outdir / f"tour_{i:04d}.json", "w", encoding="utf-8") as fh:
                 json.dump(tour_d, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    summary = summarize_rows(ok_rows)
-    with open(outdir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary[0].keys()) if summary
-                                else ["n_bundles"])
-        writer.writeheader()
-        for row in summary:
-            writer.writerow(row)
+    write_summary(ok_rows, outdir / "summary.csv")
     write_manifest(outdir / "montecarlo", "montecarlo", vars(args),
                    [args.config] if args.config else [],
                    [outdir / "montecarlo.csv", outdir / "summary.csv"],
@@ -352,15 +368,12 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(Path(args.dir) / "montecarlo.csv", encoding="utf-8", newline="") as fh:
+    csv_path = Path(args.dir) / "montecarlo.csv"
+    with open(csv_path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    summary = summarize_rows(rows)
-    out = args.out or str(Path(args.dir) / "summary.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary[0].keys()))
-        writer.writeheader()
-        for row in summary:
-            writer.writerow(row)
+    if not rows:
+        raise SchemaError(f"{csv_path}: no rows")
+    summary = write_summary(rows, args.out or Path(args.dir) / "summary.csv")
     for row in summary:
         print(f"bundles={row['n_bundles']:>2} n={row['count']:>4} "
               f"fuel={row['fuel_mean_kg']:.2f}±{row['fuel_std_kg']:.2f} kg "

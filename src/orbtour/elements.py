@@ -22,7 +22,7 @@ both against a Cartesian finite-difference oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,9 +106,6 @@ class SpacecraftState:
     def __post_init__(self) -> None:
         if not (self.mass > 0.0):
             raise ValueError(f"mass must be positive, got {self.mass}")
-
-    def with_mee(self, mee: MeeState) -> "SpacecraftState":
-        return replace(self, mee=mee)
 
 
 def kep_to_mee(kep: KeplerianState, retrograde_factor: int = 1) -> MeeState:

@@ -1,6 +1,7 @@
-"""Discretized optimal-control problem construction: thrust-bound schedules
-aligned to a burn plan, the multi-impulsive warm start, and linearization of
-the discrete dynamics by vectorized central finite differences.
+"""Discretized optimal-control problem construction: stage grids with
+per-stage thrust bounds aligned to a burn plan, the multi-impulsive warm
+start, and linearization of the discrete dynamics by vectorized central
+finite differences.
 
 The stage grid is nonuniform: burn windows (one per planned impulse, the
 thruster's maximum on-time wide, centered on the impulse) are resolved by
@@ -55,21 +56,12 @@ class StageGrid:
     def n_stages(self) -> int:
         return self.dt.size
 
-    @property
-    def edges(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.dt)])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.dt.sum())
-
     def substeps(self, coast_substep: float = COAST_SUBSTEP) -> np.ndarray:
         """Internal integration substeps per stage (integration accuracy)."""
         return np.maximum(1, np.ceil(self.dt / coast_substep - 1e-12)).astype(int)
 
 
-def burn_windows(plan: BurnPlan, thruster: ThrusterSpec,
-                 horizon: float | None = None) -> list[BurnWindow]:
+def burn_windows(plan: BurnPlan, thruster: ThrusterSpec) -> list[BurnWindow]:
     """Thrust windows of width t_on centered on each planned impulse.
 
     Windows that overlap (or violate the cooldown separation) after
@@ -89,34 +81,7 @@ def burn_windows(plan: BurnPlan, thruster: ThrusterSpec,
             prev.dv = prev.dv + w.dv
         else:
             wins.append(w)
-    if horizon is not None:
-        for w in wins:
-            if w.end > horizon:
-                raise ValueError("burn plan extends past the arc horizon")
     return wins
-
-
-def tmax_schedule(plan: BurnPlan, step: float, thruster: ThrusterSpec,
-                  horizon: float | None = None) -> np.ndarray:
-    """Per-stage thrust bounds on a uniform grid of step ``step``.
-
-    Stages whose start lies within the on-time after a planned burn epoch
-    get the peak thrust; everything else coasts at zero.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if horizon is None:
-        horizon = plan.duration + thruster.t_on
-    n = max(1, math.ceil(horizon / step - 1e-12))
-    tmax = np.zeros(n)
-    starts = np.arange(n) * step
-    for ev in plan.events:
-        on = (starts >= ev.epoch - 1e-12) & (starts < ev.epoch + thruster.t_on - 1e-12)
-        if np.any(on & (tmax > 0.0)):
-            warnings.warn("burn windows overlap after quantization; merged",
-                          stacklevel=2)
-        tmax[on] = thruster.thrust_kn
-    return tmax
 
 
 def build_grid(plan: BurnPlan, thruster: ThrusterSpec, orbit_period: float,
@@ -286,7 +251,7 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
         skip_b = np.zeros(N, dtype=bool)
     nb = int(np.sum(~skip_b))
 
-    # rows: nominal + 14 state perturbations + 6 control perturbations
+    # rows: nominal + 14 state offsets + 6 control offsets
     rows_x = [x]
     rows_u = [u]
     for jcomp in range(7):

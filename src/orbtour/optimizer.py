@@ -32,7 +32,6 @@ class OptimizerConfig:
     population: int = 64
     generations: int = 200
     migration_interval: int = 20
-    migration_count: int = 1
     algorithms: tuple[str, ...] = ("ga", "pso")  # cycled across islands
     seed: int | None = None
     seeding_fraction: float = 0.25
@@ -51,7 +50,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if min(self.islands, self.population, self.generations,
-               self.migration_interval, self.migration_count) < 1:
+               self.migration_interval) < 1:
             raise ValueError("island/population/generation counts must be positive")
         if not (0.0 <= self.seeding_fraction <= 1.0):
             raise ValueError("seeding fraction must lie in [0, 1]")

@@ -2,22 +2,19 @@
 
 The subproblem is a quadratic objective (terminal-state error plus control
 energy) over linear time-varying dynamics, with a Euclidean norm ball on
-each stage's control and a box trust region on state deviations.  It is
-solved by operator splitting: the equality-constrained quadratic part is
-handled by a Riccati (structured KKT) factorization whose gains are
-computed once and cached, and the ball/box constraints by exact projection,
-iterated to a fixed point (ADMM with over-relaxation).
+each stage's control.  The objective couples stages only through the
+terminal state, so condensing the dynamics leaves a 7-dimensional fixed
+point in the terminal gradient: for a given gradient every burn stage's
+control has a closed form (clipped onto its ball), and a semismooth Newton
+iteration finds the gradient that reproduces itself.  Thrust-free stages
+carry no unknowns; long coast runs are collapsed into stacked transition
+tensors so a rollout costs one einsum per run instead of a Python loop.
 
-Long thrust-free stretches dominate these grids, and their affine
-backward/forward recursions are iteration-independent up to the projection
-targets, so the cache collapses each coast run into stacked transition
-tensors: per ADMM iteration a run costs two einsums instead of a Python
-loop over its stages.
-
-Outputs are polished so the hard guarantees hold exactly: the returned
-controls are inside their balls by construction and the returned states are
-the linear-dynamics rollout of those controls, so the equality residual is
-zero to rounding.
+There is no state constraint: the refiner enforces its trust region by
+scaling the returned step.  Outputs hold the hard guarantees exactly: the
+returned controls are inside their balls by construction and the returned
+states are the linear-dynamics rollout of those controls, so the equality
+residual is zero to rounding.
 """
 from __future__ import annotations
 
@@ -30,7 +27,7 @@ import numpy as np
 class ConvexSubproblem:
     """min  0.5 (z_N - z_ref)' P (z_N - z_ref) + 0.5 sum_i w_i' R w_i
     s.t.  z_{i+1} = A_i z_i + B_i w_i + c_i,   z_0 = z0,
-          ||w_i|| <= ball_i,   |z_i| <= trust  (elementwise, i >= 1).
+          ||w_i|| <= ball_i.
 
     All quantities are expected in scaled (normalized) units; states are
     deviations from the linearization trajectory.
@@ -43,7 +40,6 @@ class ConvexSubproblem:
     z_ref: np.ndarray        # (7,)
     R: np.ndarray            # (3, 3)
     ball: np.ndarray         # (N,)
-    trust: np.ndarray        # (7,)
     z0: np.ndarray = field(default_factory=lambda: np.zeros(7))
 
     @property
@@ -58,175 +54,19 @@ class SubproblemSolution:
     objective: float
     iterations: int
     primal_residual: float
-    dual_residual: float
-    trust_active: bool
     duals: dict | None = None
 
 
-def _ball_project(w: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(w, axis=1)
-    scale = np.ones_like(norms)
-    over = norms > radius
-    scale[over] = radius[over] / norms[over]
-    return w * scale[:, None]
-
-
-class RiccatiCache:
-    """Backward-sweep gains plus collapsed coast-run tensors.
-
-    Everything depending only on (A, B, c, P, R, rho) is computed once; per
-    ADMM iteration only affine passes run: burn stages individually, coast
-    runs as block operations.
-    """
-
-    def __init__(self, sub: ConvexSubproblem, rho: float):
-        N = sub.n_stages
-        self.sub = sub
-        self.rho = rho
-        R_til = sub.R + rho * np.eye(3)
-        self.has_u = sub.ball > 1e-15
-
-        # full gain sweep
-        S_next = sub.P + rho * np.eye(7)
-        self.K = [None] * N
-        self.kfac = [None] * N           # H^-1 for feedforward
-        self.Sc = [None] * N             # S_{i+1} @ c_i
-        self.AT_list = [None] * N
-        self.BT_list = [None] * N
-        for i in range(N - 1, -1, -1):
-            A, B = sub.A[i], sub.B[i]
-            self.AT_list[i] = A.T
-            self.Sc[i] = S_next @ sub.c[i]
-            Q = rho * np.eye(7) if i >= 1 else np.zeros((7, 7))
-            if self.has_u[i]:
-                SB = S_next @ B
-                H = R_til + B.T @ SB
-                Hinv = np.linalg.inv(H)
-                G = SB.T @ A
-                K = Hinv @ G
-                self.K[i] = K
-                self.kfac[i] = Hinv
-                self.BT_list[i] = B.T
-                S_next = Q + A.T @ S_next @ A - G.T @ K
-            else:
-                S_next = Q + A.T @ S_next @ A
-            S_next = 0.5 * (S_next + S_next.T)
-
-        # segmentation into burn stages and coast runs
-        self.segments: list[tuple] = []   # ("burn", i) or ("coast", i, j, ...)
-        i = 0
-        while i < N:
-            if self.has_u[i]:
-                self.segments.append(("burn", i))
-                i += 1
-                continue
-            j = i
-            while j < N and not self.has_u[j]:
-                j += 1
-            self.segments.append(self._coast_block(i, j))
-            i = j
-
-    def _coast_block(self, i: int, j: int) -> tuple:
-        """Precompute collapsed tensors for coast stages [i, j).
-
-        Backward:  q_i = Tq @ q_j + q_const - rho * sum_k Pq[k] @ zeta_{i+k}
-        Forward:   z_{i+1..j} = Phi @ z_i + dvec
-        """
-        sub = self.sub
-        L = j - i
-        # backward unroll of q_k = r_z,k + A_k^T Sc_k + A_k^T q_{k+1}:
-        #   q_i = Tq q_j + q_const - rho * sum_k PqA[k] zeta_k
-        # with PqA[k] = prod_{m=i..k-1} A_m^T (zero row for the fixed k=0)
-        PqA = np.empty((L, 7, 7))
-        q_const = np.zeros(7)
-        T = np.eye(7)
-        for k in range(i, j):
-            PqA[k - i] = T if k >= 1 else np.zeros((7, 7))
-            q_const = q_const + T @ (self.AT_list[k] @ self.Sc[k])
-            T = T @ self.AT_list[k]
-        Tq = T
-
-        # forward: z_{i+k+1} = Phi[k] z_i + dvec[k]
-        Phi = np.empty((L, 7, 7))
-        dvec = np.empty((L, 7))
-        M = np.eye(7)
-        d = np.zeros(7)
-        for k in range(i, j):
-            M = sub.A[k] @ M
-            d = sub.A[k] @ d + sub.c[k]
-            Phi[k - i] = M
-            dvec[k - i] = d
-        return ("coast", i, j, Tq, q_const, PqA, Phi, dvec)
-
-    def solve_affine(self, zeta: np.ndarray, omega: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Affine backward/forward pass for projection targets ``zeta``
-        (N+1, 7) and ``omega`` (N, 3)."""
-        sub, rho = self.sub, self.rho
-        N = sub.n_stages
-        q = -(sub.P @ sub.z_ref) - rho * zeta[N]
-        kff = {}
-        for seg in reversed(self.segments):
-            if seg[0] == "burn":
-                i = seg[1]
-                t = self.Sc[i] + q
-                g = -rho * omega[i] + self.BT_list[i] @ t
-                kff[i] = self.kfac[i] @ g
-                r_z = -rho * zeta[i] if i >= 1 else np.zeros(7)
-                q = r_z + self.AT_list[i] @ t - self.K[i].T @ g
-            else:
-                _, i, j, Tq, q_const, PqA, _, _ = seg
-                # q_i = Tq q_j + q_const - rho * sum PqA[k] zeta_k
-                q = Tq @ q + q_const - rho * np.einsum("kab,kb->a", PqA, zeta[i:j])
-
-        Z = np.empty((N + 1, 7))
-        W = np.zeros((N, 3))
-        Z[0] = sub.z0
-        for seg in self.segments:
-            if seg[0] == "burn":
-                i = seg[1]
-                W[i] = -self.K[i] @ Z[i] - kff[i]
-                Z[i + 1] = sub.A[i] @ Z[i] + sub.B[i] @ W[i] + sub.c[i]
-            else:
-                _, i, j, _, _, _, Phi, dvec = seg
-                Z[i + 1:j + 1] = np.einsum("kab,b->ka", Phi, Z[i]) + dvec
-        return Z, W
-
-    def rollout(self, W: np.ndarray) -> np.ndarray:
-        """States from the linear dynamics under controls ``W``."""
-        sub = self.sub
-        N = sub.n_stages
-        Z = np.empty((N + 1, 7))
-        Z[0] = sub.z0
-        for seg in self.segments:
-            if seg[0] == "burn":
-                i = seg[1]
-                Z[i + 1] = sub.A[i] @ Z[i] + sub.B[i] @ W[i] + sub.c[i]
-            else:
-                _, i, j, _, _, _, Phi, dvec = seg
-                Z[i + 1:j + 1] = np.einsum("kab,b->ka", Phi, Z[i]) + dvec
-        return Z
-
-
-def rollout_linear(sub: ConvexSubproblem, W: np.ndarray) -> np.ndarray:
-    N = sub.n_stages
-    Z = np.empty((N + 1, 7))
-    Z[0] = sub.z0
-    for i in range(N):
-        Z[i + 1] = sub.A[i] @ Z[i] + sub.B[i] @ W[i] + sub.c[i]
-    return Z
-
-
 class ReducedArcSolver:
-    """Control-space solve of the same subproblem without the state box.
+    """Condensed control-space solve of a :class:`ConvexSubproblem`.
 
-    The objective couples stages only through the terminal state, so after
-    condensing the dynamics the Hessian is (R + rho) I plus a rank-7 term
-    and the projection splitting runs on the burn controls alone with a 7x7
-    Woodbury core.  Orders of magnitude faster than the full-space solver on
-    coast-dominated grids; the refiner imposes its trust region by scaling
-    the returned step instead (the step is affine in the controls, so any
-    scaled step stays ball-feasible and linear-model-consistent).
+    The dynamics are condensed once into the terminal map
+    z_N = M w_burn + e0, so only the burn-stage controls are unknowns.  The
+    per-stage closed form needs an isotropic control weight, R = r I with
+    r > 0, and the terminal-gradient fixed point needs a symmetric P;
+    :meth:`solve` rejects anything else.  The refiner imposes its trust
+    region by scaling the returned step: the step is affine in the controls,
+    so any scaled step stays ball-feasible and linear-model-consistent.
     """
 
     def __init__(self, sub: ConvexSubproblem):
@@ -236,8 +76,8 @@ class ReducedArcSolver:
         self.burn_idx = np.flatnonzero(self.has_u)
         nb = self.burn_idx.size
 
-        # forward segment stacks for fast rollouts (shared with RiccatiCache
-        # structure but without the gain sweep)
+        # forward segment stacks for fast rollouts: burn stages one by one,
+        # coast runs as collapsed transition tensors
         self.segments: list[tuple] = []
         i = 0
         while i < N:
@@ -275,9 +115,6 @@ class ReducedArcSolver:
         # M columns are grouped per burn stage: [stage0(u_r,u_t,u_n), ...]
         self.M = np.transpose(Mcols, (1, 0, 2)).reshape(7, nb * 3)
 
-        lam = np.diag(sub.P).copy()
-        self.sqrtP = np.sqrt(np.maximum(lam, 0.0))
-        self.Mt = self.M * self.sqrtP[:, None]      # Lambda^{1/2} M
         self.r = float(sub.R[0, 0])
 
     def rollout(self, W: np.ndarray) -> np.ndarray:
@@ -295,7 +132,7 @@ class ReducedArcSolver:
 
     def _controls_for(self, gamma: np.ndarray, ball: np.ndarray) -> np.ndarray:
         """Per-stage minimizer for a fixed terminal gradient gamma:
-        w_j = -M_j^T gamma / (r + mu_j), saturated onto its ball."""
+        w_j = -M_j^T gamma / r, saturated onto its ball."""
         q = -(self.M.T @ gamma).reshape(-1, 3) / self.r
         norms = np.linalg.norm(q, axis=1)
         scale = np.ones_like(norms)
@@ -304,7 +141,7 @@ class ReducedArcSolver:
         return q * scale[:, None]
 
     def solve(self, max_iter: int = 100, tol: float = 1e-11,
-              warm: dict | None = None, **_ignored) -> SubproblemSolution:
+              warm: dict | None = None) -> SubproblemSolution:
         """Semismooth Newton on the 7-dim terminal-gradient fixed point.
 
         Stationarity of the condensed problem reads
@@ -320,10 +157,15 @@ class ReducedArcSolver:
             return SubproblemSolution(states=Z, controls=W,
                                       objective=qp_objective(sub, Z, W),
                                       iterations=0, primal_residual=0.0,
-                                      dual_residual=0.0, trust_active=False,
                                       duals=None)
         if self.r <= 0.0:
             raise ValueError("the condensed solver needs a positive control weight")
+        if not np.array_equal(sub.R, self.r * np.eye(3)):
+            raise ValueError("the condensed solver needs an isotropic control "
+                             "weight R = r I")
+        if not np.array_equal(sub.P, sub.P.T):
+            raise ValueError("the condensed solver needs a symmetric terminal "
+                             "weight P")
         ball = sub.ball[self.burn_idx]
         P = sub.P
 
@@ -371,63 +213,9 @@ class ReducedArcSolver:
                                   objective=qp_objective(sub, Z, W),
                                   iterations=it,
                                   primal_residual=float(np.max(np.abs(phi))),
-                                  dual_residual=0.0, trust_active=False,
                                   duals={"gamma": gamma})
 
 
 def qp_objective(sub: ConvexSubproblem, Z: np.ndarray, W: np.ndarray) -> float:
     err = Z[-1] - sub.z_ref
     return float(0.5 * err @ sub.P @ err + 0.5 * np.einsum("ij,jk,ik->", W, sub.R, W))
-
-
-def solve_convex_subproblem(sub: ConvexSubproblem, max_iter: int = 400,
-                            tol: float = 1e-9, rho: float = 1.0,
-                            over_relax: float = 1.6,
-                            warm: dict | None = None,
-                            cache: RiccatiCache | None = None) -> SubproblemSolution:
-    """ADMM solve of :class:`ConvexSubproblem`.
-
-    ``warm`` carries the projection copies and scaled duals of a previous
-    solve (same dimensions), which typically cuts the iteration count by an
-    order of magnitude inside the refiner's outer loop.  ``cache`` reuses a
-    matching :class:`RiccatiCache`.
-    """
-    N = sub.n_stages
-    if cache is None:
-        cache = RiccatiCache(sub, rho)
-    if warm is not None:
-        Zc = warm["Zc"].copy(); Wc = warm["Wc"].copy()
-        Yz = warm["Yz"].copy(); Yw = warm["Yw"].copy()
-    else:
-        Zc = np.zeros((N + 1, 7)); Wc = np.zeros((N, 3))
-        Yz = np.zeros((N + 1, 7)); Yw = np.zeros((N, 3))
-
-    lo, hi = -sub.trust, sub.trust
-    it = 0
-    rp = rd = np.inf
-    for it in range(1, max_iter + 1):
-        Z, W = cache.solve_affine(Zc - Yz, Wc - Yw)
-        ZR = over_relax * Z + (1.0 - over_relax) * Zc
-        WR = over_relax * W + (1.0 - over_relax) * Wc
-        Zc_prev, Wc_prev = Zc, Wc
-        Zc = np.clip(ZR + Yz, lo, hi)
-        Zc[0] = sub.z0
-        Wc = _ball_project(WR + Yw, sub.ball)
-        Yz = Yz + ZR - Zc
-        Yw = Yw + WR - Wc
-        rp = max(float(np.max(np.abs(Z - Zc))) if N else 0.0,
-                 float(np.max(np.abs(W - Wc))) if W.size else 0.0)
-        rd = rho * max(float(np.max(np.abs(Zc - Zc_prev))),
-                       float(np.max(np.abs(Wc - Wc_prev))) if W.size else 0.0)
-        if rp < tol and rd < tol:
-            break
-
-    W_out = _ball_project(Wc, sub.ball)
-    W_out[~cache.has_u] = 0.0
-    Z_out = cache.rollout(W_out)
-    trust_active = bool(np.any(np.abs(Zc[1:]) > sub.trust - 1e-9))
-    return SubproblemSolution(
-        states=Z_out, controls=W_out, objective=qp_objective(sub, Z_out, W_out),
-        iterations=it, primal_residual=rp, dual_residual=rd,
-        trust_active=trust_active,
-        duals={"Zc": Zc, "Wc": Wc, "Yz": Yz, "Yw": Yw})

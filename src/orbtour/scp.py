@@ -3,9 +3,10 @@
 Each transfer arc is re-optimized as a discrete optimal-control problem on
 the nonuniform stage grid of :mod:`orbtour.ocp`: the nonlinear dynamics are
 linearized about the current rollout, the convex subproblem is solved with
-hard per-stage thrust balls and a box trust region, the candidate controls
-are re-rolled through the true dynamics, and the step is accepted or
-rejected on the ratio of actual to predicted objective reduction, which
+hard per-stage thrust balls, the step toward its solution is scaled so the
+predicted state deviation stays within the trust radius, the candidate
+controls are re-rolled through the true dynamics, and the step is accepted
+or rejected on the ratio of actual to predicted objective reduction, which
 also drives the trust radius.
 
 States are scaled by the terminal reference magnitudes and controls by the
@@ -106,10 +107,6 @@ class RefinedArc:
             "di_deg": math.degrees(got.i - want.i),
         }
 
-    @property
-    def fuel_used(self) -> float:
-        return float(self.states[0, 6] - self.states[-1, 6])
-
 
 def realized_dv(controls: np.ndarray, dt: np.ndarray, states: np.ndarray) -> float:
     """Integrated |u|/m over the arc [km/s]."""
@@ -179,8 +176,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             c_s = -np.einsum("nij,nj->ni", B_s, U / su)
             z_ref_dev = (problem.x_ref - X[-1]) / sx
             sub = ConvexSubproblem(A=A_s, B=B_s, c=c_s, P=P, z_ref=z_ref_dev,
-                                   R=R, ball=ball, trust=np.full(7, radius),
-                                   z0=np.zeros(7))
+                                   R=R, ball=ball, z0=np.zeros(7))
             solver = ReducedArcSolver(sub)
         sol = solver.solve(max_iter=qp_iters, tol=qp_tol, warm=duals)
         duals = sol.duals
@@ -254,9 +250,9 @@ def _phase_groups(plan: BurnPlan) -> list[BurnPlan]:
     return [BurnPlan(evts) for evts in groups]
 
 
-def _problems_for_leg(state0: SpacecraftState, est, plan: BurnPlan,
-                      thruster: ThrusterSpec, options: RefineOptions,
-                      x_ref_final: np.ndarray, consts: PhysicalConstants,
+def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
+                      options: RefineOptions, x_ref_final: np.ndarray,
+                      consts: PhysicalConstants,
                       label: str) -> list[tuple[BurnPlan, np.ndarray | None, str]]:
     """(sub-plan, terminal reference or None, label) triples for one leg.
 
@@ -302,8 +298,8 @@ def refine_tour(tour: Tour, scenario: MissionScenario,
             continue
         x_ref_final = np.concatenate([est.end_state.mee.as_array(),
                                       [est.end_state.mass]])
-        pieces = _problems_for_leg(state0, est, plan, thruster, options,
-                                   x_ref_final, consts, label)
+        pieces = _problems_for_leg(state0, plan, options, x_ref_final, consts,
+                                   label)
         # chain on the leg timeline: each piece starts where the previous
         # arc's rollout (which extends past its last burn) ended; terminal
         # pieces anchor their endpoint phase to the leg's starting phase

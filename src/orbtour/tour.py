@@ -5,9 +5,10 @@ The deployment-order objective is total propellant.  Leg dv between two
 circular mission orbits depends only on their radii and inclinations, so a
 :class:`TourEvaluator` precomputes the pairwise dv table once per scenario
 and prices whole batches of candidate orders with a vectorized rocket
-equation; :func:`tour_cost` walks one order through the full estimator
-chain (phasing, drift, burn plans) and is the slow, detailed path.  Both
-agree on fuel to float accuracy and the tests assert it.
+equation; :func:`tour_plans` walks one order through the full estimator
+chain (phasing, drift, burn plans) and :func:`tour_cost` prices that walk,
+the slow, detailed path.  Both agree on fuel to float accuracy and the
+tests assert it.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ class Tour:
     tof_total: float
     feasible: bool
     cost: float
-    cycle: bool = False
 
 
 def drifted_target(target: KeplerianState, elapsed: float,
@@ -59,17 +59,12 @@ def drifted_target(target: KeplerianState, elapsed: float,
 
 
 class TourEvaluator:
-    """Vectorized fuel/cost pricing of visit orders for one scenario.
-
-    ``cycle=True`` prices the return-to-insertion variant instead of the
-    decommissioning tail (exposed for completeness, not used by missions).
-    """
+    """Vectorized fuel/cost pricing of visit orders for one scenario."""
 
     def __init__(self, scenario: MissionScenario,
-                 consts: PhysicalConstants = EARTH, cycle: bool = False):
+                 consts: PhysicalConstants = EARTH):
         self.scenario = scenario
         self.consts = consts
-        self.cycle = cycle
         n = scenario.n_bundles
         radii = np.array([b.target.a for b in scenario.bundles])
         incs = np.array([b.target.i for b in scenario.bundles])
@@ -95,8 +90,6 @@ class TourEvaluator:
             [sum(hohmann_dv(radii[j], scenario.decommission_radius, consts.mu))
              if abs(radii[j] - scenario.decommission_radius) > 1e-9 else 0.0
              for j in range(n)])
-        self.dv_to_insertion = np.array(
-            [pair_dv(radii[j], incs[j], ins.a, ins.i) for j in range(n)])
 
     def fuel_batch(self, orders: np.ndarray) -> np.ndarray:
         """Total propellant [kg] for each row of ``orders`` (B, n_bundles)."""
@@ -114,8 +107,7 @@ class TourEvaluator:
             fuel += burn
             m -= burn + self.bundle_mass[cur]
             prev = cur
-        tail_dv = self.dv_to_insertion[prev] if self.cycle else self.dv_decommission[prev]
-        fuel += m * (1.0 - np.exp(-tail_dv / self._ve))
+        fuel += m * (1.0 - np.exp(-self.dv_decommission[prev] / self._ve))
         return fuel
 
     def cost_batch(self, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,48 +121,19 @@ class TourEvaluator:
         return cost, fuel, feasible
 
 
-def tour_cost(scenario: MissionScenario, order,
-              consts: PhysicalConstants = EARTH) -> Tour:
-    """Price one visit order through the full estimator chain.
+def tour_plans(scenario: MissionScenario, order,
+               consts: PhysicalConstants = EARTH) -> list[tuple[SpacecraftState, TransferEstimate, BurnPlan]]:
+    """Walk one visit order through the full estimator chain.
 
     Starting from the insertion state, each leg phases onto the drifted
     target, transfers, releases the bundle mass, and advances the epoch by
     the leg's time of flight; the decommissioning maneuver closes the tour.
-    Infeasible (over-budget) tours are returned flagged, never raised.
+    Returns per-leg (start state, estimate, burn plan) triples,
+    decommissioning included.
     """
     order = tuple(int(i) for i in order)
     if sorted(order) != list(range(scenario.n_bundles)):
         raise ValueError("order must be a permutation of the bundle indices")
-    thruster = scenario.spacecraft.thruster
-    state = scenario.initial_state()
-    legs: list[TransferEstimate] = []
-    fuel_total = 0.0
-    for idx in order:
-        bundle = scenario.bundles[idx]
-        target = drifted_target(bundle.target, state.epoch - scenario.epoch0, consts)
-        est, _ = sequential_mht_nic(state, target, bundle.mass, thruster, consts)
-        legs.append(est)
-        fuel_total += est.fuel_mass
-        state = est.end_state
-    decom, _ = decommission_estimate(state, scenario.decommission_radius, thruster, consts)
-    legs.append(decom)
-    fuel_total += decom.fuel_mass
-    state = decom.end_state
-
-    dv_total = sum(leg.dv_total for leg in legs)
-    tof_total = state.epoch - scenario.epoch0
-    feasible = fuel_total <= scenario.fuel_budget + 1e-12
-    cost = fuel_total if feasible else (
-        scenario.fuel_budget + OVERRUN_PENALTY * (fuel_total - scenario.fuel_budget))
-    return Tour(order=order, legs=legs, fuel_total=fuel_total, dv_total=dv_total,
-                tof_total=tof_total, feasible=feasible, cost=cost)
-
-
-def tour_plans(scenario: MissionScenario, order,
-               consts: PhysicalConstants = EARTH) -> list[tuple[SpacecraftState, TransferEstimate, BurnPlan]]:
-    """Per-leg (start state, estimate, burn plan) triples for a tour,
-    decommissioning included; consumed by the trajectory refiner."""
-    order = tuple(int(i) for i in order)
     thruster = scenario.spacecraft.thruster
     state = scenario.initial_state()
     out = []
@@ -183,6 +146,24 @@ def tour_plans(scenario: MissionScenario, order,
     decom, plan = decommission_estimate(state, scenario.decommission_radius, thruster, consts)
     out.append((state, decom, plan))
     return out
+
+
+def tour_cost(scenario: MissionScenario, order,
+              consts: PhysicalConstants = EARTH) -> Tour:
+    """Price one visit order from the leg estimates of :func:`tour_plans`.
+
+    Infeasible (over-budget) tours are returned flagged, never raised.
+    """
+    order = tuple(int(i) for i in order)
+    legs = [est for _, est, _ in tour_plans(scenario, order, consts)]
+    fuel_total = sum(leg.fuel_mass for leg in legs)
+    dv_total = sum(leg.dv_total for leg in legs)
+    tof_total = legs[-1].end_state.epoch - scenario.epoch0
+    feasible = fuel_total <= scenario.fuel_budget + 1e-12
+    cost = fuel_total if feasible else (
+        scenario.fuel_budget + OVERRUN_PENALTY * (fuel_total - scenario.fuel_budget))
+    return Tour(order=order, legs=legs, fuel_total=fuel_total, dv_total=dv_total,
+                tof_total=tof_total, feasible=feasible, cost=cost)
 
 
 def heuristic_walks(scenario: MissionScenario,
@@ -209,7 +190,9 @@ def brute_force(scenario: MissionScenario, max_n: int = 9,
     if n > max_n:
         raise ValueError(f"brute force limited to {max_n} bundles, scenario has {n}")
     evaluator = TourEvaluator(scenario, consts)
-    orders = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    count = math.factorial(n)
+    orders = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                         np.int64, count=n * count).reshape(count, n)
     cost, _, _ = evaluator.cost_batch(orders)
     best = int(np.argmin(cost))
     return tour_cost(scenario, orders[best], consts)

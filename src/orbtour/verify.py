@@ -64,16 +64,13 @@ class LegReport:
 @dataclass
 class VerificationReport:
     legs: list[LegReport] = field(default_factory=list)
-    # reserved for higher-fidelity perturbation deltas (drag, third-body, srp)
-    perturbations: dict = field(default_factory=lambda: {"j2_instantaneous": True})
 
     @property
     def all_passed(self) -> bool:
         return all(leg.passed for leg in self.legs)
 
     def to_dict(self) -> dict:
-        return {"version": 1,
-                "perturbations": self.perturbations,
+        return {"version": 2,
                 "all_passed": self.all_passed,
                 "legs": [vars(leg) for leg in self.legs]}
 

@@ -116,6 +116,11 @@ def test_refine_and_verify_pipeline(tmp_path, tiny_paths):
     data = json.loads(report.read_text())
     assert data["all_passed"] is True
     assert csvp.read_text().count("\n") == len(data["legs"]) + 1
+    # a failed verification completes its report but says so in the exit code
+    strict = tmp_path / "strict.json"
+    assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
+                "--tol-sma", 1e-9, "--out", strict]) == 4
+    assert json.loads(strict.read_text())["all_passed"] is False
     # refinement is a deterministic pipeline stage: identical bytes on rerun
     arcs2 = tmp_path / "arcs2.json"
     assert run(["refine", "--tour", tour, "--scenario", scn_path,
@@ -196,6 +201,27 @@ def test_constants_env_override(tmp_path, monkeypatch):
 def test_error_exit_code(tmp_path):
     assert run(["solve", "--scenario", tmp_path / "missing.json",
                 "--exact", "--out", tmp_path / "t.json"]) == 1
+
+
+def test_report_without_rows_is_an_error(tmp_path, capsys):
+    outdir = tmp_path / "mc"
+    outdir.mkdir()
+    (outdir / "montecarlo.csv").write_text("scenario,seed,n_bundles,fuel_kg\n")
+    assert run(["report", "--dir", outdir]) == 1
+    err = capsys.readouterr().err
+    assert "no rows" in err and len(err.strip().splitlines()) == 1
+    assert not (outdir / "summary.csv").exists()
+
+
+def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys):
+    _, scn_path = tiny_paths
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"migration_cnt": 2}')
+    assert run(["solve", "--scenario", scn_path, "--optimizer-config", cfg,
+                "--out", tmp_path / "t.json"]) == 1
+    assert "migration_cnt" in capsys.readouterr().err
+    assert run(["generate", "--config", cfg, "--out", tmp_path / "s.json"]) == 1
+    assert "migration_cnt" in capsys.readouterr().err
 
 
 def test_console_entry_point(tiny_paths):

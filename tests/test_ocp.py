@@ -6,9 +6,8 @@ import pytest
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
-from orbtour.ocp import (build_grid, burn_windows, linearize_batch,
-                         linearize_dynamics, split_plan, tmax_schedule,
-                         warm_start)
+from orbtour.ocp import (BURN_STAGES, build_grid, burn_windows, linearize_batch,
+                         linearize_dynamics, split_plan, warm_start)
 
 TH = ThrusterSpec()
 
@@ -18,20 +17,27 @@ def impulse(epoch, dv=(0.0, 1e-3, 0.0), tag="perigee", mass=235.0):
 
 
 # ---------------------------------------------------------------------------
-# thrust-bound schedules
+# per-stage thrust bounds
 # ---------------------------------------------------------------------------
 
 def test_empty_plan_is_pure_coast():
-    tmax = tmax_schedule(BurnPlan([]), step=10.0, thruster=TH, horizon=100.0)
-    assert np.all(tmax == 0.0)
+    grid = build_grid(BurnPlan([]), TH, 5800.0, tail=600.0)
+    assert grid.n_stages > 0
+    assert np.all(grid.tmax == 0.0)
+    assert np.all(grid.window_of_stage == -1)
 
 
 def test_single_impulse_quantization():
-    th = ThrusterSpec(t_on=20.0)  # = 2 * step
-    tmax = tmax_schedule(BurnPlan([impulse(0.0)]), step=10.0, thruster=th,
-                         horizon=100.0)
-    assert np.count_nonzero(tmax) == 2
-    assert np.all(tmax[:2] == th.thrust_kn)
+    th = ThrusterSpec(t_on=20.0)
+    grid = build_grid(BurnPlan([impulse(100.0)]), th, 5800.0, tail=600.0)
+    on = grid.tmax > 0.0
+    assert np.count_nonzero(on) == BURN_STAGES
+    assert np.all(grid.tmax[on] == th.thrust_kn)
+    # the burn stages are contiguous and span the window centered on the impulse
+    idx = np.flatnonzero(on)
+    assert np.all(np.diff(idx) == 1)
+    assert grid.dt[on].sum() == pytest.approx(th.t_on, rel=1e-12)
+    assert grid.dt[:idx[0]].sum() == pytest.approx(100.0 - 0.5 * th.t_on, rel=1e-12)
 
 
 def test_mht_windows_recur_once_per_revolution():
@@ -57,8 +63,6 @@ def test_overlapping_windows_merge_with_warning():
         wins = burn_windows(plan, TH)
     assert len(wins) == 1
     assert wins[0].dv.tolist() == [0.0, 2e-3, 0.0]
-    with pytest.warns(UserWarning, match="merged"):
-        tmax_schedule(plan, step=1.0, thruster=TH, horizon=20.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from orbtour.qp import (ConvexSubproblem, ReducedArcSolver, RiccatiCache,
-                        qp_objective, rollout_linear, solve_convex_subproblem)
+from orbtour.qp import ConvexSubproblem, ReducedArcSolver, qp_objective
 
 
-def random_subproblem(rng, N=5, ball=10.0, trust=100.0, r_weight=1e-3,
-                      coast=()):
+def random_subproblem(rng, N=5, ball=10.0, r_weight=1e-3, coast=()):
     """Small random instance: stable-ish dynamics, PSD weights."""
     A = np.stack([np.eye(7) + 0.05 * rng.standard_normal((7, 7)) for _ in range(N)])
     B = np.stack([0.3 * rng.standard_normal((7, 3)) for _ in range(N)])
@@ -18,8 +16,17 @@ def random_subproblem(rng, N=5, ball=10.0, trust=100.0, r_weight=1e-3,
     balls = np.full(N, float(ball))
     for i in coast:
         balls[i] = 0.0
-    return ConvexSubproblem(A=A, B=B, c=c, P=P, z_ref=z_ref, R=R, ball=balls,
-                            trust=np.full(7, float(trust)))
+    return ConvexSubproblem(A=A, B=B, c=c, P=P, z_ref=z_ref, R=R, ball=balls)
+
+
+def linear_rollout(sub: ConvexSubproblem, W: np.ndarray) -> np.ndarray:
+    """Oracle: the linear dynamics stepped stage by stage."""
+    N = sub.n_stages
+    Z = np.empty((N + 1, 7))
+    Z[0] = sub.z0
+    for i in range(N):
+        Z[i + 1] = sub.A[i] @ Z[i] + sub.B[i] @ W[i] + sub.c[i]
+    return Z
 
 
 def dense_kkt_solution(sub: ConvexSubproblem):
@@ -53,12 +60,29 @@ def dense_kkt_solution(sub: ConvexSubproblem):
     return Z, U, qp_objective(sub, Z, U)
 
 
+def slsqp_objective(sub: ConvexSubproblem) -> float:
+    """Oracle: the ball-constrained QP over the controls, solved by SLSQP."""
+    N = sub.n_stages
+
+    def objective(u_flat):
+        U = u_flat.reshape(N, 3)
+        return qp_objective(sub, linear_rollout(sub, U), U)
+
+    cons = [{"type": "ineq",
+             "fun": (lambda u_flat, i=i:
+                     sub.ball[i]**2 - np.sum(u_flat[3 * i:3 * i + 3]**2))}
+            for i in range(N)]
+    ref = minimize(objective, np.zeros(3 * N), method="SLSQP", constraints=cons,
+                   options={"maxiter": 500, "ftol": 1e-14})
+    return float(ref.fun)
+
+
 def test_all_coast_returns_rollout():
     rng = np.random.default_rng(0)
     sub = random_subproblem(rng, N=6, coast=range(6))
-    sol = solve_convex_subproblem(sub, max_iter=50)
+    sol = ReducedArcSolver(sub).solve()
     assert np.all(sol.controls == 0.0)
-    assert np.allclose(sol.states, rollout_linear(sub, sol.controls), atol=1e-12)
+    assert np.allclose(sol.states, linear_rollout(sub, sol.controls), atol=1e-12)
     err = sol.states[-1] - sub.z_ref
     assert sol.objective == pytest.approx(0.5 * err @ sub.P @ err, rel=1e-12)
 
@@ -67,16 +91,16 @@ def test_huge_control_penalty_drives_controls_to_zero():
     rng = np.random.default_rng(1)
     sub = random_subproblem(rng, N=5, r_weight=1e9)
     sub.P = 1e-6 * np.eye(7)
-    sol = solve_convex_subproblem(sub, max_iter=2000, tol=1e-12)
+    sol = ReducedArcSolver(sub).solve(tol=1e-12)
     assert np.max(np.abs(sol.controls)) < 1e-6
 
 
 def test_matches_dense_kkt_oracle_when_constraints_slack():
     rng = np.random.default_rng(2)
     for trial in range(3):
-        sub = random_subproblem(rng, N=5, ball=1e6, trust=1e6)
+        sub = random_subproblem(rng, N=5, ball=1e6)
         want_Z, want_U, want_obj = dense_kkt_solution(sub)
-        sol = solve_convex_subproblem(sub, max_iter=20000, tol=1e-12)
+        sol = ReducedArcSolver(sub).solve(tol=1e-12)
         assert sol.objective == pytest.approx(want_obj, rel=1e-6, abs=1e-9)
         assert np.allclose(sol.controls, want_U, atol=1e-5)
 
@@ -84,28 +108,28 @@ def test_matches_dense_kkt_oracle_when_constraints_slack():
 def test_matches_slsqp_oracle_with_active_balls():
     rng = np.random.default_rng(3)
     sub = random_subproblem(rng, N=4, ball=0.05, r_weight=1e-3)
-
-    def pack_obj(u_flat):
-        U = u_flat.reshape(4, 3)
-        Z = rollout_linear(sub, U)
-        return qp_objective(sub, Z, U)
-
-    cons = [{"type": "ineq",
-             "fun": (lambda u_flat, i=i:
-                     sub.ball[i]**2 - np.sum(u_flat[3 * i:3 * i + 3]**2))}
-            for i in range(4)]
-    ref = minimize(pack_obj, np.zeros(12), method="SLSQP", constraints=cons,
-                   options={"maxiter": 500, "ftol": 1e-14})
-    sol = solve_convex_subproblem(sub, max_iter=40000, tol=1e-12)
-    assert sol.objective == pytest.approx(ref.fun, rel=1e-5)
+    sol = ReducedArcSolver(sub).solve(tol=1e-12)
+    assert sol.objective == pytest.approx(slsqp_objective(sub), rel=1e-5)
     norms = np.linalg.norm(sol.controls, axis=1)
     assert np.all(norms <= sub.ball + 1e-12)
+
+
+def test_matches_slsqp_oracle_with_coast_stages():
+    rng = np.random.default_rng(7)
+    for coast, ball in (((), 1e6), ((1, 4), 0.03)):
+        sub = random_subproblem(rng, N=6, ball=ball, r_weight=1e-3, coast=coast)
+        sub.P = np.diag(rng.uniform(0.5, 2.0, 7))
+        sol = ReducedArcSolver(sub).solve(tol=1e-13)
+        assert sol.objective == pytest.approx(slsqp_objective(sub),
+                                              rel=1e-5, abs=1e-9)
+        assert np.all(np.linalg.norm(sol.controls, axis=1) <= sub.ball + 1e-12)
+        assert np.all(sol.controls[list(coast)] == 0.0)
 
 
 def test_equality_residual_is_zero_and_balls_exact():
     rng = np.random.default_rng(4)
     sub = random_subproblem(rng, N=8, ball=0.02, coast=(2, 3))
-    sol = solve_convex_subproblem(sub, max_iter=3000, tol=1e-10)
+    sol = ReducedArcSolver(sub).solve(tol=1e-10)
     Z, U = sol.states, sol.controls
     for i in range(8):
         resid = Z[i + 1] - (sub.A[i] @ Z[i] + sub.B[i] @ U[i] + sub.c[i])
@@ -114,46 +138,57 @@ def test_equality_residual_is_zero_and_balls_exact():
     assert np.all(U[[2, 3]] == 0.0)
 
 
-def test_trust_box_projection_active():
+def test_scaled_step_stays_feasible_and_linear():
+    """The refiner's trust region: with the offset c = -B w_bar that the
+    refiner uses, a step scaled by lam toward the solution moves the
+    predicted deviation by exactly lam times, stays inside every ball, and
+    the refiner's choice of lam keeps the deviation within the radius."""
     rng = np.random.default_rng(5)
-    sub = random_subproblem(rng, N=5, ball=1e6, trust=1e-3)
-    sol = solve_convex_subproblem(sub, max_iter=4000, tol=1e-10)
-    assert sol.trust_active
-    # the box-constrained optimum costs at least the unconstrained one
-    _, _, free_obj = dense_kkt_solution(sub)
-    assert sol.objective >= free_obj - 1e-9
+    N = 6
+    sub = random_subproblem(rng, N=N, ball=0.05, coast=(2,))
+    dirs = rng.standard_normal((N, 3))
+    w_bar = (dirs / np.linalg.norm(dirs, axis=1)[:, None]
+             * rng.uniform(0.0, 1.0, N)[:, None] * sub.ball[:, None])
+    sub.c = -np.einsum("nij,nj->ni", sub.B, w_bar)
+    sol = ReducedArcSolver(sub).solve(tol=1e-13)
+    W, Z = sol.controls, sol.states
+    for lam in (1e-3, 0.25, 0.5, 1.0):
+        W_lam = w_bar + lam * (W - w_bar)
+        assert np.allclose(linear_rollout(sub, W_lam), lam * Z,
+                           rtol=1e-12, atol=1e-14)
+        assert np.all(np.linalg.norm(W_lam, axis=1) <= sub.ball + 1e-15)
+    step_scale = float(np.max(np.abs(Z)))
+    for radius in (1e-4, 0.1 * step_scale, step_scale, 10.0 * step_scale):
+        lam = 1.0 if step_scale <= radius else radius / step_scale
+        assert 0.0 < lam <= 1.0
+        assert float(np.max(np.abs(lam * Z))) <= radius * (1.0 + 1e-15)
+
+
+def test_weights_outside_the_closed_form_raise():
+    rng = np.random.default_rng(9)
+    sub = random_subproblem(rng, N=4, ball=0.05)
+    # a dense symmetric terminal weight is inside the closed form
+    L = rng.standard_normal((7, 7))
+    sub.P = L @ L.T / 7.0 + 0.5 * np.eye(7)
+    sol = ReducedArcSolver(sub).solve(tol=1e-13)
+    assert sol.objective == pytest.approx(slsqp_objective(sub), rel=1e-6)
+
+    dense = sub.P
+    sub.P = dense + np.triu(np.full((7, 7), 0.1), 1)
+    with pytest.raises(ValueError, match="symmetric"):
+        ReducedArcSolver(sub).solve()
+    sub.P = dense
+    sub.R = np.diag([1e-3, 1e-2, 1e-1])
+    with pytest.raises(ValueError, match="isotropic"):
+        ReducedArcSolver(sub).solve()
+    sub.R = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="positive"):
+        ReducedArcSolver(sub).solve()
 
 
 def test_warm_start_reduces_iterations():
     rng = np.random.default_rng(6)
     sub = random_subproblem(rng, N=6, ball=0.05)
-    first = solve_convex_subproblem(sub, max_iter=20000, tol=1e-11)
-    again = solve_convex_subproblem(sub, max_iter=20000, tol=1e-11,
-                                    warm=first.duals)
+    first = ReducedArcSolver(sub).solve(tol=1e-11)
+    again = ReducedArcSolver(sub).solve(tol=1e-11, warm=first.duals)
     assert again.iterations <= first.iterations
-
-
-def test_reduced_solver_matches_general_path():
-    rng = np.random.default_rng(7)
-    # diagonal P and scalar R: the condensed solver's assumptions
-    for coast, ball in (((), 1e6), ((1, 4), 0.03)):
-        sub = random_subproblem(rng, N=6, ball=ball, trust=1e9, r_weight=1e-3,
-                                coast=coast)
-        sub.P = np.diag(rng.uniform(0.5, 2.0, 7))
-        general = solve_convex_subproblem(sub, max_iter=60000, tol=1e-13)
-        reduced = ReducedArcSolver(sub).solve(tol=1e-13)
-        assert reduced.objective == pytest.approx(general.objective,
-                                                  rel=1e-5, abs=1e-9)
-        assert np.all(np.linalg.norm(reduced.controls, axis=1)
-                      <= sub.ball + 1e-12)
-
-
-def test_riccati_cache_reusable_across_trust_changes():
-    rng = np.random.default_rng(8)
-    sub = random_subproblem(rng, N=5, ball=0.05)
-    cache = RiccatiCache(sub, rho=1.0)
-    a = solve_convex_subproblem(sub, max_iter=5000, tol=1e-11, cache=cache)
-    sub2 = ConvexSubproblem(A=sub.A, B=sub.B, c=sub.c, P=sub.P, z_ref=sub.z_ref,
-                            R=sub.R, ball=sub.ball, trust=sub.trust * 0.5)
-    b = solve_convex_subproblem(sub2, max_iter=5000, tol=1e-11, cache=cache)
-    assert np.isfinite(b.objective)

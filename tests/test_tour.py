@@ -11,7 +11,7 @@ from orbtour.maneuvers import hohmann_dv, plane_change_dv
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario)
 from orbtour.tour import (OVERRUN_PENALTY, TourEvaluator, brute_force,
-                          heuristic_walks, tour_cost)
+                          heuristic_walks, tour_cost, tour_plans)
 
 
 def single_bundle_at_insertion() -> MissionScenario:
@@ -189,12 +189,8 @@ def test_dropping_decommission_never_raises_cost(small_scenario):
     assert without.min() <= with_decom.min() + 1e-15
 
 
-def test_cycle_variant_flag(small_scenario):
-    ev = TourEvaluator(small_scenario, cycle=True)
-    fuel = ev.fuel_batch(np.arange(small_scenario.n_bundles)[None, :])
-    assert np.isfinite(fuel[0]) and fuel[0] > 0.0
-
-
 def test_order_validation(small_scenario):
     with pytest.raises(ValueError):
         tour_cost(small_scenario, [0, 0, 1])
+    with pytest.raises(ValueError):
+        tour_plans(small_scenario, [0, 0, 1])

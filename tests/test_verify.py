@@ -78,7 +78,7 @@ def test_report_serialization(refined_mission, tmp_path):
     save_report(report, tmp_path / "report.json", tmp_path / "report.csv")
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["all_passed"] == report.all_passed
-    assert data["perturbations"]["j2_instantaneous"] is True
+    assert data["version"] == 2
     assert len(data["legs"]) == 3
     lines = (tmp_path / "report.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 3
