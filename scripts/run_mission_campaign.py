@@ -43,7 +43,7 @@ def main():
     tour, _ = optimize(small, OptimizerConfig(seed=0))
     print(f"order {tour.order}  fuel {tour.fuel_total:.2f} kg  "
           f"feasible {tour.feasible}")
-    arcs = refine_tour(tour, small)
+    arcs = refine_tour(tour.order, small)
     report = verify_trajectory(arcs, tour, small)
     for leg in report.legs:
         print(f"  {leg.label}: da {leg.da_km:+.3f} km  di {leg.di_deg:+.4f} deg  "

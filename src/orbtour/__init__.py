@@ -16,8 +16,7 @@ from .optimizer import EvolutionTrace, OptimizerConfig, optimize
 from .scenario import (Bundle, MissionScenario, PayloadSpec, ScenarioConfig,
                        SpacecraftSpec, load_scenario, sample_scenario,
                        save_scenario, sso_inclination)
-from .scp import (OcpProblem, RefineOptions, RefinedArc, TrustRegion,
-                  refine_tour, scp_solve)
+from .scp import OcpProblem, RefineOptions, RefinedArc, refine_tour, scp_solve
 from .tour import Tour, TourEvaluator, brute_force, heuristic_walks, tour_cost
 from .verify import Tolerances, VerificationReport, verify_trajectory
 
@@ -30,8 +29,7 @@ __all__ = [
     "Bundle", "MissionScenario", "PayloadSpec", "ScenarioConfig",
     "SpacecraftSpec", "load_scenario", "sample_scenario", "save_scenario",
     "sso_inclination",
-    "OcpProblem", "RefineOptions", "RefinedArc", "TrustRegion", "refine_tour",
-    "scp_solve",
+    "OcpProblem", "RefineOptions", "RefinedArc", "refine_tour", "scp_solve",
     "Tour", "TourEvaluator", "brute_force", "heuristic_walks", "tour_cost",
     "Tolerances", "VerificationReport", "verify_trajectory",
 ]

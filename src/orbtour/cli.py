@@ -76,37 +76,41 @@ def derived_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _config_from(cls, data: dict, path: str):
-    """``cls(**data)``, with unknown keys reported as a schema error."""
-    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+def _config_from(cls, path: str | None, convert: dict):
+    """``cls`` built from the JSON object in the config file ``path`` (the
+    defaults when ``path`` is None).  Each ``key: (field, fn)`` in
+    ``convert`` sets ``field`` to ``fn`` of the file's ``key``.  A file that
+    is not an object, an unknown key or a value of the wrong type raises a
+    schema error naming the file."""
+    if path is None:
+        return cls()
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: a {cls.__name__} file must hold a JSON object")
+    unknown = sorted(set(data) - set(convert)
+                     - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise SchemaError(f"{path}: unknown {cls.__name__} key(s): "
                           f"{', '.join(unknown)}")
-    return cls(**data)
+    try:
+        for key, (name, fn) in convert.items():
+            if key in data:
+                data[name] = fn(data.pop(key))
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: bad {cls.__name__} value: {exc}") from exc
 
 
 def _scenario_config(path: str | None) -> ScenarioConfig:
-    if path is None:
-        return ScenarioConfig()
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "insertion_inclination_deg" in data:
-        data["insertion_inclination"] = math.radians(data.pop("insertion_inclination_deg"))
-    if "insertion_raan_deg" in data:
-        data["insertion_raan"] = math.radians(data.pop("insertion_raan_deg"))
-    return _config_from(ScenarioConfig, data, path)
+    return _config_from(ScenarioConfig, path, {
+        "insertion_inclination_deg": ("insertion_inclination", math.radians),
+        "insertion_raan_deg": ("insertion_raan", math.radians)})
 
 
 def _optimizer_config(path: str | None, seed: int | None) -> OptimizerConfig:
-    data = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    if "algorithms" in data:
-        data["algorithms"] = tuple(data["algorithms"])
-    if seed is not None:
-        data["seed"] = seed
-    return _config_from(OptimizerConfig, data, path)
+    config = _config_from(OptimizerConfig, path, {"algorithms": ("algorithms", tuple)})
+    return config if seed is None else dataclasses.replace(config, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +216,7 @@ def cmd_refine(args) -> int:
     consts = active_constants()
     scn = load_scenario(args.scenario, consts)
     order = load_tour_order(args.tour)
-    tour = tour_cost(scn, order, consts)
-    options = RefineOptions(arcs_per_problem=args.arcs_per_problem)
-    arcs = refine_tour(tour, scn, options, consts)
+    arcs = refine_tour(order, scn, RefineOptions(), consts)
     save_arcs(arcs, args.out)
     write_manifest(args.out, "refine", vars(args), [args.scenario, args.tour],
                    [args.out], {}, time.time() - t0)
@@ -408,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="re-optimize transfer arcs")
     p.add_argument("--tour", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--arcs-per-problem", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 

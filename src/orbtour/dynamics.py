@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EARTH, TWO_PI, PhysicalConstants, wrap_angle
-from .elements import KeplerianState, SpacecraftState, kep_to_mee, mee_to_kep
+from .constants import EARTH, TWO_PI, PhysicalConstants
+from .elements import SpacecraftState
 from .errors import SingularStateError
 
 
@@ -207,54 +207,8 @@ def j2_secular_rates(a: float, e: float, i: float,
 
 
 # ---------------------------------------------------------------------------
-# Coast propagation and orbit scalars
+# Orbit scalars
 # ---------------------------------------------------------------------------
-
-def solve_kepler(mean_anom: float, e: float, tol: float = 1e-14) -> float:
-    """Eccentric anomaly from mean anomaly (Newton iteration)."""
-    E = mean_anom if e < 0.8 else math.pi
-    for _ in range(64):
-        delta = (E - e * math.sin(E) - mean_anom) / (1.0 - e * math.cos(E))
-        E -= delta
-        if abs(delta) < tol:
-            break
-    return E
-
-
-def true_to_mean_anomaly(ta: float, e: float) -> float:
-    E = 2.0 * math.atan2(math.sqrt(1.0 - e) * math.sin(ta / 2.0),
-                         math.sqrt(1.0 + e) * math.cos(ta / 2.0))
-    return E - e * math.sin(E)
-
-
-def mean_to_true_anomaly(M: float, e: float) -> float:
-    E = solve_kepler(M, e)
-    return 2.0 * math.atan2(math.sqrt(1.0 + e) * math.sin(E / 2.0),
-                            math.sqrt(1.0 - e) * math.cos(E / 2.0))
-
-
-def propagate_secular(state: SpacecraftState, dt: float,
-                      consts: PhysicalConstants = EARTH) -> SpacecraftState:
-    """Advance a coasting state by ``dt``: Keplerian mean motion on the
-    anomaly plus secular J2 drift on node and perigee; a, e, i and mass are
-    untouched."""
-    if dt < 0.0:
-        raise ValueError("dt must be non-negative")
-    if dt == 0.0:
-        return state
-    kep = mee_to_kep(state.mee)
-    draan, dargp = j2_secular_rates(kep.a, kep.e, kep.i, consts)
-    n = math.sqrt(consts.mu / kep.a**3)
-    M = true_to_mean_anomaly(kep.ta, kep.e) + n * dt
-    new_kep = KeplerianState(
-        a=kep.a, e=kep.e, i=kep.i,
-        raan=wrap_angle(kep.raan + draan * dt),
-        argp=wrap_angle(kep.argp + dargp * dt),
-        ta=wrap_angle(mean_to_true_anomaly(math.fmod(M, TWO_PI), kep.e)),
-    )
-    mee = kep_to_mee(new_kep, state.mee.retrograde_factor)
-    return SpacecraftState(mee=mee, mass=state.mass, epoch=state.epoch + dt)
-
 
 def orbit_scalars(a: float, consts: PhysicalConstants = EARTH) -> tuple[float, float, float]:
     """Mean motion [rad/s], period [s] and circular speed [km/s] at SMA ``a``."""

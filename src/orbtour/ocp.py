@@ -5,7 +5,7 @@ finite differences.
 
 The stage grid is nonuniform: burn windows (one per planned impulse, the
 thruster's maximum on-time wide, centered on the impulse) are resolved by
-several short stages, coast gaps by a configurable number of stages per
+several short stages, coast gaps by a fixed number of stages per
 revolution.  This keeps multi-revolution arcs well under the stage cap that
 a uniform burn-resolving step would explode past.
 """
@@ -21,12 +21,15 @@ from .constants import EARTH, PhysicalConstants
 from .maneuvers import BurnPlan, ThrusterSpec
 from .propagate import rk4_batch, rk4_segment
 
-#: default grid resolution (stages per burn window / per coast revolution)
+#: grid resolution (stages per burn window / per coast revolution)
 BURN_STAGES = 4
 COAST_STAGES_PER_ORBIT = 40
 STAGE_CAP = 20000
 #: max internal integration substep on coast stages [s]
 COAST_SUBSTEP = 40.0
+#: impulse shortfall [kN*s] left after the last window above which the warm
+#: start warns
+SPILL_TOL = 1e-3
 
 
 @dataclass
@@ -56,9 +59,9 @@ class StageGrid:
     def n_stages(self) -> int:
         return self.dt.size
 
-    def substeps(self, coast_substep: float = COAST_SUBSTEP) -> np.ndarray:
+    def substeps(self) -> np.ndarray:
         """Internal integration substeps per stage (integration accuracy)."""
-        return np.maximum(1, np.ceil(self.dt / coast_substep - 1e-12)).astype(int)
+        return np.maximum(1, np.ceil(self.dt / COAST_SUBSTEP - 1e-12)).astype(int)
 
 
 def burn_windows(plan: BurnPlan, thruster: ThrusterSpec) -> list[BurnWindow]:
@@ -86,11 +89,9 @@ def burn_windows(plan: BurnPlan, thruster: ThrusterSpec) -> list[BurnWindow]:
 
 def build_grid(plan: BurnPlan, thruster: ThrusterSpec, orbit_period: float,
                tail: float | None = None,
-               burn_stages: int = BURN_STAGES,
-               coast_stages_per_orbit: int = COAST_STAGES_PER_ORBIT,
                stage_cap: int = STAGE_CAP) -> StageGrid:
     """Nonuniform stage grid covering a burn plan plus a trailing coast."""
-    coast_dt = orbit_period / coast_stages_per_orbit
+    coast_dt = orbit_period / COAST_STAGES_PER_ORBIT
     if tail is None:
         tail = 0.25 * orbit_period
     wins = burn_windows(plan, thruster)
@@ -111,10 +112,10 @@ def build_grid(plan: BurnPlan, thruster: ThrusterSpec, orbit_period: float,
     cursor = 0.0
     for idx, w in enumerate(wins):
         add_coast(w.start - cursor)
-        d = w.duration / burn_stages
-        dts.extend([d] * burn_stages)
-        bounds.extend([thruster.thrust_kn] * burn_stages)
-        owner.extend([idx] * burn_stages)
+        d = w.duration / BURN_STAGES
+        dts.extend([d] * BURN_STAGES)
+        bounds.extend([thruster.thrust_kn] * BURN_STAGES)
+        owner.extend([idx] * BURN_STAGES)
         cursor = w.end
     add_coast(tail)
 
@@ -141,16 +142,13 @@ def split_plan(plan: BurnPlan, max_duration: float) -> list[BurnPlan]:
 
 
 def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
-               consts: PhysicalConstants = EARTH, j2: bool = True,
-               coast_substep: float = COAST_SUBSTEP,
-               spill_tol: float = 1e-3,
-               ) -> tuple[np.ndarray, np.ndarray]:
+               consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
     """Initial trajectory realizing the plan's impulses as finite burns.
 
     Each window applies a constant thrust m*|dv|/duration along the
     impulse's LVLH direction; forces above the window's bound are clipped
     and the impulse shortfall spills into the next window (a final shortfall
-    above ``spill_tol`` [kN*s] warns).  States come from the true nonlinear
+    above ``SPILL_TOL`` warns).  States come from the true nonlinear
     rollout of these controls, so (states, controls) is dynamics-consistent
     from the start.
 
@@ -169,8 +167,8 @@ def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
     while i < n:
         w = owner[i]
         if w < 0:
-            y = rk4_segment(y, (0.0, 0.0, 0.0), float(grid.dt[i]), coast_substep,
-                            ve, consts, j2)
+            y = rk4_segment(y, (0.0, 0.0, 0.0), float(grid.dt[i]), COAST_SUBSTEP,
+                            ve, consts, j2_on=True)
             states[i + 1] = y
             i += 1
             continue
@@ -190,7 +188,7 @@ def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
             carry = needed - applied
             # an unrealized tail above the impulse-bit scale is reportable
             if (w == len(grid.windows) - 1
-                    and float(np.linalg.norm(carry)) > spill_tol):
+                    and float(np.linalg.norm(carry)) > SPILL_TOL):
                 warnings.warn("warm start could not realize the full impulse "
                               "within the thrust bound", stacklevel=2)
         else:
@@ -198,7 +196,7 @@ def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
         for s in range(i, j):
             controls[s] = force
             y = rk4_segment(y, (force[0], force[1], force[2]), float(grid.dt[s]),
-                            coast_substep, ve, consts, j2)
+                            COAST_SUBSTEP, ve, consts, j2_on=True)
             states[s + 1] = y
         i = j
     return states, controls

@@ -134,6 +134,11 @@ class ScenarioConfig:
     fixed_bundles: int | None = None    # pin the bundle count instead of sampling
     spacecraft: SpacecraftSpec = field(default_factory=SpacecraftSpec)
 
+    def __post_init__(self) -> None:
+        if (self.fixed_bundles is not None
+                and not self.min_bundles <= self.fixed_bundles <= self.n_payloads):
+            raise ValueError("fixed bundle count out of range")
+
     @property
     def n_payloads(self) -> int:
         return self.n_cubesats + self.n_pocketqubes + self.n_smallsats
@@ -174,8 +179,6 @@ def sample_scenario(config: ScenarioConfig, seed: int,
               for c, x in zip(inventory, rng.exponential(config.mass_spread, n))]
 
     if config.fixed_bundles is not None:
-        if not (config.min_bundles <= config.fixed_bundles <= n):
-            raise ValueError("fixed bundle count out of range")
         n_bundles = config.fixed_bundles
     else:
         n_bundles = int(rng.integers(config.min_bundles, n + 1))

@@ -24,52 +24,44 @@ import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee, mee_to_kep
+from .errors import SchemaError
 from .maneuvers import ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec
 from .ocp import (COAST_SUBSTEP, STAGE_CAP, StageGrid, build_grid, linearize_batch,
                   split_plan, warm_start)
 from .propagate import PropagatorConfig, propagate_numeric
 from .qp import ConvexSubproblem, ReducedArcSolver
 from .scenario import MissionScenario
-from .tour import Tour, tour_plans
+from .tour import tour_plans
 
-#: default terminal weights on scaled [p f g h k L m] errors: orbit shape and
-#: plane dominate, phase is soft, terminal mass is free
-DEFAULT_P_DIAG = (1e4, 1e4, 1e4, 1e4, 1e4, 1e2, 0.0)
+#: terminal weights on scaled [p f g h k L m] errors: orbit shape and plane
+#: dominate, phase is soft, terminal mass is free
+P_DIAG = (1e4, 1e4, 1e4, 1e4, 1e4, 1e2, 0.0)
 #: control-energy weight in scaled units; regularization only, so the
 #: terminal error always dominates the trade
-DEFAULT_R_SCALE = 1e-6
+R_SCALE = 1e-6
 #: scale floors for near-zero reference components [p f g h k L m]
 _SCALE_FLOOR = np.array([1.0, 1e-2, 1e-2, 1e-2, 1e-2, 1.0, 1.0])
-
-
-@dataclass(frozen=True)
-class TrustRegion:
-    radius: float = 0.1
-    shrink: float = 0.5
-    grow: float = 2.0
-    ratio_accept: float = 0.25
-    ratio_expand: float = 0.75
-    min_radius: float = 1e-7
-    max_radius: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.shrink < 1.0 < self.grow):
-            raise ValueError("need shrink < 1 < grow")
-        if not (0.0 < self.ratio_accept < self.ratio_expand):
-            raise ValueError("need 0 < ratio_accept < ratio_expand")
+#: trust region on the scaled state step: initial radius and its bounds
+TRUST_RADIUS, MIN_RADIUS, MAX_RADIUS = 0.1, 1e-7, 10.0
+#: a step whose actual-to-predicted reduction ratio is below RATIO_ACCEPT
+#: is rejected and shrinks the radius by SHRINK; a scaled-down step whose
+#: ratio exceeds RATIO_EXPAND grows it by GROW
+SHRINK, GROW = 0.5, 2.0
+RATIO_ACCEPT, RATIO_EXPAND = 0.25, 0.75
+#: a scaled step below this is converged
+UPDATE_TOL = 1e-6
+#: iteration cap and tolerance of each convex subproblem solve
+QP_ITERS, QP_TOL = 100, 1e-11
 
 
 @dataclass
 class OcpProblem:
-    """One refinement problem: grid, boundary data and weights."""
+    """One refinement problem: grid and boundary data."""
 
     x0: np.ndarray                # (7,) [p f g h k L m] at arc start
     grid: StageGrid
     x_ref: np.ndarray             # (7,) terminal reference
     isp: float
-    p_diag: tuple = DEFAULT_P_DIAG
-    r_scale: float = DEFAULT_R_SCALE
-    j2: bool = True
     consts: PhysicalConstants = field(default_factory=lambda: EARTH)
     t0: float = 0.0               # arc start epoch [s]
     label: str = "arc"
@@ -116,9 +108,7 @@ def realized_dv(controls: np.ndarray, dt: np.ndarray, states: np.ndarray) -> flo
 
 
 def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
-              warm_controls: np.ndarray, trust: TrustRegion = TrustRegion(),
-              max_iterations: int = 50, update_tol: float = 1e-6,
-              qp_iters: int = 100, qp_tol: float = 1e-11) -> RefinedArc:
+              warm_controls: np.ndarray, max_iterations: int = 50) -> RefinedArc:
     """Refine one arc from a dynamics-consistent warm start.
 
     Returns the best accepted iterate; ``converged`` is False when the
@@ -127,14 +117,14 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     grid = problem.grid
     N = grid.n_stages
     sx, su = problem.scales()
-    P = np.diag(problem.p_diag)
-    R = problem.r_scale * np.eye(3)
+    P = np.diag(P_DIAG)
+    R = R_SCALE * np.eye(3)
     ball = grid.tmax / su
     z_ref = problem.x_ref / sx
     dt = grid.dt
     substeps = grid.substeps()
     consts = problem.consts
-    prop_cfg = PropagatorConfig(step=COAST_SUBSTEP, j2=problem.j2)
+    prop_cfg = PropagatorConfig(step=COAST_SUBSTEP)
 
     def rollout(controls: np.ndarray) -> np.ndarray:
         state0 = SpacecraftState(MeeState.from_array(problem.x0[:6]),
@@ -144,13 +134,13 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     def true_objective(states: np.ndarray, controls: np.ndarray) -> float:
         err = states[-1] / sx - z_ref
         w = controls / su
-        return float(0.5 * err @ P @ err + 0.5 * problem.r_scale * np.sum(w * w))
+        return float(0.5 * err @ P @ err + 0.5 * R_SCALE * np.sum(w * w))
 
     X = np.asarray(warm_states, dtype=float).copy()
     U = np.asarray(warm_controls, dtype=float).copy()
     J = true_objective(X, U)
     history = [J]
-    radius = trust.radius
+    radius = TRUST_RADIUS
     converged = False
     iterations = 0
     duals = None
@@ -168,7 +158,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     for iterations in range(1, max_iterations + 1):
         if solver is None:
             A, B, _ = linearize_batch(X[:-1], U, dt, substeps, problem.isp, consts,
-                                      problem.j2, u_scale=su, skip_b=coast)
+                                      u_scale=su, skip_b=coast)
             # scaled deviation dynamics with absolute scaled controls w=u/su:
             # z' = (A*) z + (B*)(w - w_bar)  ->  offset c = -(B*) w_bar
             A_s = A * (sx[None, None, :] / sx[None, :, None])
@@ -178,7 +168,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             sub = ConvexSubproblem(A=A_s, B=B_s, c=c_s, P=P, z_ref=z_ref_dev,
                                    R=R, ball=ball, z0=np.zeros(7))
             solver = ReducedArcSolver(sub)
-        sol = solver.solve(max_iter=qp_iters, tol=qp_tol, warm=duals)
+        sol = solver.solve(max_iter=QP_ITERS, tol=QP_TOL, warm=duals)
         duals = sol.duals
         # trust region: the step is affine in the controls, so scaling the
         # control step keeps it ball-feasible and model-consistent
@@ -190,7 +180,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
         Z_lam = lam * sol.states
         err = Z_lam[-1] - z_ref_dev
         J_pred = float(0.5 * err @ P @ err
-                       + 0.5 * problem.r_scale * np.sum(W_step * W_step))
+                       + 0.5 * R_SCALE * np.sum(W_step * W_step))
 
         X_new = rollout(U_new)
         J_new = true_objective(X_new, U_new)
@@ -199,7 +189,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
         step_norm = max(lam * step_scale,
                         float(np.max(np.abs((U_new - U) / su))) if U.size else 0.0)
 
-        if step_norm < update_tol or pred_red < 1e-9 * (1.0 + abs(J)):
+        if step_norm < UPDATE_TOL or pred_red < 1e-9 * (1.0 + abs(J)):
             # no meaningful step left at solver precision
             if act_red > 0.0:
                 X, U, J = X_new, U_new, J_new
@@ -207,14 +197,14 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             converged = True
             break
         ratio = act_red / pred_red
-        if ratio < trust.ratio_accept:
-            radius = max(radius * trust.shrink, trust.min_radius)
+        if ratio < RATIO_ACCEPT:
+            radius = max(radius * SHRINK, MIN_RADIUS)
             continue
         X, U, J = X_new, U_new, J_new
         history.append(J)
         solver = None  # accepted: linearization point moved
-        if ratio > trust.ratio_expand and lam < 1.0:
-            radius = min(radius * trust.grow, trust.max_radius)
+        if ratio > RATIO_EXPAND and lam < 1.0:
+            radius = min(radius * GROW, MAX_RADIUS)
 
     return RefinedArc(states=X, controls=U, dt=dt, t0=problem.t0,
                       dv_total=realized_dv(U, dt, X), iterations=iterations,
@@ -228,12 +218,8 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
 
 @dataclass
 class RefineOptions:
-    arcs_per_problem: int = 1     # 1: each maneuver phase alone; 2: whole leg
-    trust: TrustRegion = field(default_factory=TrustRegion)
     max_iterations: int = 50
     stage_cap: int = STAGE_CAP
-    p_diag: tuple = DEFAULT_P_DIAG
-    r_scale: float = DEFAULT_R_SCALE
 
 
 def _phase_groups(plan: BurnPlan) -> list[BurnPlan]:
@@ -254,7 +240,8 @@ def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
                       options: RefineOptions, x_ref_final: np.ndarray,
                       consts: PhysicalConstants,
                       label: str) -> list[tuple[BurnPlan, np.ndarray | None, str]]:
-    """(sub-plan, terminal reference or None, label) triples for one leg.
+    """(sub-plan, terminal reference or None, label) triples for one leg:
+    one per maneuver phase, or more where the stage cap splits a phase.
 
     A None reference means "pin to the warm rollout terminal": used for the
     interior pieces produced by phase grouping or stage-cap splitting, whose
@@ -263,8 +250,6 @@ def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
     if not plan.events:
         return []
     groups = _phase_groups(plan)
-    if options.arcs_per_problem >= 2:
-        groups = [plan]
     pieces: list[tuple[BurnPlan, np.ndarray | None, str]] = []
     for gi, g in enumerate(groups):
         # enforce the stage cap by splitting long phases at coast midpoints;
@@ -282,17 +267,18 @@ def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
     return pieces
 
 
-def refine_tour(tour: Tour, scenario: MissionScenario,
+def refine_tour(order, scenario: MissionScenario,
                 options: RefineOptions = RefineOptions(),
                 consts: PhysicalConstants = EARTH) -> list[RefinedArc]:
-    """Refine every leg of a tour; returns one RefinedArc per solved piece.
+    """Refine every leg of a visit order; returns one RefinedArc per solved
+    piece.
 
     Non-converged pieces are flagged on their arc; callers treat the tour as
     partially refined when any flag is down.
     """
     thruster = scenario.spacecraft.thruster
     arcs: list[RefinedArc] = []
-    for li, (state0, est, plan) in enumerate(tour_plans(scenario, tour.order, consts)):
+    for li, (state0, est, plan) in enumerate(tour_plans(scenario, order, consts)):
         label = f"leg{li}"
         if not plan.events:
             continue
@@ -313,8 +299,7 @@ def refine_tour(tour: Tour, scenario: MissionScenario,
             arc = refine_arc(x_cursor, rel_plan, thruster, x_ref, options,
                              consts, isp=thruster.isp,
                              t0=state0.epoch + arc_start, label=piece_label,
-                             lead_coast=lead, j2=True,
-                             terminal=x_ref is not None, u_anchor=leg_u0)
+                             lead_coast=lead, u_anchor=leg_u0)
             arcs.append(arc)
             x_cursor = arc.states[-1].copy()
             cursor = arc_start + float(arc.dt.sum())
@@ -322,7 +307,7 @@ def refine_tour(tour: Tour, scenario: MissionScenario,
 
 
 def _retime_node_plan(plan: BurnPlan, x0: np.ndarray, isp: float,
-                      consts: PhysicalConstants, j2: bool) -> BurnPlan:
+                      consts: PhysicalConstants) -> BurnPlan:
     """Re-anchor a nodal plan's epochs to the propagated dynamics.
 
     The analytic plan spaces burns by the Keplerian half period, but the
@@ -344,8 +329,7 @@ def _retime_node_plan(plan: BurnPlan, x0: np.ndarray, isp: float,
     n_orbits, n_seg = 8, 256
     seg = n_orbits * period / n_seg
     traj = propagate_numeric(state0, np.zeros((n_seg, 3)), np.full(n_seg, seg),
-                             isp, PropagatorConfig(step=COAST_SUBSTEP, j2=j2),
-                             consts)
+                             isp, PropagatorConfig(step=COAST_SUBSTEP), consts)
     t = np.arange(n_seg + 1) * seg
     u = traj[:, 5] - np.unwrap(np.arctan2(traj[:, 4], traj[:, 3]))
     u_rate, u0 = np.polyfit(t, u, 1)
@@ -361,56 +345,50 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
                 x_ref: np.ndarray | None, options: RefineOptions,
                 consts: PhysicalConstants, isp: float, t0: float = 0.0,
                 label: str = "arc", lead_coast: float = 0.0,
-                j2: bool = True, terminal: bool = True,
                 u_anchor: float | None = None,
                 ) -> tuple[OcpProblem, np.ndarray, np.ndarray]:
     """Build the refinement problem and warm start for one plan chunk.
 
     ``lead_coast`` seconds of coast are prepended numerically to ``x0``
     before the first window (phasing/idle time between chunks).  Terminal
-    chunks get a tail stretched to end at the anchor argument-of-latitude
-    phase — the phase where the leg's ideal-element boundary state was
-    defined — so the J2 short-period element oscillations cancel between
-    the leg endpoints and ideal-element references are reachable.  Interior
-    chunks keep a minimal tail and pin to their own warm terminal.  Returns
-    (problem, warm states, warm controls).
+    chunks, those given an ``x_ref``, get a tail stretched to end at the
+    anchor argument-of-latitude phase — the phase where the leg's
+    ideal-element boundary state was defined — so the J2 short-period
+    element oscillations cancel between the leg endpoints and ideal-element
+    references are reachable.  Interior chunks (``x_ref`` None) keep a
+    minimal tail and pin to their own warm terminal.  Returns (problem,
+    warm states, warm controls).
     """
     if lead_coast > 0.0:
         state0 = SpacecraftState(MeeState.from_array(x0[:6]), mass=float(x0[6]))
         traj = propagate_numeric(state0, np.zeros((1, 3)), np.array([lead_coast]),
-                                 isp, PropagatorConfig(step=COAST_SUBSTEP, j2=j2),
-                                 consts)
+                                 isp, PropagatorConfig(step=COAST_SUBSTEP), consts)
         x0 = traj[-1]
     x0 = np.asarray(x0, dtype=float)
-    plan = _retime_node_plan(plan, x0, isp, consts, j2)
+    plan = _retime_node_plan(plan, x0, isp, consts)
 
     kep = mee_to_kep(MeeState.from_array(x0[:6]))
     period = 2.0 * math.pi * math.sqrt(kep.a**3 / consts.mu)
 
-    if not terminal:
+    if x_ref is None:
         grid = build_grid(plan, thruster, period, tail=period / 40.0,
                           stage_cap=options.stage_cap)
-        W, U = warm_start(plan, grid, x0, isp, consts, j2)
+        W, U = warm_start(plan, grid, x0, isp, consts)
+        x_ref = W[-1].copy()
     else:
         u0 = (u_anchor if u_anchor is not None
               else (x0[5] - math.atan2(x0[4], x0[3]))) % (2.0 * math.pi)
         tail = 0.25 * period
-        W = U = None
         for _ in range(3):
             grid = build_grid(plan, thruster, period, tail=tail,
                               stage_cap=options.stage_cap)
-            W, U = warm_start(plan, grid, x0, isp, consts, j2)
+            W, U = warm_start(plan, grid, x0, isp, consts)
             kep_w = mee_to_kep(MeeState.from_array(W[-1, :6]))
             u_n = (W[-1, 5] - kep_w.raan) % (2.0 * math.pi)
             gap = (u0 - u_n) % (2.0 * math.pi)
             if gap < 1e-4 or gap > 2.0 * math.pi - 1e-4:
                 break
             tail += gap / math.sqrt(consts.mu / kep_w.a**3)
-
-    kep_w = mee_to_kep(MeeState.from_array(W[-1, :6]))
-    if x_ref is None:
-        x_ref = W[-1].copy()
-    else:
         # keep the target's shape and plane (a, e, i); take node, phase and
         # mass from the warm rollout: the node is untargeted by the mission
         # and the phase was resolved combinatorially
@@ -421,9 +399,8 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
         mee_ref = kep_to_mee(ref)
         x_ref = np.concatenate([mee_ref.as_array(), [W[-1, 6]]])
         x_ref[5] = W[-1, 5]
-    problem = OcpProblem(x0=x0, grid=grid, x_ref=x_ref,
-                         isp=isp, p_diag=options.p_diag, r_scale=options.r_scale,
-                         j2=j2, consts=consts, t0=t0, label=label)
+    problem = OcpProblem(x0=x0, grid=grid, x_ref=x_ref, isp=isp, consts=consts,
+                         t0=t0, label=label)
     return problem, W, U
 
 
@@ -431,19 +408,20 @@ def refine_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
                x_ref: np.ndarray | None, options: RefineOptions,
                consts: PhysicalConstants, isp: float, t0: float = 0.0,
                label: str = "arc", lead_coast: float = 0.0,
-               j2: bool = True, terminal: bool = True,
                u_anchor: float | None = None) -> RefinedArc:
     """Prepare and solve one plan chunk."""
     problem, W, U = prepare_arc(x0, plan, thruster, x_ref, options, consts,
-                                isp, t0, label, lead_coast, j2, terminal,
-                                u_anchor)
-    return scp_solve(problem, W, U, trust=options.trust,
-                     max_iterations=options.max_iterations)
+                                isp, t0, label, lead_coast, u_anchor)
+    return scp_solve(problem, W, U, max_iterations=options.max_iterations)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+#: arcs.json schema version; 2 added each arc's objective and its history
+ARCS_VERSION = 2
+
 
 def arc_to_dict(arc: RefinedArc) -> dict:
     coast_steps = arc.dt[np.isclose(np.linalg.norm(arc.controls, axis=1), 0.0)]
@@ -461,6 +439,8 @@ def arc_to_dict(arc: RefinedArc) -> dict:
         "converged": arc.converged,
         "x_ref": arc.x_ref.tolist(),
         "terminal_error": {k: float(v) for k, v in arc.terminal_error.items()},
+        "objective": arc.objective,
+        "objective_history": arc.objective_history,
     }
 
 
@@ -469,18 +449,27 @@ def arc_from_dict(d: dict) -> RefinedArc:
         states=np.array(d["states"]), controls=np.array(d["controls_lvlh_kN"]),
         dt=np.array(d["dt_s"]), t0=d.get("t0_s", 0.0),
         dv_total=d["dv_mps"] / 1000.0, iterations=d["iterations"],
-        converged=d["converged"], objective=0.0, x_ref=np.array(d["x_ref"]),
-        label=d.get("label", "arc"))
+        converged=d["converged"], objective=d["objective"],
+        x_ref=np.array(d["x_ref"]), label=d.get("label", "arc"),
+        objective_history=list(d["objective_history"]))
 
 
 def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": 1, "arcs": [arc_to_dict(a) for a in arcs]}, fh,
-                  sort_keys=True)
+        json.dump({"version": ARCS_VERSION, "arcs": [arc_to_dict(a) for a in arcs]},
+                  fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return [arc_from_dict(d) for d in data["arcs"]]
+    if not isinstance(data, dict) or "arcs" not in data:
+        raise SchemaError(f"{path} is not an arcs record")
+    if data.get("version") != ARCS_VERSION:
+        raise SchemaError(f"{path}: unsupported arcs schema version "
+                          f"{data.get('version')!r}")
+    try:
+        return [arc_from_dict(d) for d in data["arcs"]]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"{path}: malformed arc record: {exc}") from exc

@@ -102,15 +102,26 @@ def test_solve_infeasible_exit_code(tmp_path):
     assert json.loads(out.read_text())["feasible"] is False
 
 
-def test_refine_and_verify_pipeline(tmp_path, tiny_paths):
+def test_refine_and_verify_pipeline(tmp_path, tiny_paths, monkeypatch):
     _, scn_path = tiny_paths
     tour = tmp_path / "tour.json"
     arcs = tmp_path / "arcs.json"
     report = tmp_path / "report.json"
     csvp = tmp_path / "report.csv"
     assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    # refine walks the estimator chain once: one estimate per bundle leg
+    import orbtour.tour
+    estimate = orbtour.tour.sequential_mht_nic
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(orbtour.tour, "sequential_mht_nic", counted)
     assert run(["refine", "--tour", tour, "--scenario", scn_path,
                 "--out", arcs]) == 0
+    assert len(calls) == len(json.loads(tour.read_text())["order"])
     assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
                 "--out", report, "--csv", csvp]) == 0
     data = json.loads(report.read_text())
@@ -126,23 +137,6 @@ def test_refine_and_verify_pipeline(tmp_path, tiny_paths):
     assert run(["refine", "--tour", tour, "--scenario", scn_path,
                 "--out", arcs2]) == 0
     assert arcs.read_bytes() == arcs2.read_bytes()
-
-
-def test_refine_whole_leg_as_one_problem(tmp_path, tiny_paths):
-    # merging a leg's altitude and plane phases gives the refiner more
-    # authority but mixes objectives; it may report partial convergence
-    # (exit 3) while still meeting every injection tolerance
-    _, scn_path = tiny_paths
-    tour = tmp_path / "tour.json"
-    arcs = tmp_path / "arcs.json"
-    report = tmp_path / "report.json"
-    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
-    code = run(["refine", "--tour", tour, "--scenario", scn_path,
-                "--arcs-per-problem", 2, "--out", arcs])
-    assert code in (0, 3)
-    assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
-                "--out", report]) == 0
-    assert json.loads(report.read_text())["all_passed"] is True
 
 
 def test_montecarlo_and_report(tmp_path):
@@ -222,6 +216,33 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys):
     assert "migration_cnt" in capsys.readouterr().err
     assert run(["generate", "--config", cfg, "--out", tmp_path / "s.json"]) == 1
     assert "migration_cnt" in capsys.readouterr().err
+    # a config that is not an object, or holds a value of the wrong type,
+    # gives a one-line error naming the file
+    for command, text in ((["generate", "--config"], '[1]'),
+                          (["solve", "--scenario", scn_path, "--optimizer-config"],
+                           '{"generations": "ten"}'),
+                          (["generate", "--config"], '{"fixed_bundles": "x"}')):
+        cfg.write_text(text)
+        assert run(command + [cfg, "--out", tmp_path / "o.json"]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    old = tmp_path / "old.json"
+    old.write_text('{"version": 1, "arcs": []}')
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 2, "arcs": [{"label": "leg0/phase0.0"}]}')
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    capsys.readouterr()
+    for arcs, text in ((tour, "not an arcs record"), (old, "version 1"),
+                       (bad, "malformed arc record")):
+        assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario",
+                    scn_path, "--out", tmp_path / "report.json"]) == 1
+        err = capsys.readouterr().err
+        assert text in err and len(err.strip().splitlines()) == 1
 
 
 def test_console_entry_point(tiny_paths):

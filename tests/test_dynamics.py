@@ -9,7 +9,7 @@ from conftest import cart_accel_j2, cart_rk4, cart_to_kep
 from orbtour.constants import EARTH, SECONDS_PER_YEAR
 from orbtour.dynamics import (PerturbAccel, gve_rates, j2_accel_lvlh,
                               j2_secular_rates, lvlh_basis, orbit_scalars,
-                              propagate_secular, thrust_and_mass_rates)
+                              thrust_and_mass_rates)
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
                               kep_to_mee, mee_to_cartesian, mee_to_kep)
 
@@ -191,31 +191,8 @@ def test_cross_model_secular_consistency():
 
 
 # ---------------------------------------------------------------------------
-# coast propagation and orbit scalars
+# orbit scalars
 # ---------------------------------------------------------------------------
-
-def test_propagate_secular_identity_and_node_cases():
-    st_ = make_state(KeplerianState(7000.0, 0.05, 1.2, 0.5, 0.3, 0.9))
-    assert propagate_secular(st_, 0.0) is st_
-
-    polar = make_state(KeplerianState(7000.0, 0.0, math.pi / 2, 0.5, 0.0, 0.0))
-    _, period, _ = orbit_scalars(7000.0)
-    out = propagate_secular(polar, period)
-    assert mee_to_kep(out.mee).raan == pytest.approx(0.5, abs=1e-12)
-    assert out.mass == polar.mass
-
-    with pytest.raises(ValueError):
-        propagate_secular(st_, -1.0)
-
-
-def test_propagate_secular_full_year_sso():
-    from orbtour.scenario import sso_inclination
-    a = EARTH.re + 500.0
-    kep = KeplerianState(a, 0.0, sso_inclination(a), 1.0, 0.0, 0.0)
-    out = propagate_secular(make_state(kep), SECONDS_PER_YEAR)
-    raan = mee_to_kep(out.mee).raan
-    assert abs((raan - 1.0 + math.pi) % TAU - math.pi) < 1e-6
-
 
 def test_orbit_scalars_reference_values():
     _, period, _ = orbit_scalars(7000.0)

@@ -5,13 +5,15 @@ import time
 import numpy as np
 import pytest
 
-from orbtour.constants import EARTH
+from orbtour.constants import EARTH, SECONDS_PER_YEAR
+from orbtour.dynamics import orbit_scalars
 from orbtour.elements import KeplerianState
 from orbtour.maneuvers import hohmann_dv, plane_change_dv
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
-                              ScenarioConfig, SpacecraftSpec, sample_scenario)
+                              ScenarioConfig, SpacecraftSpec, sample_scenario,
+                              sso_inclination)
 from orbtour.tour import (OVERRUN_PENALTY, TourEvaluator, brute_force,
-                          heuristic_walks, tour_cost, tour_plans)
+                          drifted_target, heuristic_walks, tour_cost, tour_plans)
 
 
 def single_bundle_at_insertion() -> MissionScenario:
@@ -19,6 +21,26 @@ def single_bundle_at_insertion() -> MissionScenario:
                          math.radians(158.0), 0.0, 0.0)
     b = Bundle((PayloadSpec("cubesat", 6.0, ins),), ins)
     return MissionScenario(SpacecraftSpec(), ins, EARTH.re + 250.0, (b,))
+
+
+def test_drifted_target_identity_and_node_cases():
+    kep = KeplerianState(7000.0, 0.05, 1.2, 0.5, 0.3, 0.9)
+    assert drifted_target(kep, 0.0) is kep
+
+    # a polar orbit's node does not drift; shape and plane never change
+    polar = KeplerianState(7000.0, 0.0, math.pi / 2, 0.5, 0.0, 0.0)
+    _, period, _ = orbit_scalars(7000.0)
+    out = drifted_target(polar, period)
+    assert out.raan == pytest.approx(0.5, abs=1e-12)
+    assert (out.a, out.e, out.i) == (polar.a, polar.e, polar.i)
+
+
+def test_drifted_target_full_year_sso():
+    # a sun-synchronous node turns once a year
+    a = EARTH.re + 500.0
+    kep = KeplerianState(a, 0.0, sso_inclination(a), 1.0, 0.0, 0.0)
+    raan = drifted_target(kep, SECONDS_PER_YEAR).raan
+    assert abs((raan - 1.0 + math.pi) % (2 * math.pi) - math.pi) < 1e-6
 
 
 def test_single_bundle_at_insertion_costs_decommission_only():

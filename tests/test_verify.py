@@ -18,7 +18,7 @@ from orbtour.verify import (Tolerances, repropagate_arc, save_report,
 def refined_mission():
     scn = tiny_mission()
     tour = tour_cost(scn, [0, 1])
-    arcs = refine_tour(tour, scn)
+    arcs = refine_tour(tour.order, scn)
     return scn, tour, arcs
 
 
