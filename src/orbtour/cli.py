@@ -25,24 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constants import EARTH, PhysicalConstants
-from .errors import OrbtourError, SchemaError
+from .constants import PhysicalConstants
+from .errors import OrbtourError, SchemaError, read_json_object
 from .optimizer import OptimizerConfig, optimize
 from .scenario import (MissionScenario, ScenarioConfig, load_scenario,
                        sample_scenario, save_scenario)
 from .scp import RefineOptions, load_arcs, refine_tour, save_arcs
 from .tour import Tour, brute_force, heuristic_walks, tour_cost
 from .verify import PropagatorConfig, Tolerances, save_report, verify_trajectory
-
-
-def active_constants() -> PhysicalConstants:
-    """Constants, optionally overridden by the ORBTOUR_CONSTANTS env file."""
-    path = os.environ.get("ORBTOUR_CONSTANTS")
-    if not path:
-        return EARTH
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return PhysicalConstants(**{**dataclasses.asdict(EARTH), **data})
 
 
 def _sha256(path: str | Path) -> str:
@@ -84,10 +74,7 @@ def _config_from(cls, path: str | None, convert: dict):
     schema error naming the file."""
     if path is None:
         return cls()
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: a {cls.__name__} file must hold a JSON object")
+    data = read_json_object(path)
     unknown = sorted(set(data) - set(convert)
                      - {f.name for f in dataclasses.fields(cls)})
     if unknown:
@@ -111,6 +98,11 @@ def _scenario_config(path: str | None) -> ScenarioConfig:
 def _optimizer_config(path: str | None, seed: int | None) -> OptimizerConfig:
     config = _config_from(OptimizerConfig, path, {"algorithms": ("algorithms", tuple)})
     return config if seed is None else dataclasses.replace(config, seed=seed)
+
+
+def active_constants() -> PhysicalConstants:
+    """Constants, optionally overridden by the ORBTOUR_CONSTANTS env file."""
+    return _config_from(PhysicalConstants, os.environ.get("ORBTOUR_CONSTANTS") or None, {})
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +139,7 @@ def save_tour(tour: Tour, path: str | Path) -> None:
 
 
 def load_tour_order(path: str | Path) -> list[int]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json_object(path)
     if "order" not in data:
         raise SchemaError(f"{path} is not a tour record")
     return [int(i) for i in data["order"]]

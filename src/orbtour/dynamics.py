@@ -1,5 +1,4 @@
-"""Dynamics right-hand sides: variational equations, LVLH frame, thrust and
-oblateness models.
+"""Dynamics right-hand sides: variational equations and oblateness models.
 
 All rates are expressed in the spacecraft LVLH frame (radial r, along-track
 theta, cross-track phi).  Scalar helpers operating on plain floats are the
@@ -9,25 +8,11 @@ arrays for vectorized finite differencing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import EARTH, TWO_PI, PhysicalConstants
-from .elements import SpacecraftState
 from .errors import SingularStateError
-
-
-@dataclass(frozen=True)
-class PerturbAccel:
-    """Perturbing acceleration components in the LVLH frame [km/s^2]."""
-
-    dr: float = 0.0
-    dt: float = 0.0
-    dn: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dr, self.dt, self.dn])
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +45,6 @@ def gve_rhs_scalar(p, f, g, h, k, L, ar, at, an, mu):
     return dp, df, dg, dh, dk, dL
 
 
-def gve_rates(state: SpacecraftState, accel: PerturbAccel, consts: PhysicalConstants = EARTH) -> np.ndarray:
-    """Time derivatives of the six equinoctial elements under ``accel``."""
-    if state.mee.retrograde_factor != 1:
-        raise SingularStateError("variational equations require retrograde factor +1")
-    m = state.mee
-    return np.array(gve_rhs_scalar(m.p, m.f, m.g, m.h, m.k, m.L,
-                                   accel.dr, accel.dt, accel.dn, consts.mu))
-
-
 def gve_rhs_batch(mee: np.ndarray, accel: np.ndarray, mu: float) -> np.ndarray:
     """Vectorized element rates: ``mee`` (N, 6), ``accel`` (N, 3) -> (N, 6)."""
     p, f, g, h, k, L = (mee[:, j] for j in range(6))
@@ -92,52 +68,6 @@ def gve_rhs_batch(mee: np.ndarray, accel: np.ndarray, mu: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# LVLH frame and thrust
-# ---------------------------------------------------------------------------
-
-def lvlh_basis(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """Rotation matrix whose columns are the LVLH unit vectors
-    (e_r, e_theta, e_phi) expressed in ECI.
-
-    e_r is the radial direction, e_phi the orbit normal r x v, and
-    e_theta = e_phi x e_r completes the right-handed triad.
-    """
-    r = np.asarray(position, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    rn = np.linalg.norm(r)
-    if rn == 0.0:
-        raise ValueError("position vector must be nonzero")
-    e_r = r / rn
-    hvec = np.cross(r, v)
-    hn = np.linalg.norm(hvec)
-    if hn < 1e-12 * rn * max(np.linalg.norm(v), 1e-300):
-        raise ValueError("position and velocity are parallel or velocity is zero")
-    e_phi = hvec / hn
-    e_theta = np.cross(e_phi, e_r)
-    return np.column_stack([e_r, e_theta, e_phi])
-
-
-def thrust_and_mass_rates(thrust_kn: float, direction: np.ndarray,
-                          state: SpacecraftState, isp: float,
-                          consts: PhysicalConstants = EARTH) -> tuple[PerturbAccel, float]:
-    """Thrust acceleration (LVLH) and the mass-flow rate it implies.
-
-    ``thrust_kn`` is the magnitude [kN]; ``direction`` the LVLH unit vector.
-    The mass rate is returned negative: propellant is consumed.
-    """
-    if thrust_kn < 0.0:
-        raise ValueError("thrust must be non-negative")
-    if state.mass <= 0.0:
-        raise ValueError("mass must be positive")
-    d = np.asarray(direction, dtype=float)
-    if thrust_kn > 0.0 and abs(np.linalg.norm(d) - 1.0) > 1e-9:
-        raise ValueError("thrust direction must be a unit vector")
-    acc = thrust_kn / state.mass * d
-    dmdt = -thrust_kn / (isp * consts.g0)
-    return PerturbAccel(acc[0], acc[1], acc[2]), dmdt
-
-
-# ---------------------------------------------------------------------------
 # Oblateness models
 # ---------------------------------------------------------------------------
 
@@ -154,18 +84,6 @@ def j2_accel_scalar(p, f, g, h, k, L, mu, j2, re):
     at = -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
     an = -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
     return ar, at, an
-
-
-def j2_accel_lvlh(state: SpacecraftState, consts: PhysicalConstants = EARTH) -> PerturbAccel:
-    """Instantaneous oblateness acceleration at the spacecraft, LVLH frame."""
-    if state.mee.retrograde_factor != 1:
-        raise SingularStateError("J2 model requires retrograde factor +1")
-    m = state.mee
-    r = m.p / (1.0 + m.f * math.cos(m.L) + m.g * math.sin(m.L))
-    if r <= consts.re:
-        raise ValueError(f"radius {r:.1f} km is below the surface")
-    return PerturbAccel(*j2_accel_scalar(m.p, m.f, m.g, m.h, m.k, m.L,
-                                         consts.mu, consts.j2, consts.re))
 
 
 def j2_accel_batch(mee: np.ndarray, mu: float, j2: float, re: float) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Exception types shared across modules."""
+"""Exception types shared across modules, and the reader of JSON input
+files that raises them."""
+from __future__ import annotations
+
+import json
+import os
 
 
 class OrbtourError(Exception):
@@ -11,8 +16,21 @@ class SingularStateError(OrbtourError, ValueError):
 
 
 class InsufficientFuelError(OrbtourError, ValueError):
-    """Raised when a maneuver would need more fuel than the stated budget."""
+    """Raised when a release would leave the spacecraft with no mass."""
 
 
 class SchemaError(OrbtourError, ValueError):
     """Raised on malformed or version-mismatched artifact files."""
+
+
+def read_json_object(path: str | os.PathLike) -> dict:
+    """The JSON object held in the file ``path``.  Invalid JSON, or a value
+    that is not an object, raises a schema error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object, found {type(data).__name__}")
+    return data

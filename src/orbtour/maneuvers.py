@@ -227,18 +227,12 @@ def split_dv(dv_total: float, m0: float, thruster: ThrusterSpec,
     return pieces
 
 
-def _check_budget(fuel: float, budget: float | None, what: str) -> None:
-    if budget is not None and fuel > budget:
-        raise InsufficientFuelError(f"{what} needs {fuel:.3f} kg, budget {budget:.3f} kg")
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
 def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec,
-                 consts: PhysicalConstants = EARTH, fuel_budget: float | None = None,
-                 ) -> tuple[TransferEstimate, BurnPlan]:
+                 consts: PhysicalConstants = EARTH) -> tuple[TransferEstimate, BurnPlan]:
     """Multi-burn Hohmann transfer between circular radii r0 -> r1.
 
     The total dv equals the direct two-impulse transfer regardless of how
@@ -263,7 +257,6 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
     ve = thruster.exhaust_velocity(consts)
     fuel_d = rocket_fuel(craft_mass, dv_d, ve)
     fuel_c = rocket_fuel(craft_mass - fuel_d, dv_c, ve)
-    _check_budget(fuel_d + fuel_c, fuel_budget, "MHT")
 
     per_burn = thruster.per_burn_fuel(consts)
     k_d = required_burns(fuel_d, per_burn)
@@ -307,8 +300,7 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
 
 
 def nic_estimate(di: float, r: float, craft_mass: float, thruster: ThrusterSpec,
-                 consts: PhysicalConstants = EARTH, fuel_budget: float | None = None,
-                 ) -> tuple[TransferEstimate, BurnPlan]:
+                 consts: PhysicalConstants = EARTH) -> tuple[TransferEstimate, BurnPlan]:
     """Nodal inclination change of ``di`` [rad] on a circular orbit of radius
     ``r``, split into node burns at up to two per revolution.
 
@@ -326,7 +318,6 @@ def nic_estimate(di: float, r: float, craft_mass: float, thruster: ThrusterSpec,
     dv = plane_change_dv(di, v_circ)
     ve = thruster.exhaust_velocity(consts)
     fuel = rocket_fuel(craft_mass, dv, ve)
-    _check_budget(fuel, fuel_budget, "NIC")
     k = required_burns(fuel, thruster.per_burn_fuel(consts))
     tof = duty_cycle_tof(k, period, thruster, cap=2)
 
@@ -386,7 +377,6 @@ def _sec_drift(a_mean: float, i_mean: float, dt: float,
 def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
                        release_mass: float, thruster: ThrusterSpec,
                        consts: PhysicalConstants = EARTH,
-                       fuel_budget: float | None = None,
                        ) -> tuple[TransferEstimate, BurnPlan]:
     """Altitude-and-plane transfer to the circular ``target``, executing the
     plane change where the orbital speed is lowest: raise first when going
@@ -472,8 +462,6 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
         do_nic(at_r=r0)
         do_mht(at_i=i1)
 
-    _check_budget(fuel_total, fuel_budget, "sequential transfer")
-
     # arrival longitude: phased onto the target's secular longitude
     L_arrival = wrap_angle(L1_now + mean_longitude_rate(r1, 0.0, i1, consts) * elapsed)
     end_kep = KeplerianState(a=r1, e=0.0, i=i1, raan=wrap_angle(raan), argp=0.0,
@@ -490,7 +478,6 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
 
 def decommission_estimate(state: SpacecraftState, decom_radius: float,
                           thruster: ThrusterSpec, consts: PhysicalConstants = EARTH,
-                          fuel_budget: float | None = None,
                           ) -> tuple[TransferEstimate, BurnPlan]:
     """Disposal maneuver: one multi-burn Hohmann lowering onto the circular
     decommissioning orbit (no inclination change, no phasing)."""
@@ -504,8 +491,7 @@ def decommission_estimate(state: SpacecraftState, decom_radius: float,
                                  fuel_mass=0.0, phasing_coast=0.0, end_state=end),
                 BurnPlan([]))
 
-    est_raw, plan = mht_estimate(r0, decom_radius, state.mass, thruster, consts,
-                                 fuel_budget=fuel_budget)
+    est_raw, plan = mht_estimate(r0, decom_radius, state.mass, thruster, consts)
     legs = [LegCost("decommission", est_raw.dv_total, est_raw.burn_count,
                     est_raw.tof_total)]
     tof = est_raw.tof_total

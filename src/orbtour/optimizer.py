@@ -9,9 +9,11 @@ sampling; the candidates themselves are always injected verbatim, so the
 final best can never be worse than the best seed.  A ring migration moves
 each island's best individual onto its neighbour every few generations.
 
-Everything is driven by per-island generators spawned from one seed, and
-islands are stepped serially between migration barriers, so results are
-reproducible bit for bit.
+All islands are held as one (islands, population, n) key array: each
+generation prices every member in one batch, and the GA and PSO islands are
+each stepped together.  Every island still draws from its own generator,
+spawned from one seed, in a fixed order, so results are reproducible bit
+for bit and do not depend on how the islands are grouped.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
-from .permutations import (MallowsParams, SobolEngine, encode, max_kendall,
-                           sample_mallows)
+from .permutations import (MallowsParams, SobolEngine, decode, encode,
+                           max_kendall, sample_mallows)
 from .scenario import MissionScenario
 from .tour import Tour, TourEvaluator, tour_cost
 
@@ -82,97 +84,37 @@ class EvolutionTrace:
         return "\n".join(lines) + "\n"
 
 
-class _Island:
-    """One sub-population plus its evolution strategy."""
-
-    def __init__(self, keys: np.ndarray, algorithm: str, rng: np.random.Generator,
-                 config: OptimizerConfig):
-        self.keys = keys
-        self.algorithm = algorithm
-        self.rng = rng
-        self.cfg = config
-        self.cost = None
-        self.fuel = None
-        if algorithm == "pso":
-            pop, n = keys.shape
-            self.velocity = rng.uniform(-0.1, 0.1, (pop, n))
-            self.pbest_keys = keys.copy()
-            self.pbest_cost = np.full(pop, np.inf)
-            self.gbest_keys = keys[0].copy()
-            self.gbest_cost = np.inf
-
-    def evaluate(self, evaluator: TourEvaluator) -> None:
-        orders = np.argsort(self.keys, axis=1, kind="stable")
-        self.cost, self.fuel, _ = evaluator.cost_batch(orders)
-        if self.algorithm == "pso":
-            better = self.cost < self.pbest_cost
-            self.pbest_keys[better] = self.keys[better]
-            self.pbest_cost[better] = self.cost[better]
-            b = int(np.argmin(self.pbest_cost))
-            if self.pbest_cost[b] < self.gbest_cost:
-                self.gbest_cost = float(self.pbest_cost[b])
-                self.gbest_keys = self.pbest_keys[b].copy()
-
-    @property
-    def best_index(self) -> int:
-        return int(np.argmin(self.cost))
-
-    def best(self) -> tuple[float, np.ndarray]:
-        if self.algorithm == "pso":
-            return self.gbest_cost, self.gbest_keys
-        b = self.best_index
-        return float(self.cost[b]), self.keys[b]
-
-    def step(self) -> None:
-        if self.algorithm == "ga":
-            self._step_ga()
-        else:
-            self._step_pso()
-
-    def _step_ga(self) -> None:
-        cfg, rng = self.cfg, self.rng
-        pop, n = self.keys.shape
-        elite_idx = np.argsort(self.cost, kind="stable")[:cfg.elites]
-        children = np.empty_like(self.keys)
-        children[:cfg.elites] = self.keys[elite_idx]
-        n_offspring = pop - cfg.elites
-        # tournament selection for both parent slots
-        picks = rng.integers(0, pop, (2, n_offspring, cfg.tournament))
-        winners = np.take_along_axis(
-            picks, np.argmin(self.cost[picks], axis=2)[..., None], axis=2)[..., 0]
-        pa, pb = self.keys[winners[0]], self.keys[winners[1]]
-        # blend crossover per gene
-        lo = np.minimum(pa, pb)
-        hi = np.maximum(pa, pb)
-        span = hi - lo
-        child = rng.uniform(lo - cfg.crossover_blend * span,
-                            hi + cfg.crossover_blend * span)
-        # gaussian mutation
-        mask = rng.random((n_offspring, n)) < cfg.mutation_rate
-        child = child + mask * rng.normal(0.0, cfg.mutation_sigma, (n_offspring, n))
-        children[cfg.elites:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
-        self.keys = children
-
-    def _step_pso(self) -> None:
-        cfg, rng = self.cfg, self.rng
-        pop, n = self.keys.shape
-        r1 = rng.random((pop, n))
-        r2 = rng.random((pop, n))
-        self.velocity = (cfg.inertia * self.velocity
-                         + cfg.cognitive * r1 * (self.pbest_keys - self.keys)
-                         + cfg.social * r2 * (self.gbest_keys - self.keys))
-        np.clip(self.velocity, -cfg.max_velocity, cfg.max_velocity, out=self.velocity)
-        self.keys = np.clip(self.keys + self.velocity, 0.0, np.nextafter(1.0, 0.0))
-
-    def replace_worst(self, keys: np.ndarray) -> None:
-        worst = int(np.argmax(self.cost))
-        self.keys[worst] = keys
-        self.cost[worst] = -np.inf  # refreshed on next evaluate
+def _ga_step(keys: np.ndarray, cost: np.ndarray, rngs: list[np.random.Generator],
+             cfg: OptimizerConfig) -> np.ndarray:
+    """Next generation of the GA islands ``keys`` (islands, pop, n) priced at
+    ``cost`` (islands, pop).  Island i draws only from ``rngs[i]``, in the
+    order picks, crossover, mutation mask, mutation."""
+    isl, pop, n = keys.shape
+    n_off = pop - cfg.elites
+    rows = np.arange(isl)[:, None]
+    children = np.empty_like(keys)
+    children[:, :cfg.elites] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :cfg.elites]]
+    # tournament selection for both parent slots
+    picks = np.stack([rng.integers(0, pop, (2, n_off, cfg.tournament)) for rng in rngs])
+    won = np.argmin(cost[rows[..., None, None], picks], axis=3)
+    winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
+    pa, pb = keys[rows, winners[:, 0]], keys[rows, winners[:, 1]]
+    # blend crossover per gene
+    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+    reach = cfg.crossover_blend * (hi - lo)
+    child = np.stack([rng.uniform(lo[i] - reach[i], hi[i] + reach[i])
+                      for i, rng in enumerate(rngs)])
+    # gaussian mutation
+    child = child + np.stack([(rng.random((n_off, n)) < cfg.mutation_rate)
+                              * rng.normal(0.0, cfg.mutation_sigma, (n_off, n))
+                              for rng in rngs])
+    children[:, cfg.elites:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
+    return children
 
 
 def _initial_population(n: int, count: int, candidates: list[np.ndarray],
-                        config: OptimizerConfig, rng: np.random.Generator,
-                        sobol_seed: int) -> np.ndarray:
+                        config: OptimizerConfig, rng: np.random.Generator) -> np.ndarray:
+    sobol_seed = int(rng.integers(0, 2**31))
     keys = SobolEngine(n, seed=sobol_seed).draw(count) if n > 1 else np.zeros((count, 1))
     if candidates:
         theta = config.resolve_theta(n)
@@ -208,46 +150,68 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
             raise ValueError("seed tours must be permutations of the bundle indices")
         candidates.append(order)
 
-    ss = np.random.SeedSequence(config.seed)
-    children = ss.spawn(config.islands + 1)
-    islands: list[_Island] = []
-    for i in range(config.islands):
-        rng = np.random.default_rng(children[i])
-        sobol_seed = int(rng.integers(0, 2**31))
-        keys = _initial_population(n, config.population, candidates, config, rng,
-                                   sobol_seed)
-        alg = config.algorithms[i % len(config.algorithms)]
-        islands.append(_Island(keys, alg, rng, config))
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(config.islands)]
+    keys = np.stack([_initial_population(n, config.population, candidates, config, rng)
+                     for rng in rngs])  # (islands, population, n)
+    pso = np.array([config.algorithms[i % len(config.algorithms)] == "pso"
+                    for i in range(config.islands)])
+    ga_idx, pso_idx = np.flatnonzero(~pso), np.flatnonzero(pso)
+    velocity = np.zeros_like(keys)
+    for i in pso_idx:
+        velocity[i] = rngs[i].uniform(-0.1, 0.1, keys.shape[1:])
+    pbest_keys, pbest_cost = keys.copy(), np.full(keys.shape[:2], np.inf)
+    gbest_keys, gbest_cost = keys[:, 0].copy(), np.full(config.islands, np.inf)
 
+    rows = np.arange(config.islands)
     best_fuel = np.empty((config.generations, config.islands))
     mean_fuel = np.empty((config.generations, config.islands))
     running_best = np.full(config.islands, np.inf)
     migrations: list[tuple[int, int, int]] = []
-    global_best_cost = np.inf
-    global_best_keys = None
+    global_best_cost, global_best_keys = np.inf, None
 
     for gen in range(config.generations):
-        for i, isl in enumerate(islands):
-            isl.evaluate(evaluator)
-            c, k = isl.best()
-            if c < global_best_cost:
-                global_best_cost = c
-                global_best_keys = k.copy()
-            running_best[i] = min(running_best[i], float(isl.fuel[isl.best_index]))
-            best_fuel[gen, i] = running_best[i]
-            mean_fuel[gen, i] = float(np.mean(isl.fuel))
+        cost, fuel, _ = (a.reshape(keys.shape[:2])
+                         for a in evaluator.cost_batch(decode(keys).reshape(-1, n)))
+        # PSO personal bests, then each PSO island's global best
+        better = (cost < pbest_cost) & pso[:, None]
+        pbest_keys[better] = keys[better]
+        pbest_cost[better] = cost[better]
+        b = np.argmin(pbest_cost, axis=1)
+        improved = pso & (pbest_cost[rows, b] < gbest_cost)
+        gbest_cost[improved] = pbest_cost[rows, b][improved]
+        gbest_keys[improved] = pbest_keys[rows, b][improved]
+        # an island's best is its global best (PSO) or best member (GA)
+        b = np.argmin(cost, axis=1)
+        best_cost = np.where(pso, gbest_cost, cost[rows, b])
+        best_keys = np.where(pso[:, None], gbest_keys, keys[rows, b])
+        top = int(np.argmin(best_cost))
+        if best_cost[top] < global_best_cost:
+            global_best_cost, global_best_keys = best_cost[top], best_keys[top]
+        running_best = np.minimum(running_best, fuel[rows, b])
+        best_fuel[gen] = running_best
+        mean_fuel[gen] = np.mean(fuel, axis=1)
         if (gen + 1) % config.migration_interval == 0 and config.islands > 1:
-            bests = [isl.best()[1].copy() for isl in islands]
-            for i in range(config.islands):
-                j = (i + 1) % config.islands
-                islands[j].replace_worst(bests[i])
-                migrations.append((gen, i, j))
-        if gen < config.generations - 1:
-            for isl in islands:
-                isl.step()
+            # ring migration: each island's best replaces its neighbour's worst
+            worst = np.argmax(cost, axis=1)
+            keys[rows, worst] = np.roll(best_keys, 1, axis=0)
+            cost[rows, worst] = -np.inf  # refreshed on next evaluate
+            migrations += [(gen, i, (i + 1) % config.islands) for i in rows.tolist()]
+        if gen == config.generations - 1:
+            break
+        if ga_idx.size:
+            keys[ga_idx] = _ga_step(keys[ga_idx], cost[ga_idx],
+                                    [rngs[i] for i in ga_idx], config)
+        if pso_idx.size:
+            r1, r2 = np.array([[rngs[i].random(keys.shape[1:]),
+                                rngs[i].random(keys.shape[1:])]
+                               for i in pso_idx]).swapaxes(0, 1)
+            x = keys[pso_idx]
+            v = (config.inertia * velocity[pso_idx]
+                 + config.cognitive * r1 * (pbest_keys[pso_idx] - x)
+                 + config.social * r2 * (gbest_keys[pso_idx, None] - x))
+            velocity[pso_idx] = np.clip(v, -config.max_velocity, config.max_velocity)
+            keys[pso_idx] = np.clip(x + velocity[pso_idx], 0.0, np.nextafter(1.0, 0.0))
 
-    order = np.argsort(global_best_keys, kind="stable")
-    best_tour = tour_cost(scenario, order, consts)
-    trace = EvolutionTrace(best_fuel=best_fuel, mean_fuel=mean_fuel,
-                           migrations=migrations)
-    return best_tour, trace
+    return (tour_cost(scenario, decode(global_best_keys), consts),
+            EvolutionTrace(best_fuel=best_fuel, mean_fuel=mean_fuel, migrations=migrations))

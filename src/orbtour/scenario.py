@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import EARTH, SECONDS_PER_YEAR, TWO_PI, PhysicalConstants
 from .elements import KeplerianState, SpacecraftState, kep_to_mee
-from .errors import SchemaError
+from .errors import SchemaError, read_json_object
 from .maneuvers import ThrusterSpec
 
 SCHEMA_VERSION = 1
@@ -314,9 +314,4 @@ def save_scenario(scn: MissionScenario, path: str | os.PathLike,
 
 def load_scenario(path: str | os.PathLike,
                   consts: PhysicalConstants = EARTH) -> MissionScenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return scenario_from_dict(data, consts)
+    return scenario_from_dict(read_json_object(path), consts)

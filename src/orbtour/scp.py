@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee, mee_to_kep
-from .errors import SchemaError
+from .errors import SchemaError, read_json_object
 from .maneuvers import ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec
 from .ocp import (COAST_SUBSTEP, STAGE_CAP, StageGrid, build_grid, linearize_batch,
                   split_plan, warm_start)
@@ -462,9 +462,8 @@ def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
 
 
 def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "arcs" not in data:
+    data = read_json_object(path)
+    if "arcs" not in data:
         raise SchemaError(f"{path} is not an arcs record")
     if data.get("version") != ARCS_VERSION:
         raise SchemaError(f"{path}: unsupported arcs schema version "

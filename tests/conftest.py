@@ -3,7 +3,8 @@
 The Cartesian oracle here deliberately avoids the package's element
 machinery: two-body + oblateness accelerations in inertial coordinates,
 integrated directly, give an independent reference for the variational
-equations and the LVLH force model.
+equations and the oblateness model, whose LVLH components are read through
+``lvlh_basis``.
 """
 from __future__ import annotations
 
@@ -45,6 +46,28 @@ def cart_rk4(state: np.ndarray, dt: float, nsteps: int, consts=EARTH,
         k4 = cart_rhs(state + dt * k3, consts, j2)
         state = state + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return state
+
+
+def lvlh_basis(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+    """Rotation matrix whose columns are the LVLH unit vectors
+    (e_r, e_theta, e_phi) expressed in inertial axes.
+
+    e_r is the radial direction, e_phi the orbit normal r x v, and
+    e_theta = e_phi x e_r completes the right-handed triad.
+    """
+    r = np.asarray(position, dtype=float)
+    v = np.asarray(velocity, dtype=float)
+    rn = np.linalg.norm(r)
+    if rn == 0.0:
+        raise ValueError("position vector must be nonzero")
+    e_r = r / rn
+    hvec = np.cross(r, v)
+    hn = np.linalg.norm(hvec)
+    if hn < 1e-12 * rn * max(np.linalg.norm(v), 1e-300):
+        raise ValueError("position and velocity are parallel or velocity is zero")
+    e_phi = hvec / hn
+    e_theta = np.cross(e_phi, e_r)
+    return np.column_stack([e_r, e_theta, e_phi])
 
 
 def cart_to_kep(r: np.ndarray, v: np.ndarray, consts=EARTH) -> KeplerianState:

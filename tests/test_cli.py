@@ -207,7 +207,7 @@ def test_report_without_rows_is_an_error(tmp_path, capsys):
     assert not (outdir / "summary.csv").exists()
 
 
-def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys):
+def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch):
     _, scn_path = tiny_paths
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"migration_cnt": 2}')
@@ -216,9 +216,10 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys):
     assert "migration_cnt" in capsys.readouterr().err
     assert run(["generate", "--config", cfg, "--out", tmp_path / "s.json"]) == 1
     assert "migration_cnt" in capsys.readouterr().err
-    # a config that is not an object, or holds a value of the wrong type,
-    # gives a one-line error naming the file
+    # a config that is not an object, is not JSON, or holds a value of the
+    # wrong type gives a one-line error naming the file
     for command, text in ((["generate", "--config"], '[1]'),
+                          (["generate", "--config"], '{bad'),
                           (["solve", "--scenario", scn_path, "--optimizer-config"],
                            '{"generations": "ten"}'),
                           (["generate", "--config"], '{"fixed_bundles": "x"}')):
@@ -226,6 +227,12 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys):
         assert run(command + [cfg, "--out", tmp_path / "o.json"]) == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and len(err.strip().splitlines()) == 1
+    # so does a constants file with an unknown key
+    cfg.write_text('{"mu_typo": 1}')
+    monkeypatch.setenv("ORBTOUR_CONSTANTS", str(cfg))
+    assert run(["generate", "--out", tmp_path / "o.json"]) == 1
+    err = capsys.readouterr().err
+    assert "mu_typo" in err and str(cfg) in err and len(err.strip().splitlines()) == 1
 
 
 def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
@@ -235,14 +242,26 @@ def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
     old.write_text('{"version": 1, "arcs": []}')
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": 2, "arcs": [{"label": "leg0/phase0.0"}]}')
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text("5")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{bad")
     assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
     capsys.readouterr()
-    for arcs, text in ((tour, "not an arcs record"), (old, "version 1"),
-                       (bad, "malformed arc record")):
-        assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario",
+    for arcs, tour_in, text in ((tour, tour, "not an arcs record"),
+                                (old, tour, "version 1"),
+                                (bad, tour, "malformed arc record"),
+                                (broken, tour, f"invalid JSON in {broken}"),
+                                (old, scalar, f"{scalar}: expected a JSON object")):
+        assert run(["verify", "--arcs", arcs, "--tour", tour_in, "--scenario",
                     scn_path, "--out", tmp_path / "report.json"]) == 1
         err = capsys.readouterr().err
         assert text in err and len(err.strip().splitlines()) == 1
+    # refine reads its tour the same way
+    assert run(["refine", "--tour", scalar, "--scenario", scn_path,
+                "--out", tmp_path / "arcs.json"]) == 1
+    err = capsys.readouterr().err
+    assert str(scalar) in err and len(err.strip().splitlines()) == 1
 
 
 def test_console_entry_point(tiny_paths):

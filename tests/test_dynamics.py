@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cart_accel_j2, cart_rk4, cart_to_kep
+from conftest import cart_accel_j2, cart_rk4, cart_to_kep, lvlh_basis
 from orbtour.constants import EARTH, SECONDS_PER_YEAR
-from orbtour.dynamics import (PerturbAccel, gve_rates, j2_accel_lvlh,
-                              j2_secular_rates, lvlh_basis, orbit_scalars,
-                              thrust_and_mass_rates)
+from orbtour.dynamics import (gve_rhs_scalar, j2_accel_scalar, j2_secular_rates,
+                              orbit_scalars)
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
                               kep_to_mee, mee_to_cartesian, mee_to_kep)
+from orbtour.propagate import PropagatorConfig, propagate_numeric
 
 TAU = 2 * math.pi
 
@@ -20,13 +20,24 @@ def make_state(kep: KeplerianState, mass: float = 235.0) -> SpacecraftState:
     return SpacecraftState(kep_to_mee(kep), mass=mass)
 
 
+def element_rates(st_: SpacecraftState, ar: float, at: float, an: float) -> np.ndarray:
+    m = st_.mee
+    return np.array(gve_rhs_scalar(m.p, m.f, m.g, m.h, m.k, m.L, ar, at, an, EARTH.mu))
+
+
+def j2_accel(st_: SpacecraftState) -> np.ndarray:
+    m = st_.mee
+    return np.array(j2_accel_scalar(m.p, m.f, m.g, m.h, m.k, m.L,
+                                    EARTH.mu, EARTH.j2, EARTH.re))
+
+
 # ---------------------------------------------------------------------------
 # variational equations
 # ---------------------------------------------------------------------------
 
 def test_unperturbed_rates_keep_shape_elements():
     st_ = make_state(KeplerianState(7000.0, 0.1, 1.0, 0.5, 0.3, 2.0))
-    rates = gve_rates(st_, PerturbAccel())
+    rates = element_rates(st_, 0.0, 0.0, 0.0)
     assert np.all(rates[:5] == 0.0)
     m = st_.mee
     w = 1 + m.f * math.cos(m.L) + m.g * math.sin(m.L)
@@ -37,7 +48,7 @@ def test_unperturbed_rates_keep_shape_elements():
 def test_tangential_acceleration_on_circular_orbit():
     st_ = make_state(KeplerianState(7000.0, 0.0, 0.9, 0.5, 0.0, 1.2))
     at = 1e-6
-    rates = gve_rates(st_, PerturbAccel(0.0, at, 0.0))
+    rates = element_rates(st_, 0.0, at, 0.0)
     m = st_.mee
     assert rates[0] == pytest.approx(2 * m.p * math.sqrt(m.p / EARTH.mu) * at,
                                      rel=1e-12)
@@ -49,7 +60,7 @@ def test_rates_match_cartesian_finite_difference():
     kep = KeplerianState(7000.0, 0.0, math.radians(97.4), math.radians(158.0),
                          0.0, math.radians(37.0))
     st_ = make_state(kep)
-    rates = gve_rates(st_, j2_accel_lvlh(st_))
+    rates = element_rates(st_, *j2_accel(st_))
 
     r0, v0 = mee_to_cartesian(st_.mee)
     dt = 0.25
@@ -63,7 +74,7 @@ def test_rates_match_cartesian_finite_difference():
 
 
 # ---------------------------------------------------------------------------
-# LVLH frame and thrust
+# LVLH frame oracle and thrust
 # ---------------------------------------------------------------------------
 
 def test_lvlh_axis_aligned():
@@ -98,15 +109,17 @@ def test_lvlh_degenerate_rejected():
         lvlh_basis(np.array([7000.0, 0, 0]), np.array([1.0, 0, 0]))
 
 
-def test_thrust_and_mass_rates_values():
+def test_constant_thrust_segment_mass_loss():
+    # a segment at thrust T for dt burns T dt / (isp g0) of propellant
     st_ = make_state(KeplerianState(7000.0, 0.0, 1.0, 0.0, 0.0, 0.0), mass=235.0)
-    acc, dm = thrust_and_mass_rates(0.0, np.array([0, 1, 0]), st_, isp=277.0)
-    assert acc.as_array().tolist() == [0, 0, 0] and dm == 0.0
-    acc, dm = thrust_and_mass_rates(0.0126, np.array([0.0, 1.0, 0.0]), st_, isp=277.0)
-    assert np.linalg.norm(acc.as_array()) == pytest.approx(5.3617021276595745e-05,
-                                                           rel=1e-12)
-    assert dm == pytest.approx(-0.004638420318960973, rel=1e-12)
-    assert dm < 0.0  # propellant is consumed
+    thrust, dt, isp = 0.0126, 30.0, 277.0
+    controls = np.array([[0.0, thrust, 0.0], [0.0, 0.0, 0.0]])
+    traj = propagate_numeric(st_, controls, np.full(2, dt), isp,
+                             PropagatorConfig(step=10.0), EARTH)
+    loss = thrust * dt / (isp * EARTH.g0)
+    assert loss == pytest.approx(0.004638420318960973 * dt, rel=1e-12)
+    assert traj[0, 6] - traj[1, 6] == pytest.approx(loss, rel=1e-12)
+    assert traj[2, 6] == traj[1, 6]  # no propellant without thrust
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +128,18 @@ def test_thrust_and_mass_rates_values():
 
 def test_j2_equatorial_components_vanish():
     st_ = make_state(KeplerianState(7000.0, 0.0, 0.0, 0.0, 0.0, 0.8))
-    acc = j2_accel_lvlh(st_)
-    assert acc.dt == 0.0 and acc.dn == 0.0
+    ar, at, an = j2_accel(st_)
+    assert at == 0.0 and an == 0.0
     r = 7000.0
     expected = -1.5 * EARTH.mu * EARTH.j2 * EARTH.re**2 / r**4
-    assert acc.dr == pytest.approx(expected, rel=1e-14)
+    assert ar == pytest.approx(expected, rel=1e-14)
 
 
 def test_j2_matches_cartesian_rotation():
     kep = KeplerianState(7000.0, 0.0, math.radians(97.4), math.radians(158.0),
                          0.0, math.radians(45.0))
     st_ = make_state(kep)
-    acc = j2_accel_lvlh(st_).as_array()
+    acc = j2_accel(st_)
     r, v = mee_to_cartesian(st_.mee)
     oracle = lvlh_basis(r, v).T @ cart_accel_j2(r)
     assert np.max(np.abs(acc - oracle)) < 1e-9 * max(np.max(np.abs(oracle)), 1e-12)
@@ -152,8 +165,6 @@ def test_cross_model_secular_consistency():
     """Integrating the instantaneous model over whole revolutions must
     reproduce the secular drift formulas (node on the circular reference
     orbit, perigee on an eccentric companion where it is defined)."""
-    from orbtour.propagate import PropagatorConfig, propagate_numeric
-
     def measured_rates(kep, orbits=10):
         s0 = SpacecraftState(kep_to_mee(kep), 235.0)
         n_segs = 400
@@ -205,7 +216,6 @@ def test_orbit_scalars_reference_values():
 
 
 def test_mass_never_increases_under_thrust():
-    from orbtour.propagate import PropagatorConfig, propagate_numeric
     st_ = make_state(KeplerianState(7000.0, 0.0, 1.0, 0.0, 0.0, 0.0))
     controls = np.array([[0.0, 0.0126, 0.0]] * 5 + [[0.0, 0.0, 0.0]] * 5)
     traj = propagate_numeric(st_, controls, np.full(10, 30.0), 277.0,

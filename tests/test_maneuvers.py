@@ -107,11 +107,9 @@ def test_tof_monotone_in_burn_count():
     assert sorted(tofs) == tofs
 
 
-def test_mht_rejects_bad_geometry_and_budget():
+def test_mht_rejects_bad_geometry():
     with pytest.raises(ValueError):
         mht_estimate(6000.0, 7000.0, 235.0, TH)
-    with pytest.raises(InsufficientFuelError):
-        mht_estimate(6950.0, 7000.0, 235.0, TH, fuel_budget=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +274,17 @@ def test_sequential_secular_drift_reflected_in_end_state():
     assert abs((end.raan - expected + math.pi) % TAU - math.pi) < 5e-3
 
 
-def test_sequential_insufficient_budget_raises():
+def test_sequential_release_above_remaining_mass_raises():
     st_ = start_state(6950.0, 97.0)
     tgt = KeplerianState(7000.0, 0.0, math.radians(97.6), 1.0, 0.0, 2.0)
-    with pytest.raises(InsufficientFuelError):
-        sequential_mht_nic(st_, tgt, 0.0, TH, fuel_budget=0.5)
+    est, _ = sequential_mht_nic(st_, tgt, 0.0, TH)
+    remaining = est.end_state.mass
+    assert remaining == pytest.approx(st_.mass - est.fuel_mass, rel=1e-12)
+    kept, _ = sequential_mht_nic(st_, tgt, 0.9 * remaining, TH)
+    assert kept.end_state.mass == pytest.approx(0.1 * remaining, rel=1e-12)
+    for release in (remaining, remaining + 1.0):
+        with pytest.raises(InsufficientFuelError):
+            sequential_mht_nic(st_, tgt, release, TH)
 
 
 # ---------------------------------------------------------------------------

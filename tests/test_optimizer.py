@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from orbtour.optimizer import OptimizerConfig, optimize
 from orbtour.scenario import ScenarioConfig, sample_scenario
-from orbtour.tour import brute_force, heuristic_walks
+from orbtour.tour import TourEvaluator, brute_force, heuristic_walks
 
 
 def test_two_bundles_solved_immediately():
@@ -42,6 +44,28 @@ def test_deterministic_under_seed(small_scenario):
     assert np.array_equal(tra.best_fuel, trb.best_fuel)
     assert np.array_equal(tra.mean_fuel, trb.mean_fuel)
     assert tra.migrations == trb.migrations
+
+
+def test_archipelago_priced_once_per_generation_with_pinned_results(
+        small_scenario, monkeypatch):
+    # islands GA, PSO, GA; the order, trace digest and migrations were
+    # recorded with islands stepped one at a time, each pricing its own rows
+    calls = []
+    original = TourEvaluator.cost_batch
+
+    def counted(self, orders):
+        calls.append(len(orders))
+        return original(self, orders)
+
+    monkeypatch.setattr(TourEvaluator, "cost_batch", counted)
+    best, trace = optimize(small_scenario,
+                           OptimizerConfig(seed=42, generations=30, islands=3,
+                                           population=16))
+    assert best.order == (1, 2, 0)
+    assert (hashlib.sha256(trace.to_csv().encode()).hexdigest()
+            == "a5fb673b56c42c3955610b800527b5620bbec77370851930250870a0dcbf8961")
+    assert trace.migrations == [(19, 0, 1), (19, 1, 2), (19, 2, 0)]
+    assert calls == [3 * 16] * 30
 
 
 def test_island_best_monotone_and_migrations_logged(small_scenario):
