@@ -15,7 +15,6 @@ import concurrent.futures
 import csv
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import sys
@@ -26,13 +25,14 @@ import numpy as np
 
 from . import __version__
 from .constants import PhysicalConstants
-from .errors import OrbtourError, SchemaError, read_json_object
+from .errors import OrbtourError, SchemaError, read_json_object, write_json
 from .optimizer import OptimizerConfig, optimize
 from .scenario import (MissionScenario, ScenarioConfig, load_scenario,
                        sample_scenario, save_scenario)
 from .scp import RefineOptions, load_arcs, refine_tour, save_arcs
 from .tour import Tour, brute_force, heuristic_walks, tour_cost
-from .verify import PropagatorConfig, Tolerances, save_report, verify_trajectory
+from .verify import (TOL_INC_DEG, TOL_SMA_KM, PropagatorConfig, Tolerances,
+                     save_report, verify_trajectory)
 
 
 def _sha256(path: str | Path) -> str:
@@ -56,9 +56,7 @@ def write_manifest(out_path: str | Path, command: str, args: dict,
         "outputs": [str(p) for p in outputs],
         "wall_time_s": wall_time,
     }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{out_path}.manifest.json", manifest)
 
 
 def derived_seed(base: int, index: int) -> int:
@@ -133,16 +131,18 @@ def tour_to_dict(tour: Tour) -> dict:
 
 
 def save_tour(tour: Tour, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tour_to_dict(tour), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, tour_to_dict(tour))
 
 
 def load_tour_order(path: str | Path) -> list[int]:
     data = read_json_object(path)
     if "order" not in data:
         raise SchemaError(f"{path} is not a tour record")
-    return [int(i) for i in data["order"]]
+    order = data["order"]
+    if not (isinstance(order, list)
+            and all(isinstance(i, int) and not isinstance(i, bool) for i in order)):
+        raise SchemaError(f"{path}: tour order must be a list of integers")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +261,18 @@ def _mc_row(scenario: MissionScenario, tour: Tour, index: int, seed: int) -> dic
     }
 
 
-def _mc_task(payload: tuple) -> tuple[int, dict, dict]:
+def _mc_task(payload: tuple) -> tuple[int, dict | None, dict | None, str | None]:
+    """One montecarlo scenario: (index, row, tour record, None), or
+    (index, None, None, message) when it fails, so one bad scenario does
+    not end the run."""
     index, scn_seed, opt_seed, config, opt, consts = payload
-    scn = sample_scenario(config, scn_seed, consts)
-    opt = dataclasses.replace(opt, seed=opt_seed)
-    tour, _ = optimize(scn, opt, consts=consts)
-    return index, _mc_row(scn, tour, index, scn_seed), tour_to_dict(tour)
+    try:
+        scn = sample_scenario(config, scn_seed, consts)
+        opt = dataclasses.replace(opt, seed=opt_seed)
+        tour, _ = optimize(scn, opt, consts=consts)
+    except Exception as exc:  # reported per scenario; the run continues
+        return index, None, None, str(exc)
+    return index, _mc_row(scn, tour, index, scn_seed), tour_to_dict(tour), None
 
 
 MC_FIELDS = ["scenario", "seed", "n_bundles", "fuel_kg", "dv_mps", "tof_days",
@@ -316,39 +322,27 @@ def cmd_montecarlo(args) -> int:
         tasks.append((i, derived_seed(args.seed, 2 * i),
                       derived_seed(args.seed, 2 * i + 1), config, opt, consts))
 
-    rows: list[dict | None] = [None] * args.n
-    tours: list[dict | None] = [None] * args.n
     jobs = args.jobs or os.cpu_count() or 1
-    failures = 0
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for fut in [pool.submit(_mc_task, t) for t in tasks]:
-                try:
-                    idx, row, tour_d = fut.result()
-                    rows[idx], tours[idx] = row, tour_d
-                except Exception as exc:  # logged, run continues
-                    failures += 1
-                    print(f"montecarlo: scenario failed: {exc}", file=sys.stderr)
+            results = list(pool.map(_mc_task, tasks))
     else:
-        for t in tasks:
-            try:
-                idx, row, tour_d = _mc_task(t)
-                rows[idx], tours[idx] = row, tour_d
-            except Exception as exc:
-                failures += 1
-                print(f"montecarlo: scenario {t[0]} failed: {exc}", file=sys.stderr)
+        results = list(map(_mc_task, tasks))
+    failures = 0
+    for idx, _, _, error in results:
+        if error is not None:
+            failures += 1
+            print(f"montecarlo: scenario {idx} failed: {error}", file=sys.stderr)
 
-    ok_rows = [r for r in rows if r is not None]
+    ok_rows = [row for _, row, _, _ in results if row is not None]
     with open(outdir / "montecarlo.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=MC_FIELDS)
         writer.writeheader()
         for row in ok_rows:
             writer.writerow(row)
-    for i, tour_d in enumerate(tours):
+    for idx, _, tour_d, _ in results:
         if tour_d is not None:
-            with open(outdir / f"tour_{i:04d}.json", "w", encoding="utf-8") as fh:
-                json.dump(tour_d, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(outdir / f"tour_{idx:04d}.json", tour_d)
     write_summary(ok_rows, outdir / "summary.csv")
     write_manifest(outdir / "montecarlo", "montecarlo", vars(args),
                    [args.config] if args.config else [],
@@ -408,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arcs", required=True)
     p.add_argument("--tour", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--tol-sma", type=float, default=10.0)
-    p.add_argument("--tol-inc", type=float, default=0.1)
+    p.add_argument("--tol-sma", type=float, default=TOL_SMA_KM)
+    p.add_argument("--tol-inc", type=float, default=TOL_INC_DEG)
     p.add_argument("--step", type=float, default=10.0)
     p.add_argument("--csv")
     p.add_argument("--out", required=True)

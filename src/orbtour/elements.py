@@ -3,16 +3,16 @@
 Two element sets are used:
 
 * Keplerian (a, e, i, raan, argp, ta) for human-facing I/O and geometry.
-* Modified equinoctial elements (p, f, g, h, k, L) with a retrograde factor
-  I in {+1, -1} for propagation and optimization, nonsingular for circular
-  and (with I = +1) all non-retrograde-singular orbits:
+* Modified equinoctial elements (p, f, g, h, k, L) for propagation and
+  optimization, nonsingular for circular and equatorial orbits and for every
+  inclination short of i = pi:
 
       p = a (1 - e^2)
-      f = e cos(argp + I raan)
-      g = e sin(argp + I raan)
-      h = tan(i/2)^I cos(raan)
-      k = tan(i/2)^I sin(raan)
-      L = ta + argp + I raan
+      f = e cos(argp + raan)
+      g = e sin(argp + raan)
+      h = tan(i/2) cos(raan)
+      k = tan(i/2) sin(raan)
+      L = ta + argp + raan
 
 The h/k pair carries (cos, sin) of the node in that order; that orientation
 is the one for which the variational equations and the oblateness
@@ -76,23 +76,20 @@ class MeeState:
     h: float
     k: float
     L: float
-    retrograde_factor: int = 1
 
     def __post_init__(self) -> None:
         if not (self.p > 0.0):
             raise ValueError(f"semi-latus rectum must be positive, got {self.p}")
         if self.f**2 + self.g**2 >= 1.0:
             raise ValueError("f^2 + g^2 must be < 1 for a closed orbit")
-        if self.retrograde_factor not in (1, -1):
-            raise ValueError("retrograde factor must be +1 or -1")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p, self.f, self.g, self.h, self.k, self.L])
 
     @classmethod
-    def from_array(cls, arr, retrograde_factor: int = 1) -> "MeeState":
+    def from_array(cls, arr) -> "MeeState":
         p, f, g, h, k, L = (float(x) for x in arr)
-        return cls(p, f, g, h, k, L, retrograde_factor)
+        return cls(p, f, g, h, k, L)
 
 
 @dataclass(frozen=True)
@@ -108,29 +105,23 @@ class SpacecraftState:
             raise ValueError(f"mass must be positive, got {self.mass}")
 
 
-def kep_to_mee(kep: KeplerianState, retrograde_factor: int = 1) -> MeeState:
+def kep_to_mee(kep: KeplerianState) -> MeeState:
     """Convert classical elements to modified equinoctial elements.
 
-    Raises :class:`SingularStateError` at i = pi for prograde factor (+1)
-    and at i = 0 for retrograde factor (-1).
+    Raises :class:`SingularStateError` at i = pi, where tan(i/2) diverges.
     """
-    I = retrograde_factor
-    if I not in (1, -1):
-        raise ValueError("retrograde factor must be +1 or -1")
-    if I == 1 and kep.i >= math.pi - _SINGULARITY_MARGIN:
-        raise SingularStateError("i = pi is singular for retrograde factor +1")
-    if I == -1 and kep.i <= _SINGULARITY_MARGIN:
-        raise SingularStateError("i = 0 is singular for retrograde factor -1")
+    if kep.i >= math.pi - _SINGULARITY_MARGIN:
+        raise SingularStateError("i = pi is singular for equinoctial elements")
 
     p = kep.a * (1.0 - kep.e**2)
-    lon_peri = kep.argp + I * kep.raan
+    lon_peri = kep.argp + kep.raan
     f = kep.e * math.cos(lon_peri)
     g = kep.e * math.sin(lon_peri)
-    chi = math.tan(kep.i / 2.0) ** I
+    chi = math.tan(kep.i / 2.0)
     h = chi * math.cos(kep.raan)
     k = chi * math.sin(kep.raan)
-    L = wrap_angle(kep.ta + kep.argp + I * kep.raan)
-    return MeeState(p, f, g, h, k, L, I)
+    L = wrap_angle(kep.ta + kep.argp + kep.raan)
+    return MeeState(p, f, g, h, k, L)
 
 
 def mee_to_kep(mee: MeeState) -> KeplerianState:
@@ -143,35 +134,23 @@ def mee_to_kep(mee: MeeState) -> KeplerianState:
     e2 = mee.f**2 + mee.g**2
     if e2 >= 1.0:
         raise ValueError("f^2 + g^2 >= 1: not a closed orbit")
-    I = mee.retrograde_factor
     a = mee.p / (1.0 - e2)
     e = math.sqrt(e2)
-
-    chi = math.hypot(mee.h, mee.k)
-    if I == 1:
-        i = 2.0 * math.atan(chi)
-    else:
-        i = math.pi if chi == 0.0 else 2.0 * math.atan(1.0 / chi)
+    i = 2.0 * math.atan(math.hypot(mee.h, mee.k))
 
     raan = 0.0 if (mee.h == 0.0 and mee.k == 0.0) else math.atan2(mee.k, mee.h)
     if mee.f == 0.0 and mee.g == 0.0:
         argp = 0.0
-        ta = mee.L - I * raan
+        ta = mee.L - raan
     else:
         lon_peri = math.atan2(mee.g, mee.f)
-        argp = lon_peri - I * raan
+        argp = lon_peri - raan
         ta = mee.L - lon_peri
     return KeplerianState(a, e, i, wrap_angle(raan), wrap_angle(argp), wrap_angle(ta))
 
 
 def mee_to_cartesian(mee: MeeState, consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
-    """ECI position [km] and velocity [km/s] of an equinoctial state.
-
-    Only the prograde factor (+1) is supported here; retrograde-factor
-    states are used for element bookkeeping, not Cartesian work.
-    """
-    if mee.retrograde_factor != 1:
-        raise SingularStateError("cartesian conversion requires retrograde factor +1")
+    """ECI position [km] and velocity [km/s] of an equinoctial state."""
     p, f, g, h, k, L = mee.p, mee.f, mee.g, mee.h, mee.k, mee.L
     cosL, sinL = math.cos(L), math.sin(L)
     s2 = 1.0 + h * h + k * k

@@ -1,5 +1,5 @@
-"""Exception types shared across modules, and the reader of JSON input
-files that raises them."""
+"""Exception types shared across modules, the reader of JSON input files
+that raises them, and the writer of JSON artifacts."""
 from __future__ import annotations
 
 import json
@@ -12,7 +12,7 @@ class OrbtourError(Exception):
 
 class SingularStateError(OrbtourError, ValueError):
     """Raised when a state hits a representation singularity (e.g. i = pi
-    with prograde retrograde factor, or w <= 0 in the variational equations)."""
+    for equinoctial elements, or w <= 0 in the variational equations)."""
 
 
 class InsufficientFuelError(OrbtourError, ValueError):
@@ -34,3 +34,11 @@ def read_json_object(path: str | os.PathLike) -> dict:
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object, found {type(data).__name__}")
     return data
+
+
+def write_json(path: str | os.PathLike, obj, indent: int | None = 2) -> None:
+    """Write ``obj`` to ``path`` as JSON with sorted keys and a final
+    newline, so equal objects give equal bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")

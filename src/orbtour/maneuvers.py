@@ -267,27 +267,26 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
     raising = r1 > r0
     sign = 1.0 if raising else -1.0
     events: list[BurnEvent] = []
-    if abs(r1 - r0) > 1e-12:
-        t, m = 0.0, craft_mass
-        # phase 1: burns at the departure radius push the far apsis to r1
-        v_here = math.sqrt(consts.mu / r0)
-        for dv_j, fuel_j in split_dv(dv_d, craft_mass, thruster, consts):
-            events.append(BurnEvent(t, (0.0, sign * dv_j, 0.0),
-                                    PERIGEE if raising else APOGEE, m))
-            v_here += sign * dv_j
-            m -= fuel_j
-            sma = 1.0 / (2.0 / r0 - v_here**2 / consts.mu)
-            t += TWO_PI * math.sqrt(sma**3 / consts.mu)
-        # phase 2: half a revolution to the far apsis, then circularize there
-        t -= 0.5 * TWO_PI * math.sqrt(sma**3 / consts.mu)
-        v_far = math.sqrt(consts.mu * (2.0 / r1 - 1.0 / sma))
-        for dv_j, fuel_j in split_dv(dv_c, m, thruster, consts):
-            events.append(BurnEvent(t, (0.0, sign * dv_j, 0.0),
-                                    APOGEE if raising else PERIGEE, m))
-            v_far += sign * dv_j
-            m -= fuel_j
-            sma = 1.0 / (2.0 / r1 - v_far**2 / consts.mu)
-            t += TWO_PI * math.sqrt(sma**3 / consts.mu)
+    t, m = 0.0, craft_mass
+    # phase 1: burns at the departure radius push the far apsis to r1
+    v_here = math.sqrt(consts.mu / r0)
+    for dv_j, fuel_j in split_dv(dv_d, craft_mass, thruster, consts):
+        events.append(BurnEvent(t, (0.0, sign * dv_j, 0.0),
+                                PERIGEE if raising else APOGEE, m))
+        v_here += sign * dv_j
+        m -= fuel_j
+        sma = 1.0 / (2.0 / r0 - v_here**2 / consts.mu)
+        t += TWO_PI * math.sqrt(sma**3 / consts.mu)
+    # phase 2: half a revolution to the far apsis, then circularize there
+    t -= 0.5 * TWO_PI * math.sqrt(sma**3 / consts.mu)
+    v_far = math.sqrt(consts.mu * (2.0 / r1 - 1.0 / sma))
+    for dv_j, fuel_j in split_dv(dv_c, m, thruster, consts):
+        events.append(BurnEvent(t, (0.0, sign * dv_j, 0.0),
+                                APOGEE if raising else PERIGEE, m))
+        v_far += sign * dv_j
+        m -= fuel_j
+        sma = 1.0 / (2.0 / r1 - v_far**2 / consts.mu)
+        t += TWO_PI * math.sqrt(sma**3 / consts.mu)
 
     k_tot = max(k_d + k_c, 1)
     legs = [LegCost("mht-depart", dv_d, k_d, tof * k_d / k_tot),
@@ -410,50 +409,44 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
         raan += d_raan
         argp += d_argp
 
+    def coast(a_mean: float, i_mean: float, dt: float) -> None:
+        nonlocal elapsed, phys_t, coast_total
+        coast_total += dt
+        apply_drift(a_mean, i_mean, dt)
+        elapsed += dt
+        phys_t += dt
+
+    def burn(est: TransferEstimate, raw_plan: BurnPlan, a_mean: float,
+             i_mean: float) -> None:
+        nonlocal mass, elapsed, phys_t, fuel_total, plan
+        legs.extend(est.dv_legs)
+        fuel_total += est.fuel_mass
+        mass -= est.fuel_mass
+        apply_drift(a_mean, i_mean, est.tof_total)
+        plan = plan.then(raw_plan, phys_t, thruster.cycle)
+        phys_t = max(phys_t + raw_plan.duration, plan.duration)
+        elapsed += est.tof_total
+
     def do_mht(at_i: float) -> None:
-        nonlocal mass, elapsed, phys_t, fuel_total, coast_total, plan
         est, raw_plan = mht_estimate(r0, r1, mass, thruster, consts)
         # phase so that arrival meets the target longitude
         L_self = wrap_angle(L0 + mean_longitude_rate(r0, 0.0, at_i, consts) * elapsed)
         L_arr = wrap_angle(L1_now + mean_longitude_rate(r1, 0.0, i1, consts)
                            * (elapsed + est.tof_total))
         dep = KeplerianState(r0, 0.0, at_i, wrap_angle(raan), 0.0, 0.0)
-        coast = phasing_coast(L_self, L_arr, est.tof_total, dep, target, consts)
-        coast_total += coast
-        apply_drift(r0, at_i, coast)
-        elapsed += coast
-        phys_t += coast
-
-        legs.extend(est.dv_legs)
-        fuel_total += est.fuel_mass
-        mass -= est.fuel_mass
-        apply_drift(0.5 * (r0 + r1), at_i, est.tof_total)
-        plan = plan.then(raw_plan, phys_t, thruster.cycle)
-        phys_t = max(phys_t + raw_plan.duration, plan.duration)
-        elapsed += est.tof_total
+        coast(r0, at_i, phasing_coast(L_self, L_arr, est.tof_total, dep, target, consts))
+        burn(est, raw_plan, 0.5 * (r0 + r1), at_i)
 
     def do_nic(at_r: float) -> None:
-        nonlocal mass, elapsed, phys_t, fuel_total, coast_total, plan
         if abs(di) == 0.0:
             return
         # coast to the closest node of the current plane
         L_self = wrap_angle((L1_now if at_r == r1 else L0)
                             + mean_longitude_rate(at_r, 0.0, i0, consts) * elapsed)
         u = wrap_angle(L_self - wrap_angle(raan))
-        node_wait = ((-u) % math.pi) / math.sqrt(consts.mu / at_r**3)
-        coast_total += node_wait
-        apply_drift(at_r, i0, node_wait)
-        elapsed += node_wait
-        phys_t += node_wait
-
+        coast(at_r, i0, ((-u) % math.pi) / math.sqrt(consts.mu / at_r**3))
         est, raw_plan = nic_estimate(di, at_r, mass, thruster, consts)
-        legs.extend(est.dv_legs)
-        fuel_total += est.fuel_mass
-        mass -= est.fuel_mass
-        apply_drift(at_r, i_mid, est.tof_total)
-        plan = plan.then(raw_plan, phys_t, thruster.cycle)
-        phys_t = max(phys_t + raw_plan.duration, plan.duration)
-        elapsed += est.tof_total
+        burn(est, raw_plan, at_r, i_mid)
 
     if raising:
         do_mht(at_i=i0)

@@ -168,7 +168,7 @@ def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
         w = owner[i]
         if w < 0:
             y = rk4_segment(y, (0.0, 0.0, 0.0), float(grid.dt[i]), COAST_SUBSTEP,
-                            ve, consts, j2_on=True)
+                            ve, consts)
             states[i + 1] = y
             i += 1
             continue
@@ -196,7 +196,7 @@ def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
         for s in range(i, j):
             controls[s] = force
             y = rk4_segment(y, (force[0], force[1], force[2]), float(grid.dt[s]),
-                            COAST_SUBSTEP, ve, consts, j2_on=True)
+                            COAST_SUBSTEP, ve, consts)
             states[s + 1] = y
         i = j
     return states, controls
@@ -211,26 +211,10 @@ _FD_STATE_SCALE = np.array([7000.0, 1.0, 1.0, 1.0, 1.0, 1.0, 200.0])
 _FD_REL = 6.0e-6
 
 
-def linearize_dynamics(x: np.ndarray, u: np.ndarray, dt: float, substeps: int,
-                       isp: float, consts: PhysicalConstants = EARTH,
-                       j2: bool = True, u_scale: float | None = None,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jacobians of one discrete step x+ = f(x, u) by central differences.
-
-    Returns (A (7,7), B (7,3), c (7,)) with c = f(x, u) - A x - B u.
-    """
-    A, B, fval = linearize_batch(np.asarray(x, dtype=float)[None, :],
-                                 np.asarray(u, dtype=float)[None, :],
-                                 np.array([dt]), np.array([substeps]),
-                                 isp, consts, j2, u_scale)
-    c = fval[0] - A[0] @ np.asarray(x, dtype=float) - B[0] @ np.asarray(u, dtype=float)
-    return A[0], B[0], c
-
-
 def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
                     substeps: np.ndarray, isp: float,
-                    consts: PhysicalConstants = EARTH, j2: bool = True,
-                    u_scale: float | None = None, skip_b: np.ndarray | None = None,
+                    consts: PhysicalConstants = EARTH, u_scale: float | None = None,
+                    skip_b: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized central-difference Jacobians of the discrete dynamics at
     every node: x (N,7), u (N,3), dt (N,), substeps (N,) ints.
@@ -275,7 +259,7 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     for ns in np.unique(sub):
         rows = sub == ns
         out[rows] = rk4_batch(big_x[rows], big_u[rows], base[rows], int(ns),
-                              ve, consts, j2)
+                              ve, consts)
 
     fval = out[:N]
     A = np.empty((N, 7, 7))

@@ -4,7 +4,7 @@ Each island evolves a population of key vectors in [0,1)^n (decoded to
 permutations by argsort) with either a generational GA (tournament
 selection, blend crossover, Gaussian key mutation, elitism) or a
 global-best PSO.  Islands are initialized from scrambled Sobol points, with
-an optional fraction spawned near candidate solutions through Mallows
+a fixed share spawned near any candidate solutions through Mallows
 sampling; the candidates themselves are always injected verbatim, so the
 final best can never be worse than the best seed.  A ring migration moves
 each island's best individual onto its neighbour every few generations.
@@ -23,47 +23,46 @@ import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .permutations import (MallowsParams, SobolEngine, decode, encode,
-                           max_kendall, sample_mallows)
+                           sample_mallows)
 from .scenario import MissionScenario
 from .tour import Tour, TourEvaluator, tour_cost
 
 
+#: share of each initial population seeded from the candidate tours
+SEEDING_FRACTION = 0.25
+#: GA: tournament size, blend-crossover reach, per-gene mutation rate and
+#: step, and members carried over unchanged
+TOURNAMENT = 3
+CROSSOVER_BLEND = 0.3
+MUTATION_RATE = 0.15
+MUTATION_SIGMA = 0.2
+ELITES = 1
+#: PSO: the constriction coefficients of Clerc & Kennedy (2002) and a
+#: velocity clamp in key units
+INERTIA = 0.729
+COGNITIVE = 1.49445
+SOCIAL = 1.49445
+MAX_VELOCITY = 0.5
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Size of the archipelago search and its seed."""
+
     islands: int = 8
     population: int = 64
     generations: int = 200
     migration_interval: int = 20
     algorithms: tuple[str, ...] = ("ga", "pso")  # cycled across islands
     seed: int | None = None
-    seeding_fraction: float = 0.25
-    seed_theta: float | None = None  # default 4/(n-1), see resolve_theta
-    # GA knobs
-    tournament: int = 3
-    crossover_blend: float = 0.3
-    mutation_rate: float = 0.15
-    mutation_sigma: float = 0.2
-    elites: int = 1
-    # PSO knobs
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
-    max_velocity: float = 0.5
 
     def __post_init__(self) -> None:
         if min(self.islands, self.population, self.generations,
                self.migration_interval) < 1:
             raise ValueError("island/population/generation counts must be positive")
-        if not (0.0 <= self.seeding_fraction <= 1.0):
-            raise ValueError("seeding fraction must lie in [0, 1]")
         for alg in self.algorithms:
             if alg not in ("ga", "pso"):
                 raise ValueError(f"unknown island algorithm {alg!r}")
-
-    def resolve_theta(self, n: int) -> float:
-        if self.seed_theta is not None:
-            return self.seed_theta
-        return 2.0 * n / max_kendall(n) if n > 1 else 1.0
 
 
 @dataclass
@@ -84,44 +83,45 @@ class EvolutionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _ga_step(keys: np.ndarray, cost: np.ndarray, rngs: list[np.random.Generator],
-             cfg: OptimizerConfig) -> np.ndarray:
+def _ga_step(keys: np.ndarray, cost: np.ndarray,
+             rngs: list[np.random.Generator]) -> np.ndarray:
     """Next generation of the GA islands ``keys`` (islands, pop, n) priced at
     ``cost`` (islands, pop).  Island i draws only from ``rngs[i]``, in the
     order picks, crossover, mutation mask, mutation."""
     isl, pop, n = keys.shape
-    n_off = pop - cfg.elites
+    n_off = pop - ELITES
     rows = np.arange(isl)[:, None]
     children = np.empty_like(keys)
-    children[:, :cfg.elites] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :cfg.elites]]
+    children[:, :ELITES] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :ELITES]]
     # tournament selection for both parent slots
-    picks = np.stack([rng.integers(0, pop, (2, n_off, cfg.tournament)) for rng in rngs])
+    picks = np.stack([rng.integers(0, pop, (2, n_off, TOURNAMENT)) for rng in rngs])
     won = np.argmin(cost[rows[..., None, None], picks], axis=3)
     winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
     pa, pb = keys[rows, winners[:, 0]], keys[rows, winners[:, 1]]
     # blend crossover per gene
     lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-    reach = cfg.crossover_blend * (hi - lo)
+    reach = CROSSOVER_BLEND * (hi - lo)
     child = np.stack([rng.uniform(lo[i] - reach[i], hi[i] + reach[i])
                       for i, rng in enumerate(rngs)])
     # gaussian mutation
-    child = child + np.stack([(rng.random((n_off, n)) < cfg.mutation_rate)
-                              * rng.normal(0.0, cfg.mutation_sigma, (n_off, n))
+    child = child + np.stack([(rng.random((n_off, n)) < MUTATION_RATE)
+                              * rng.normal(0.0, MUTATION_SIGMA, (n_off, n))
                               for rng in rngs])
-    children[:, cfg.elites:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
+    children[:, ELITES:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
     return children
 
 
 def _initial_population(n: int, count: int, candidates: list[np.ndarray],
-                        config: OptimizerConfig, rng: np.random.Generator) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     sobol_seed = int(rng.integers(0, 2**31))
     keys = SobolEngine(n, seed=sobol_seed).draw(count) if n > 1 else np.zeros((count, 1))
     if candidates:
-        theta = config.resolve_theta(n)
+        # Mallows dispersion: 2n over the largest Kendall distance n(n-1)/2
+        theta = 4.0 / (n - 1) if n > 1 else 1.0
         # every candidate goes in verbatim, then Mallows neighbourhoods fill
-        # the configured fraction
+        # the seeded share
         n_verbatim = min(len(candidates), count)
-        n_seeded = max(int(round(config.seeding_fraction * count)), n_verbatim)
+        n_seeded = max(int(round(SEEDING_FRACTION * count)), n_verbatim)
         for slot in range(n_verbatim):
             keys[slot] = encode(candidates[slot], rng)
         for slot in range(n_verbatim, min(n_seeded, count)):
@@ -152,7 +152,7 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
 
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(config.seed).spawn(config.islands)]
-    keys = np.stack([_initial_population(n, config.population, candidates, config, rng)
+    keys = np.stack([_initial_population(n, config.population, candidates, rng)
                      for rng in rngs])  # (islands, population, n)
     pso = np.array([config.algorithms[i % len(config.algorithms)] == "pso"
                     for i in range(config.islands)])
@@ -201,16 +201,16 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
             break
         if ga_idx.size:
             keys[ga_idx] = _ga_step(keys[ga_idx], cost[ga_idx],
-                                    [rngs[i] for i in ga_idx], config)
+                                    [rngs[i] for i in ga_idx])
         if pso_idx.size:
             r1, r2 = np.array([[rngs[i].random(keys.shape[1:]),
                                 rngs[i].random(keys.shape[1:])]
                                for i in pso_idx]).swapaxes(0, 1)
             x = keys[pso_idx]
-            v = (config.inertia * velocity[pso_idx]
-                 + config.cognitive * r1 * (pbest_keys[pso_idx] - x)
-                 + config.social * r2 * (gbest_keys[pso_idx, None] - x))
-            velocity[pso_idx] = np.clip(v, -config.max_velocity, config.max_velocity)
+            v = (INERTIA * velocity[pso_idx]
+                 + COGNITIVE * r1 * (pbest_keys[pso_idx] - x)
+                 + SOCIAL * r2 * (gbest_keys[pso_idx, None] - x))
+            velocity[pso_idx] = np.clip(v, -MAX_VELOCITY, MAX_VELOCITY)
             keys[pso_idx] = np.clip(x + velocity[pso_idx], 0.0, np.nextafter(1.0, 0.0))
 
     return (tour_cost(scenario, decode(global_best_keys), consts),

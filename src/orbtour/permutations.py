@@ -158,10 +158,6 @@ def kendall_tau(a, b) -> int:
     return int((da * db < 0).sum() // 2)
 
 
-def max_kendall(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 @dataclass(frozen=True)
 class MallowsParams:
     """Kendall-tau Mallows model: P(sigma) ~ exp(-theta * d(sigma, center))."""

@@ -1,6 +1,6 @@
 """Fixed-step numerical propagation of the coupled element/mass dynamics
-under piecewise-constant LVLH thrust and (optionally) the instantaneous
-oblateness acceleration.
+under piecewise-constant LVLH thrust and the instantaneous oblateness
+acceleration (``PhysicalConstants(j2=0.0)`` gives two-body motion).
 
 The 7-state vector is [p, f, g, h, k, L, m]; thrust is a 3-vector in kN so
 that u/m is directly the LVLH acceleration in km/s^2.  The true longitude is
@@ -28,30 +28,25 @@ class PropagatorConfig:
     """Fixed-step 4th-order Runge-Kutta settings."""
 
     step: float = 10.0    # max internal step [s]
-    j2: bool = True       # instantaneous oblateness acceleration on/off
 
     def __post_init__(self) -> None:
         if self.step <= 0.0:
             raise ValueError("step must be positive")
 
 
-def _rhs(y, ur, ut, un, umag, ve, mu, j2, re, j2_on):
+def _rhs(y, ur, ut, un, umag, ve, mu, j2, re):
     """Scalar 7-state right-hand side (plain floats)."""
     p, f, g, h, k, L, m = y
     if m <= 0.0:
         raise SingularStateError("mass reached zero during propagation")
-    ar, at, an = ur / m, ut / m, un / m
-    if j2_on:
-        jr, jt, jn = j2_accel_scalar(p, f, g, h, k, L, mu, j2, re)
-        ar += jr
-        at += jt
-        an += jn
+    jr, jt, jn = j2_accel_scalar(p, f, g, h, k, L, mu, j2, re)
+    ar, at, an = ur / m + jr, ut / m + jt, un / m + jn
     dp, df, dg, dh, dk, dL = gve_rhs_scalar(p, f, g, h, k, L, ar, at, an, mu)
     return (dp, df, dg, dh, dk, dL, -umag / ve)
 
 
 def rk4_segment(y, u, duration: float, max_step: float, ve: float,
-                consts: PhysicalConstants, j2_on: bool):
+                consts: PhysicalConstants):
     """Integrate one constant-control segment; returns the end state tuple."""
     if duration == 0.0:
         return tuple(y)
@@ -62,13 +57,13 @@ def rk4_segment(y, u, duration: float, max_step: float, ve: float,
     mu, j2, re = consts.mu, consts.j2, consts.re
     y = tuple(y)
     for _ in range(nsteps):
-        k1 = _rhs(y, ur, ut, un, umag, ve, mu, j2, re, j2_on)
+        k1 = _rhs(y, ur, ut, un, umag, ve, mu, j2, re)
         y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(7))
-        k2 = _rhs(y2, ur, ut, un, umag, ve, mu, j2, re, j2_on)
+        k2 = _rhs(y2, ur, ut, un, umag, ve, mu, j2, re)
         y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(7))
-        k3 = _rhs(y3, ur, ut, un, umag, ve, mu, j2, re, j2_on)
+        k3 = _rhs(y3, ur, ut, un, umag, ve, mu, j2, re)
         y4 = tuple(y[i] + dt * k3[i] for i in range(7))
-        k4 = _rhs(y4, ur, ut, un, umag, ve, mu, j2, re, j2_on)
+        k4 = _rhs(y4, ur, ut, un, umag, ve, mu, j2, re)
         y = tuple(y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
                   for i in range(7))
     return y
@@ -96,8 +91,7 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
     out = np.empty((durations.size + 1, 7))
     out[0] = y
     for i, (u, dur) in enumerate(zip(controls, durations)):
-        y = rk4_segment(y, (u[0], u[1], u[2]), float(dur), config.step, ve,
-                        consts, config.j2)
+        y = rk4_segment(y, (u[0], u[1], u[2]), float(dur), config.step, ve, consts)
         out[i + 1] = y
     return out
 
@@ -107,14 +101,12 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _rhs_batch(y: np.ndarray, u: np.ndarray, ve: float,
-               consts: PhysicalConstants, j2_on: bool) -> np.ndarray:
+               consts: PhysicalConstants) -> np.ndarray:
     """Vectorized 7-state right-hand side: y (B, 7), u (B, 3) -> (B, 7)."""
     from .dynamics import gve_rhs_batch, j2_accel_batch
 
     m = y[:, 6]
-    acc = u / m[:, None]
-    if j2_on:
-        acc = acc + j2_accel_batch(y[:, :6], consts.mu, consts.j2, consts.re)
+    acc = u / m[:, None] + j2_accel_batch(y[:, :6], consts.mu, consts.j2, consts.re)
     out = np.empty_like(y)
     out[:, :6] = gve_rhs_batch(y[:, :6], acc, consts.mu)
     out[:, 6] = -np.linalg.norm(u, axis=1) / ve
@@ -122,15 +114,15 @@ def _rhs_batch(y: np.ndarray, u: np.ndarray, ve: float,
 
 
 def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
-              ve: float, consts: PhysicalConstants, j2_on: bool) -> np.ndarray:
+              ve: float, consts: PhysicalConstants) -> np.ndarray:
     """Integrate a batch of states over one constant-control segment each:
     y (B, 7), u (B, 3), duration (B,) -> (B, 7).  All rows share the same
     substep count (callers group rows accordingly)."""
     dt = (np.asarray(duration, dtype=float) / nsteps)[:, None]
     for _ in range(nsteps):
-        k1 = _rhs_batch(y, u, ve, consts, j2_on)
-        k2 = _rhs_batch(y + 0.5 * dt * k1, u, ve, consts, j2_on)
-        k3 = _rhs_batch(y + 0.5 * dt * k2, u, ve, consts, j2_on)
-        k4 = _rhs_batch(y + dt * k3, u, ve, consts, j2_on)
+        k1 = _rhs_batch(y, u, ve, consts)
+        k2 = _rhs_batch(y + 0.5 * dt * k1, u, ve, consts)
+        k3 = _rhs_batch(y + 0.5 * dt * k2, u, ve, consts)
+        k4 = _rhs_batch(y + dt * k3, u, ve, consts)
         y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y

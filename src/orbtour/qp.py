@@ -53,7 +53,6 @@ class SubproblemSolution:
     controls: np.ndarray     # (N, 3)
     objective: float
     iterations: int
-    primal_residual: float
     duals: dict | None = None
 
 
@@ -156,8 +155,7 @@ class ReducedArcSolver:
             Z = self.rollout(W)
             return SubproblemSolution(states=Z, controls=W,
                                       objective=qp_objective(sub, Z, W),
-                                      iterations=0, primal_residual=0.0,
-                                      duals=None)
+                                      iterations=0, duals=None)
         if self.r <= 0.0:
             raise ValueError("the condensed solver needs a positive control weight")
         if not np.array_equal(sub.R, self.r * np.eye(3)):
@@ -211,9 +209,7 @@ class ReducedArcSolver:
         Z = self.rollout(W)
         return SubproblemSolution(states=Z, controls=W,
                                   objective=qp_objective(sub, Z, W),
-                                  iterations=it,
-                                  primal_residual=float(np.max(np.abs(phi))),
-                                  duals={"gamma": gamma})
+                                  iterations=it, duals={"gamma": gamma})
 
 
 def qp_objective(sub: ConvexSubproblem, Z: np.ndarray, W: np.ndarray) -> float:

@@ -7,7 +7,6 @@ floating-point rounding (~1 ulp), which the tests treat as identity.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -16,7 +15,7 @@ import numpy as np
 
 from .constants import EARTH, SECONDS_PER_YEAR, TWO_PI, PhysicalConstants
 from .elements import KeplerianState, SpacecraftState, kep_to_mee
-from .errors import SchemaError, read_json_object
+from .errors import SchemaError, read_json_object, write_json
 from .maneuvers import ThrusterSpec
 
 SCHEMA_VERSION = 1
@@ -307,9 +306,7 @@ def scenario_from_dict(d: dict, consts: PhysicalConstants = EARTH) -> MissionSce
 
 def save_scenario(scn: MissionScenario, path: str | os.PathLike,
                   consts: PhysicalConstants = EARTH) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scn, consts), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scenario_to_dict(scn, consts))
 
 
 def load_scenario(path: str | os.PathLike,

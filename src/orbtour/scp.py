@@ -15,7 +15,6 @@ units.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee, mee_to_kep
-from .errors import SchemaError, read_json_object
+from .errors import SchemaError, read_json_object, write_json
 from .maneuvers import ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec
 from .ocp import (COAST_SUBSTEP, STAGE_CAP, StageGrid, build_grid, linearize_batch,
                   split_plan, warm_start)
@@ -455,10 +454,8 @@ def arc_from_dict(d: dict) -> RefinedArc:
 
 
 def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"version": ARCS_VERSION, "arcs": [arc_to_dict(a) for a in arcs]},
-                  fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"version": ARCS_VERSION, "arcs": [arc_to_dict(a) for a in arcs]},
+               indent=None)
 
 
 def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .elements import MeeState, SpacecraftState, mee_to_kep
+from .errors import write_json
 from .propagate import PropagatorConfig, propagate_numeric
 from .scenario import MissionScenario
 from .scp import RefinedArc, realized_dv
@@ -28,13 +28,14 @@ from .tour import Tour
 #: injection accuracy requirements (defaults)
 TOL_SMA_KM = 10.0
 TOL_INC_DEG = 0.1
+#: allowed gap between numeric and analytic leg fuel, relative to the latter
+TOL_FUEL_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
 class Tolerances:
     sma_km: float = TOL_SMA_KM
     inc_deg: float = TOL_INC_DEG
-    fuel_rel: float = 0.05
 
 
 @dataclass
@@ -141,7 +142,7 @@ def verify_trajectory(arcs: list[RefinedArc], tour: Tour,
         di = achieved.i - target_i
         fuel_analytic = leg_est.fuel_mass
         fuel_ok = (abs(fuel_numeric - fuel_analytic)
-                   <= tolerances.fuel_rel * max(fuel_analytic, 1e-12))
+                   <= TOL_FUEL_FRACTION * max(fuel_analytic, 1e-12))
         report.legs.append(LegReport(
             label=f"leg{leg_idx}",
             target_a_km=target_a, target_i_deg=math.degrees(target_i),
@@ -160,9 +161,7 @@ def verify_trajectory(arcs: list[RefinedArc], tour: Tour,
 
 def save_report(report: VerificationReport, json_path: str | os.PathLike,
                 csv_path: str | os.PathLike | None = None) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, report.to_dict())
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())

@@ -8,6 +8,7 @@ equations and the oblateness model, whose LVLH components are read through
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,23 @@ import pytest
 
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState
+from orbtour.ocp import linearize_batch
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario)
+
+
+#: Earth without oblateness: the J2 terms of the dynamics are exactly zero
+TWO_BODY = dataclasses.replace(EARTH, j2=0.0)
+
+
+def linearize_one(x, u, dt: float, substeps: int, isp: float, consts=EARTH,
+                  u_scale: float | None = None):
+    """Jacobians A (7,7), B (7,3) and offset c = f(x, u) - A x - B u of one
+    discrete step, from a one-row :func:`orbtour.ocp.linearize_batch`."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    A, B, f = linearize_batch(x[None, :], u[None, :], np.array([dt]),
+                              np.array([substeps]), isp, consts, u_scale=u_scale)
+    return A[0], B[0], f[0] - A[0] @ x - B[0] @ u
 
 
 def cart_accel_j2(r: np.ndarray, consts=EARTH) -> np.ndarray:

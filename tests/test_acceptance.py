@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import TWO_BODY, linearize_one
 from orbtour.constants import EARTH
 from orbtour.dynamics import j2_secular_rates
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
                               kep_to_mee, mee_to_kep)
 from orbtour.maneuvers import ThrusterSpec, mht_estimate, nic_estimate
-from orbtour.ocp import linearize_dynamics
 from orbtour.optimizer import OptimizerConfig, optimize
 from orbtour.permutations import (MallowsParams, kendall_tau, sample_mallows,
                                   sample_uniform_permutations)
@@ -211,12 +211,12 @@ def test_criterion_09_refiner_internal_checks(case1):
     x = np.concatenate([kep_to_mee(kep).as_array(), [235.0]])
     u = np.array([0.003, 0.008, 0.002])
     dt, sub = 20.0, 2
-    A, B, c = linearize_dynamics(x, u, dt=dt, substeps=sub, isp=TH.isp, j2=True)
+    A, B, c = linearize_one(x, u, dt=dt, substeps=sub, isp=TH.isp)
     ve = TH.isp * EARTH.g0
 
     def f(xx, uu):
         return rk4_batch(xx[None, :].copy(), uu[None, :], np.array([dt]), sub,
-                         ve, EARTH, True)[0]
+                         ve, EARTH)[0]
 
     scale = np.array([7000.0, 1, 1, 1, 1, 1, 200.0])
     worst = 0.0
@@ -271,8 +271,7 @@ def test_criterion_10_verification_consistency(case1, case4):
     errs = []
     for step in (40.0, 20.0, 10.0):
         traj = propagate_numeric(s0, np.zeros((1, 3)), np.array([period]),
-                                 277.0, PropagatorConfig(step=step, j2=False),
-                                 EARTH)
+                                 277.0, PropagatorConfig(step=step), TWO_BODY)
         errs.append(abs(traj[-1, 5] - traj[0, 5] - TAU))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     assert r1 == pytest.approx(16.0, rel=0.25)

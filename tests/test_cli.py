@@ -164,6 +164,34 @@ def test_montecarlo_and_report(tmp_path):
         (outdir2 / "montecarlo.csv").read_bytes()
 
 
+def test_montecarlo_failed_scenario_is_reported(tmp_path, capsys, monkeypatch):
+    # scenario 1 fails in the optimizer; serial and parallel runs report it
+    # the same way and keep the other rows (workers fork, so see the patch)
+    from orbtour import cli
+    real = cli.optimize
+    bad_seed = cli.derived_seed(3, 2 * 1 + 1)
+
+    def optimize(scn, config, **kwargs):
+        if config.seed == bad_seed:
+            raise RuntimeError("injected failure")
+        return real(scn, config, **kwargs)
+
+    monkeypatch.setattr(cli, "optimize", optimize)
+    opt = tmp_path / "opt.json"
+    opt.write_text('{"generations": 5, "islands": 2, "population": 8}')
+    errs, tables = [], []
+    for jobs in (1, 2):
+        out = tmp_path / f"mc{jobs}"
+        assert run(["montecarlo", "--n", 3, "--seed", 3, "--out-dir", out,
+                    "--jobs", jobs, "--optimizer-config", opt]) == 1
+        errs.append(capsys.readouterr().err)
+        tables.append((out / "montecarlo.csv").read_bytes())
+        assert sorted(p.name for p in out.glob("tour_*.json")) == [
+            "tour_0000.json", "tour_0002.json"]
+    assert errs[0] == errs[1] == "montecarlo: scenario 1 failed: injected failure\n"
+    assert tables[0] == tables[1] and len(tables[0].splitlines()) == 3
+
+
 def test_bundle_count_drives_mission_cost():
     # batch statistic behind the montecarlo summary: deployments dominate cost
     from orbtour.optimizer import OptimizerConfig, optimize
@@ -216,6 +244,12 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch)
     assert "migration_cnt" in capsys.readouterr().err
     assert run(["generate", "--config", cfg, "--out", tmp_path / "s.json"]) == 1
     assert "migration_cnt" in capsys.readouterr().err
+    # the GA/PSO hyperparameters are constants, not config keys
+    cfg.write_text('{"mutation_rate": 0.2}')
+    assert run(["solve", "--scenario", scn_path, "--optimizer-config", cfg,
+                "--out", tmp_path / "t.json"]) == 1
+    err = capsys.readouterr().err
+    assert "mutation_rate" in err and str(cfg) in err
     # a config that is not an object, is not JSON, or holds a value of the
     # wrong type gives a one-line error naming the file
     for command, text in ((["generate", "--config"], '[1]'),
@@ -262,6 +296,16 @@ def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
                 "--out", tmp_path / "arcs.json"]) == 1
     err = capsys.readouterr().err
     assert str(scalar) in err and len(err.strip().splitlines()) == 1
+    # a tour order that is not a list of integers names the file
+    order = tmp_path / "order.json"
+    for text in ('{"order": 5}', '{"order": ["a", "b"]}', '{"order": [0.7, 1.2]}',
+                 '{"order": [true, false]}'):
+        order.write_text(text)
+        for command in (["verify", "--arcs", old], ["refine"]):
+            assert run(command + ["--tour", order, "--scenario", scn_path,
+                                  "--out", tmp_path / "o.json"]) == 1, (command, text)
+            err = capsys.readouterr().err
+            assert str(order) in err and len(err.strip().splitlines()) == 1
 
 
 def test_console_entry_point(tiny_paths):

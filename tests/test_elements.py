@@ -82,20 +82,9 @@ def test_round_trip_thousand_random_states():
         assert angle_diff(back.ta, kep.ta) < 1e-9
 
 
-def test_retrograde_factor_round_trip():
-    kep = KeplerianState(7200.0, 0.05, math.radians(130.0), 1.0, 2.0, 3.0)
-    mee = kep_to_mee(kep, retrograde_factor=-1)
-    back = mee_to_kep(mee)
-    assert back.i == pytest.approx(kep.i, abs=1e-12)
-    assert angle_diff(back.raan, kep.raan) < 1e-12
-
-
 def test_singular_inputs_rejected():
     with pytest.raises(SingularStateError):
         kep_to_mee(KeplerianState(7000.0, 0.0, math.pi, 0.0, 0.0, 0.0))
-    with pytest.raises(SingularStateError):
-        kep_to_mee(KeplerianState(7000.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                   retrograde_factor=-1)
 
 
 def test_open_orbit_rejected():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import TWO_BODY, linearize_one
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
 from orbtour.ocp import (BURN_STAGES, build_grid, burn_windows, linearize_batch,
-                         linearize_dynamics, split_plan, warm_start)
+                         split_plan, warm_start)
 
 TH = ThrusterSpec()
 
@@ -144,8 +145,8 @@ def test_warm_start_clips_and_spills():
 
 def test_keplerian_jacobian_structure():
     x = x0_circular()
-    A, B, c = linearize_dynamics(x, np.zeros(3), dt=30.0, substeps=1,
-                                 isp=TH.isp, j2=False)
+    A, B, c = linearize_one(x, np.zeros(3), dt=30.0, substeps=1, isp=TH.isp,
+                            consts=TWO_BODY)
     # shape elements are constants of unforced motion: identity rows
     for row in range(5):
         expected = np.zeros(7)
@@ -155,7 +156,7 @@ def test_keplerian_jacobian_structure():
     assert abs(A[5, 0]) > 0.0
     # structurally thrust-free stages skip the control block entirely
     A2, B2, _ = linearize_batch(x[None, :], np.zeros((1, 3)), np.array([30.0]),
-                                np.array([1]), TH.isp, j2=False,
+                                np.array([1]), TH.isp, TWO_BODY,
                                 skip_b=np.array([True]))
     assert np.all(B2 == 0.0)
     assert np.allclose(A2[0], A, atol=1e-12)
@@ -165,7 +166,7 @@ def test_mass_column_of_control_jacobian():
     x = x0_circular()
     u = np.array([0.0, 0.009, 0.0])
     dt = 30.0
-    A, B, c = linearize_dynamics(x, u, dt=dt, substeps=1, isp=TH.isp, j2=False)
+    A, B, c = linearize_one(x, u, dt=dt, substeps=1, isp=TH.isp, consts=TWO_BODY)
     # d(m+)/d(u_t) = -dt * u_t/(|u| ve) to leading order
     ve = TH.isp * EARTH.g0
     assert B[6, 1] == pytest.approx(-dt / ve, rel=1e-6)
@@ -178,12 +179,12 @@ def test_jacobian_matches_richardson_oracle():
     x = x0_circular()
     u = np.array([0.002, 0.009, 0.004])
     dt, sub = 20.0, 2
-    A, B, c = linearize_dynamics(x, u, dt=dt, substeps=sub, isp=TH.isp, j2=True)
+    A, B, c = linearize_one(x, u, dt=dt, substeps=sub, isp=TH.isp)
     ve = TH.isp * EARTH.g0
 
     def f(xx, uu):
         return rk4_batch(xx[None, :].copy(), uu[None, :], np.array([dt]), sub,
-                         ve, EARTH, True)[0]
+                         ve, EARTH)[0]
 
     scale = np.array([7000.0, 1, 1, 1, 1, 1, 200.0])
     worst = 0.0
@@ -209,7 +210,7 @@ def test_linearize_batch_agrees_with_single():
     dt = np.array([15.0, 25.0])
     A, B, f = linearize_batch(x, u, dt, np.array([1, 2]), TH.isp, u_scale=0.01)
     for row in range(2):
-        A1, B1, c1 = linearize_dynamics(x[row], u[row], float(dt[row]),
-                                        int([1, 2][row]), TH.isp, u_scale=0.01)
+        A1, B1, c1 = linearize_one(x[row], u[row], float(dt[row]),
+                                   int([1, 2][row]), TH.isp, u_scale=0.01)
         assert np.allclose(A[row], A1, atol=1e-12)
         assert np.allclose(B[row], B1, atol=1e-12)

@@ -112,8 +112,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(islands=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(seeding_fraction=1.5)
-    with pytest.raises(ValueError):
         OptimizerConfig(algorithms=("annealing",))
 
 

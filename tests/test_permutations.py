@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from orbtour.permutations import (MAX_SOBOL_DIM, MallowsParams, SobolEngine,
-                                  decode, encode, kendall_tau, max_kendall,
+                                  decode, encode, kendall_tau,
                                   sample_mallows, sample_uniform_permutations,
                                   sobol_points)
 
@@ -107,7 +107,8 @@ def test_kendall_tau_basics():
     assert kendall_tau([0, 1, 2], [0, 1, 2]) == 0
     assert kendall_tau([0, 1, 2], [2, 1, 0]) == 3
     assert kendall_tau([1, 0, 2, 3], [0, 1, 2, 3]) == 1
-    assert max_kendall(4) == 6
+    # the reversal is the farthest order: n(n-1)/2 discordant pairs
+    assert kendall_tau([0, 1, 2, 3], [3, 2, 1, 0]) == 4 * 3 // 2
 
 
 def test_mallows_zero_dispersion_is_uniform():
