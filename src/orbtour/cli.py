@@ -49,7 +49,7 @@ def write_manifest(out_path: str | Path, command: str, args: dict,
     manifest = {
         "tool": f"orbtour {__version__}",
         "command": command,
-        "args": {k: str(v) for k, v in args.items()},
+        "args": {k: str(v) for k, v in args.items() if not callable(v)},
         "seeds": seeds,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs
                    if Path(p).exists()],
@@ -94,8 +94,12 @@ def _scenario_config(path: str | None) -> ScenarioConfig:
 
 
 def _optimizer_config(path: str | None, seed: int | None) -> OptimizerConfig:
+    """The config file's settings; ``seed`` replaces the file's ``seed``, and
+    with neither the seed is 0, so every run is reproducible."""
     config = _config_from(OptimizerConfig, path, {"algorithms": ("algorithms", tuple)})
-    return config if seed is None else dataclasses.replace(config, seed=seed)
+    if seed is None:
+        seed = 0 if config.seed is None else config.seed
+    return dataclasses.replace(config, seed=seed)
 
 
 def active_constants() -> PhysicalConstants:
@@ -186,9 +190,11 @@ def cmd_solve(args) -> int:
     if args.exact:
         tour = brute_force(scn, consts=consts)
         trace = None
+        seeds = {}
     else:
         config = _optimizer_config(args.optimizer_config, args.seed)
         tour, trace = optimize(scn, config, seeds=seeds_in or None, consts=consts)
+        seeds = {"seed": config.seed}
 
     save_tour(tour, args.out)
     outputs = [args.out]
@@ -198,7 +204,7 @@ def cmd_solve(args) -> int:
         outputs.append(args.trace)
     write_manifest(args.out, "solve", vars(args),
                    [args.scenario] + (args.seed_tours or []),
-                   outputs, {"seed": args.seed}, time.time() - t0)
+                   outputs, seeds, time.time() - t0)
     return 0 if tour.feasible else 2
 
 
@@ -383,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize the visit order")
     p.add_argument("--scenario", required=True)
     p.add_argument("--optimizer-config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="optimizer seed (default: the config's seed, else 0)")
     p.add_argument("--seed-candidates", choices=["walks"],
                    help="inject hand-crafted candidate walks")
     p.add_argument("--seed-tours", nargs="*", help="tour JSON files to inject")

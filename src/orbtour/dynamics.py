@@ -1,106 +1,20 @@
-"""Dynamics right-hand sides: variational equations and oblateness models.
+"""Averaged dynamics: secular oblateness rates and orbit scalars.
 
-All rates are expressed in the spacecraft LVLH frame (radial r, along-track
-theta, cross-track phi).  Scalar helpers operating on plain floats are the
-hot path for sequential propagation; batch variants operate on (N, ...)
-arrays for vectorized finite differencing.
+The instantaneous right-hand side (variational equations plus the J2
+acceleration in the LVLH frame) lives in :mod:`orbtour.propagate`, fused
+into its integrators; the secular rates here are the orbit-averaged form of
+the same oblateness model, used for phasing and drift arithmetic.
 """
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .constants import EARTH, TWO_PI, PhysicalConstants
-from .errors import SingularStateError
 
 
 # ---------------------------------------------------------------------------
-# Gauss variational equations
+# Oblateness: secular rates
 # ---------------------------------------------------------------------------
-
-def gve_rhs_scalar(p, f, g, h, k, L, ar, at, an, mu):
-    """Element rates (dp, df, dg, dh, dk, dL) for one state, plain floats.
-
-    Signs of the cross-track couplings follow the orientation stated in
-    :mod:`orbtour.elements` (df carries -g*v/w*an, dg carries +f*v/w*an);
-    the combination is validated against a Cartesian finite-difference
-    oracle in the tests.
-    """
-    cosL = math.cos(L)
-    sinL = math.sin(L)
-    w = 1.0 + f * cosL + g * sinL
-    if w <= 0.0:
-        raise SingularStateError(f"w = {w} <= 0: radius diverges")
-    s2 = 1.0 + h * h + k * k
-    v = h * sinL - k * cosL
-    sqpm = math.sqrt(p / mu)
-
-    dp = 2.0 * p / w * sqpm * at
-    df = sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an)
-    dg = sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an)
-    dh = sqpm * s2 / (2.0 * w) * cosL * an
-    dk = sqpm * s2 / (2.0 * w) * sinL * an
-    dL = math.sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an
-    return dp, df, dg, dh, dk, dL
-
-
-def gve_rhs_batch(mee: np.ndarray, accel: np.ndarray, mu: float) -> np.ndarray:
-    """Vectorized element rates: ``mee`` (N, 6), ``accel`` (N, 3) -> (N, 6)."""
-    p, f, g, h, k, L = (mee[:, j] for j in range(6))
-    ar, at, an = accel[:, 0], accel[:, 1], accel[:, 2]
-    cosL, sinL = np.cos(L), np.sin(L)
-    w = 1.0 + f * cosL + g * sinL
-    if np.any(w <= 0.0):
-        raise SingularStateError("w <= 0 in batch evaluation")
-    s2 = 1.0 + h * h + k * k
-    v = h * sinL - k * cosL
-    sqpm = np.sqrt(p / mu)
-
-    out = np.empty_like(mee)
-    out[:, 0] = 2.0 * p / w * sqpm * at
-    out[:, 1] = sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an)
-    out[:, 2] = sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an)
-    out[:, 3] = sqpm * s2 / (2.0 * w) * cosL * an
-    out[:, 4] = sqpm * s2 / (2.0 * w) * sinL * an
-    out[:, 5] = np.sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Oblateness models
-# ---------------------------------------------------------------------------
-
-def j2_accel_scalar(p, f, g, h, k, L, mu, j2, re):
-    """Instantaneous J2 acceleration components (ar, at, an), plain floats."""
-    cosL = math.cos(L)
-    sinL = math.sin(L)
-    w = 1.0 + f * cosL + g * sinL
-    r = p / w
-    s2 = 1.0 + h * h + k * k
-    v = h * sinL - k * cosL
-    coef = mu * j2 * re * re / r**4
-    ar = -1.5 * coef * (1.0 - 12.0 * v * v / (s2 * s2))
-    at = -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
-    an = -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
-    return ar, at, an
-
-
-def j2_accel_batch(mee: np.ndarray, mu: float, j2: float, re: float) -> np.ndarray:
-    """Vectorized J2 acceleration: ``mee`` (N, 6) -> (N, 3)."""
-    p, f, g, h, k, L = (mee[:, j] for j in range(6))
-    cosL, sinL = np.cos(L), np.sin(L)
-    w = 1.0 + f * cosL + g * sinL
-    r = p / w
-    s2 = 1.0 + h * h + k * k
-    v = h * sinL - k * cosL
-    coef = mu * j2 * re * re / r**4
-    out = np.empty((mee.shape[0], 3))
-    out[:, 0] = -1.5 * coef * (1.0 - 12.0 * v * v / (s2 * s2))
-    out[:, 1] = -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
-    out[:, 2] = -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
-    return out
-
 
 def j2_secular_rates(a: float, e: float, i: float,
                      consts: PhysicalConstants = EARTH) -> tuple[float, float]:

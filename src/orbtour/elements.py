@@ -16,7 +16,7 @@ Two element sets are used:
 
 The h/k pair carries (cos, sin) of the node in that order; that orientation
 is the one for which the variational equations and the oblateness
-acceleration in :mod:`orbtour.dynamics` hold (the test suite cross-checks
+acceleration in :mod:`orbtour.propagate` hold (the test suite cross-checks
 both against a Cartesian finite-difference oracle).
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EARTH, PhysicalConstants, wrap_angle
+from .constants import wrap_angle
 from .errors import SingularStateError
 
 _SINGULARITY_MARGIN = 1e-12
@@ -147,47 +147,3 @@ def mee_to_kep(mee: MeeState) -> KeplerianState:
         argp = lon_peri - raan
         ta = mee.L - lon_peri
     return KeplerianState(a, e, i, wrap_angle(raan), wrap_angle(argp), wrap_angle(ta))
-
-
-def mee_to_cartesian(mee: MeeState, consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
-    """ECI position [km] and velocity [km/s] of an equinoctial state."""
-    p, f, g, h, k, L = mee.p, mee.f, mee.g, mee.h, mee.k, mee.L
-    cosL, sinL = math.cos(L), math.sin(L)
-    s2 = 1.0 + h * h + k * k
-    alpha2 = h * h - k * k
-    w = 1.0 + f * cosL + g * sinL
-    r = p / w
-    sqrt_mu_p = math.sqrt(consts.mu / p)
-
-    pos = (r / s2) * np.array([
-        cosL + alpha2 * cosL + 2.0 * h * k * sinL,
-        sinL - alpha2 * sinL + 2.0 * h * k * cosL,
-        2.0 * (h * sinL - k * cosL),
-    ])
-    vel = (sqrt_mu_p / s2) * np.array([
-        -(sinL + alpha2 * sinL - 2.0 * h * k * cosL + g - 2.0 * f * h * k + alpha2 * g),
-        -(-cosL + alpha2 * cosL + 2.0 * h * k * sinL - f + 2.0 * g * h * k + alpha2 * f),
-        2.0 * (h * cosL + k * sinL + f * h + g * k),
-    ])
-    return pos, vel
-
-
-def kep_to_cartesian(kep: KeplerianState, consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
-    """ECI position/velocity via the perifocal route (independent of the
-    equinoctial path; used as a conversion cross-check)."""
-    p = kep.a * (1.0 - kep.e**2)
-    r = p / (1.0 + kep.e * math.cos(kep.ta))
-    cos_ta, sin_ta = math.cos(kep.ta), math.sin(kep.ta)
-    pos_pf = np.array([r * cos_ta, r * sin_ta, 0.0])
-    coef = math.sqrt(consts.mu / p)
-    vel_pf = np.array([-coef * sin_ta, coef * (kep.e + cos_ta), 0.0])
-
-    cO, sO = math.cos(kep.raan), math.sin(kep.raan)
-    co, so = math.cos(kep.argp), math.sin(kep.argp)
-    ci, si = math.cos(kep.i), math.sin(kep.i)
-    rot = np.array([
-        [cO * co - sO * so * ci, -cO * so - sO * co * ci, sO * si],
-        [sO * co + cO * so * ci, -sO * so + cO * co * ci, -cO * si],
-        [so * si, co * si, ci],
-    ])
-    return rot @ pos_pf, rot @ vel_pf

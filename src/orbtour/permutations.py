@@ -1,7 +1,7 @@
 """Permutation sampling and random-keys encoding.
 
-Uniform sampling draws low-discrepancy points in the unit hypercube and
-argsorts them; distance-based sampling uses the Kendall-tau Mallows model
+Uniform sampling draws low-discrepancy Sobol points in the unit hypercube,
+which argsort to permutations; distance-based sampling uses the Kendall-tau Mallows model
 via insertion-vector (Lehmer code) sampling.  Random-keys vectors decode to
 permutations by stable argsort, so any continuous optimizer can act on the
 keys directly.
@@ -126,37 +126,9 @@ class SobolEngine:
         return out
 
 
-def sobol_points(dim: int, count: int, seed: int | None = None) -> np.ndarray:
-    """First ``count`` points (after the skipped origin) of the Sobol
-    sequence in [0,1)^dim, optionally digitally scrambled by ``seed``."""
-    return SobolEngine(dim, seed).draw(count)
-
-
-def sample_uniform_permutations(n: int, count: int, seed: int | None = None) -> np.ndarray:
-    """Uniform permutations of [0, n) obtained by argsorting Sobol points,
-    shape (count, n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return np.zeros((count, 1), dtype=np.int64)
-    pts = sobol_points(n, count, seed)
-    return np.argsort(pts, axis=1, kind="stable")
-
-
 # ---------------------------------------------------------------------------
 # Mallows model
 # ---------------------------------------------------------------------------
-
-def kendall_tau(a, b) -> int:
-    """Number of discordant pairs between two permutations."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("permutations must have equal length")
-    da = np.sign(a[:, None] - a[None, :])
-    db = np.sign(b[:, None] - b[None, :])
-    return int((da * db < 0).sum() // 2)
-
 
 @dataclass(frozen=True)
 class MallowsParams:

@@ -7,8 +7,14 @@ that u/m is directly the LVLH acceleration in km/s^2.  The true longitude is
 left unwrapped so multi-revolution arcs stay continuous.
 
 Two entry points: a scalar sequential integrator used for trajectory
-rollouts and verification, and a batch one-segment integrator used for
-vectorized finite differencing.
+rollouts, warm starts and verification, and a batch one-segment integrator
+used for vectorized finite differencing.  Each has one fused right-hand
+side: the J2 acceleration and the Gauss variational equations in the LVLH
+frame share cos L, sin L, w, s^2 and v.  Every expression keeps the
+operation order of the separate J2 and variational-equation functions the
+tests hold as oracles, so fusing changed no result bit.  Both raise
+:class:`~orbtour.errors.SingularStateError` where w <= 0 (the radius
+diverges); the scalar one also raises once the mass is burnt to zero.
 """
 from __future__ import annotations
 
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
-from .dynamics import gve_rhs_scalar, j2_accel_scalar
 from .elements import SpacecraftState
 from .errors import SingularStateError
 
@@ -34,39 +39,70 @@ class PropagatorConfig:
             raise ValueError("step must be positive")
 
 
-def _rhs(y, ur, ut, un, umag, ve, mu, j2, re):
-    """Scalar 7-state right-hand side (plain floats)."""
-    p, f, g, h, k, L, m = y
-    if m <= 0.0:
-        raise SingularStateError("mass reached zero during propagation")
-    jr, jt, jn = j2_accel_scalar(p, f, g, h, k, L, mu, j2, re)
-    ar, at, an = ur / m + jr, ut / m + jt, un / m + jn
-    dp, df, dg, dh, dk, dL = gve_rhs_scalar(p, f, g, h, k, L, ar, at, an, mu)
-    return (dp, df, dg, dh, dk, dL, -umag / ve)
-
-
 def rk4_segment(y, u, duration: float, max_step: float, ve: float,
                 consts: PhysicalConstants):
-    """Integrate one constant-control segment; returns the end state tuple."""
+    """Integrate one constant-control segment; returns the end state tuple.
+
+    The right-hand side is fused: each stage evaluation computes cos L,
+    sin L, w, s^2, v and r once and feeds them to both the J2 acceleration
+    and the variational equations, on plain floats throughout.
+    """
     if duration == 0.0:
         return tuple(y)
     nsteps = max(1, math.ceil(duration / max_step - 1e-12))
     dt = duration / nsteps
-    ur, ut, un = u
-    umag = math.sqrt(ur * ur + ut * ut + un * un)
-    mu, j2, re = consts.mu, consts.j2, consts.re
-    y = tuple(y)
+    half, sixth = 0.5 * dt, dt / 6.0
+    ur, ut, un = float(u[0]), float(u[1]), float(u[2])
+    dm = -math.sqrt(ur * ur + ut * ut + un * un) / ve
+    dm_step = sixth * (dm + 2.0 * dm + 2.0 * dm + dm)
+    mu = consts.mu
+    cj2 = mu * consts.j2 * consts.re * consts.re
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+
+    def rhs(p, f, g, h, k, L, m):
+        if m <= 0.0:
+            raise SingularStateError("mass reached zero during propagation")
+        cosL = cos(L)
+        sinL = sin(L)
+        w = 1.0 + f * cosL + g * sinL
+        if w <= 0.0:
+            raise SingularStateError(f"w = {w} <= 0: radius diverges")
+        hh, kk = h * h, k * k
+        s2 = 1.0 + hh + kk
+        s4 = s2 * s2
+        v = h * sinL - k * cosL
+        r = p / w
+        coef = cj2 / r**4
+        ar = ur / m + -1.5 * coef * (1.0 - 12.0 * v * v / s4)
+        at = ut / m + -12.0 * coef * v * (h * cosL + k * sinL) / s4
+        an = un / m + -6.0 * coef * v * (1.0 - hh - kk) / s4
+        sqpm = sqrt(p / mu)
+        node = sqpm * s2 / (2.0 * w)
+        return (2.0 * p / w * sqpm * at,
+                sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an),
+                sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an),
+                node * cosL * an,
+                node * sinL * an,
+                sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an)
+
+    p, f, g, h, k, L, m = (float(c) for c in y)
     for _ in range(nsteps):
-        k1 = _rhs(y, ur, ut, un, umag, ve, mu, j2, re)
-        y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(7))
-        k2 = _rhs(y2, ur, ut, un, umag, ve, mu, j2, re)
-        y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(7))
-        k3 = _rhs(y3, ur, ut, un, umag, ve, mu, j2, re)
-        y4 = tuple(y[i] + dt * k3[i] for i in range(7))
-        k4 = _rhs(y4, ur, ut, un, umag, ve, mu, j2, re)
-        y = tuple(y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                  for i in range(7))
-    return y
+        a1, b1, c1, d1, e1, l1 = rhs(p, f, g, h, k, L, m)
+        m2 = m + half * dm
+        a2, b2, c2, d2, e2, l2 = rhs(p + half * a1, f + half * b1, g + half * c1,
+                                     h + half * d1, k + half * e1, L + half * l1, m2)
+        a3, b3, c3, d3, e3, l3 = rhs(p + half * a2, f + half * b2, g + half * c2,
+                                     h + half * d2, k + half * e2, L + half * l2, m2)
+        a4, b4, c4, d4, e4, l4 = rhs(p + dt * a3, f + dt * b3, g + dt * c3,
+                                     h + dt * d3, k + dt * e3, L + dt * l3, m + dt * dm)
+        p += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        f += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        g += sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        h += sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        k += sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        L += sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        m += dm_step
+    return p, f, g, h, k, L, m
 
 
 def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
@@ -91,7 +127,7 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
     out = np.empty((durations.size + 1, 7))
     out[0] = y
     for i, (u, dur) in enumerate(zip(controls, durations)):
-        y = rk4_segment(y, (u[0], u[1], u[2]), float(dur), config.step, ve, consts)
+        y = rk4_segment(y, u, float(dur), config.step, ve, consts)
         out[i + 1] = y
     return out
 
@@ -102,13 +138,33 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
 
 def _rhs_batch(y: np.ndarray, u: np.ndarray, ve: float,
                consts: PhysicalConstants) -> np.ndarray:
-    """Vectorized 7-state right-hand side: y (B, 7), u (B, 3) -> (B, 7)."""
-    from .dynamics import gve_rhs_batch, j2_accel_batch
+    """Vectorized 7-state right-hand side: y (B, 7), u (B, 3) -> (B, 7).
 
-    m = y[:, 6]
-    acc = u / m[:, None] + j2_accel_batch(y[:, :6], consts.mu, consts.j2, consts.re)
+    Fused like :func:`rk4_segment`: cos L, sin L, w, s^2 and v are computed
+    once per call for both the J2 acceleration and the variational
+    equations."""
+    p, f, g, h, k, L, m = y.T
+    cosL, sinL = np.cos(L), np.sin(L)
+    w = 1.0 + f * cosL + g * sinL
+    if np.any(w <= 0.0):
+        raise SingularStateError("w <= 0 in batch evaluation")
+    s2 = 1.0 + h * h + k * k
+    v = h * sinL - k * cosL
+    # every named (B,) array lives to the return and B holds 21 rows per
+    # stage, so names are kept to those used twice
+    coef = consts.mu * consts.j2 * consts.re * consts.re / (p / w)**4
+    ar = u[:, 0] / m + -1.5 * coef * (1.0 - 12.0 * v * v / (s2 * s2))
+    at = u[:, 1] / m + -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
+    an = u[:, 2] / m + -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
+    sqpm = np.sqrt(p / consts.mu)
+    node = sqpm * s2 / (2.0 * w)
     out = np.empty_like(y)
-    out[:, :6] = gve_rhs_batch(y[:, :6], acc, consts.mu)
+    out[:, 0] = 2.0 * p / w * sqpm * at
+    out[:, 1] = sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an)
+    out[:, 2] = sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an)
+    out[:, 3] = node * cosL * an
+    out[:, 4] = node * sinL * an
+    out[:, 5] = np.sqrt(consts.mu * p) * (w / p) ** 2 + sqpm * v / w * an
     out[:, 6] = -np.linalg.norm(u, axis=1) / ve
     return out
 

@@ -5,6 +5,11 @@ machinery: two-body + oblateness accelerations in inertial coordinates,
 integrated directly, give an independent reference for the variational
 equations and the oblateness model, whose LVLH components are read through
 ``lvlh_basis``.
+
+The separate variational-equation and J2 functions below are the unfused
+reference for the fused right-hand sides in :mod:`orbtour.propagate`; the
+Cartesian conversions and the permutation helpers (Sobol points, uniform
+permutations, Kendall distance) serve only the checks.
 """
 from __future__ import annotations
 
@@ -14,9 +19,11 @@ import math
 import numpy as np
 import pytest
 
-from orbtour.constants import EARTH
-from orbtour.elements import KeplerianState
+from orbtour.constants import EARTH, PhysicalConstants
+from orbtour.elements import KeplerianState, MeeState
+from orbtour.errors import SingularStateError
 from orbtour.ocp import linearize_batch
+from orbtour.permutations import SobolEngine
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario)
 
@@ -34,6 +41,173 @@ def linearize_one(x, u, dt: float, substeps: int, isp: float, consts=EARTH,
                               np.array([substeps]), isp, consts, u_scale=u_scale)
     return A[0], B[0], f[0] - A[0] @ x - B[0] @ u
 
+
+# ---------------------------------------------------------------------------
+# element-rate and oblateness oracles (unfused)
+# ---------------------------------------------------------------------------
+
+def gve_rhs_scalar(p, f, g, h, k, L, ar, at, an, mu):
+    """Element rates (dp, df, dg, dh, dk, dL) for one state, plain floats.
+
+    Signs of the cross-track couplings follow the orientation stated in
+    :mod:`orbtour.elements` (df carries -g*v/w*an, dg carries +f*v/w*an);
+    the combination is validated against a Cartesian finite-difference
+    oracle in the tests.
+    """
+    cosL = math.cos(L)
+    sinL = math.sin(L)
+    w = 1.0 + f * cosL + g * sinL
+    if w <= 0.0:
+        raise SingularStateError(f"w = {w} <= 0: radius diverges")
+    s2 = 1.0 + h * h + k * k
+    v = h * sinL - k * cosL
+    sqpm = math.sqrt(p / mu)
+
+    dp = 2.0 * p / w * sqpm * at
+    df = sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an)
+    dg = sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an)
+    dh = sqpm * s2 / (2.0 * w) * cosL * an
+    dk = sqpm * s2 / (2.0 * w) * sinL * an
+    dL = math.sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an
+    return dp, df, dg, dh, dk, dL
+
+
+def gve_rhs_batch(mee: np.ndarray, accel: np.ndarray, mu: float) -> np.ndarray:
+    """Vectorized element rates: ``mee`` (N, 6), ``accel`` (N, 3) -> (N, 6)."""
+    p, f, g, h, k, L = (mee[:, j] for j in range(6))
+    ar, at, an = accel[:, 0], accel[:, 1], accel[:, 2]
+    cosL, sinL = np.cos(L), np.sin(L)
+    w = 1.0 + f * cosL + g * sinL
+    if np.any(w <= 0.0):
+        raise SingularStateError("w <= 0 in batch evaluation")
+    s2 = 1.0 + h * h + k * k
+    v = h * sinL - k * cosL
+    sqpm = np.sqrt(p / mu)
+
+    out = np.empty_like(mee)
+    out[:, 0] = 2.0 * p / w * sqpm * at
+    out[:, 1] = sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an)
+    out[:, 2] = sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an)
+    out[:, 3] = sqpm * s2 / (2.0 * w) * cosL * an
+    out[:, 4] = sqpm * s2 / (2.0 * w) * sinL * an
+    out[:, 5] = np.sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an
+    return out
+
+
+def j2_accel_scalar(p, f, g, h, k, L, mu, j2, re):
+    """Instantaneous J2 acceleration components (ar, at, an), plain floats."""
+    cosL = math.cos(L)
+    sinL = math.sin(L)
+    w = 1.0 + f * cosL + g * sinL
+    r = p / w
+    s2 = 1.0 + h * h + k * k
+    v = h * sinL - k * cosL
+    coef = mu * j2 * re * re / r**4
+    ar = -1.5 * coef * (1.0 - 12.0 * v * v / (s2 * s2))
+    at = -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
+    an = -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
+    return ar, at, an
+
+
+def j2_accel_batch(mee: np.ndarray, mu: float, j2: float, re: float) -> np.ndarray:
+    """Vectorized J2 acceleration: ``mee`` (N, 6) -> (N, 3)."""
+    p, f, g, h, k, L = (mee[:, j] for j in range(6))
+    cosL, sinL = np.cos(L), np.sin(L)
+    w = 1.0 + f * cosL + g * sinL
+    r = p / w
+    s2 = 1.0 + h * h + k * k
+    v = h * sinL - k * cosL
+    coef = mu * j2 * re * re / r**4
+    out = np.empty((mee.shape[0], 3))
+    out[:, 0] = -1.5 * coef * (1.0 - 12.0 * v * v / (s2 * s2))
+    out[:, 1] = -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
+    out[:, 2] = -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Cartesian conversions
+# ---------------------------------------------------------------------------
+
+def mee_to_cartesian(mee: MeeState, consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
+    """ECI position [km] and velocity [km/s] of an equinoctial state."""
+    p, f, g, h, k, L = mee.p, mee.f, mee.g, mee.h, mee.k, mee.L
+    cosL, sinL = math.cos(L), math.sin(L)
+    s2 = 1.0 + h * h + k * k
+    alpha2 = h * h - k * k
+    w = 1.0 + f * cosL + g * sinL
+    r = p / w
+    sqrt_mu_p = math.sqrt(consts.mu / p)
+
+    pos = (r / s2) * np.array([
+        cosL + alpha2 * cosL + 2.0 * h * k * sinL,
+        sinL - alpha2 * sinL + 2.0 * h * k * cosL,
+        2.0 * (h * sinL - k * cosL),
+    ])
+    vel = (sqrt_mu_p / s2) * np.array([
+        -(sinL + alpha2 * sinL - 2.0 * h * k * cosL + g - 2.0 * f * h * k + alpha2 * g),
+        -(-cosL + alpha2 * cosL + 2.0 * h * k * sinL - f + 2.0 * g * h * k + alpha2 * f),
+        2.0 * (h * cosL + k * sinL + f * h + g * k),
+    ])
+    return pos, vel
+
+
+def kep_to_cartesian(kep: KeplerianState, consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
+    """ECI position/velocity via the perifocal route (independent of the
+    equinoctial path; used as a conversion cross-check)."""
+    p = kep.a * (1.0 - kep.e**2)
+    r = p / (1.0 + kep.e * math.cos(kep.ta))
+    cos_ta, sin_ta = math.cos(kep.ta), math.sin(kep.ta)
+    pos_pf = np.array([r * cos_ta, r * sin_ta, 0.0])
+    coef = math.sqrt(consts.mu / p)
+    vel_pf = np.array([-coef * sin_ta, coef * (kep.e + cos_ta), 0.0])
+
+    cO, sO = math.cos(kep.raan), math.sin(kep.raan)
+    co, so = math.cos(kep.argp), math.sin(kep.argp)
+    ci, si = math.cos(kep.i), math.sin(kep.i)
+    rot = np.array([
+        [cO * co - sO * so * ci, -cO * so - sO * co * ci, sO * si],
+        [sO * co + cO * so * ci, -sO * so + cO * co * ci, -cO * si],
+        [so * si, co * si, ci],
+    ])
+    return rot @ pos_pf, rot @ vel_pf
+
+
+# ---------------------------------------------------------------------------
+# permutation helpers
+# ---------------------------------------------------------------------------
+
+def sobol_points(dim: int, count: int, seed: int | None = None) -> np.ndarray:
+    """First ``count`` points (after the skipped origin) of the Sobol
+    sequence in [0,1)^dim, optionally digitally scrambled by ``seed``."""
+    return SobolEngine(dim, seed).draw(count)
+
+
+def sample_uniform_permutations(n: int, count: int, seed: int | None = None) -> np.ndarray:
+    """Uniform permutations of [0, n) obtained by argsorting Sobol points,
+    shape (count, n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return np.zeros((count, 1), dtype=np.int64)
+    pts = sobol_points(n, count, seed)
+    return np.argsort(pts, axis=1, kind="stable")
+
+
+def kendall_tau(a, b) -> int:
+    """Number of discordant pairs between two permutations."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError("permutations must have equal length")
+    da = np.sign(a[:, None] - a[None, :])
+    db = np.sign(b[:, None] - b[None, :])
+    return int((da * db < 0).sum() // 2)
+
+
+# ---------------------------------------------------------------------------
+# Cartesian two-body + J2 oracle
+# ---------------------------------------------------------------------------
 
 def cart_accel_j2(r: np.ndarray, consts=EARTH) -> np.ndarray:
     """Oblateness acceleration in inertial axes [km/s^2]."""

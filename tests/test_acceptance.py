@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import TWO_BODY, linearize_one
+from conftest import (TWO_BODY, kendall_tau, linearize_one,
+                      sample_uniform_permutations)
 from orbtour.constants import EARTH
 from orbtour.dynamics import j2_secular_rates
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
                               kep_to_mee, mee_to_kep)
 from orbtour.maneuvers import ThrusterSpec, mht_estimate, nic_estimate
 from orbtour.optimizer import OptimizerConfig, optimize
-from orbtour.permutations import (MallowsParams, kendall_tau, sample_mallows,
-                                  sample_uniform_permutations)
+from orbtour.permutations import MallowsParams, sample_mallows
 from orbtour.propagate import PropagatorConfig, propagate_numeric, rk4_batch
 from orbtour.scenario import (ScenarioConfig, sample_scenario,
                               scenario_to_dict, sso_inclination)

@@ -77,6 +77,30 @@ def test_solve_deterministic_and_traced(tmp_path):
     assert len(lines) == 1 + 25 * 2
 
 
+def test_solve_seed_comes_from_the_flag_or_the_config(tmp_path):
+    scn_file = tmp_path / "s.json"
+    run(["generate", "--seed", 2, "--out", scn_file])
+    traces = {}
+    for seed in (5, 77):
+        opt = tmp_path / f"opt{seed}.json"
+        opt.write_text(f'{{"generations": 5, "islands": 2, "population": 16, "seed": {seed}}}')
+        out = tmp_path / f"t{seed}.json"
+        assert run(["solve", "--scenario", scn_file, "--optimizer-config", opt,
+                    "--out", out, "--trace", tmp_path / f"tr{seed}.csv"]) == 0
+        traces[seed] = (tmp_path / f"tr{seed}.csv").read_bytes()
+        manifest = json.loads((tmp_path / f"t{seed}.json.manifest.json").read_text())
+        assert manifest["seeds"] == {"seed": seed}
+    assert traces[5] != traces[77]
+    # with no flag and no config the seed is 0
+    outputs = []
+    for name, flag in (("bare", []), ("zero", ["--seed", 0])):
+        assert run(["solve", "--scenario", scn_file, "--out", tmp_path / f"{name}.json",
+                    "--trace", tmp_path / f"{name}.csv"] + flag) == 0
+        outputs.append([(tmp_path / f"{name}{ext}").read_bytes()
+                        for ext in (".json", ".csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_solve_seeded_with_walks(tmp_path, tiny_paths):
     _, scn_path = tiny_paths
     opt = tmp_path / "opt.json"
@@ -132,11 +156,19 @@ def test_refine_and_verify_pipeline(tmp_path, tiny_paths, monkeypatch):
     assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
                 "--tol-sma", 1e-9, "--out", strict]) == 4
     assert json.loads(strict.read_text())["all_passed"] is False
-    # refinement is a deterministic pipeline stage: identical bytes on rerun
-    arcs2 = tmp_path / "arcs2.json"
-    assert run(["refine", "--tour", tour, "--scenario", scn_path,
-                "--out", arcs2]) == 0
-    assert arcs.read_bytes() == arcs2.read_bytes()
+    # refinement is a deterministic pipeline stage: an identical rerun, here
+    # in a fresh process, writes identical bytes and a manifest that differs
+    # only in the wall time
+    manifest = tmp_path / "arcs.json.manifest.json"
+    first_arcs, first_manifest = arcs.read_bytes(), json.loads(manifest.read_text())
+    proc = subprocess.run([sys.executable, "-m", "orbtour.cli", "refine", "--tour",
+                           str(tour), "--scenario", str(scn_path), "--out", str(arcs)])
+    assert proc.returncode == 0
+    assert arcs.read_bytes() == first_arcs
+    second_manifest = json.loads(manifest.read_text())
+    for m in (first_manifest, second_manifest):
+        del m["wall_time_s"]
+    assert first_manifest == second_manifest
 
 
 def test_montecarlo_and_report(tmp_path):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cart_accel_j2, cart_rk4, cart_to_kep, lvlh_basis
+from conftest import (cart_accel_j2, cart_rk4, cart_to_kep, gve_rhs_scalar,
+                      j2_accel_scalar, lvlh_basis, mee_to_cartesian)
 from orbtour.constants import EARTH, SECONDS_PER_YEAR
-from orbtour.dynamics import (gve_rhs_scalar, j2_accel_scalar, j2_secular_rates,
-                              orbit_scalars)
+from orbtour.dynamics import j2_secular_rates, orbit_scalars
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
-                              kep_to_mee, mee_to_cartesian, mee_to_kep)
+                              kep_to_mee, mee_to_kep)
 from orbtour.propagate import PropagatorConfig, propagate_numeric
 
 TAU = 2 * math.pi

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbtour.elements import (KeplerianState, MeeState, kep_to_cartesian,
-                              kep_to_mee, mee_to_cartesian, mee_to_kep)
+from conftest import kep_to_cartesian, mee_to_cartesian
+from orbtour.elements import KeplerianState, MeeState, kep_to_mee, mee_to_kep
 from orbtour.errors import SingularStateError
 
 TAU = 2 * math.pi

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import kendall_tau, sample_uniform_permutations, sobol_points
 from orbtour.permutations import (MAX_SOBOL_DIM, MallowsParams, SobolEngine,
-                                  decode, encode, kendall_tau,
-                                  sample_mallows, sample_uniform_permutations,
-                                  sobol_points)
+                                  decode, encode, sample_mallows)
 
 
 def l2_star_discrepancy(pts: np.ndarray) -> float:

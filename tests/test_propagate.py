@@ -1,14 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import TWO_BODY
+from conftest import (TWO_BODY, gve_rhs_batch, gve_rhs_scalar, j2_accel_batch,
+                      j2_accel_scalar)
 from orbtour.constants import EARTH
 from orbtour.dynamics import orbit_scalars
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
                               kep_to_mee, mee_to_kep)
-from orbtour.propagate import PropagatorConfig, propagate_numeric
+from orbtour.errors import SingularStateError
+from orbtour.propagate import (PropagatorConfig, _rhs_batch, propagate_numeric,
+                               rk4_batch, rk4_segment)
 
 TAU = 2 * math.pi
 
@@ -97,3 +101,100 @@ def test_shape_validation():
         propagate_numeric(state, np.zeros((2, 3)), np.array([1.0]), 277.0)
     with pytest.raises(ValueError):
         propagate_numeric(state, np.zeros((1, 3)), np.array([-1.0]), 277.0)
+
+
+# ---------------------------------------------------------------------------
+# fused right-hand sides against the unfused oracles
+# ---------------------------------------------------------------------------
+
+VE = 277.0 * EARTH.g0
+
+
+def near_circular_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 7) states near 7000 km with small eccentricity, inclinations up
+    to about 100 deg, unwrapped longitudes and a partly used tank."""
+    chi = np.tan(rng.uniform(0.0, math.radians(100.0), n) / 2.0)
+    node = rng.uniform(0.0, 2 * math.pi, n)
+    return np.column_stack([
+        rng.uniform(6800.0, 7200.0, n), rng.normal(0.0, 2e-3, n),
+        rng.normal(0.0, 2e-3, n), chi * np.cos(node), chi * np.sin(node),
+        rng.uniform(0.0, 40.0, n), rng.uniform(150.0, 235.0, n)])
+
+
+def thrusts(rng: np.random.Generator, n: int, magnitude: float = 0.0126) -> np.ndarray:
+    u = rng.normal(size=(n, 3))
+    return magnitude * u / np.linalg.norm(u, axis=1)[:, None]
+
+
+def oracle_rk4_step(y, u, dt: float, consts) -> np.ndarray:
+    """One RK4 step of gve_rhs_scalar after j2_accel_scalar, the unfused
+    composition the sequential kernel replaces."""
+    def rhs(y):
+        p, f, g, h, k, L, m = (float(c) for c in y)
+        jr, jt, jn = j2_accel_scalar(p, f, g, h, k, L, consts.mu, consts.j2, consts.re)
+        rates = gve_rhs_scalar(p, f, g, h, k, L, u[0] / m + jr, u[1] / m + jt,
+                               u[2] / m + jn, consts.mu)
+        return np.array([*rates, -math.sqrt(u[0]**2 + u[1]**2 + u[2]**2) / VE])
+
+    y = np.asarray(y, dtype=float)
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("consts", [EARTH, TWO_BODY], ids=["j2", "two_body"])
+@pytest.mark.parametrize("magnitude", [0.0, 0.0126], ids=["coast", "thrust"])
+def test_fused_scalar_step_matches_unfused_oracle(consts, magnitude):
+    rng = np.random.default_rng(17)
+    states = near_circular_states(rng, 64)
+    controls = thrusts(rng, 64, magnitude)
+    for y, u in zip(states, controls):
+        u = tuple(float(c) for c in u)
+        fused = rk4_segment(tuple(y), u, 10.0, 10.0, VE, consts)
+        np.testing.assert_allclose(fused, oracle_rk4_step(y, u, 10.0, consts),
+                                   rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("consts", [EARTH, TWO_BODY], ids=["j2", "two_body"])
+def test_fused_batch_rhs_equals_unfused_oracle(consts):
+    rng = np.random.default_rng(23)
+    y = near_circular_states(rng, 256)
+    u = thrusts(rng, 256)
+    u[::4] = 0.0
+    acc = u / y[:, 6:7] + j2_accel_batch(y[:, :6], consts.mu, consts.j2, consts.re)
+    expected = np.empty_like(y)
+    expected[:, :6] = gve_rhs_batch(y[:, :6], acc, consts.mu)
+    expected[:, 6] = -np.linalg.norm(u, axis=1) / VE
+    assert np.array_equal(_rhs_batch(y, u, VE, consts), expected)
+
+
+# ---------------------------------------------------------------------------
+# singular states
+# ---------------------------------------------------------------------------
+
+def test_burning_the_tank_dry_raises():
+    # 0.02 kg lasts about 4.3 s at 12.6 mN: the mid-step stage of the first
+    # 10 s step already sees a negative mass
+    state = SpacecraftState(kep_to_mee(KeplerianState(7000.0, 0.0, 1.0, 0.0, 0.0, 0.0)),
+                            0.02)
+    with pytest.raises(SingularStateError, match="mass"):
+        propagate_numeric(state, np.array([[0.0, 0.0126, 0.0]]), np.array([10.0]),
+                          277.0, PropagatorConfig(step=10.0))
+
+
+def test_state_with_nonpositive_w_raises():
+    # MeeState rejects open orbits, so the f = -1.5, L = 0 state (w = -0.5)
+    # reaches the integrator through a plain namespace
+    mee = SimpleNamespace(p=7000.0, f=-1.5, g=0.0, h=0.0, k=0.0, L=0.0)
+    with pytest.raises(SingularStateError, match="w = "):
+        propagate_numeric(SimpleNamespace(mee=mee, mass=235.0), np.zeros((1, 3)),
+                          np.array([10.0]), 277.0)
+
+
+def test_batch_row_with_nonpositive_w_raises():
+    y = np.array([[7000.0, 0.0, 0.0, 0.1, 0.2, 0.3, 235.0],
+                  [7000.0, -1.5, 0.0, 0.0, 0.0, 0.0, 235.0]])
+    with pytest.raises(SingularStateError):
+        rk4_batch(y, np.zeros((2, 3)), np.array([10.0, 10.0]), 1, VE, EARTH)
