@@ -99,31 +99,45 @@ def build_grid(plan: BurnPlan, thruster: ThrusterSpec, orbit_period: float,
     dts: list[float] = []
     bounds: list[float] = []
     owner: list[int] = []
-
-    def add_coast(duration: float) -> None:
-        if duration <= 1e-9:
-            return
-        n = max(1, math.ceil(duration / coast_dt - 1e-12))
-        d = duration / n
-        dts.extend([d] * n)
-        bounds.extend([0.0] * n)
-        owner.extend([-1] * n)
-
     cursor = 0.0
     for idx, w in enumerate(wins):
-        add_coast(w.start - cursor)
+        gap = _coast_stages(w.start - cursor, coast_dt)
+        dts.extend(gap)
+        bounds.extend([0.0] * len(gap))
+        owner.extend([-1] * len(gap))
         d = w.duration / BURN_STAGES
         dts.extend([d] * BURN_STAGES)
         bounds.extend([thruster.thrust_kn] * BURN_STAGES)
         owner.extend([idx] * BURN_STAGES)
         cursor = w.end
-    add_coast(tail)
+    prefix = StageGrid(dt=np.array(dts), tmax=np.array(bounds), windows=wins,
+                       window_of_stage=np.array(owner, dtype=np.int64))
+    return with_tail(prefix, tail, orbit_period, stage_cap)
 
-    if len(dts) > stage_cap:
-        raise ValueError(f"grid needs {len(dts)} stages, cap is {stage_cap}; "
+
+def _coast_stages(duration: float, coast_dt: float) -> list[float]:
+    """Equal stage durations covering a coast, none longer than ``coast_dt``."""
+    if duration <= 1e-9:
+        return []
+    n = max(1, math.ceil(duration / coast_dt - 1e-12))
+    return [duration / n] * n
+
+
+def with_tail(grid: StageGrid, tail: float, orbit_period: float,
+              stage_cap: int = STAGE_CAP) -> StageGrid:
+    """``grid`` followed by a trailing coast of ``tail`` seconds, cut into
+    stages as :func:`build_grid` cuts it, so a grid built with no tail and
+    extended here equals the grid built with that tail."""
+    dts = _coast_stages(tail, orbit_period / COAST_STAGES_PER_ORBIT)
+    n = grid.n_stages + len(dts)
+    if n > stage_cap:
+        raise ValueError(f"grid needs {n} stages, cap is {stage_cap}; "
                          "split the arc at a coast midpoint")
-    return StageGrid(dt=np.array(dts), tmax=np.array(bounds), windows=wins,
-                     window_of_stage=np.array(owner, dtype=np.int64))
+    return StageGrid(dt=np.concatenate([grid.dt, dts]),
+                     tmax=np.concatenate([grid.tmax, np.zeros(len(dts))]),
+                     windows=grid.windows,
+                     window_of_stage=np.concatenate(
+                         [grid.window_of_stage, np.full(len(dts), -1, dtype=np.int64)]))
 
 
 def split_plan(plan: BurnPlan, max_duration: float) -> list[BurnPlan]:

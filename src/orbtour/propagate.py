@@ -15,10 +15,20 @@ operation order of the separate J2 and variational-equation functions the
 tests hold as oracles, so fusing changed no result bit.  Both raise
 :class:`~orbtour.errors.SingularStateError` where w <= 0 (the radius
 diverges); the scalar one also raises once the mass is burnt to zero.
+
+The batch integrator cuts its rows into fixed blocks of
+:data:`BATCH_BLOCK` and integrates each block in struct-of-arrays layout,
+one contiguous array per element and control component, with the per-row
+constants (mass rate, step sizes) computed once per call.  The blocks run
+on a thread pool created and joined inside each call, since numpy releases
+the GIL in its loops.  Rows never interact and each keeps the operation
+order of a whole-batch integration, so the result is bit-identical for any
+block split and any thread count.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,49 +146,114 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
 # batch integration for finite differencing
 # ---------------------------------------------------------------------------
 
-def _rhs_batch(y: np.ndarray, u: np.ndarray, ve: float,
-               consts: PhysicalConstants) -> np.ndarray:
-    """Vectorized 7-state right-hand side: y (B, 7), u (B, 3) -> (B, 7).
+#: rows per block of :func:`rk4_batch`; the block bounds depend on the row
+#: count alone, never on the thread count
+BATCH_BLOCK = 8192
 
-    Fused like :func:`rk4_segment`: cos L, sin L, w, s^2 and v are computed
-    once per call for both the J2 acceleration and the variational
-    equations."""
-    p, f, g, h, k, L, m = y.T
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _rhs_batch(p, f, g, h, k, L, m, ur, ut, un, mu: float, cj2: float):
+    """Vectorized right-hand side of the six elements on (B,) arrays, one
+    per element and control component; returns their six (B,) rates.
+
+    Fused like :func:`rk4_segment`: cos L, sin L, w, h^2, k^2, s^2, s^4 and
+    v are computed once per call for both the J2 acceleration
+    (``cj2 = mu * j2 * re^2``) and the variational equations.  The mass
+    rate is constant per row, so :func:`rk4_batch` computes it once."""
     cosL, sinL = np.cos(L), np.sin(L)
     w = 1.0 + f * cosL + g * sinL
     if np.any(w <= 0.0):
         raise SingularStateError("w <= 0 in batch evaluation")
-    s2 = 1.0 + h * h + k * k
+    hh, kk = h * h, k * k
+    s2 = 1.0 + hh + kk
+    s4 = s2 * s2
     v = h * sinL - k * cosL
-    # every named (B,) array lives to the return and B holds 21 rows per
-    # stage, so names are kept to those used twice
-    coef = consts.mu * consts.j2 * consts.re * consts.re / (p / w)**4
-    ar = u[:, 0] / m + -1.5 * coef * (1.0 - 12.0 * v * v / (s2 * s2))
-    at = u[:, 1] / m + -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
-    an = u[:, 2] / m + -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
-    sqpm = np.sqrt(p / consts.mu)
+    coef = cj2 / (p / w)**4
+    ar = ur / m + -1.5 * coef * (1.0 - 12.0 * v * v / s4)
+    at = ut / m + -12.0 * coef * v * (h * cosL + k * sinL) / s4
+    an = un / m + -6.0 * coef * v * (1.0 - hh - kk) / s4
+    sqpm = np.sqrt(p / mu)
     node = sqpm * s2 / (2.0 * w)
-    out = np.empty_like(y)
-    out[:, 0] = 2.0 * p / w * sqpm * at
-    out[:, 1] = sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an)
-    out[:, 2] = sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an)
-    out[:, 3] = node * cosL * an
-    out[:, 4] = node * sinL * an
-    out[:, 5] = np.sqrt(consts.mu * p) * (w / p) ** 2 + sqpm * v / w * an
-    out[:, 6] = -np.linalg.norm(u, axis=1) / ve
-    return out
+    return (2.0 * p / w * sqpm * at,
+            sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an),
+            sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an),
+            node * cosL * an,
+            node * sinL * an,
+            np.sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an)
+
+
+def _rk4_block(y, u, dm, dt, nsteps: int, mu: float, cj2: float) -> np.ndarray:
+    """RK4 over one block of rows in struct-of-arrays layout: y (b, 7),
+    u (b, 3), mass rate dm (b,) and step dt (b,) -> end states (7, b)."""
+    p, f, g, h, k, L, m = y.T.copy()
+    ur, ut, un = u.T.copy()
+    half, sixth = 0.5 * dt, dt / 6.0
+    dm_half, dm_full = half * dm, dt * dm
+    dm_step = sixth * (dm + 2.0 * dm + 2.0 * dm + dm)
+    for _ in range(nsteps):
+        a1, b1, c1, d1, e1, l1 = _rhs_batch(p, f, g, h, k, L, m, ur, ut, un, mu, cj2)
+        m2 = m + dm_half
+        a2, b2, c2, d2, e2, l2 = _rhs_batch(
+            p + half * a1, f + half * b1, g + half * c1, h + half * d1,
+            k + half * e1, L + half * l1, m2, ur, ut, un, mu, cj2)
+        a3, b3, c3, d3, e3, l3 = _rhs_batch(
+            p + half * a2, f + half * b2, g + half * c2, h + half * d2,
+            k + half * e2, L + half * l2, m2, ur, ut, un, mu, cj2)
+        a4, b4, c4, d4, e4, l4 = _rhs_batch(
+            p + dt * a3, f + dt * b3, g + dt * c3, h + dt * d3,
+            k + dt * e3, L + dt * l3, m + dm_full, ur, ut, un, mu, cj2)
+        p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        f = f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        g = g + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        h = h + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        k = k + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        L = L + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        m = m + dm_step
+    return np.stack((p, f, g, h, k, L, m))
 
 
 def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
               ve: float, consts: PhysicalConstants) -> np.ndarray:
     """Integrate a batch of states over one constant-control segment each:
     y (B, 7), u (B, 3), duration (B,) -> (B, 7).  All rows share the same
-    substep count (callers group rows accordingly)."""
-    dt = (np.asarray(duration, dtype=float) / nsteps)[:, None]
-    for _ in range(nsteps):
-        k1 = _rhs_batch(y, u, ve, consts)
-        k2 = _rhs_batch(y + 0.5 * dt * k1, u, ve, consts)
-        k3 = _rhs_batch(y + 0.5 * dt * k2, u, ve, consts)
-        k4 = _rhs_batch(y + dt * k3, u, ve, consts)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+    substep count (callers group rows accordingly).
+
+    The rows are cut into blocks of :data:`BATCH_BLOCK`, each integrated in
+    struct-of-arrays layout so every element works on contiguous (b,)
+    arrays that stay in cache.  The blocks are spread over a thread pool of
+    ``min(available CPUs, blocks)`` threads that lives only for this call;
+    numpy releases the GIL inside its loops.  Every row keeps the operation
+    order of the whole-batch integration, and the block bounds do not
+    depend on the thread count, so any number of threads gives the same
+    bits.  A :class:`~orbtour.errors.SingularStateError` raised in a block
+    reaches the caller after every thread has finished.
+    """
+    dt = np.asarray(duration, dtype=float) / nsteps
+    dm = -np.linalg.norm(u, axis=1) / ve
+    mu = consts.mu
+    cj2 = mu * consts.j2 * consts.re * consts.re
+    out = np.empty((y.shape[0], 7))
+
+    def run(a: int) -> None:
+        b = a + BATCH_BLOCK
+        out[a:b] = _rk4_block(y[a:b], u[a:b], dm[a:b], dt[a:b], nsteps, mu, cj2).T
+
+    starts = range(0, y.shape[0], BATCH_BLOCK)
+    threads = min(_available_cpus(), len(starts))
+    if threads <= 1:
+        for a in starts:
+            run(a)
+    else:
+        # imported here: a program that never integrates a batch on more
+        # than one thread does not load the thread pool's modules
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(threads) as pool:
+            for _ in pool.map(run, starts):
+                pass
+    return out

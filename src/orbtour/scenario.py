@@ -233,12 +233,24 @@ def _kep_to_dict(kep: KeplerianState) -> dict:
             "ta_deg": math.degrees(kep.ta)}
 
 
+def _radians(deg: float) -> float:
+    """Radians that convert back to exactly ``deg`` degrees where such a
+    value exists, so a saved scenario loads and saves to the same bytes.
+    ``math.radians`` alone lands one ulp off for about one angle in twenty;
+    the value sought is then its neighbour."""
+    x = math.radians(deg)
+    for y in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
+        if math.degrees(y) == deg:
+            return y
+    return x
+
+
 def _kep_from_dict(d: dict) -> KeplerianState:
     try:
-        return KeplerianState(a=d["a_km"], e=d["e"], i=math.radians(d["i_deg"]),
-                              raan=math.radians(d["raan_deg"]),
-                              argp=math.radians(d["argp_deg"]),
-                              ta=math.radians(d["ta_deg"]))
+        return KeplerianState(a=d["a_km"], e=d["e"], i=_radians(d["i_deg"]),
+                              raan=_radians(d["raan_deg"]),
+                              argp=_radians(d["argp_deg"]),
+                              ta=_radians(d["ta_deg"]))
     except KeyError as exc:
         raise SchemaError(f"orbit record missing field {exc}") from exc
 

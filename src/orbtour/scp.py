@@ -26,8 +26,8 @@ from .elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee, mee
 from .errors import SchemaError, read_json_object, write_json
 from .maneuvers import ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec
 from .ocp import (COAST_SUBSTEP, STAGE_CAP, StageGrid, build_grid, linearize_batch,
-                  split_plan, warm_start)
-from .propagate import PropagatorConfig, propagate_numeric
+                  split_plan, warm_start, with_tail)
+from .propagate import PropagatorConfig, propagate_numeric, rk4_segment
 from .qp import ConvexSubproblem, ReducedArcSolver
 from .scenario import MissionScenario
 from .tour import tour_plans
@@ -340,6 +340,22 @@ def _retime_node_plan(plan: BurnPlan, x0: np.ndarray, isp: float,
     return BurnPlan(events)
 
 
+def _coast_on(states: np.ndarray, controls: np.ndarray, dt: np.ndarray,
+              isp: float, consts: PhysicalConstants
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Warm-start (states, controls) extended by coast stages of durations
+    ``dt``, each rolled as :func:`~orbtour.ocp.warm_start` rolls a coast."""
+    n = controls.shape[0]
+    W = np.empty((n + dt.size + 1, 7))
+    W[:n + 1] = states
+    y = tuple(float(v) for v in states[-1])
+    ve = isp * consts.g0
+    for i, d in enumerate(dt, start=n + 1):
+        y = rk4_segment(y, (0.0, 0.0, 0.0), float(d), COAST_SUBSTEP, ve, consts)
+        W[i] = y
+    return W, np.concatenate([controls, np.zeros((dt.size, 3))])
+
+
 def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
                 x_ref: np.ndarray | None, options: RefineOptions,
                 consts: PhysicalConstants, isp: float, t0: float = 0.0,
@@ -354,9 +370,12 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
     anchor argument-of-latitude phase — the phase where the leg's
     ideal-element boundary state was defined — so the J2 short-period
     element oscillations cancel between the leg endpoints and ideal-element
-    references are reachable.  Interior chunks (``x_ref`` None) keep a
-    minimal tail and pin to their own warm terminal.  Returns (problem,
-    warm states, warm controls).
+    references are reachable.  The warm start through the last window is
+    rolled once on the grid without a tail; each of the up to three tail
+    fits then rolls only its own trailing coast stages, so the result equals
+    a whole warm start on the final grid and its warnings appear once.
+    Interior chunks (``x_ref`` None) keep a minimal tail and pin to their
+    own warm terminal.  Returns (problem, warm states, warm controls).
     """
     if lead_coast > 0.0:
         state0 = SpacecraftState(MeeState.from_array(x0[:6]), mass=float(x0[6]))
@@ -377,11 +396,14 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
     else:
         u0 = (u_anchor if u_anchor is not None
               else (x0[5] - math.atan2(x0[4], x0[3]))) % (2.0 * math.pi)
+        prefix = build_grid(plan, thruster, period, tail=0.0,
+                            stage_cap=options.stage_cap)
+        W_prefix, U_prefix = warm_start(plan, prefix, x0, isp, consts)
         tail = 0.25 * period
         for _ in range(3):
-            grid = build_grid(plan, thruster, period, tail=tail,
-                              stage_cap=options.stage_cap)
-            W, U = warm_start(plan, grid, x0, isp, consts)
+            grid = with_tail(prefix, tail, period, options.stage_cap)
+            W, U = _coast_on(W_prefix, U_prefix, grid.dt[prefix.n_stages:],
+                             isp, consts)
             kep_w = mee_to_kep(MeeState.from_array(W[-1, :6]))
             u_n = (W[-1, 5] - kep_w.raan) % (2.0 * math.pi)
             gap = (u0 - u_n) % (2.0 * math.pi)

@@ -7,8 +7,9 @@ equations and the oblateness model, whose LVLH components are read through
 ``lvlh_basis``.
 
 The separate variational-equation and J2 functions below are the unfused
-reference for the fused right-hand sides in :mod:`orbtour.propagate`; the
-Cartesian conversions and the permutation helpers (Sobol points, uniform
+reference for the fused right-hand sides in :mod:`orbtour.propagate`, and
+the whole-batch array-of-structs RK4 is the reference for the blocked
+struct-of-arrays batch integrator; the Cartesian conversions and the permutation helpers (Sobol points, uniform
 permutations, Kendall distance) serve only the checks.
 """
 from __future__ import annotations
@@ -123,6 +124,58 @@ def j2_accel_batch(mee: np.ndarray, mu: float, j2: float, re: float) -> np.ndarr
     out[:, 1] = -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
     out[:, 2] = -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
     return out
+
+
+# ---------------------------------------------------------------------------
+# whole-batch RK4 in array-of-structs layout (the blocked one's oracle)
+# ---------------------------------------------------------------------------
+
+def aos_rhs_batch(y: np.ndarray, u: np.ndarray, ve: float,
+                  consts: PhysicalConstants) -> np.ndarray:
+    """Vectorized 7-state right-hand side: y (B, 7), u (B, 3) -> (B, 7).
+
+    Fused like :func:`orbtour.propagate.rk4_segment`: cos L, sin L, w, s^2 and v are computed
+    once per call for both the J2 acceleration and the variational
+    equations."""
+    p, f, g, h, k, L, m = y.T
+    cosL, sinL = np.cos(L), np.sin(L)
+    w = 1.0 + f * cosL + g * sinL
+    if np.any(w <= 0.0):
+        raise SingularStateError("w <= 0 in batch evaluation")
+    s2 = 1.0 + h * h + k * k
+    v = h * sinL - k * cosL
+    # every named (B,) array lives to the return and B holds 21 rows per
+    # stage, so names are kept to those used twice
+    coef = consts.mu * consts.j2 * consts.re * consts.re / (p / w)**4
+    ar = u[:, 0] / m + -1.5 * coef * (1.0 - 12.0 * v * v / (s2 * s2))
+    at = u[:, 1] / m + -12.0 * coef * v * (h * cosL + k * sinL) / (s2 * s2)
+    an = u[:, 2] / m + -6.0 * coef * v * (1.0 - h * h - k * k) / (s2 * s2)
+    sqpm = np.sqrt(p / consts.mu)
+    node = sqpm * s2 / (2.0 * w)
+    out = np.empty_like(y)
+    out[:, 0] = 2.0 * p / w * sqpm * at
+    out[:, 1] = sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an)
+    out[:, 2] = sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an)
+    out[:, 3] = node * cosL * an
+    out[:, 4] = node * sinL * an
+    out[:, 5] = np.sqrt(consts.mu * p) * (w / p) ** 2 + sqpm * v / w * an
+    out[:, 6] = -np.linalg.norm(u, axis=1) / ve
+    return out
+
+
+def aos_rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
+                  ve: float, consts: PhysicalConstants) -> np.ndarray:
+    """Integrate a batch of states over one constant-control segment each:
+    y (B, 7), u (B, 3), duration (B,) -> (B, 7).  All rows share the same
+    substep count (callers group rows accordingly)."""
+    dt = (np.asarray(duration, dtype=float) / nsteps)[:, None]
+    for _ in range(nsteps):
+        k1 = aos_rhs_batch(y, u, ve, consts)
+        k2 = aos_rhs_batch(y + 0.5 * dt * k1, u, ve, consts)
+        k3 = aos_rhs_batch(y + 0.5 * dt * k2, u, ve, consts)
+        k4 = aos_rhs_batch(y + dt * k3, u, ve, consts)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 # ---------------------------------------------------------------------------

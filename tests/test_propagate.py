@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import (TWO_BODY, gve_rhs_batch, gve_rhs_scalar, j2_accel_batch,
-                      j2_accel_scalar)
+from conftest import (TWO_BODY, aos_rk4_batch, gve_rhs_batch, gve_rhs_scalar,
+                      j2_accel_batch, j2_accel_scalar)
+from orbtour import propagate
 from orbtour.constants import EARTH
 from orbtour.dynamics import orbit_scalars
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
@@ -164,10 +167,35 @@ def test_fused_batch_rhs_equals_unfused_oracle(consts):
     u = thrusts(rng, 256)
     u[::4] = 0.0
     acc = u / y[:, 6:7] + j2_accel_batch(y[:, :6], consts.mu, consts.j2, consts.re)
-    expected = np.empty_like(y)
-    expected[:, :6] = gve_rhs_batch(y[:, :6], acc, consts.mu)
-    expected[:, 6] = -np.linalg.norm(u, axis=1) / VE
-    assert np.array_equal(_rhs_batch(y, u, VE, consts), expected)
+    expected = gve_rhs_batch(y[:, :6], acc, consts.mu)
+    cj2 = consts.mu * consts.j2 * consts.re * consts.re
+    rates = _rhs_batch(*y.T.copy(), *u.T.copy(), consts.mu, cj2)
+    assert np.array_equal(np.column_stack(rates), expected)
+
+
+@pytest.mark.parametrize("nsteps", [1, 4])
+def test_blocked_batch_equals_whole_batch_oracle(monkeypatch, nsteps):
+    # more than two blocks with a ragged tail, coast and burn rows mixed;
+    # a thread per block with frequent thread switches, the pool's own
+    # choice and one thread all give the oracle's bits
+    rng = np.random.default_rng(29)
+    n = 2 * propagate.BATCH_BLOCK + 1234
+    y = near_circular_states(rng, n)
+    u = thrusts(rng, n)
+    u[::3] = 0.0
+    duration = rng.uniform(1.0, 160.0, n)
+    expected = aos_rk4_batch(y, u, duration, nsteps, VE, EARTH)
+    monkeypatch.setattr(propagate, "_available_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert np.array_equal(rk4_batch(y, u, duration, nsteps, VE, EARTH), expected)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.undo()
+    assert np.array_equal(rk4_batch(y, u, duration, nsteps, VE, EARTH), expected)
+    monkeypatch.setattr(propagate, "_available_cpus", lambda: 1)
+    assert np.array_equal(rk4_batch(y, u, duration, nsteps, VE, EARTH), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +221,18 @@ def test_state_with_nonpositive_w_raises():
                           np.array([10.0]), 277.0)
 
 
-def test_batch_row_with_nonpositive_w_raises():
+def test_batch_row_with_nonpositive_w_raises(monkeypatch):
     y = np.array([[7000.0, 0.0, 0.0, 0.1, 0.2, 0.3, 235.0],
                   [7000.0, -1.5, 0.0, 0.0, 0.0, 0.0, 235.0]])
     with pytest.raises(SingularStateError):
         rk4_batch(y, np.zeros((2, 3)), np.array([10.0, 10.0]), 1, VE, EARTH)
+    # a bad row in the third block, run on a pool thread: the error reaches
+    # the caller and no thread outlives the call
+    monkeypatch.setattr(propagate, "_available_cpus", lambda: 2)
+    n = 2 * propagate.BATCH_BLOCK + 10
+    y = np.tile(y[0], (n, 1))
+    y[2 * propagate.BATCH_BLOCK + 5, 1:6] = [-1.5, 0.0, 0.0, 0.0, 0.0]
+    threads = threading.active_count()
+    with pytest.raises(SingularStateError):
+        rk4_batch(y, np.zeros((n, 3)), np.full(n, 10.0), 1, VE, EARTH)
+    assert threading.active_count() == threads
