@@ -43,8 +43,9 @@ def main():
     tour, _ = optimize(small, OptimizerConfig(seed=0))
     print(f"order {tour.order}  fuel {tour.fuel_total:.2f} kg  "
           f"feasible {tour.feasible}")
-    arcs = refine_tour(tour.order, small)
-    report = verify_trajectory(arcs, tour, small)
+    # legs and arcs run on every available CPU, bit-identical to one
+    arcs = refine_tour(tour.order, small, jobs=None)
+    report = verify_trajectory(arcs, tour, small, jobs=None)
     for leg in report.legs:
         print(f"  {leg.label}: da {leg.da_km:+.3f} km  di {leg.di_deg:+.4f} deg  "
               f"fuel {leg.fuel_numeric_kg:.2f}/{leg.fuel_analytic_kg:.2f} kg  "

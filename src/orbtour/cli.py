@@ -5,13 +5,17 @@ identical bytes out) plus a ``<out>.manifest.json`` side file carrying the
 command line, config snapshot, seeds, input hashes and wall time; manifests
 are the only place timestamps appear.
 
+``refine``, ``verify`` and ``montecarlo`` take ``--jobs N`` (default: the
+CPUs available to the process): they spread their legs, arcs or scenarios
+over N forked worker processes and gather the results in task order, so
+their artifacts are byte-identical to a ``--jobs 1`` run's.
+
 Exit codes: 0 success, 2 infeasible-but-completed, 3 partial refinement,
 4 verification failed, 1 error.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -27,6 +31,7 @@ from . import __version__
 from .constants import PhysicalConstants
 from .errors import OrbtourError, SchemaError, read_json_object, write_json
 from .optimizer import OptimizerConfig, optimize
+from .parallel import ordered_map
 from .scenario import (MissionScenario, ScenarioConfig, load_scenario,
                        sample_scenario, save_scenario)
 from .scp import RefineOptions, load_arcs, refine_tour, save_arcs
@@ -213,7 +218,7 @@ def cmd_refine(args) -> int:
     consts = active_constants()
     scn = load_scenario(args.scenario, consts)
     order = load_tour_order(args.tour)
-    arcs = refine_tour(order, scn, RefineOptions(), consts)
+    arcs = refine_tour(order, scn, RefineOptions(), consts, jobs=args.jobs)
     save_arcs(arcs, args.out)
     write_manifest(args.out, "refine", vars(args), [args.scenario, args.tour],
                    [args.out], {}, time.time() - t0)
@@ -232,9 +237,13 @@ def cmd_verify(args) -> int:
     order = load_tour_order(args.tour)
     tour = tour_cost(scn, order, consts)
     arcs = load_arcs(args.arcs)
-    report = verify_trajectory(arcs, tour, scn,
-                               Tolerances(sma_km=args.tol_sma, inc_deg=args.tol_inc),
-                               PropagatorConfig(step=args.step), consts)
+    try:
+        report = verify_trajectory(arcs, tour, scn,
+                                   Tolerances(sma_km=args.tol_sma, inc_deg=args.tol_inc),
+                                   PropagatorConfig(step=args.step), consts,
+                                   jobs=args.jobs)
+    except SchemaError as exc:  # an arc label that names no leg
+        raise SchemaError(f"{args.arcs}: {exc}") from exc
     save_report(report, args.out, args.csv)
     write_manifest(args.out, "verify", vars(args),
                    [args.scenario, args.tour, args.arcs],
@@ -328,12 +337,7 @@ def cmd_montecarlo(args) -> int:
         tasks.append((i, derived_seed(args.seed, 2 * i),
                       derived_seed(args.seed, 2 * i + 1), config, opt, consts))
 
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_mc_task, tasks))
-    else:
-        results = list(map(_mc_task, tasks))
+    results = ordered_map(_mc_task, tasks, args.jobs)
     failures = 0
     for idx, _, _, error in results:
         if error is not None:
@@ -374,6 +378,23 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """``--jobs`` value: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return jobs
+
+
+def _add_jobs(p: argparse.ArgumentParser, what: str) -> None:
+    p.add_argument("--jobs", type=_jobs, default=None,
+                   help=f"worker processes for the {what} (default: the CPUs "
+                        f"available to this process)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbtour",
                                      description="multi-target rendezvous mission design")
@@ -402,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="re-optimize transfer arcs")
     p.add_argument("--tour", required=True)
     p.add_argument("--scenario", required=True)
+    _add_jobs(p, "legs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 
@@ -413,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-inc", type=float, default=TOL_INC_DEG)
     p.add_argument("--step", type=float, default=10.0)
     p.add_argument("--csv")
+    _add_jobs(p, "arcs")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_verify)
 
@@ -422,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bundles", type=int, help="pin the bundle count")
-    p.add_argument("--jobs", type=int, default=None)
+    _add_jobs(p, "scenarios")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_montecarlo)
 

@@ -28,7 +28,6 @@ block split and any thread count.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,7 @@ import numpy as np
 from .constants import EARTH, PhysicalConstants
 from .elements import SpacecraftState
 from .errors import SingularStateError
+from .parallel import available_cpus as _available_cpus
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,6 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
 #: rows per block of :func:`rk4_batch`; the block bounds depend on the row
 #: count alone, never on the thread count
 BATCH_BLOCK = 8192
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _rhs_batch(p, f, g, h, k, L, m, ur, ut, un, mu: float, cj2: float):

@@ -18,15 +18,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee, mee_to_kep
 from .errors import SchemaError, read_json_object, write_json
-from .maneuvers import ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec
+from .maneuvers import (ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec,
+                        TransferEstimate)
 from .ocp import (COAST_SUBSTEP, STAGE_CAP, StageGrid, build_grid, linearize_batch,
                   split_plan, warm_start, with_tail)
+from .parallel import ordered_map
 from .propagate import PropagatorConfig, propagate_numeric, rk4_segment
 from .qp import ConvexSubproblem, ReducedArcSolver
 from .scenario import MissionScenario
@@ -266,43 +269,61 @@ def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
     return pieces
 
 
+def refine_leg(leg: tuple[str, SpacecraftState, TransferEstimate, BurnPlan],
+               thruster: ThrusterSpec, options: RefineOptions,
+               consts: PhysicalConstants) -> list[RefinedArc]:
+    """Refine one leg ``(label, state0, est, plan)`` of a tour: one
+    RefinedArc per piece of :func:`_problems_for_leg`, chained on the leg
+    timeline from ``state0``."""
+    label, state0, est, plan = leg
+    x_ref_final = np.concatenate([est.end_state.mee.as_array(),
+                                  [est.end_state.mass]])
+    pieces = _problems_for_leg(state0, plan, options, x_ref_final, consts, label)
+    # chain on the leg timeline: each piece starts where the previous arc's
+    # rollout (which extends past its last burn) ended; terminal pieces
+    # anchor their endpoint phase to the leg's starting phase
+    x_cursor = np.concatenate([state0.mee.as_array(), [state0.mass]])
+    leg_u0 = (state0.mee.L - math.atan2(state0.mee.k, state0.mee.h))
+    cursor = 0.0  # leg-relative time already covered
+    arcs = []
+    for chunk, x_ref, piece_label in pieces:
+        arc_start = max(chunk.events[0].epoch - 0.5 * thruster.t_on, cursor)
+        lead = arc_start - cursor
+        rel_plan = chunk.shifted(-arc_start)
+        arc = refine_arc(x_cursor, rel_plan, thruster, x_ref, options,
+                         consts, isp=thruster.isp,
+                         t0=state0.epoch + arc_start, label=piece_label,
+                         lead_coast=lead, u_anchor=leg_u0)
+        arcs.append(arc)
+        x_cursor = arc.states[-1].copy()
+        cursor = arc_start + float(arc.dt.sum())
+    return arcs
+
+
 def refine_tour(order, scenario: MissionScenario,
                 options: RefineOptions = RefineOptions(),
-                consts: PhysicalConstants = EARTH) -> list[RefinedArc]:
+                consts: PhysicalConstants = EARTH,
+                jobs: int | None = 1) -> list[RefinedArc]:
     """Refine every leg of a visit order; returns one RefinedArc per solved
-    piece.
+    piece, in leg order.
+
+    Each leg starts from its analytic :func:`~orbtour.tour.tour_plans`
+    state, not from the previous leg's arcs, so the legs are independent.
+    They are refined by :func:`refine_leg` on up to ``jobs`` forked worker
+    processes (None: every available CPU), most burns first; the arcs are
+    bit-identical to a serial run's.
 
     Non-converged pieces are flagged on their arc; callers treat the tour as
     partially refined when any flag is down.
     """
-    thruster = scenario.spacecraft.thruster
-    arcs: list[RefinedArc] = []
-    for li, (state0, est, plan) in enumerate(tour_plans(scenario, order, consts)):
-        label = f"leg{li}"
-        if not plan.events:
-            continue
-        x_ref_final = np.concatenate([est.end_state.mee.as_array(),
-                                      [est.end_state.mass]])
-        pieces = _problems_for_leg(state0, plan, options, x_ref_final, consts,
-                                   label)
-        # chain on the leg timeline: each piece starts where the previous
-        # arc's rollout (which extends past its last burn) ended; terminal
-        # pieces anchor their endpoint phase to the leg's starting phase
-        x_cursor = np.concatenate([state0.mee.as_array(), [state0.mass]])
-        leg_u0 = (state0.mee.L - math.atan2(state0.mee.k, state0.mee.h))
-        cursor = 0.0  # leg-relative time already covered
-        for chunk, x_ref, piece_label in pieces:
-            arc_start = max(chunk.events[0].epoch - 0.5 * thruster.t_on, cursor)
-            lead = arc_start - cursor
-            rel_plan = chunk.shifted(-arc_start)
-            arc = refine_arc(x_cursor, rel_plan, thruster, x_ref, options,
-                             consts, isp=thruster.isp,
-                             t0=state0.epoch + arc_start, label=piece_label,
-                             lead_coast=lead, u_anchor=leg_u0)
-            arcs.append(arc)
-            x_cursor = arc.states[-1].copy()
-            cursor = arc_start + float(arc.dt.sum())
-    return arcs
+    legs = [(f"leg{li}", state0, est, plan)
+            for li, (state0, est, plan) in enumerate(tour_plans(scenario, order, consts))
+            if plan.events]
+    per_leg = ordered_map(
+        partial(refine_leg, thruster=scenario.spacecraft.thruster,
+                options=options, consts=consts),
+        legs, jobs, weights=[len(plan.events) for _, _, _, plan in legs])
+    return [arc for arcs in per_leg for arc in arcs]
 
 
 def _retime_node_plan(plan: BurnPlan, x0: np.ndarray, isp: float,

@@ -13,13 +13,16 @@ import csv
 import io
 import math
 import os
+import re
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .elements import MeeState, SpacecraftState, mee_to_kep
-from .errors import write_json
+from .errors import SchemaError, write_json
+from .parallel import ordered_map
 from .propagate import PropagatorConfig, propagate_numeric
 from .scenario import MissionScenario
 from .scp import RefinedArc, realized_dv
@@ -96,41 +99,66 @@ def repropagate_arc(arc: RefinedArc, config: PropagatorConfig, isp: float,
     return propagate_numeric(state0, arc.controls, arc.dt, isp, config, consts)
 
 
+def _check_arc(arc: RefinedArc, config: PropagatorConfig, isp: float,
+               consts: PhysicalConstants) -> tuple[float, float, float, np.ndarray]:
+    """Re-propagate one arc: its numeric fuel [kg] and delta-v [km/s], its
+    refiner-vs-verifier terminal mismatch and its re-propagated final state."""
+    traj = repropagate_arc(arc, config, isp, consts)
+    scale = np.maximum(np.abs(arc.x_ref), 1e-2)
+    return (float(traj[0, 6] - traj[-1, 6]),
+            realized_dv(arc.controls, arc.dt, traj),
+            float(np.max(np.abs((traj[-1] - arc.states[-1]) / scale))),
+            traj[-1])
+
+
+def _leg_of(label: str, n_legs: int) -> int:
+    """The leg index N of an arc label ``legN`` or ``legN/...``."""
+    match = re.fullmatch(r"leg(\d+)(?:/.*)?", label, re.ASCII | re.DOTALL)
+    if match is None or int(match[1]) >= n_legs:
+        raise SchemaError(f"arc label {label!r} names no leg of the tour "
+                          f"(leg0 to leg{n_legs - 1})")
+    return int(match[1])
+
+
 def verify_trajectory(arcs: list[RefinedArc], tour: Tour,
                       scenario: MissionScenario,
                       tolerances: Tolerances = Tolerances(),
                       config: PropagatorConfig = PropagatorConfig(),
-                      consts: PhysicalConstants = EARTH) -> VerificationReport:
+                      consts: PhysicalConstants = EARTH,
+                      jobs: int | None = 1) -> VerificationReport:
     """Check every refined leg against its mission target.
 
-    Arcs are grouped by their ``legN/...`` labels; the last arc of each leg
-    carries the injection.  Fuel is compared against the analytical leg
-    estimates recorded on the tour.
+    Arcs are grouped by their ``legN/...`` labels, and a label that names
+    no leg of the tour raises :class:`~orbtour.errors.SchemaError` before
+    any arc is re-propagated.  The last arc of each leg carries the
+    injection.  Fuel is compared against the analytical leg estimates
+    recorded on the tour.  Arcs are independent, so they are re-propagated
+    on up to ``jobs`` forked worker processes (None: every available CPU);
+    fuel and delta-v are then summed per leg in arc order, so the report is
+    bit-identical to a serial run's.
     """
     isp = scenario.spacecraft.thruster.isp
-    by_leg: dict[int, list[RefinedArc]] = {}
-    for arc in arcs:
-        leg_idx = int(arc.label.split("/")[0].removeprefix("leg"))
-        by_leg.setdefault(leg_idx, []).append(arc)
+    legs = [_leg_of(arc.label, len(tour.legs)) for arc in arcs]
+    # weights: about each arc's RK4 steps, so the longest arcs start first
+    checks = ordered_map(
+        partial(_check_arc, config=config, isp=isp, consts=consts), arcs, jobs,
+        weights=[arc.dt.size + float(arc.dt.sum()) / config.step for arc in arcs])
+    by_leg: dict[int, list[tuple[float, float, float, np.ndarray]]] = {}
+    for leg_idx, check in zip(legs, checks):
+        by_leg.setdefault(leg_idx, []).append(check)
 
     report = VerificationReport()
     n = scenario.n_bundles
     for leg_idx in sorted(by_leg):
-        leg_arcs = by_leg[leg_idx]
         fuel_numeric = 0.0
         dv_numeric = 0.0
         consistency = 0.0
-        final_traj = None
-        for arc in leg_arcs:
-            traj = repropagate_arc(arc, config, isp, consts)
-            fuel_numeric += float(traj[0, 6] - traj[-1, 6])
-            dv_numeric += realized_dv(arc.controls, arc.dt, traj)
-            scale = np.maximum(np.abs(arc.x_ref), 1e-2)
-            consistency = max(consistency, float(
-                np.max(np.abs((traj[-1] - arc.states[-1]) / scale))))
-            final_traj = traj
+        for fuel, dv, mismatch, final in by_leg[leg_idx]:
+            fuel_numeric += fuel
+            dv_numeric += dv
+            consistency = max(consistency, mismatch)
 
-        achieved = mee_to_kep(MeeState.from_array(final_traj[-1, :6]))
+        achieved = mee_to_kep(MeeState.from_array(final[:6]))
         if leg_idx < n:
             bundle = scenario.bundles[tour.order[leg_idx]]
             target_a, target_i = bundle.target.a, bundle.target.i

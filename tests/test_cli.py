@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import tiny_mission
 from orbtour.cli import main
+from orbtour.errors import SingularStateError
 from orbtour.scenario import save_scenario
 
 
@@ -169,6 +171,63 @@ def test_refine_and_verify_pipeline(tmp_path, tiny_paths, monkeypatch):
     for m in (first_manifest, second_manifest):
         del m["wall_time_s"]
     assert first_manifest == second_manifest
+
+
+def test_refine_and_verify_jobs_write_identical_bytes(tmp_path, tiny_paths):
+    # legs and arcs are independent, so worker processes change no byte
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    codes = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        codes.append((
+            run(["refine", "--tour", tour, "--scenario", scn_path, "--jobs", jobs,
+                 "--out", out / "arcs.json"]),
+            run(["verify", "--arcs", out / "arcs.json", "--tour", tour,
+                 "--scenario", scn_path, "--jobs", jobs, "--out", out / "report.json",
+                 "--csv", out / "report.csv"])))
+    assert codes[0] == codes[1]
+    for name in ("arcs.json", "report.json", "report.csv"):
+        assert (tmp_path / "jobs1" / name).read_bytes() == \
+            (tmp_path / "jobs2" / name).read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_leg_fails_refine_alike_on_one_or_two_jobs(tmp_path, tiny_paths,
+                                                            capsys, monkeypatch):
+    # leg1's refinement raises; workers fork, so they see the patch
+    import orbtour.scp
+    refine_arc = orbtour.scp.refine_arc
+
+    def failing(*args, **kwargs):
+        if kwargs["label"].startswith("leg1/"):
+            raise SingularStateError(f"{kwargs['label']}: w = -0.5 <= 0")
+        return refine_arc(*args, **kwargs)
+
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(orbtour.scp, "refine_arc", failing)
+    results = []
+    for jobs in (1, 2):
+        code = run(["refine", "--tour", tour, "--scenario", scn_path, "--jobs", jobs,
+                    "--out", tmp_path / "arcs.json"])
+        results.append((code, capsys.readouterr().err))
+    assert results[0] == results[1] == (1, "error: leg1/phase0.0: w = -0.5 <= 0\n")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["refine", "verify", "montecarlo"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_jobs_below_one_is_a_usage_error(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--jobs", value])
+    assert exc.value.code == 2
+    assert f"argument --jobs: expected an integer >= 1, got '{value}'" in \
+        capsys.readouterr().err
 
 
 def test_montecarlo_and_report(tmp_path):
@@ -338,6 +397,27 @@ def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
                                   "--out", tmp_path / "o.json"]) == 1, (command, text)
             err = capsys.readouterr().err
             assert str(order) in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("label", ["leg7/phase0.0", "leg3", "arc", "legx/phase0.0"])
+def test_verify_rejects_an_arc_label_that_names_no_leg(tmp_path, tiny_paths, capsys,
+                                                       label):
+    # the tiny tour has legs 0 to 2: two bundles and the decommissioning
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    arcs = tmp_path / "arcs.json"
+    arcs.write_text(json.dumps({"version": 2, "arcs": [{
+        "label": label, "states": [[7000.0, 0, 0, 0, 0, 0, 235.0]] * 2,
+        "controls_lvlh_kN": [[0.0, 0.0, 0.0]], "dt_s": [60.0], "dv_mps": 0.0,
+        "iterations": 1, "converged": True, "objective": 0.0,
+        "x_ref": [7000.0, 0, 0, 0, 0, 0, 235.0], "objective_history": [0.0]}]}))
+    capsys.readouterr()
+    assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
+                "--out", tmp_path / "report.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {arcs}: arc label {label!r} names no leg of the tour "
+                   f"(leg0 to leg2)\n")
 
 
 def test_console_entry_point(tiny_paths):
