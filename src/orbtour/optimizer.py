@@ -98,11 +98,12 @@ def _ga_step(keys: np.ndarray, cost: np.ndarray,
     won = np.argmin(cost[rows[..., None, None], picks], axis=3)
     winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
     pa, pb = keys[rows, winners[:, 0]], keys[rows, winners[:, 1]]
-    # blend crossover per gene
+    # blend crossover per gene: lo + (hi - lo) * U[0, 1) is how
+    # Generator.uniform draws, bit for bit, without its per-call overhead
     lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
     reach = CROSSOVER_BLEND * (hi - lo)
-    child = np.stack([rng.uniform(lo[i] - reach[i], hi[i] + reach[i])
-                      for i, rng in enumerate(rngs)])
+    lo, hi = lo - reach, hi + reach
+    child = lo + (hi - lo) * np.stack([rng.random((n_off, n)) for rng in rngs])
     # gaussian mutation
     child = child + np.stack([(rng.random((n_off, n)) < MUTATION_RATE)
                               * rng.normal(0.0, MUTATION_SIGMA, (n_off, n))

@@ -9,10 +9,13 @@ equation; :func:`tour_plans` walks one order through the full estimator
 chain (phasing, drift, burn plans) and :func:`tour_cost` prices that walk,
 the slow, detailed path.  Both agree on fuel to float accuracy and the
 tests assert it.
+
+The exhaustive oracle :func:`brute_force` prices every order on the
+permutation tree, each leg of a shared prefix once, with the batch's own
+per-leg step, so its costs are bitwise the batch prices.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +30,8 @@ from .scenario import MissionScenario
 
 #: multiplier on fuel overrun when pricing infeasible tours
 OVERRUN_PENALTY = 10.0
+#: most bundles :func:`brute_force` will enumerate (9! = 362,880 orders)
+MAX_EXACT_BUNDLES = 9
 
 
 @dataclass
@@ -91,30 +96,65 @@ class TourEvaluator:
              if abs(radii[j] - scenario.decommission_radius) > 1e-9 else 0.0
              for j in range(n)])
 
+    def _leg(self, m: np.ndarray, fuel: np.ndarray, prev: np.ndarray | None,
+             cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mass, fuel) after the rocket-equation leg from bundle ``prev``
+        (None: the insertion orbit) to bundle ``cur`` and its release."""
+        dv = self.dv_from_insertion[cur] if prev is None else self.dv[prev, cur]
+        burn = m * (1.0 - np.exp(-dv / self._ve))
+        return m - (burn + self.bundle_mass[cur]), fuel + burn
+
+    def _decommission(self, m: np.ndarray, fuel: np.ndarray,
+                      last: np.ndarray) -> np.ndarray:
+        """Total fuel once the spacecraft leaves bundle ``last`` for disposal."""
+        return fuel + m * (1.0 - np.exp(-self.dv_decommission[last] / self._ve))
+
     def fuel_batch(self, orders: np.ndarray) -> np.ndarray:
         """Total propellant [kg] for each row of ``orders`` (B, n_bundles)."""
         orders = np.atleast_2d(np.asarray(orders, dtype=np.int64))
         B, n = orders.shape
         if n != self.scenario.n_bundles:
             raise ValueError("order length must equal the bundle count")
-        m = np.full(B, self._m0)
-        fuel = np.zeros(B)
-        prev = None
-        for k in range(n):
-            cur = orders[:, k]
-            dv = self.dv_from_insertion[cur] if k == 0 else self.dv[prev, cur]
-            burn = m * (1.0 - np.exp(-dv / self._ve))
-            fuel += burn
-            m -= burn + self.bundle_mass[cur]
+        m, fuel, prev = np.full(B, self._m0), np.zeros(B), None
+        for cur in orders.T:
+            m, fuel = self._leg(m, fuel, prev, cur)
             prev = cur
-        fuel += m * (1.0 - np.exp(-self.dv_decommission[prev] / self._ve))
-        return fuel
+        return self._decommission(m, fuel, prev)
 
-    def cost_batch(self, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(cost, fuel, feasible) for each order; infeasible tours pay the
-        budget plus a steep overrun penalty, keeping cost increasing in
-        fuel so rankings are preserved."""
-        fuel = self.fuel_batch(orders)
+    def fuel_tree(self) -> np.ndarray:
+        """Total propellant [kg] of every visit order, in lexicographic order.
+
+        Walks the permutation tree one level per leg: each prefix's mass and
+        fuel are repeated once per bundle it has not visited, ascending, and
+        one :meth:`_leg` prices all the children.  Each element goes through
+        the operations of :meth:`fuel_batch` in the same order, so every
+        value is bitwise its order's batch price.
+        """
+        n = self.scenario.n_bundles
+        left = np.arange(n)[None, :]  # per prefix: the bundles still to visit
+        m, fuel, prev = np.full(1, self._m0), np.zeros(1), None
+        for k in range(n):
+            width = n - k
+            cur = left.reshape(-1)
+            if width > 1:  # a lone child takes its parent's arrays as they are
+                m, fuel = np.repeat(m, width), np.repeat(fuel, width)
+                prev = None if prev is None else np.repeat(prev, width)
+            m, fuel = self._leg(m, fuel, prev, cur)
+            # child j of a prefix keeps every bundle of its parent but the j-th
+            keep = np.arange(width - 1)
+            keep = keep + (keep >= np.arange(width)[:, None])
+            left = left[:, keep].reshape(cur.size, width - 1)
+            prev = cur
+        return self._decommission(m, fuel, prev)
+
+    def cost_batch(self, orders: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cost, fuel, feasible) for each row of ``orders``, or for every
+        visit order in lexicographic order (:meth:`fuel_tree`) when
+        ``orders`` is None.  Infeasible tours pay the budget plus a steep
+        overrun penalty, keeping cost increasing in fuel so rankings are
+        preserved."""
+        fuel = self.fuel_tree() if orders is None else self.fuel_batch(orders)
         feasible = fuel <= self._budget + 1e-12
         cost = np.where(feasible, fuel,
                         self._budget + OVERRUN_PENALTY * (fuel - self._budget))
@@ -182,17 +222,25 @@ def heuristic_walks(scenario: MissionScenario,
     return {name: tour_cost(scenario, order, consts) for name, order in walks.items()}
 
 
-def brute_force(scenario: MissionScenario, max_n: int = 9,
+def brute_force(scenario: MissionScenario,
                 consts: PhysicalConstants = EARTH) -> Tour:
-    """Exact optimum by exhaustive enumeration (lexicographically first
-    order among cost ties)."""
+    """Exact optimum over every visit order; the lexicographically first
+    order among cost ties wins.  Scenarios above :data:`MAX_EXACT_BUNDLES`
+    bundles are refused.
+
+    The orders are priced on the permutation tree of
+    :meth:`TourEvaluator.fuel_tree`, which prices a leg shared by many
+    orders once: sum(n!/(n-k)!, k=1..n) legs plus n! decommissionings, 1.35 M
+    at 9 bundles against 3.63 M for every order apart, and no order table.
+    """
     n = scenario.n_bundles
-    if n > max_n:
-        raise ValueError(f"brute force limited to {max_n} bundles, scenario has {n}")
-    evaluator = TourEvaluator(scenario, consts)
-    count = math.factorial(n)
-    orders = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
-                         np.int64, count=n * count).reshape(count, n)
-    cost, _, _ = evaluator.cost_batch(orders)
-    best = int(np.argmin(cost))
-    return tour_cost(scenario, orders[best], consts)
+    if n > MAX_EXACT_BUNDLES:
+        raise ValueError(f"brute force limited to {MAX_EXACT_BUNDLES} bundles, "
+                         f"scenario has {n}")
+    cost, _, _ = TourEvaluator(scenario, consts).cost_batch()
+    # unrank the first minimum's lexicographic index into its order
+    rank, left, order = int(np.argmin(cost)), list(range(n)), []
+    for width in range(n, 0, -1):
+        j, rank = divmod(rank, math.factorial(width - 1))
+        order.append(left.pop(j))
+    return tour_cost(scenario, order, consts)

@@ -9,12 +9,16 @@ equations and the oblateness model, whose LVLH components are read through
 The separate variational-equation and J2 functions below are the unfused
 reference for the fused right-hand sides in :mod:`orbtour.propagate`, and
 the whole-batch array-of-structs RK4 is the reference for the blocked
-struct-of-arrays batch integrator; the Cartesian conversions and the permutation helpers (Sobol points, uniform
-permutations, Kendall distance) serve only the checks.
+struct-of-arrays batch integrator.  The plain enumeration of every visit
+order is the reference for the permutation-tree pricer, and the GA step
+drawing its crossover with ``Generator.uniform`` the reference for the
+optimizer's.  The Cartesian conversions and the permutation helpers (Sobol
+points, uniform permutations, Kendall distance) serve only the checks.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +28,8 @@ from orbtour.constants import EARTH, PhysicalConstants
 from orbtour.elements import KeplerianState, MeeState
 from orbtour.errors import SingularStateError
 from orbtour.ocp import linearize_batch
+from orbtour.optimizer import (CROSSOVER_BLEND, ELITES, MUTATION_RATE,
+                               MUTATION_SIGMA, TOURNAMENT)
 from orbtour.permutations import SobolEngine
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario)
@@ -247,6 +253,13 @@ def sample_uniform_permutations(n: int, count: int, seed: int | None = None) -> 
     return np.argsort(pts, axis=1, kind="stable")
 
 
+def lex_orders(n: int) -> np.ndarray:
+    """Every permutation of [0, n) in lexicographic order, shape (n!, n):
+    the plain enumeration that the permutation-tree pricer must agree with."""
+    return np.array(list(itertools.permutations(range(n))),
+                    dtype=np.int64).reshape(math.factorial(n), n)
+
+
 def kendall_tau(a, b) -> int:
     """Number of discordant pairs between two permutations."""
     a = np.asarray(a)
@@ -256,6 +269,30 @@ def kendall_tau(a, b) -> int:
     da = np.sign(a[:, None] - a[None, :])
     db = np.sign(b[:, None] - b[None, :])
     return int((da * db < 0).sum() // 2)
+
+
+def ga_step_uniform(keys: np.ndarray, cost: np.ndarray,
+                    rngs: list[np.random.Generator]) -> np.ndarray:
+    """The GA step with its blend crossover drawn by ``Generator.uniform``,
+    the reference for :func:`orbtour.optimizer._ga_step`."""
+    isl, pop, n = keys.shape
+    n_off = pop - ELITES
+    rows = np.arange(isl)[:, None]
+    children = np.empty_like(keys)
+    children[:, :ELITES] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :ELITES]]
+    picks = np.stack([rng.integers(0, pop, (2, n_off, TOURNAMENT)) for rng in rngs])
+    won = np.argmin(cost[rows[..., None, None], picks], axis=3)
+    winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
+    pa, pb = keys[rows, winners[:, 0]], keys[rows, winners[:, 1]]
+    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+    reach = CROSSOVER_BLEND * (hi - lo)
+    child = np.stack([rng.uniform(lo[i] - reach[i], hi[i] + reach[i])
+                      for i, rng in enumerate(rngs)])
+    child = child + np.stack([(rng.random((n_off, n)) < MUTATION_RATE)
+                              * rng.normal(0.0, MUTATION_SIGMA, (n_off, n))
+                              for rng in rngs])
+    children[:, ELITES:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
+    return children
 
 
 # ---------------------------------------------------------------------------

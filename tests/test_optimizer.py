@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from orbtour.optimizer import OptimizerConfig, optimize
+from conftest import ga_step_uniform
+from orbtour.optimizer import OptimizerConfig, _ga_step, optimize
 from orbtour.scenario import ScenarioConfig, sample_scenario
 from orbtour.tour import TourEvaluator, brute_force, heuristic_walks
 
@@ -23,6 +24,19 @@ def test_matches_brute_force_on_small_instance():
     best, _ = optimize(scn, OptimizerConfig(seed=5, generations=60))
     oracle = brute_force(scn)
     assert best.cost == pytest.approx(oracle.cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ga_step_equals_uniform_crossover_oracle(seed):
+    g = np.random.default_rng(seed)
+    islands, pop, n = (int(v) for v in g.integers((1, 2, 1), (5, 70, 14)))
+    keys, cost = g.random((islands, pop, n)), g.random((islands, pop))
+    mine = [np.random.default_rng([seed, i]) for i in range(islands)]
+    oracle = [np.random.default_rng([seed, i]) for i in range(islands)]
+    assert np.array_equal(_ga_step(keys, cost, mine),
+                          ga_step_uniform(keys, cost, oracle))
+    # each island's generator is left in the same state
+    assert [r.random() for r in mine] == [r.random() for r in oracle]
 
 
 def test_seeding_never_hurts(small_scenario):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -140,6 +141,31 @@ def test_iteration_cap_flags_nonconvergence():
     arc = scp_solve(problem, W, U, max_iterations=1)
     assert not arc.converged
     assert arc.iterations == 1
+
+
+def test_rejected_full_step_is_never_rolled_out_twice(monkeypatch):
+    # in the 0.75 deg plane change at 7000 km the second QP step fits inside
+    # the trust radius and is rejected; shrinking the radius only once
+    # rolled that same candidate out again at iterations 3 to 5
+    est, plan = nic_estimate(math.radians(0.75), 7000.0, 235.0, TH)
+    x0 = x0_circ(7000.0, 97.1464)
+    end = KeplerianState(7000.0, 0.0, math.radians(97.8964), math.radians(158.0),
+                         0.0, 0.0)
+    x_ref = np.concatenate([kep_to_mee(end).as_array(), [est.end_state.mass]])
+    problem, W, U = prepare_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH,
+                                isp=TH.isp)
+    rolled = []
+    rollout = scp.propagate_numeric
+
+    def spy(state0, controls, *args):
+        rolled.append(hashlib.sha256(controls.tobytes()).hexdigest())
+        return rollout(state0, controls, *args)
+
+    monkeypatch.setattr(scp, "propagate_numeric", spy)
+    arc = scp_solve(problem, W, U, max_iterations=5)
+    assert len(rolled) == arc.iterations == 5
+    assert len(set(rolled)) == len(rolled)
+    assert len(arc.objective_history) >= 3
 
 
 def test_stage_cap_splits_arc_into_chunks():

@@ -1,10 +1,10 @@
-import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
+from conftest import lex_orders
 from orbtour.constants import EARTH, SECONDS_PER_YEAR
 from orbtour.dynamics import orbit_scalars
 from orbtour.elements import KeplerianState
@@ -123,7 +123,7 @@ def test_penalty_preserves_ranking():
     scn = sample_scenario(ScenarioConfig(
         spacecraft=SpacecraftSpec(fuel_mass=5.0)), seed=13)
     ev = TourEvaluator(scn)
-    orders = np.array(list(itertools.permutations(range(scn.n_bundles)))[:100])
+    orders = lex_orders(scn.n_bundles)[:100]
     cost, fuel, _ = ev.cost_batch(orders)
     assert np.array_equal(np.argsort(cost, kind="stable"),
                           np.argsort(fuel, kind="stable"))
@@ -174,10 +174,9 @@ def test_brute_force_single_bundle():
 
 
 def test_brute_force_enumerates_all_orders(small_scenario):
-    n = small_scenario.n_bundles
     best = brute_force(small_scenario)
-    costs = {order: tour_cost(small_scenario, order).cost
-             for order in itertools.permutations(range(n))}
+    costs = {tuple(order): tour_cost(small_scenario, order).cost
+             for order in lex_orders(small_scenario.n_bundles).tolist()}
     assert best.cost == pytest.approx(min(costs.values()), rel=1e-12)
     # lexicographically first among ties
     minimum = min(costs.values())
@@ -188,7 +187,7 @@ def test_brute_force_enumerates_all_orders(small_scenario):
 def test_brute_force_respects_cap():
     scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=4)
     with pytest.raises(ValueError):
-        brute_force(scn, max_n=9)
+        brute_force(scn)
 
 
 def test_brute_force_n8_fast_and_lower_bounds_walks():
@@ -202,9 +201,37 @@ def test_brute_force_n8_fast_and_lower_bounds_walks():
         assert best.cost <= tour.cost + 1e-12
 
 
+def twin_bundle_scenario() -> MissionScenario:
+    """Five bundles, two of them identical: every order has a twin, the two
+    bundles swapped, of bitwise-equal cost."""
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=4), seed=8)
+    return MissionScenario(scn.spacecraft, scn.insertion, scn.decommission_radius,
+                           scn.bundles + scn.bundles[1:2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, "twins"])
+def test_permutation_tree_matches_enumeration_and_first_minimum_wins(n):
+    if n == "twins":
+        scn = twin_bundle_scenario()
+    elif n == 1:
+        scn = single_bundle_at_insertion()
+    else:
+        scn = sample_scenario(ScenarioConfig(fixed_bundles=n), seed=60 + n)
+    ev = TourEvaluator(scn)
+    orders = lex_orders(scn.n_bundles)
+    want = ev.cost_batch(orders)
+    for got, expected in zip(ev.cost_batch(), want):
+        assert np.array_equal(got, expected)
+    tied = orders[want[0] == want[0].min()]
+    if n == "twins":
+        assert len(tied) >= 2
+    # the enumeration is lexicographic, so its first tied row is the winner
+    assert brute_force(scn).order == tuple(tied[0].tolist())
+
+
 def test_dropping_decommission_never_raises_cost(small_scenario):
     ev = TourEvaluator(small_scenario)
-    orders = np.array(list(itertools.permutations(range(small_scenario.n_bundles))))
+    orders = lex_orders(small_scenario.n_bundles)
     with_decom, _, _ = ev.cost_batch(orders)
     ev.dv_decommission = np.zeros_like(ev.dv_decommission)
     without, _, _ = ev.cost_batch(orders)
