@@ -19,10 +19,13 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import sys
 import time
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,22 @@ def derived_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
+def _json_fits(value, hint) -> bool | None:
+    """Whether the JSON ``value`` can set a field of type ``hint``: a bool
+    is not a number, a float is not an int, and a tuple comes from a list.
+    None when no JSON value can set such a field."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if hint in (str, type(None)):
+        return isinstance(value, hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_json_fits(value, arg) for arg in args)
+    if origin is tuple and args[1:] == (Ellipsis,):
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    return None
+
+
 def _config_from(cls, path: str | None, convert: dict):
     """``cls`` built from the JSON object in the config file ``path`` (the
     defaults when ``path`` is None).  Each ``key: (field, fn)`` in
@@ -78,11 +97,21 @@ def _config_from(cls, path: str | None, convert: dict):
     if path is None:
         return cls()
     data = read_json_object(path)
-    unknown = sorted(set(data) - set(convert)
-                     - {f.name for f in dataclasses.fields(cls)})
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(convert) - set(declared))
     if unknown:
         raise SchemaError(f"{path}: unknown {cls.__name__} key(s): "
                           f"{', '.join(unknown)}")
+    for key, value in data.items():
+        name = convert[key][0] if key in convert else key
+        fits = _json_fits(value, hints[name])
+        if fits is None:
+            raise SchemaError(f"{path}: {cls.__name__} key {key!r} cannot be set "
+                              "from a file")
+        if not fits:
+            raise SchemaError(f"{path}: {cls.__name__} key {key!r} must be "
+                              f"{declared[name]}, got {json.dumps(value)}")
     try:
         for key, (name, fn) in convert.items():
             if key in data:
@@ -365,12 +394,20 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_report(args) -> int:
+    t0 = time.time()
     csv_path = Path(args.dir) / "montecarlo.csv"
     with open(csv_path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise SchemaError(f"{csv_path}: no rows")
-    summary = write_summary(rows, args.out or Path(args.dir) / "summary.csv")
+    out = args.out or Path(args.dir) / "summary.csv"
+    try:
+        summary = write_summary(rows, out)
+    except KeyError as exc:
+        raise SchemaError(f"{csv_path}: no {exc} column") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{csv_path}: {exc}") from exc
+    write_manifest(out, "report", vars(args), [csv_path], [out], {}, time.time() - t0)
     for row in summary:
         print(f"bundles={row['n_bundles']:>2} n={row['count']:>4} "
               f"fuel={row['fuel_mean_kg']:.2f}±{row['fuel_std_kg']:.2f} kg "

@@ -75,7 +75,6 @@ class BurnEvent:
     epoch: float                    # s since plan start
     dv: tuple[float, float, float]  # LVLH impulse [km/s]
     tag: str
-    mass_before: float              # spacecraft mass just before the burn [kg]
 
     @property
     def magnitude(self) -> float:
@@ -104,7 +103,7 @@ class BurnPlan:
         return sum(ev.magnitude for ev in self.events)
 
     def shifted(self, offset: float) -> "BurnPlan":
-        return BurnPlan([BurnEvent(ev.epoch + offset, ev.dv, ev.tag, ev.mass_before)
+        return BurnPlan([BurnEvent(ev.epoch + offset, ev.dv, ev.tag)
                          for ev in self.events])
 
     def then(self, other: "BurnPlan", offset: float, min_gap: float) -> "BurnPlan":
@@ -272,7 +271,7 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
     v_here = math.sqrt(consts.mu / r0)
     for dv_j, fuel_j in split_dv(dv_d, craft_mass, thruster, consts):
         events.append(BurnEvent(t, (0.0, sign * dv_j, 0.0),
-                                PERIGEE if raising else APOGEE, m))
+                                PERIGEE if raising else APOGEE))
         v_here += sign * dv_j
         m -= fuel_j
         sma = 1.0 / (2.0 / r0 - v_here**2 / consts.mu)
@@ -280,11 +279,10 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
     # phase 2: half a revolution to the far apsis, then circularize there
     t -= 0.5 * TWO_PI * math.sqrt(sma**3 / consts.mu)
     v_far = math.sqrt(consts.mu * (2.0 / r1 - 1.0 / sma))
-    for dv_j, fuel_j in split_dv(dv_c, m, thruster, consts):
+    for dv_j, _ in split_dv(dv_c, m, thruster, consts):
         events.append(BurnEvent(t, (0.0, sign * dv_j, 0.0),
-                                APOGEE if raising else PERIGEE, m))
+                                APOGEE if raising else PERIGEE))
         v_far += sign * dv_j
-        m -= fuel_j
         sma = 1.0 / (2.0 / r1 - v_far**2 / consts.mu)
         t += TWO_PI * math.sqrt(sma**3 / consts.mu)
 
@@ -323,13 +321,12 @@ def nic_estimate(di: float, r: float, craft_mass: float, thruster: ThrusterSpec,
     half = math.pi / n_mean
 
     events: list[BurnEvent] = []
-    t, m = 0.0, craft_mass
+    t = 0.0
     s = 1.0 if di >= 0.0 else -1.0
-    for j, (dv_j, fuel_j) in enumerate(split_dv(dv, craft_mass, thruster, consts)):
+    for j, (dv_j, _) in enumerate(split_dv(dv, craft_mass, thruster, consts)):
         ascending = j % 2 == 0
         events.append(BurnEvent(t, (0.0, 0.0, s * dv_j if ascending else -s * dv_j),
-                                ASC_NODE if ascending else DESC_NODE, m))
-        m -= fuel_j
+                                ASC_NODE if ascending else DESC_NODE))
         t += half
 
     legs = [LegCost("nic", dv, k, tof)]
@@ -367,10 +364,10 @@ def phasing_coast(L_chaser: float, L_target_at_arrival: float, tof_mht: float,
 
 
 def _sec_drift(a_mean: float, i_mean: float, dt: float,
-               consts: PhysicalConstants) -> tuple[float, float]:
-    """Node/perigee increments accumulated over ``dt`` at a mean orbit."""
-    draan, dargp = j2_secular_rates(a_mean, 0.0, i_mean, consts)
-    return draan * dt, dargp * dt
+               consts: PhysicalConstants) -> float:
+    """Node increment accumulated over ``dt`` at a mean circular orbit."""
+    draan, _ = j2_secular_rates(a_mean, 0.0, i_mean, consts)
+    return draan * dt
 
 
 def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
@@ -395,7 +392,7 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
     i_mid = 0.5 * (i0 + i1)
 
     mass = state.mass
-    raan, argp = kep0.raan, kep0.argp
+    raan = kep0.raan
     elapsed = 0.0    # reported (duty-cycle) timeline
     phys_t = 0.0     # physical plan timeline
     legs: list[LegCost] = []
@@ -404,10 +401,8 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
     fuel_total = 0.0
 
     def apply_drift(a_mean: float, i_mean: float, dt: float) -> None:
-        nonlocal raan, argp
-        d_raan, d_argp = _sec_drift(a_mean, i_mean, dt, consts)
-        raan += d_raan
-        argp += d_argp
+        nonlocal raan
+        raan += _sec_drift(a_mean, i_mean, dt, consts)
 
     def coast(a_mean: float, i_mean: float, dt: float) -> None:
         nonlocal elapsed, phys_t, coast_total
@@ -488,7 +483,7 @@ def decommission_estimate(state: SpacecraftState, decom_radius: float,
     legs = [LegCost("decommission", est_raw.dv_total, est_raw.burn_count,
                     est_raw.tof_total)]
     tof = est_raw.tof_total
-    d_raan, d_argp = _sec_drift(0.5 * (r0 + decom_radius), kep0.i, tof, consts)
+    d_raan = _sec_drift(0.5 * (r0 + decom_radius), kep0.i, tof, consts)
     L_end = state.mee.L + math.sqrt(consts.mu / (0.5 * (r0 + decom_radius))**3) * tof
     end_raan = wrap_angle(kep0.raan + d_raan)
     end_kep = KeplerianState(a=decom_radius, e=0.0, i=kep0.i, raan=end_raan,

@@ -39,7 +39,6 @@ class BurnWindow:
     start: float
     end: float
     dv: np.ndarray          # summed LVLH impulse [km/s]
-    mass: float             # mass entering the window (from the plan)
 
     @property
     def duration(self) -> float:
@@ -74,8 +73,7 @@ def burn_windows(plan: BurnPlan, thruster: ThrusterSpec) -> list[BurnWindow]:
     wins: list[BurnWindow] = []
     for ev in plan.events:
         start = max(ev.epoch - 0.5 * t_on, 0.0)
-        w = BurnWindow(start, start + t_on, np.asarray(ev.dv, dtype=float),
-                       ev.mass_before)
+        w = BurnWindow(start, start + t_on, np.asarray(ev.dv, dtype=float))
         if wins and w.start < wins[-1].end + thruster.t_cooldown:
             warnings.warn("burn windows overlap after quantization; merged",
                           stacklevel=2)
@@ -87,13 +85,11 @@ def burn_windows(plan: BurnPlan, thruster: ThrusterSpec) -> list[BurnWindow]:
     return wins
 
 
-def build_grid(plan: BurnPlan, thruster: ThrusterSpec, orbit_period: float,
-               tail: float | None = None,
-               stage_cap: int = STAGE_CAP) -> StageGrid:
-    """Nonuniform stage grid covering a burn plan plus a trailing coast."""
+def build_grid(plan: BurnPlan, thruster: ThrusterSpec,
+               orbit_period: float) -> StageGrid:
+    """Nonuniform stage grid covering a burn plan through its last window;
+    :func:`with_tail` appends the trailing coast."""
     coast_dt = orbit_period / COAST_STAGES_PER_ORBIT
-    if tail is None:
-        tail = 0.25 * orbit_period
     wins = burn_windows(plan, thruster)
 
     dts: list[float] = []
@@ -110,9 +106,8 @@ def build_grid(plan: BurnPlan, thruster: ThrusterSpec, orbit_period: float,
         bounds.extend([thruster.thrust_kn] * BURN_STAGES)
         owner.extend([idx] * BURN_STAGES)
         cursor = w.end
-    prefix = StageGrid(dt=np.array(dts), tmax=np.array(bounds), windows=wins,
-                       window_of_stage=np.array(owner, dtype=np.int64))
-    return with_tail(prefix, tail, orbit_period, stage_cap)
+    return StageGrid(dt=np.array(dts), tmax=np.array(bounds), windows=wins,
+                     window_of_stage=np.array(owner, dtype=np.int64))
 
 
 def _coast_stages(duration: float, coast_dt: float) -> list[float]:
@@ -126,8 +121,8 @@ def _coast_stages(duration: float, coast_dt: float) -> list[float]:
 def with_tail(grid: StageGrid, tail: float, orbit_period: float,
               stage_cap: int = STAGE_CAP) -> StageGrid:
     """``grid`` followed by a trailing coast of ``tail`` seconds, cut into
-    stages as :func:`build_grid` cuts it, so a grid built with no tail and
-    extended here equals the grid built with that tail."""
+    stages as :func:`build_grid` cuts a coast gap; the whole grid must fit
+    under ``stage_cap``."""
     dts = _coast_stages(tail, orbit_period / COAST_STAGES_PER_ORBIT)
     n = grid.n_stages + len(dts)
     if n > stage_cap:
@@ -229,13 +224,14 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
                     substeps: np.ndarray, isp: float,
                     consts: PhysicalConstants = EARTH, u_scale: float | None = None,
                     skip_b: np.ndarray | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized central-difference Jacobians of the discrete dynamics at
     every node: x (N,7), u (N,3), dt (N,), substeps (N,) ints.
 
     ``skip_b`` marks stages whose control is structurally zero (coast); their
-    B block is left zero and costs no evaluations.  Returns (A (N,7,7),
-    B (N,7,3), f (N,7)).
+    B block is left zero and costs no evaluations.  One batched integration
+    takes 14 state-offset rows per stage and 6 control-offset rows per
+    thrusting stage.  Returns (A (N,7,7), B (N,7,3)).
     """
     N = x.shape[0]
     ve = isp * consts.g0
@@ -247,9 +243,9 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
         skip_b = np.zeros(N, dtype=bool)
     nb = int(np.sum(~skip_b))
 
-    # rows: nominal + 14 state offsets + 6 control offsets
-    rows_x = [x]
-    rows_u = [u]
+    # rows: 14 state offsets + 6 control offsets
+    rows_x = []
+    rows_u = []
     for jcomp in range(7):
         for sign in (+1.0, -1.0):
             xp = x.copy()
@@ -266,8 +262,8 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
 
     big_x = np.concatenate(rows_x, axis=0)
     big_u = np.concatenate(rows_u, axis=0)
-    base = np.concatenate([dt] * 15 + [dt[bsel]] * 6)
-    sub = np.concatenate([substeps] * 15 + [substeps[bsel]] * 6)
+    base = np.concatenate([dt] * 14 + [dt[bsel]] * 6)
+    sub = np.concatenate([substeps] * 14 + [substeps[bsel]] * 6)
 
     out = np.empty_like(big_x)
     for ns in np.unique(sub):
@@ -275,16 +271,15 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
         out[rows] = rk4_batch(big_x[rows], big_u[rows], base[rows], int(ns),
                               ve, consts)
 
-    fval = out[:N]
     A = np.empty((N, 7, 7))
     for jcomp in range(7):
-        plus = out[(1 + 2 * jcomp) * N:(2 + 2 * jcomp) * N]
-        minus = out[(2 + 2 * jcomp) * N:(3 + 2 * jcomp) * N]
+        plus = out[2 * jcomp * N:(2 * jcomp + 1) * N]
+        minus = out[(2 * jcomp + 1) * N:(2 * jcomp + 2) * N]
         A[:, :, jcomp] = (plus - minus) / (2.0 * eps_x[jcomp])
     B = np.zeros((N, 7, 3))
-    off = 15 * N
+    off = 14 * N
     for jcomp in range(3):
         plus = out[off + 2 * jcomp * nb: off + (2 * jcomp + 1) * nb]
         minus = out[off + (2 * jcomp + 1) * nb: off + (2 * jcomp + 2) * nb]
         B[bsel, :, jcomp] = (plus - minus) / (2.0 * eps_u)
-    return A, B, fval
+    return A, B

@@ -25,7 +25,7 @@ import numpy as np
 
 @dataclass
 class ConvexSubproblem:
-    """min  0.5 (z_N - z_ref)' P (z_N - z_ref) + 0.5 sum_i w_i' R w_i
+    """min  0.5 (z_N - z_ref)' P (z_N - z_ref) + 0.5 r sum_i |w_i|^2
     s.t.  z_{i+1} = A_i z_i + B_i w_i + c_i,   z_0 = z0,
           ||w_i|| <= ball_i.
 
@@ -38,7 +38,7 @@ class ConvexSubproblem:
     c: np.ndarray            # (N, 7)
     P: np.ndarray            # (7, 7)
     z_ref: np.ndarray        # (7,)
-    R: np.ndarray            # (3, 3)
+    r: float                 # control weight
     ball: np.ndarray         # (N,)
     z0: np.ndarray = field(default_factory=lambda: np.zeros(7))
 
@@ -51,9 +51,8 @@ class ConvexSubproblem:
 class SubproblemSolution:
     states: np.ndarray       # (N+1, 7)
     controls: np.ndarray     # (N, 3)
-    objective: float
     iterations: int
-    duals: dict | None = None
+    gamma: np.ndarray | None  # (7,) terminal gradient; None without burn stages
 
 
 class ReducedArcSolver:
@@ -61,11 +60,11 @@ class ReducedArcSolver:
 
     The dynamics are condensed once into the terminal map
     z_N = M w_burn + e0, so only the burn-stage controls are unknowns.  The
-    per-stage closed form needs an isotropic control weight, R = r I with
-    r > 0, and the terminal-gradient fixed point needs a symmetric P;
-    :meth:`solve` rejects anything else.  The refiner imposes its trust
-    region by scaling the returned step: the step is affine in the controls,
-    so any scaled step stays ball-feasible and linear-model-consistent.
+    per-stage closed form needs a positive control weight r, and the
+    terminal-gradient fixed point needs a symmetric P; :meth:`solve` rejects
+    anything else.  The refiner imposes its trust region by scaling the
+    returned step: the step is affine in the controls, so any scaled step
+    stays ball-feasible and linear-model-consistent.
     """
 
     def __init__(self, sub: ConvexSubproblem):
@@ -114,8 +113,6 @@ class ReducedArcSolver:
         # M columns are grouped per burn stage: [stage0(u_r,u_t,u_n), ...]
         self.M = np.transpose(Mcols, (1, 0, 2)).reshape(7, nb * 3)
 
-        self.r = float(sub.R[0, 0])
-
     def rollout(self, W: np.ndarray) -> np.ndarray:
         sub = self.sub
         Z = np.empty((sub.n_stages + 1, 7))
@@ -132,7 +129,7 @@ class ReducedArcSolver:
     def _controls_for(self, gamma: np.ndarray, ball: np.ndarray) -> np.ndarray:
         """Per-stage minimizer for a fixed terminal gradient gamma:
         w_j = -M_j^T gamma / r, saturated onto its ball."""
-        q = -(self.M.T @ gamma).reshape(-1, 3) / self.r
+        q = -(self.M.T @ gamma).reshape(-1, 3) / self.sub.r
         norms = np.linalg.norm(q, axis=1)
         scale = np.ones_like(norms)
         over = norms > ball
@@ -140,27 +137,23 @@ class ReducedArcSolver:
         return q * scale[:, None]
 
     def solve(self, max_iter: int = 100, tol: float = 1e-11,
-              warm: dict | None = None) -> SubproblemSolution:
+              warm: np.ndarray | None = None) -> SubproblemSolution:
         """Semismooth Newton on the 7-dim terminal-gradient fixed point.
 
         Stationarity of the condensed problem reads
             gamma = P (M W(gamma) + e0 - z_ref),
         with W(gamma) the ball-clipped per-stage closed form; the root is
-        found to machine precision in a handful of Newton steps.
+        found to machine precision in a handful of Newton steps, starting
+        from ``warm`` (a previous solution's gamma) when given.
         """
         sub = self.sub
         nb = self.burn_idx.size
         if nb == 0:
             W = np.zeros((sub.n_stages, 3))
-            Z = self.rollout(W)
-            return SubproblemSolution(states=Z, controls=W,
-                                      objective=qp_objective(sub, Z, W),
-                                      iterations=0, duals=None)
-        if self.r <= 0.0:
+            return SubproblemSolution(states=self.rollout(W), controls=W,
+                                      iterations=0, gamma=None)
+        if sub.r <= 0.0:
             raise ValueError("the condensed solver needs a positive control weight")
-        if not np.array_equal(sub.R, self.r * np.eye(3)):
-            raise ValueError("the condensed solver needs an isotropic control "
-                             "weight R = r I")
         if not np.array_equal(sub.P, sub.P.T):
             raise ValueError("the condensed solver needs a symmetric terminal "
                              "weight P")
@@ -172,8 +165,7 @@ class ReducedArcSolver:
             zN = self.M @ W.ravel() + self.e0
             return gamma - P @ (zN - sub.z_ref)
 
-        gamma = (warm["gamma"].copy() if warm is not None and "gamma" in warm
-                 else P @ (self.e0 - sub.z_ref))
+        gamma = warm if warm is not None else P @ (self.e0 - sub.z_ref)
         phi = residual(gamma)
         it = 0
         for it in range(1, max_iter + 1):
@@ -206,12 +198,5 @@ class ReducedArcSolver:
         Wb = self._controls_for(gamma, ball)
         W = np.zeros((sub.n_stages, 3))
         W[self.burn_idx] = Wb
-        Z = self.rollout(W)
-        return SubproblemSolution(states=Z, controls=W,
-                                  objective=qp_objective(sub, Z, W),
-                                  iterations=it, duals={"gamma": gamma})
-
-
-def qp_objective(sub: ConvexSubproblem, Z: np.ndarray, W: np.ndarray) -> float:
-    err = Z[-1] - sub.z_ref
-    return float(0.5 * err @ sub.P @ err + 0.5 * np.einsum("ij,jk,ik->", W, sub.R, W))
+        return SubproblemSolution(states=self.rollout(W), controls=W,
+                                  iterations=it, gamma=gamma)

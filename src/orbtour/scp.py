@@ -27,8 +27,9 @@ from .elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee, mee
 from .errors import SchemaError, read_json_object, write_json
 from .maneuvers import (ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec,
                         TransferEstimate)
-from .ocp import (COAST_SUBSTEP, STAGE_CAP, StageGrid, build_grid, linearize_batch,
-                  split_plan, warm_start, with_tail)
+from .ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, STAGE_CAP,
+                  StageGrid, build_grid, linearize_batch, split_plan, warm_start,
+                  with_tail)
 from .parallel import ordered_map
 from .propagate import PropagatorConfig, propagate_numeric, rk4_segment
 from .qp import ConvexSubproblem, ReducedArcSolver
@@ -53,8 +54,8 @@ SHRINK, GROW = 0.5, 2.0
 RATIO_ACCEPT, RATIO_EXPAND = 0.25, 0.75
 #: a scaled step below this is converged
 UPDATE_TOL = 1e-6
-#: iteration cap and tolerance of each convex subproblem solve
-QP_ITERS, QP_TOL = 100, 1e-11
+#: SCP iteration cap per arc
+MAX_ITERATIONS = 50
 
 
 @dataclass
@@ -111,7 +112,8 @@ def realized_dv(controls: np.ndarray, dt: np.ndarray, states: np.ndarray) -> flo
 
 
 def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
-              warm_controls: np.ndarray, max_iterations: int = 50) -> RefinedArc:
+              warm_controls: np.ndarray,
+              max_iterations: int = MAX_ITERATIONS) -> RefinedArc:
     """Refine one arc from a dynamics-consistent warm start.
 
     Returns the best accepted iterate; ``converged`` is False when the
@@ -121,7 +123,6 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     N = grid.n_stages
     sx, su = problem.scales()
     P = np.diag(P_DIAG)
-    R = R_SCALE * np.eye(3)
     ball = grid.tmax / su
     z_ref = problem.x_ref / sx
     dt = grid.dt
@@ -146,7 +147,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     radius = TRUST_RADIUS
     converged = False
     iterations = 0
-    duals = None
+    gamma = None
     coast = grid.tmax <= 0.0
 
     if N == 0 or np.all(grid.tmax == 0.0) and np.all(np.abs(U) == 0.0):
@@ -160,8 +161,8 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     z_ref_dev = None
     for iterations in range(1, max_iterations + 1):
         if solver is None:
-            A, B, _ = linearize_batch(X[:-1], U, dt, substeps, problem.isp, consts,
-                                      u_scale=su, skip_b=coast)
+            A, B = linearize_batch(X[:-1], U, dt, substeps, problem.isp, consts,
+                                   u_scale=su, skip_b=coast)
             # scaled deviation dynamics with absolute scaled controls w=u/su:
             # z' = (A*) z + (B*)(w - w_bar)  ->  offset c = -(B*) w_bar
             A_s = A * (sx[None, None, :] / sx[None, :, None])
@@ -169,10 +170,10 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             c_s = -np.einsum("nij,nj->ni", B_s, U / su)
             z_ref_dev = (problem.x_ref - X[-1]) / sx
             sub = ConvexSubproblem(A=A_s, B=B_s, c=c_s, P=P, z_ref=z_ref_dev,
-                                   R=R, ball=ball, z0=np.zeros(7))
+                                   r=R_SCALE, ball=ball, z0=np.zeros(7))
             solver = ReducedArcSolver(sub)
-        sol = solver.solve(max_iter=QP_ITERS, tol=QP_TOL, warm=duals)
-        duals = sol.duals
+        sol = solver.solve(warm=gamma)
+        gamma = sol.gamma
         # trust region: the step is affine in the controls, so scaling the
         # control step keeps it ball-feasible and model-consistent
         step_scale = float(np.max(np.abs(sol.states)))
@@ -225,7 +226,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
 
 @dataclass
 class RefineOptions:
-    max_iterations: int = 50
+    max_iterations: int = MAX_ITERATIONS
     stage_cap: int = STAGE_CAP
 
 
@@ -263,8 +264,8 @@ def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
         # the margin covers the phase-matching tail and per-gap rounding
         kep = mee_to_kep(state0.mee)
         period = 2.0 * math.pi * math.sqrt(kep.a**3 / consts.mu)
-        est_stages = (len(g.events) * 5
-                      + (g.duration / period + 2.5) * 40)
+        est_stages = (len(g.events) * (BURN_STAGES + 1)
+                      + (g.duration / period + 2.5) * COAST_STAGES_PER_ORBIT)
         n_chunks = max(1, math.ceil(est_stages / (0.9 * options.stage_cap)))
         chunks = split_plan(g, g.duration / n_chunks) if n_chunks > 1 else [g]
         for ci, chunk in enumerate(chunks):
@@ -361,7 +362,7 @@ def _retime_node_plan(plan: BurnPlan, x0: np.ndarray, isp: float,
     parity = 0 if plan.events[0].tag == ASC_NODE else 1
     t_first = ((parity * math.pi - u0) % (2.0 * math.pi)) / u_rate
     half = math.pi / u_rate
-    events = [BurnEvent(t_first + k * half, ev.dv, ev.tag, ev.mass_before)
+    events = [BurnEvent(t_first + k * half, ev.dv, ev.tag)
               for k, ev in enumerate(plan.events)]
     return BurnPlan(events)
 
@@ -391,17 +392,16 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
     """Build the refinement problem and warm start for one plan chunk.
 
     ``lead_coast`` seconds of coast are prepended numerically to ``x0``
-    before the first window (phasing/idle time between chunks).  Terminal
-    chunks, those given an ``x_ref``, get a tail stretched to end at the
-    anchor argument-of-latitude phase — the phase where the leg's
-    ideal-element boundary state was defined — so the J2 short-period
-    element oscillations cancel between the leg endpoints and ideal-element
-    references are reachable.  The warm start through the last window is
-    rolled once on the grid without a tail; each of the up to three tail
-    fits then rolls only its own trailing coast stages, so the result equals
-    a whole warm start on the final grid and its warnings appear once.
-    Interior chunks (``x_ref`` None) keep a minimal tail and pin to their
-    own warm terminal.  Returns (problem, warm states, warm controls).
+    before the first window (phasing/idle time between chunks).  The warm
+    start through the last window is rolled once and each trailing coast is
+    rolled on from it, so the result equals a whole warm start on the final
+    grid and its warnings appear once.  Interior chunks (``x_ref`` None)
+    get a one-stage tail and pin to their own warm terminal.  Terminal
+    chunks get a tail stretched, in up to three fits, to end at the anchor
+    argument-of-latitude phase — the phase where the leg's ideal-element
+    boundary state was defined — so the J2 short-period element
+    oscillations cancel between the leg endpoints and ideal-element
+    references are reachable.  Returns (problem, warm states, warm controls).
     """
     if lead_coast > 0.0:
         state0 = SpacecraftState(MeeState.from_array(x0[:6]), mass=float(x0[6]))
@@ -413,18 +413,16 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
 
     kep = mee_to_kep(MeeState.from_array(x0[:6]))
     period = 2.0 * math.pi * math.sqrt(kep.a**3 / consts.mu)
-
+    prefix = build_grid(plan, thruster, period)
+    W_prefix, U_prefix = warm_start(plan, prefix, x0, isp, consts)
     if x_ref is None:
-        grid = build_grid(plan, thruster, period, tail=period / 40.0,
-                          stage_cap=options.stage_cap)
-        W, U = warm_start(plan, grid, x0, isp, consts)
+        grid = with_tail(prefix, period / COAST_STAGES_PER_ORBIT, period,
+                         options.stage_cap)
+        W, U = _coast_on(W_prefix, U_prefix, grid.dt[prefix.n_stages:], isp, consts)
         x_ref = W[-1].copy()
     else:
         u0 = (u_anchor if u_anchor is not None
               else (x0[5] - math.atan2(x0[4], x0[3]))) % (2.0 * math.pi)
-        prefix = build_grid(plan, thruster, period, tail=0.0,
-                            stage_cap=options.stage_cap)
-        W_prefix, U_prefix = warm_start(plan, prefix, x0, isp, consts)
         tail = 0.25 * period
         for _ in range(3):
             grid = with_tail(prefix, tail, period, options.stage_cap)

@@ -14,7 +14,7 @@ import io
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -80,14 +80,10 @@ class VerificationReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        fields = ["label", "target_a_km", "target_i_deg", "achieved_a_km",
-                  "achieved_e", "achieved_i_deg", "da_km", "de", "di_deg",
-                  "fuel_numeric_kg", "fuel_analytic_kg", "dv_numeric_mps",
-                  "consistency_err", "pass_sma", "pass_inc", "pass_fuel"]
-        writer = csv.DictWriter(buf, fieldnames=fields)
+        writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(LegReport)])
         writer.writeheader()
         for leg in self.legs:
-            writer.writerow({k: vars(leg)[k] for k in fields})
+            writer.writerow(vars(leg))
         return buf.getvalue()
 
 

@@ -31,6 +31,7 @@ from orbtour.ocp import linearize_batch
 from orbtour.optimizer import (CROSSOVER_BLEND, ELITES, MUTATION_RATE,
                                MUTATION_SIGMA, TOURNAMENT)
 from orbtour.permutations import SobolEngine
+from orbtour.propagate import rk4_batch
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario)
 
@@ -42,11 +43,14 @@ TWO_BODY = dataclasses.replace(EARTH, j2=0.0)
 def linearize_one(x, u, dt: float, substeps: int, isp: float, consts=EARTH,
                   u_scale: float | None = None):
     """Jacobians A (7,7), B (7,3) and offset c = f(x, u) - A x - B u of one
-    discrete step, from a one-row :func:`orbtour.ocp.linearize_batch`."""
+    discrete step, from a one-row :func:`orbtour.ocp.linearize_batch`, with
+    the nominal step f(x, u) from :func:`orbtour.propagate.rk4_batch`."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    A, B, f = linearize_batch(x[None, :], u[None, :], np.array([dt]),
-                              np.array([substeps]), isp, consts, u_scale=u_scale)
-    return A[0], B[0], f[0] - A[0] @ x - B[0] @ u
+    A, B = linearize_batch(x[None, :], u[None, :], np.array([dt]),
+                           np.array([substeps]), isp, consts, u_scale=u_scale)
+    f = rk4_batch(x[None, :], u[None, :], np.array([dt]), substeps, isp * consts.g0,
+                  consts)[0]
+    return A[0], B[0], f - A[0] @ x - B[0] @ u
 
 
 # ---------------------------------------------------------------------------

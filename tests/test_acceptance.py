@@ -236,9 +236,9 @@ def test_criterion_09_refiner_internal_checks(case1):
 
     # a pure coast problem converges in one iteration
     from orbtour.maneuvers import BurnPlan
-    from orbtour.ocp import build_grid, warm_start
+    from orbtour.ocp import build_grid, warm_start, with_tail
     from orbtour.scp import OcpProblem, scp_solve
-    grid = build_grid(BurnPlan([]), TH, 5800.0, tail=2000.0)
+    grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 2000.0, 5800.0)
     W, U = warm_start(BurnPlan([]), grid, x, TH.isp)
     coast = scp_solve(OcpProblem(x0=x, grid=grid, x_ref=W[-1].copy(), isp=TH.isp),
                       W, U)

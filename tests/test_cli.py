@@ -246,6 +246,10 @@ def test_montecarlo_and_report(tmp_path):
     assert sorted(p.name for p in outdir.glob("tour_*.json")) == [
         f"tour_{i:04d}.json" for i in range(4)]
     assert run(["report", "--dir", outdir, "--out", tmp_path / "sum.csv"]) == 0
+    manifest = json.loads((tmp_path / "sum.csv.manifest.json").read_text())
+    assert manifest["command"] == "report"
+    assert manifest["outputs"] == [str(tmp_path / "sum.csv")]
+    assert [i["path"] for i in manifest["inputs"]] == [str(outdir / "montecarlo.csv")]
 
     # parallel run produces identical bytes (per-task seeds, ordered collection)
     outdir2 = tmp_path / "mc2"
@@ -324,6 +328,42 @@ def test_report_without_rows_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no rows" in err and len(err.strip().splitlines()) == 1
     assert not (outdir / "summary.csv").exists()
+    # so do a missing column and a value that is not a number
+    for text, what in (("scenario,seed,fuel_kg,feasible\n0,1,2.5,True\n", "n_bundles"),
+                       ("scenario,seed,n_bundles,fuel_kg,feasible\n0,1,2,abc,True\n",
+                        "abc")):
+        (outdir / "montecarlo.csv").write_text(text)
+        assert run(["report", "--dir", outdir]) == 1
+        err = capsys.readouterr().err
+        assert str(outdir / "montecarlo.csv") in err and what in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (outdir / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("where, text", [
+    ("config", '{"spacecraft": {"wet_mass": 235.0}}'),
+    ("config", '{"n_cubesats": 2.5}'),
+    ("optimizer", '{"population": 2.5}'),
+    ("optimizer", '{"islands": true}'),
+    ("optimizer", '{"seed": 1.5}'),
+    ("constants", '{"j2": true}'),
+], ids=["spacecraft", "n_cubesats", "population", "islands", "seed", "j2"])
+def test_config_value_of_the_wrong_type_is_an_error(where, text, tmp_path, tiny_paths,
+                                                    capsys, monkeypatch):
+    # a bool is not a number, a float is not an int, and the spacecraft
+    # cannot be set from a file
+    _, scn_path = tiny_paths
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    argv = {"config": ["generate", "--config", cfg],
+            "optimizer": ["solve", "--scenario", scn_path, "--optimizer-config", cfg],
+            "constants": ["generate"]}[where]
+    if where == "constants":
+        monkeypatch.setenv("ORBTOUR_CONSTANTS", str(cfg))
+    assert run(argv + ["--out", tmp_path / "o.json"]) == 1
+    err = capsys.readouterr().err
+    key = next(iter(json.loads(text)))
+    assert str(cfg) in err and repr(key) in err and len(err.strip().splitlines()) == 1
 
 
 def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch):

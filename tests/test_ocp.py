@@ -8,13 +8,13 @@ from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
 from orbtour.ocp import (BURN_STAGES, build_grid, burn_windows, linearize_batch,
-                         split_plan, warm_start)
+                         split_plan, warm_start, with_tail)
 
 TH = ThrusterSpec()
 
 
-def impulse(epoch, dv=(0.0, 1e-3, 0.0), tag="perigee", mass=235.0):
-    return BurnEvent(epoch, dv, tag, mass)
+def impulse(epoch, dv=(0.0, 1e-3, 0.0), tag="perigee"):
+    return BurnEvent(epoch, dv, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +22,7 @@ def impulse(epoch, dv=(0.0, 1e-3, 0.0), tag="perigee", mass=235.0):
 # ---------------------------------------------------------------------------
 
 def test_empty_plan_is_pure_coast():
-    grid = build_grid(BurnPlan([]), TH, 5800.0, tail=600.0)
+    grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 600.0, 5800.0)
     assert grid.n_stages > 0
     assert np.all(grid.tmax == 0.0)
     assert np.all(grid.window_of_stage == -1)
@@ -30,7 +30,7 @@ def test_empty_plan_is_pure_coast():
 
 def test_single_impulse_quantization():
     th = ThrusterSpec(t_on=20.0)
-    grid = build_grid(BurnPlan([impulse(100.0)]), th, 5800.0, tail=600.0)
+    grid = with_tail(build_grid(BurnPlan([impulse(100.0)]), th, 5800.0), 600.0, 5800.0)
     on = grid.tmax > 0.0
     assert np.count_nonzero(on) == BURN_STAGES
     assert np.all(grid.tmax[on] == th.thrust_kn)
@@ -73,7 +73,7 @@ def test_overlapping_windows_merge_with_warning():
 def test_grid_resolution_requirements():
     est, plan = mht_estimate(6950.0, 6960.0, 235.0, TH)
     period = 5800.0
-    grid = build_grid(plan, TH, period)
+    grid = with_tail(build_grid(plan, TH, period), 0.25 * period, period)
     # every window spans >= 4 stages at the peak bound
     for w in range(len(grid.windows)):
         assert np.count_nonzero(grid.window_of_stage == w) >= 4
@@ -85,7 +85,7 @@ def test_grid_resolution_requirements():
 def test_grid_cap_enforced():
     est, plan = mht_estimate(6950.0, 7000.0, 235.0, TH)
     with pytest.raises(ValueError, match="cap"):
-        build_grid(plan, TH, 5800.0, stage_cap=100)
+        with_tail(build_grid(plan, TH, 5800.0), 0.25 * 5800.0, 5800.0, stage_cap=100)
 
 
 def test_split_plan_respects_duration():
@@ -110,7 +110,7 @@ def x0_circular(a=6950.0, i_deg=97.3964, mass=235.0):
 
 
 def test_zero_plan_warm_start_is_coast():
-    grid = build_grid(BurnPlan([]), TH, 5800.0, tail=600.0)
+    grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 600.0, 5800.0)
     states, controls = warm_start(BurnPlan([]), grid, x0_circular(), TH.isp)
     assert np.all(controls == 0.0)
     assert states[-1, 6] == states[0, 6]
@@ -118,8 +118,8 @@ def test_zero_plan_warm_start_is_coast():
 
 def test_impulse_spread_to_constant_force():
     th = ThrusterSpec(t_on=60.0, thrust=12.6, cluster=4)
-    plan = BurnPlan([BurnEvent(100.0, (0.0, 1e-3, 0.0), "perigee", 235.0)])
-    grid = build_grid(plan, th, 5800.0)
+    plan = BurnPlan([BurnEvent(100.0, (0.0, 1e-3, 0.0), "perigee")])
+    grid = with_tail(build_grid(plan, th, 5800.0), 0.25 * 5800.0, 5800.0)
     states, controls = warm_start(plan, grid, x0_circular(), th.isp)
     on = np.linalg.norm(controls, axis=1) > 0.0
     force = np.linalg.norm(controls[on], axis=1)
@@ -132,8 +132,8 @@ def test_impulse_spread_to_constant_force():
 
 def test_warm_start_clips_and_spills():
     # an impulse too large for its window saturates and warns at the end
-    plan = BurnPlan([BurnEvent(100.0, (0.0, 0.5, 0.0), "perigee", 235.0)])
-    grid = build_grid(plan, TH, 5800.0)
+    plan = BurnPlan([BurnEvent(100.0, (0.0, 0.5, 0.0), "perigee")])
+    grid = with_tail(build_grid(plan, TH, 5800.0), 0.25 * 5800.0, 5800.0)
     with pytest.warns(UserWarning, match="thrust bound"):
         states, controls = warm_start(plan, grid, x0_circular(), TH.isp)
     assert np.max(np.linalg.norm(controls, axis=1)) <= TH.thrust_kn * (1 + 1e-9)
@@ -155,9 +155,9 @@ def test_keplerian_jacobian_structure():
     # the longitude row couples to the orbit geometry
     assert abs(A[5, 0]) > 0.0
     # structurally thrust-free stages skip the control block entirely
-    A2, B2, _ = linearize_batch(x[None, :], np.zeros((1, 3)), np.array([30.0]),
-                                np.array([1]), TH.isp, TWO_BODY,
-                                skip_b=np.array([True]))
+    A2, B2 = linearize_batch(x[None, :], np.zeros((1, 3)), np.array([30.0]),
+                             np.array([1]), TH.isp, TWO_BODY,
+                             skip_b=np.array([True]))
     assert np.all(B2 == 0.0)
     assert np.allclose(A2[0], A, atol=1e-12)
 
@@ -208,7 +208,7 @@ def test_linearize_batch_agrees_with_single():
     x = np.vstack([x0_circular(), x0_circular(6960.0)])
     u = np.array([[0.0, 0.01, 0.0], [0.001, 0.0, 0.002]])
     dt = np.array([15.0, 25.0])
-    A, B, f = linearize_batch(x, u, dt, np.array([1, 2]), TH.isp, u_scale=0.01)
+    A, B = linearize_batch(x, u, dt, np.array([1, 2]), TH.isp, u_scale=0.01)
     for row in range(2):
         A1, B1, c1 = linearize_one(x[row], u[row], float(dt[row]),
                                    int([1, 2][row]), TH.isp, u_scale=0.01)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from orbtour.qp import ConvexSubproblem, ReducedArcSolver, qp_objective
+from orbtour.qp import ConvexSubproblem, ReducedArcSolver
 
 
 def random_subproblem(rng, N=5, ball=10.0, r_weight=1e-3, coast=()):
@@ -12,11 +12,16 @@ def random_subproblem(rng, N=5, ball=10.0, r_weight=1e-3, coast=()):
     c = 0.01 * rng.standard_normal((N, 7))
     P = np.diag(rng.uniform(0.5, 3.0, 7))
     z_ref = rng.standard_normal(7)
-    R = r_weight * np.eye(3)
     balls = np.full(N, float(ball))
     for i in coast:
         balls[i] = 0.0
-    return ConvexSubproblem(A=A, B=B, c=c, P=P, z_ref=z_ref, R=R, ball=balls)
+    return ConvexSubproblem(A=A, B=B, c=c, P=P, z_ref=z_ref, r=r_weight, ball=balls)
+
+
+def qp_objective(sub: ConvexSubproblem, Z: np.ndarray, W: np.ndarray) -> float:
+    """Oracle: the subproblem's objective at states Z and controls W."""
+    err = Z[-1] - sub.z_ref
+    return float(0.5 * err @ sub.P @ err + 0.5 * sub.r * np.sum(W * W))
 
 
 def linear_rollout(sub: ConvexSubproblem, W: np.ndarray) -> np.ndarray:
@@ -39,7 +44,7 @@ def dense_kkt_solution(sub: ConvexSubproblem):
     H[7 * N:7 * N + 7, 7 * N:7 * N + 7] = sub.P
     g[7 * N:7 * N + 7] = -sub.P @ sub.z_ref
     for i in range(N):
-        H[nz + 3 * i:nz + 3 * i + 3, nz + 3 * i:nz + 3 * i + 3] = sub.R
+        H[nz + 3 * i:nz + 3 * i + 3, nz + 3 * i:nz + 3 * i + 3] = sub.r * np.eye(3)
     # equality constraints: z_0 = z0; z_{i+1} - A z_i - B u_i = c_i
     ne = 7 * (N + 1)
     E = np.zeros((ne, nz + nu))
@@ -84,7 +89,8 @@ def test_all_coast_returns_rollout():
     assert np.all(sol.controls == 0.0)
     assert np.allclose(sol.states, linear_rollout(sub, sol.controls), atol=1e-12)
     err = sol.states[-1] - sub.z_ref
-    assert sol.objective == pytest.approx(0.5 * err @ sub.P @ err, rel=1e-12)
+    assert qp_objective(sub, sol.states, sol.controls) == pytest.approx(
+        0.5 * err @ sub.P @ err, rel=1e-12)
 
 
 def test_huge_control_penalty_drives_controls_to_zero():
@@ -101,7 +107,8 @@ def test_matches_dense_kkt_oracle_when_constraints_slack():
         sub = random_subproblem(rng, N=5, ball=1e6)
         want_Z, want_U, want_obj = dense_kkt_solution(sub)
         sol = ReducedArcSolver(sub).solve(tol=1e-12)
-        assert sol.objective == pytest.approx(want_obj, rel=1e-6, abs=1e-9)
+        assert qp_objective(sub, sol.states, sol.controls) == pytest.approx(
+            want_obj, rel=1e-6, abs=1e-9)
         assert np.allclose(sol.controls, want_U, atol=1e-5)
 
 
@@ -109,7 +116,8 @@ def test_matches_slsqp_oracle_with_active_balls():
     rng = np.random.default_rng(3)
     sub = random_subproblem(rng, N=4, ball=0.05, r_weight=1e-3)
     sol = ReducedArcSolver(sub).solve(tol=1e-12)
-    assert sol.objective == pytest.approx(slsqp_objective(sub), rel=1e-5)
+    assert qp_objective(sub, sol.states, sol.controls) == pytest.approx(
+        slsqp_objective(sub), rel=1e-5)
     norms = np.linalg.norm(sol.controls, axis=1)
     assert np.all(norms <= sub.ball + 1e-12)
 
@@ -120,8 +128,8 @@ def test_matches_slsqp_oracle_with_coast_stages():
         sub = random_subproblem(rng, N=6, ball=ball, r_weight=1e-3, coast=coast)
         sub.P = np.diag(rng.uniform(0.5, 2.0, 7))
         sol = ReducedArcSolver(sub).solve(tol=1e-13)
-        assert sol.objective == pytest.approx(slsqp_objective(sub),
-                                              rel=1e-5, abs=1e-9)
+        assert qp_objective(sub, sol.states, sol.controls) == pytest.approx(
+            slsqp_objective(sub), rel=1e-5, abs=1e-9)
         assert np.all(np.linalg.norm(sol.controls, axis=1) <= sub.ball + 1e-12)
         assert np.all(sol.controls[list(coast)] == 0.0)
 
@@ -171,17 +179,15 @@ def test_weights_outside_the_closed_form_raise():
     L = rng.standard_normal((7, 7))
     sub.P = L @ L.T / 7.0 + 0.5 * np.eye(7)
     sol = ReducedArcSolver(sub).solve(tol=1e-13)
-    assert sol.objective == pytest.approx(slsqp_objective(sub), rel=1e-6)
+    assert qp_objective(sub, sol.states, sol.controls) == pytest.approx(
+        slsqp_objective(sub), rel=1e-6)
 
     dense = sub.P
     sub.P = dense + np.triu(np.full((7, 7), 0.1), 1)
     with pytest.raises(ValueError, match="symmetric"):
         ReducedArcSolver(sub).solve()
     sub.P = dense
-    sub.R = np.diag([1e-3, 1e-2, 1e-1])
-    with pytest.raises(ValueError, match="isotropic"):
-        ReducedArcSolver(sub).solve()
-    sub.R = np.zeros((3, 3))
+    sub.r = 0.0
     with pytest.raises(ValueError, match="positive"):
         ReducedArcSolver(sub).solve()
 
@@ -190,5 +196,5 @@ def test_warm_start_reduces_iterations():
     rng = np.random.default_rng(6)
     sub = random_subproblem(rng, N=6, ball=0.05)
     first = ReducedArcSolver(sub).solve(tol=1e-11)
-    again = ReducedArcSolver(sub).solve(tol=1e-11, warm=first.duals)
+    again = ReducedArcSolver(sub).solve(tol=1e-11, warm=first.gamma)
     assert again.iterations <= first.iterations

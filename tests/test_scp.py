@@ -11,7 +11,7 @@ from orbtour import scp
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, MeeState, kep_to_mee, mee_to_kep
 from orbtour.maneuvers import BurnPlan, ThrusterSpec, mht_estimate, nic_estimate
-from orbtour.ocp import build_grid, warm_start
+from orbtour.ocp import build_grid, warm_start, with_tail
 from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc,
                          refine_tour, save_arcs, load_arcs, scp_solve)
 from orbtour.tour import tour_cost
@@ -35,7 +35,7 @@ def small_raise_arc():
 
 def test_pure_coast_converges_in_one_iteration():
     x0 = x0_circ()
-    grid = build_grid(BurnPlan([]), TH, 5800.0, tail=2000.0)
+    grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 2000.0, 5800.0)
     W, U = warm_start(BurnPlan([]), grid, x0, TH.isp)
     problem = OcpProblem(x0=x0, grid=grid, x_ref=W[-1].copy(), isp=TH.isp)
     arc = scp_solve(problem, W, U)
@@ -88,19 +88,19 @@ def test_small_raise_refinement():
 
 def test_warm_start_prefix_rolled_once_equals_full_roll(monkeypatch):
     # a nodal plan flown on half the thrust it was planned for: every
-    # window clips, so the warm start warns, and the tail needs refitting
+    # window clips, so the warm start warns, and a terminal piece's tail
+    # needs refitting; an interior piece (no reference) gets one coast stage
     weak = dataclasses.replace(TH, thrust=0.5 * TH.thrust)
     est, plan = nic_estimate(math.radians(0.05), 7000.0, 235.0, TH)
     x0 = x0_circ(7000.0, 97.3)
     end = KeplerianState(7000.0, 0.0, math.radians(97.35), math.radians(158.0),
                          0.0, 0.0)
     x_ref = np.concatenate([kep_to_mee(end).as_array(), [est.end_state.mass]])
-    grids, tails = [], []
     build_grid_, with_tail_ = scp.build_grid, scp.with_tail
 
-    def spy_build(plan, thruster, period, tail=None, stage_cap=None):
-        grids.append((plan, period, tail))
-        return build_grid_(plan, thruster, period, tail=tail, stage_cap=stage_cap)
+    def spy_build(plan, thruster, period):
+        grids.append((plan, period))
+        return build_grid_(plan, thruster, period)
 
     def spy_tail(grid, tail, period, stage_cap):
         tails.append(tail)
@@ -108,22 +108,27 @@ def test_warm_start_prefix_rolled_once_equals_full_roll(monkeypatch):
 
     monkeypatch.setattr(scp, "build_grid", spy_build)
     monkeypatch.setattr(scp, "with_tail", spy_tail)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        problem, W, U = prepare_arc(x0, plan, weak, x_ref, RefineOptions(), EARTH,
-                                    isp=weak.isp)
-    assert [tail for _, _, tail in grids] == [0.0]
-    assert len(tails) >= 2
-    assert sum("thrust bound" in str(w.message) for w in caught) == 1
-    retimed, period, _ = grids[0]
-    full = build_grid(retimed, weak, period, tail=tails[-1])
-    with pytest.warns(UserWarning, match="thrust bound"):
-        W_full, U_full = warm_start(retimed, full, x0, weak.isp)
-    assert np.array_equal(problem.grid.dt, full.dt)
-    assert np.array_equal(problem.grid.tmax, full.tmax)
-    assert np.array_equal(problem.grid.window_of_stage, full.window_of_stage)
-    assert np.array_equal(W, W_full)
-    assert np.array_equal(U, U_full)
+    for piece_ref in (x_ref, None):
+        grids, tails = [], []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            problem, W, U = prepare_arc(x0, plan, weak, piece_ref, RefineOptions(),
+                                        EARTH, isp=weak.isp)
+        assert len(grids) == 1
+        retimed, period = grids[0]
+        if piece_ref is None:
+            assert tails == [period / 40]
+        else:
+            assert len(tails) >= 2
+        assert sum("thrust bound" in str(w.message) for w in caught) == 1
+        full = with_tail(build_grid(retimed, weak, period), tails[-1], period)
+        with pytest.warns(UserWarning, match="thrust bound"):
+            W_full, U_full = warm_start(retimed, full, x0, weak.isp)
+        assert np.array_equal(problem.grid.dt, full.dt)
+        assert np.array_equal(problem.grid.tmax, full.tmax)
+        assert np.array_equal(problem.grid.window_of_stage, full.window_of_stage)
+        assert np.array_equal(W, W_full)
+        assert np.array_equal(U, U_full)
 
 
 def test_accepted_objectives_monotone():
