@@ -400,6 +400,9 @@ def cmd_report(args) -> int:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise SchemaError(f"{csv_path}: no rows")
+    for n, row in enumerate(rows, start=1):
+        if None in row.values():
+            raise SchemaError(f"{csv_path}: row {n} is short")
     out = args.out or Path(args.dir) / "summary.csv"
     try:
         summary = write_summary(rows, out)

@@ -211,6 +211,19 @@ def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
     return states, controls
 
 
+def rk4_stages(x: np.ndarray, u: np.ndarray, dt: np.ndarray, substeps: np.ndarray,
+               ve: float, consts: PhysicalConstants = EARTH) -> np.ndarray:
+    """End states of independent stages, each integrated from its own start
+    state: x (N,7), u (N,3), dt (N,), substeps (N,) ints -> (N,7).  Rows
+    sharing a substep count go to one :func:`~orbtour.propagate.rk4_batch`
+    call."""
+    out = np.empty_like(x)
+    for ns in np.unique(substeps):
+        rows = substeps == ns
+        out[rows] = rk4_batch(x[rows], u[rows], dt[rows], int(ns), ve, consts)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # linearization
 # ---------------------------------------------------------------------------
@@ -265,11 +278,7 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     base = np.concatenate([dt] * 14 + [dt[bsel]] * 6)
     sub = np.concatenate([substeps] * 14 + [substeps[bsel]] * 6)
 
-    out = np.empty_like(big_x)
-    for ns in np.unique(sub):
-        rows = sub == ns
-        out[rows] = rk4_batch(big_x[rows], big_u[rows], base[rows], int(ns),
-                              ve, consts)
+    out = rk4_stages(big_x, big_u, base, sub, ve, consts)
 
     A = np.empty((N, 7, 7))
     for jcomp in range(7):

@@ -2,12 +2,25 @@
 
 Each transfer arc is re-optimized as a discrete optimal-control problem on
 the nonuniform stage grid of :mod:`orbtour.ocp`: the nonlinear dynamics are
-linearized about the current rollout, the convex subproblem is solved with
+linearized about the current iterate, the convex subproblem is solved with
 hard per-stage thrust balls, the step toward its solution is scaled so the
-predicted state deviation stays within the trust radius, the candidate
-controls are re-rolled through the true dynamics, and the step is accepted
-or rejected on the ratio of actual to predicted objective reduction, which
-also drives the trust radius.
+predicted state deviation stays within the trust radius, and the step is
+accepted or rejected on the ratio of actual to predicted merit reduction,
+which also drives the trust radius.
+
+Candidates are scored by multiple shooting, not by a sequential rollout.
+An iterate is the node states and the controls; a candidate's nodes are
+the current nodes plus the scaled state step.  Every stage is propagated
+from its own node in batched RK4 calls, and its stage defect is the scaled
+mismatch between that end state and the next node.  The merit is the
+objective with the last node moved by the defects' first-order effect on
+it, through the products of the current linearization's stage Jacobians;
+to first order that is the objective a sequential rollout of the candidate
+would reach.  The linear model's defects after a lam-scaled step are
+(1 - lam) times the current ones, and an accepted iterate's defects enter
+the next subproblem as its dynamics offset.  One sequential rollout of the
+returned controls runs at exit, and only after an accepted step, so the
+returned states are always a trajectory of the returned controls.
 
 States are scaled by the terminal reference magnitudes and controls by the
 peak thrust before solving, and everything is reported back in physical
@@ -28,8 +41,8 @@ from .errors import SchemaError, read_json_object, write_json
 from .maneuvers import (ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec,
                         TransferEstimate)
 from .ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, STAGE_CAP,
-                  StageGrid, build_grid, linearize_batch, split_plan, warm_start,
-                  with_tail)
+                  StageGrid, build_grid, linearize_batch, rk4_stages, split_plan,
+                  warm_start, with_tail)
 from .parallel import ordered_map
 from .propagate import PropagatorConfig, propagate_numeric, rk4_segment
 from .qp import ConvexSubproblem, ReducedArcSolver
@@ -42,6 +55,8 @@ P_DIAG = (1e4, 1e4, 1e4, 1e4, 1e4, 1e2, 0.0)
 #: control-energy weight in scaled units; regularization only, so the
 #: terminal error always dominates the trade
 R_SCALE = 1e-6
+#: largest scaled stage defect of a converged iterate
+DEFECT_TOL = 1e-6
 #: scale floors for near-zero reference components [p f g h k L m]
 _SCALE_FLOOR = np.array([1.0, 1e-2, 1e-2, 1e-2, 1e-2, 1.0, 1.0])
 #: trust region on the scaled state step: initial radius and its bounds
@@ -111,13 +126,38 @@ def realized_dv(controls: np.ndarray, dt: np.ndarray, states: np.ndarray) -> flo
     return float(np.sum(mags * dt / m_mid))
 
 
+def stage_defects(states: np.ndarray, controls: np.ndarray, grid: StageGrid,
+                  isp: float, consts: PhysicalConstants = EARTH) -> np.ndarray:
+    """Stage defects of node states (N+1, 7) under controls (N, 3): the end
+    state of every stage propagated from its own node, minus the next node,
+    in physical units (N, 7).  All stages are integrated at once, in
+    batches of equal substep count."""
+    return (rk4_stages(states[:-1], controls, grid.dt, grid.substeps(),
+                       isp * consts.g0, consts) - states[1:])
+
+
+def _terminal_maps(A: np.ndarray) -> np.ndarray:
+    """E[k] = A[N-1] ... A[k+1] for stage maps A (N, 7, 7): the linear map
+    from a defect in the end state of stage k to the last node."""
+    E = np.empty_like(A)
+    M = np.eye(A.shape[1])
+    for k in range(A.shape[0] - 1, -1, -1):
+        E[k] = M
+        M = M @ A[k]
+    return E
+
+
 def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
               warm_controls: np.ndarray,
               max_iterations: int = MAX_ITERATIONS) -> RefinedArc:
     """Refine one arc from a dynamics-consistent warm start.
 
-    Returns the best accepted iterate; ``converged`` is False when the
-    update-norm criterion was not met within the iteration cap.
+    Returns the last accepted iterate's controls with their sequential
+    rollout as states.  ``objective_history`` holds the merit of the warm
+    start and of each accepted iterate; ``objective`` is the true objective
+    of the returned states.  ``converged`` is False when a step was still
+    left at the iteration cap, or when the last iterate's largest scaled
+    stage defect is not below :data:`DEFECT_TOL`.
     """
     grid = problem.grid
     N = grid.n_stages
@@ -135,14 +175,18 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
                                  mass=float(problem.x0[6]))
         return propagate_numeric(state0, controls, dt, problem.isp, prop_cfg, consts)
 
-    def true_objective(states: np.ndarray, controls: np.ndarray) -> float:
-        err = states[-1] / sx - z_ref
+    def merit(states: np.ndarray, controls: np.ndarray,
+              moved: np.ndarray | float = 0.0) -> float:
+        # the objective with the last node moved by ``moved``, the defects'
+        # first-order effect on it; with no defects, the true objective
+        err = states[-1] / sx + moved - z_ref
         w = controls / su
         return float(0.5 * err @ P @ err + 0.5 * R_SCALE * np.sum(w * w))
 
     X = np.asarray(warm_states, dtype=float).copy()
     U = np.asarray(warm_controls, dtype=float).copy()
-    J = true_objective(X, U)
+    D = np.zeros((N, 7))   # the warm start is a rollout
+    J = merit(X, U)
     history = [J]
     radius = TRUST_RADIUS
     converged = False
@@ -164,30 +208,36 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             A, B = linearize_batch(X[:-1], U, dt, substeps, problem.isp, consts,
                                    u_scale=su, skip_b=coast)
             # scaled deviation dynamics with absolute scaled controls w=u/su:
-            # z' = (A*) z + (B*)(w - w_bar)  ->  offset c = -(B*) w_bar
-            A_s = A * (sx[None, None, :] / sx[None, :, None])
-            B_s = B * (su / sx[None, :, None])
-            c_s = -np.einsum("nij,nj->ni", B_s, U / su)
+            # z' = (A*) z + (B*)(w - w_bar) + d  ->  offset c = d - (B*) w_bar
+            A *= sx[None, None, :] / sx[None, :, None]
+            B *= su / sx[None, :, None]
+            c = D - np.einsum("nij,nj->ni", B, U / su)
             z_ref_dev = (problem.x_ref - X[-1]) / sx
-            sub = ConvexSubproblem(A=A_s, B=B_s, c=c_s, P=P, z_ref=z_ref_dev,
+            sub = ConvexSubproblem(A=A, B=B, c=c, P=P, z_ref=z_ref_dev,
                                    r=R_SCALE, ball=ball, z0=np.zeros(7))
             solver = ReducedArcSolver(sub)
+            E = _terminal_maps(A)
+            shift = np.einsum("kab,kb->a", E, D)
         sol = solver.solve(warm=gamma)
         gamma = sol.gamma
         # trust region: the step is affine in the controls, so scaling the
-        # control step keeps it ball-feasible and model-consistent
+        # control step keeps it ball-feasible and model-consistent; the
+        # linear model's defects after a lam-scaled step are (1 - lam) d
         step_scale = float(np.max(np.abs(sol.states)))
         lam = 1.0 if step_scale <= radius else radius / step_scale
         W_step = U / su + lam * (sol.controls - U / su)
         U_new = W_step * su
         U_new[coast] = 0.0
         Z_lam = lam * sol.states
-        err = Z_lam[-1] - z_ref_dev
+        err = Z_lam[-1] + (1.0 - lam) * shift - z_ref_dev
         J_pred = float(0.5 * err @ P @ err
                        + 0.5 * R_SCALE * np.sum(W_step * W_step))
 
-        X_new = rollout(U_new)
-        J_new = true_objective(X_new, U_new)
+        X_new = X + Z_lam * sx
+        D_new = stage_defects(X_new, U_new, grid, problem.isp, consts) / sx
+        # J stays the merit its iterate was accepted with, so the accepted
+        # merits only fall
+        J_new = merit(X_new, U_new, np.einsum("kab,kb->a", E, D_new))
         pred_red = J - J_pred
         act_red = J - J_new
         step_norm = max(lam * step_scale,
@@ -196,9 +246,9 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
         if step_norm < UPDATE_TOL or pred_red < 1e-9 * (1.0 + abs(J)):
             # no meaningful step left at solver precision
             if act_red > 0.0:
-                X, U, J = X_new, U_new, J_new
+                X, U, J, D = X_new, U_new, J_new, D_new
                 history.append(J)
-            converged = True
+            converged = float(np.max(np.abs(D))) < DEFECT_TOL
             break
         ratio = act_red / pred_red
         if ratio < RATIO_ACCEPT:
@@ -208,16 +258,19 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             while lam == 1.0 and step_scale <= radius and radius > MIN_RADIUS:
                 radius = max(radius * SHRINK, MIN_RADIUS)
             continue
-        X, U, J = X_new, U_new, J_new
+        X, U, J, D = X_new, U_new, J_new, D_new
         history.append(J)
         solver = None  # accepted: linearization point moved
         if ratio > RATIO_EXPAND and lam < 1.0:
             radius = min(radius * GROW, MAX_RADIUS)
 
+    if len(history) > 1:
+        X = rollout(U)
     return RefinedArc(states=X, controls=U, dt=dt, t0=problem.t0,
                       dv_total=realized_dv(U, dt, X), iterations=iterations,
-                      converged=converged, objective=J, x_ref=problem.x_ref.copy(),
-                      label=problem.label, objective_history=history)
+                      converged=converged, objective=merit(X, U),
+                      x_ref=problem.x_ref.copy(), label=problem.label,
+                      objective_history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +452,10 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
     get a one-stage tail and pin to their own warm terminal.  Terminal
     chunks get a tail stretched, in up to three fits, to end at the anchor
     argument-of-latitude phase — the phase where the leg's ideal-element
-    boundary state was defined — so the J2 short-period element
-    oscillations cancel between the leg endpoints and ideal-element
-    references are reachable.  Returns (problem, warm states, warm controls).
+    boundary state was defined — so the J2 short-period oscillations of the
+    size and plane cancel between the leg endpoints.  Their reference keeps
+    the target's a and i and takes every other element from the warm
+    terminal.  Returns (problem, warm states, warm controls).
     """
     if lead_coast > 0.0:
         state0 = SpacecraftState(MeeState.from_array(x0[:6]), mass=float(x0[6]))
@@ -434,9 +488,11 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
             if gap < 1e-4 or gap > 2.0 * math.pi - 1e-4:
                 break
             tail += gap / math.sqrt(consts.mu / kep_w.a**3)
-        # keep the target's shape and plane (a, e, i); take node, phase and
-        # mass from the warm rollout: the node is untargeted by the mission
-        # and the phase was resolved combinatorially
+        # keep the target's size and plane (a, i); take the eccentricity
+        # vector (f, g), node, phase and mass from the warm rollout: the
+        # target's e = 0 is unreachable at the anchor phase, where J2 leaves
+        # a short-period eccentricity, the node is untargeted by the
+        # mission and the phase was resolved combinatorially
         kep_ref = mee_to_kep(MeeState.from_array(np.asarray(x_ref[:6], dtype=float)))
         ref = KeplerianState(a=kep_ref.a, e=kep_ref.e, i=kep_ref.i,
                              raan=kep_w.raan, argp=0.0,
@@ -444,6 +500,7 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
         mee_ref = kep_to_mee(ref)
         x_ref = np.concatenate([mee_ref.as_array(), [W[-1, 6]]])
         x_ref[5] = W[-1, 5]
+        x_ref[1:3] = W[-1, 1:3]
     problem = OcpProblem(x0=x0, grid=grid, x_ref=x_ref, isp=isp, consts=consts,
                          t0=t0, label=label)
     return problem, W, U

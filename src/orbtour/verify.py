@@ -62,7 +62,7 @@ class LegReport:
 
     @property
     def passed(self) -> bool:
-        return self.pass_sma and self.pass_inc
+        return self.pass_sma and self.pass_inc and self.pass_fuel
 
 
 @dataclass

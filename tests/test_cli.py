@@ -328,10 +328,13 @@ def test_report_without_rows_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no rows" in err and len(err.strip().splitlines()) == 1
     assert not (outdir / "summary.csv").exists()
-    # so do a missing column and a value that is not a number
+    # so do a missing column, a value that is not a number and a row
+    # shorter than its header
     for text, what in (("scenario,seed,fuel_kg,feasible\n0,1,2.5,True\n", "n_bundles"),
                        ("scenario,seed,n_bundles,fuel_kg,feasible\n0,1,2,abc,True\n",
-                        "abc")):
+                        "abc"),
+                       ("scenario,seed,n_bundles,fuel_kg,feasible\n0,1,2,2.5,True\n"
+                        "0,1\n", "row 2 is short")):
         (outdir / "montecarlo.csv").write_text(text)
         assert run(["report", "--dir", outdir]) == 1
         err = capsys.readouterr().err

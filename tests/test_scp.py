@@ -9,11 +9,13 @@ import pytest
 from conftest import tiny_mission
 from orbtour import scp
 from orbtour.constants import EARTH
-from orbtour.elements import KeplerianState, MeeState, kep_to_mee, mee_to_kep
+from orbtour.elements import (KeplerianState, MeeState, SpacecraftState, kep_to_mee,
+                               mee_to_kep)
 from orbtour.maneuvers import BurnPlan, ThrusterSpec, mht_estimate, nic_estimate
-from orbtour.ocp import build_grid, warm_start, with_tail
+from orbtour.ocp import COAST_SUBSTEP, build_grid, warm_start, with_tail
+from orbtour.propagate import PropagatorConfig, propagate_numeric, rk4_batch, rk4_segment
 from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc,
-                         refine_tour, save_arcs, load_arcs, scp_solve)
+                         refine_tour, save_arcs, load_arcs, scp_solve, stage_defects)
 from orbtour.tour import tour_cost
 
 TH = ThrusterSpec()
@@ -31,6 +33,24 @@ def small_raise_arc():
                          0.0, 0.0)
     x_ref = np.concatenate([kep_to_mee(end).as_array(), [est.end_state.mass]])
     return est, plan, x0, x_ref
+
+
+def rollout(problem, controls):
+    """Sequential rollout of ``controls`` over the problem's grid."""
+    s0 = SpacecraftState(MeeState.from_array(problem.x0[:6]), float(problem.x0[6]))
+    return propagate_numeric(s0, controls, problem.grid.dt, problem.isp,
+                             PropagatorConfig(step=COAST_SUBSTEP), problem.consts)
+
+
+def weak_raise_problem():
+    """The small raise flown on 90% of its warm-start thrust: a
+    dynamics-consistent start that leaves SCP several steps of work (the
+    full warm start is already close to optimal)."""
+    est, plan, x0, x_ref = small_raise_arc()
+    problem, _, U = prepare_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH,
+                                isp=TH.isp)
+    U = 0.9 * U
+    return problem, rollout(problem, U), U
 
 
 def test_pure_coast_converges_in_one_iteration():
@@ -132,26 +152,23 @@ def test_warm_start_prefix_rolled_once_equals_full_roll(monkeypatch):
 
 
 def test_accepted_objectives_monotone():
-    est, plan, x0, x_ref = small_raise_arc()
-    arc = refine_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH, isp=TH.isp)
+    arc = scp_solve(*weak_raise_problem())
     hist = arc.objective_history
     assert len(hist) >= 2
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
 
 def test_iteration_cap_flags_nonconvergence():
-    est, plan, x0, x_ref = small_raise_arc()
-    problem, W, U = prepare_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH,
-                                isp=TH.isp)
+    problem, W, U = weak_raise_problem()
     arc = scp_solve(problem, W, U, max_iterations=1)
     assert not arc.converged
     assert arc.iterations == 1
 
 
-def test_rejected_full_step_is_never_rolled_out_twice(monkeypatch):
+def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     # in the 0.75 deg plane change at 7000 km the second QP step fits inside
     # the trust radius and is rejected; shrinking the radius only once
-    # rolled that same candidate out again at iterations 3 to 5
+    # scored that same candidate again at iterations 3 to 5
     est, plan = nic_estimate(math.radians(0.75), 7000.0, 235.0, TH)
     x0 = x0_circ(7000.0, 97.1464)
     end = KeplerianState(7000.0, 0.0, math.radians(97.8964), math.radians(158.0),
@@ -159,18 +176,88 @@ def test_rejected_full_step_is_never_rolled_out_twice(monkeypatch):
     x_ref = np.concatenate([kep_to_mee(end).as_array(), [est.end_state.mass]])
     problem, W, U = prepare_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH,
                                 isp=TH.isp)
-    rolled = []
-    rollout = scp.propagate_numeric
+    calls = []
+    score, roll = scp.stage_defects, scp.propagate_numeric
 
-    def spy(state0, controls, *args):
-        rolled.append(hashlib.sha256(controls.tobytes()).hexdigest())
-        return rollout(state0, controls, *args)
+    def spy_score(states, controls, *args):
+        calls.append(("score", hashlib.sha256(states.tobytes()
+                                              + controls.tobytes()).hexdigest()))
+        return score(states, controls, *args)
+
+    def spy_roll(state0, controls, *args):
+        calls.append(("roll", controls.copy()))
+        return roll(state0, controls, *args)
+
+    monkeypatch.setattr(scp, "stage_defects", spy_score)
+    monkeypatch.setattr(scp, "propagate_numeric", spy_roll)
+    arc = scp_solve(problem, W, U, max_iterations=5)
+    scored = [h for kind, h in calls if kind == "score"]
+    assert len(scored) == arc.iterations == 5
+    assert len(set(scored)) == len(scored)
+    assert len(arc.objective_history) >= 3
+    # one sequential rollout, of the returned controls, after the last score
+    assert calls[-1][0] == "roll"
+    assert sum(kind == "roll" for kind, _ in calls) == 1
+    assert np.array_equal(calls[-1][1], arc.controls)
+    monkeypatch.undo()
+    assert np.array_equal(arc.states, rollout(problem, arc.controls))
+
+
+def test_returned_states_are_the_rollout_of_the_returned_controls(monkeypatch):
+    # after accepted steps the states come from one exit rollout; with no
+    # step accepted they are the warm start, itself a rollout
+    rolls = []
+    roll = scp.propagate_numeric
+
+    def spy(*args):
+        rolls.append(args[1])
+        return roll(*args)
 
     monkeypatch.setattr(scp, "propagate_numeric", spy)
-    arc = scp_solve(problem, W, U, max_iterations=5)
-    assert len(rolled) == arc.iterations == 5
-    assert len(set(rolled)) == len(rolled)
-    assert len(arc.objective_history) >= 3
+    est, plan, x0, x_ref = small_raise_arc()
+    for problem, W, U in (weak_raise_problem(),
+                          prepare_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH,
+                                      isp=TH.isp)):
+        rolls.clear()
+        arc = scp_solve(problem, W, U)
+        assert arc.converged
+        assert len(rolls) == (len(arc.objective_history) > 1)
+        assert np.array_equal(arc.states, rollout(problem, arc.controls))
+        sx, su = problem.scales()
+        err = arc.states[-1] / sx - problem.x_ref / sx
+        w = arc.controls / su
+        assert arc.objective == pytest.approx(
+            0.5 * err @ np.diag(scp.P_DIAG) @ err + 0.5 * scp.R_SCALE * np.sum(w * w),
+            rel=1e-12)
+
+
+def test_stage_defects_of_a_rollout_and_of_a_moved_node():
+    problem, W, U = weak_raise_problem()
+    grid, sx = problem.grid, problem.scales()[0]
+    ve = TH.isp * EARTH.g0
+    # a trajectory rolled by the batch integrator itself has no defect
+    X = np.empty_like(W)
+    X[0] = W[0]
+    for i, ns in enumerate(grid.substeps()):
+        X[i + 1] = rk4_batch(X[i:i + 1], U[i:i + 1], grid.dt[i:i + 1], int(ns), ve,
+                             EARTH)[0]
+    assert np.array_equal(stage_defects(X, U, grid, TH.isp), np.zeros((len(U), 7)))
+    # the sequential warm rollout differs from it only by rounding
+    d = stage_defects(W, U, grid, TH.isp)
+    assert np.max(np.abs(d / sx)) < 1e-14
+    # moving node j by delta changes exactly the defects of stages j - 1 and
+    # j: by -delta, and to the one-stage defect of the scalar integrator
+    for j in (1, int(np.flatnonzero(grid.tmax > 0.0)[2]), len(U) - 1):
+        moved = W.copy()
+        moved[j] += 1e-6 * sx
+        got = stage_defects(moved, U, grid, TH.isp)
+        want = np.subtract(rk4_segment(moved[j], U[j], float(grid.dt[j]), COAST_SUBSTEP,
+                                       ve, EARTH), W[j + 1])
+        assert np.max(np.abs(got[j] - want) / sx) < 1e-14
+        assert np.max(np.abs(got[j - 1] - (d[j - 1] - 1e-6 * sx)) / sx) < 1e-14
+        keep = np.ones(len(U), dtype=bool)
+        keep[[j - 1, j]] = False
+        assert np.array_equal(got[keep], d[keep])
 
 
 def test_stage_cap_splits_arc_into_chunks():
@@ -186,10 +273,29 @@ def test_stage_cap_splits_arc_into_chunks():
         assert abs(arc.terminal_error["da_km"]) < 10.0
 
 
-def test_refine_tour_accuracy_and_dv_band(tmp_path):
+@pytest.fixture(scope="module")
+def tiny_refined():
     scn = tiny_mission()
     tour = tour_cost(scn, [0, 1])
-    arcs = refine_tour(tour.order, scn)
+    return scn, tour, refine_tour(tour.order, scn)
+
+
+def test_tiny_mission_legs_realize_their_plane_changes(tiny_refined):
+    # a terminal reference that kept the target's e = 0 was unreachable
+    # after the J2 eccentricity of the lead coast: leg0 then reported
+    # converged with its whole 0.02 deg plane change undone
+    scn, tour, arcs = tiny_refined
+    finals = {arc.label.split("/")[0]: arc for arc in arcs}
+    start_i = scn.insertion.i
+    for li, bundle in enumerate(tour.order):
+        target_i = scn.bundles[bundle].target.i
+        got = mee_to_kep(MeeState.from_array(finals[f"leg{li}"].states[-1, :6])).i
+        assert abs(got - target_i) <= 0.1 * abs(target_i - start_i)
+        start_i = target_i
+
+
+def test_refine_tour_accuracy_and_dv_band(tmp_path, tiny_refined):
+    scn, tour, arcs = tiny_refined
     assert all(a.converged for a in arcs)
     # every leg's final arc hits its injection tolerances
     finals = {}

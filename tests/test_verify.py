@@ -10,8 +10,8 @@ from orbtour.elements import KeplerianState, kep_to_mee
 from orbtour.propagate import PropagatorConfig
 from orbtour.scp import RefinedArc, refine_tour
 from orbtour.tour import tour_cost
-from orbtour.verify import (Tolerances, repropagate_arc, save_report,
-                            verify_trajectory)
+from orbtour.verify import (TOL_FUEL_FRACTION, Tolerances, repropagate_arc,
+                            save_report, verify_trajectory)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,40 @@ def test_tolerances_drive_pass_flags(refined_mission):
     strict = verify_trajectory(arcs, tour, scn,
                                Tolerances(sma_km=1e-9, inc_deg=1e-12))
     assert not strict.all_passed
+
+
+def test_excess_fuel_fails_the_leg_and_verify(refined_mission, tmp_path):
+    from orbtour.cli import main, save_tour
+    from orbtour.scenario import save_scenario
+    from orbtour.scp import save_arcs
+    scn, tour, arcs = refined_mission
+    assert all(leg.pass_fuel for leg in verify_trajectory(arcs, tour, scn).legs)
+    # thrust on one coast stage of leg0's first arc: 1.5 times the allowed
+    # extra fuel, and the leg's last arc, which sets its orbit, is untouched
+    leg0_arcs = [a for a in arcs if a.label.startswith("leg0/")]
+    assert len(leg0_arcs) > 1
+    arc = leg0_arcs[0]
+    stage = int(np.flatnonzero(np.all(arc.controls == 0.0, axis=1))[0])
+    extra = 1.5 * TOL_FUEL_FRACTION * tour.legs[0].fuel_mass
+    ve = scn.spacecraft.thruster.isp * EARTH.g0
+    controls = arc.controls.copy()
+    controls[stage, 0] = extra * ve / arc.dt[stage]
+    heavy = [RefinedArc(**{**vars(a), "controls": controls}) if a is arc else a
+             for a in arcs]
+    paths = {n: tmp_path / f"{n}.json" for n in ("scenario", "tour", "arcs", "report")}
+    save_scenario(scn, paths["scenario"])
+    save_tour(tour, paths["tour"])
+    save_arcs(heavy, paths["arcs"])
+    assert main(["verify", "--scenario", str(paths["scenario"]), "--tour",
+                 str(paths["tour"]), "--arcs", str(paths["arcs"]), "--out",
+                 str(paths["report"])]) == 4
+    data = json.loads(paths["report"].read_text())
+    assert data["all_passed"] is False
+    leg0 = data["legs"][0]
+    assert leg0["pass_sma"] and leg0["pass_inc"] and not leg0["pass_fuel"]
+    assert (leg0["fuel_numeric_kg"]
+            > (1.0 + TOL_FUEL_FRACTION) * leg0["fuel_analytic_kg"])
+    assert all(leg["pass_fuel"] for leg in data["legs"][1:])
 
 
 def test_report_serialization(refined_mission, tmp_path):
