@@ -58,12 +58,6 @@ class KeplerianState:
         for name in ("raan", "argp", "ta"):
             object.__setattr__(self, name, wrap_angle(getattr(self, name)))
 
-    @property
-    def radius(self) -> float:
-        """Instantaneous orbital radius [km]."""
-        p = self.a * (1.0 - self.e**2)
-        return p / (1.0 + self.e * math.cos(self.ta))
-
 
 @dataclass(frozen=True)
 class MeeState:

@@ -336,7 +336,7 @@ def nic_estimate(di: float, r: float, craft_mass: float, thruster: ThrusterSpec,
     return est, BurnPlan(events)
 
 
-def phasing_coast(L_chaser: float, L_target_at_arrival: float, tof_mht: float,
+def phasing_coast(L_chaser: float, L_target_at_arrival: float,
                   departure_orbit: KeplerianState, target_orbit: KeplerianState,
                   consts: PhysicalConstants = EARTH) -> float:
     """Smallest non-negative coast after which departing on the transfer
@@ -346,8 +346,8 @@ def phasing_coast(L_chaser: float, L_target_at_arrival: float, tof_mht: float,
     Both longitudes advance at their secular rates (mean motion plus J2
     node/perigee drift) while coasting.  When the rates coincide and the
     phase is wrong, one full departure-orbit revolution is returned.
-    ``tof_mht`` is already folded into ``L_target_at_arrival``; extra coast
-    shifts both sides at their own rates.
+    The transfer time is already folded into ``L_target_at_arrival``;
+    extra coast shifts both sides at their own rates.
     """
     rate0 = mean_longitude_rate(departure_orbit.a, departure_orbit.e,
                                 departure_orbit.i, consts)
@@ -429,7 +429,7 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
         L_arr = wrap_angle(L1_now + mean_longitude_rate(r1, 0.0, i1, consts)
                            * (elapsed + est.tof_total))
         dep = KeplerianState(r0, 0.0, at_i, wrap_angle(raan), 0.0, 0.0)
-        coast(r0, at_i, phasing_coast(L_self, L_arr, est.tof_total, dep, target, consts))
+        coast(r0, at_i, phasing_coast(L_self, L_arr, dep, target, consts))
         burn(est, raw_plan, 0.5 * (r0 + r1), at_i)
 
     def do_nic(at_r: float) -> None:

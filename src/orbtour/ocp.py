@@ -1,7 +1,8 @@
 """Discretized optimal-control problem construction: stage grids with
 per-stage thrust bounds aligned to a burn plan, the multi-impulsive warm
 start, and linearization of the discrete dynamics by vectorized central
-finite differences.
+finite differences.  :func:`roll_on` rolls warm starts and their tails,
+one :func:`~orbtour.propagate.propagate_numeric` run per coast or window.
 
 The stage grid is nonuniform: burn windows (one per planned impulse, the
 thruster's maximum on-time wide, centered on the impulse) are resolved by
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
+from .elements import MeeState, SpacecraftState
 from .maneuvers import BurnPlan, ThrusterSpec
-from .propagate import rk4_batch, rk4_segment
+from .propagate import PropagatorConfig, propagate_numeric, rk4_batch
 
 #: grid resolution (stages per burn window / per coast revolution)
 BURN_STAGES = 4
@@ -150,63 +152,63 @@ def split_plan(plan: BurnPlan, max_duration: float) -> list[BurnPlan]:
     return [BurnPlan(events) for events in chunks]
 
 
+def roll_on(x: np.ndarray, controls: np.ndarray, dt: np.ndarray, isp: float,
+            consts: PhysicalConstants = EARTH) -> np.ndarray:
+    """Sequential rollout from state x (7,) through stages of constant
+    thrust ``controls`` (n, 3) [kN] and durations ``dt`` (n,) at
+    :data:`COAST_SUBSTEP`; returns (n+1, 7) states, the first equal to x."""
+    state = SpacecraftState(MeeState.from_array(x[:6]), mass=float(x[6]))
+    return propagate_numeric(state, controls, dt, isp,
+                             PropagatorConfig(step=COAST_SUBSTEP), consts)
+
+
 def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
                consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
     """Initial trajectory realizing the plan's impulses as finite burns.
 
     Each window applies a constant thrust m*|dv|/duration along the
-    impulse's LVLH direction; forces above the window's bound are clipped
-    and the impulse shortfall spills into the next window (a final shortfall
-    above ``SPILL_TOL`` warns).  States come from the true nonlinear
-    rollout of these controls, so (states, controls) is dynamics-consistent
-    from the start.
+    impulse's LVLH direction, with m the mass where the window starts;
+    forces above the window's bound are clipped and the impulse shortfall
+    spills into the next window (a final shortfall above ``SPILL_TOL``
+    warns).  Each coast gap and each window is one :func:`roll_on` run, so
+    the states are the true nonlinear rollout of these controls and
+    (states, controls) is dynamics-consistent from the start.
 
     Returns (states (N+1, 7), controls (N, 3) [kN]).
     """
     n = grid.n_stages
     controls = np.zeros((n, 3))
-    ve = isp * consts.g0
-    y = tuple(float(v) for v in x0)
     states = np.empty((n + 1, 7))
-    states[0] = y
+    states[0] = x0
 
     owner = grid.window_of_stage
     carry = np.zeros(3)  # impulse shortfall spilled forward [km/s * kg]
     i = 0
     while i < n:
+        # one run of stages i..j-1: a whole coast gap or a whole window
         w = owner[i]
-        if w < 0:
-            y = rk4_segment(y, (0.0, 0.0, 0.0), float(grid.dt[i]), COAST_SUBSTEP,
-                            ve, consts)
-            states[i + 1] = y
-            i += 1
-            continue
-        # one whole window: stages i..j-1
-        j = i
+        j = i + 1
         while j < n and owner[j] == w:
             j += 1
-        window = grid.windows[w]
-        mass = y[6]
-        needed = mass * np.asarray(window.dv) + carry
-        force = needed / window.duration
-        fmag = float(np.linalg.norm(force))
-        bound = float(grid.tmax[i])
-        if fmag > bound * (1.0 + 1e-9):
-            force = force * (bound / fmag)
-            applied = force * window.duration
-            carry = needed - applied
-            # an unrealized tail above the impulse-bit scale is reportable
-            if (w == len(grid.windows) - 1
-                    and float(np.linalg.norm(carry)) > SPILL_TOL):
-                warnings.warn("warm start could not realize the full impulse "
-                              "within the thrust bound", stacklevel=2)
-        else:
-            carry = np.zeros(3)
-        for s in range(i, j):
-            controls[s] = force
-            y = rk4_segment(y, (force[0], force[1], force[2]), float(grid.dt[s]),
-                            COAST_SUBSTEP, ve, consts)
-            states[s + 1] = y
+        if w >= 0:
+            window = grid.windows[w]
+            needed = states[i, 6] * np.asarray(window.dv) + carry
+            force = needed / window.duration
+            fmag = float(np.linalg.norm(force))
+            bound = float(grid.tmax[i])
+            if fmag > bound * (1.0 + 1e-9):
+                force = force * (bound / fmag)
+                applied = force * window.duration
+                carry = needed - applied
+                # an unrealized tail above the impulse-bit scale is reportable
+                if (w == len(grid.windows) - 1
+                        and float(np.linalg.norm(carry)) > SPILL_TOL):
+                    warnings.warn("warm start could not realize the full impulse "
+                                  "within the thrust bound", stacklevel=2)
+            else:
+                carry = np.zeros(3)
+            controls[i:j] = force
+        states[i:j + 1] = roll_on(states[i], controls[i:j], grid.dt[i:j], isp, consts)
         i = j
     return states, controls
 

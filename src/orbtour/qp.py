@@ -9,6 +9,9 @@ control has a closed form (clipped onto its ball), and a semismooth Newton
 iteration finds the gradient that reproduces itself.  Thrust-free stages
 carry no unknowns; long coast runs are collapsed into stacked transition
 tensors so a rollout costs one einsum per run instead of a Python loop.
+The backward pass that condenses the dynamics keeps its terminal maps
+E[k] = A[N-1]...A[k+1]; the refiner moves its merit's last node through
+the same maps.
 
 There is no state constraint: the refiner enforces its trust region by
 scaling the returned step.  Outputs hold the hard guarantees exactly: the
@@ -18,15 +21,18 @@ residual is zero to rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+#: semismooth Newton iteration cap of :meth:`ReducedArcSolver.solve`
+MAX_NEWTON = 100
 
 
 @dataclass
 class ConvexSubproblem:
     """min  0.5 (z_N - z_ref)' P (z_N - z_ref) + 0.5 r sum_i |w_i|^2
-    s.t.  z_{i+1} = A_i z_i + B_i w_i + c_i,   z_0 = z0,
+    s.t.  z_{i+1} = A_i z_i + B_i w_i + c_i,   z_0 = 0,
           ||w_i|| <= ball_i.
 
     All quantities are expected in scaled (normalized) units; states are
@@ -40,7 +46,6 @@ class ConvexSubproblem:
     z_ref: np.ndarray        # (7,)
     r: float                 # control weight
     ball: np.ndarray         # (N,)
-    z0: np.ndarray = field(default_factory=lambda: np.zeros(7))
 
     @property
     def n_stages(self) -> int:
@@ -59,7 +64,9 @@ class ReducedArcSolver:
     """Condensed control-space solve of a :class:`ConvexSubproblem`.
 
     The dynamics are condensed once into the terminal map
-    z_N = M w_burn + e0, so only the burn-stage controls are unknowns.  The
+    z_N = M w_burn + e0, so only the burn-stage controls are unknowns.
+    ``E[k] = A[N-1]...A[k+1]`` (N, 7, 7) maps a change in stage k's end
+    state to the last state; M's block for burn stage k is E[k] B[k].  The
     per-stage closed form needs a positive control weight r, and the
     terminal-gradient fixed point needs a symmetric P; :meth:`solve` rejects
     anything else.  The refiner imposes its trust region by scaling the
@@ -99,24 +106,23 @@ class ReducedArcSolver:
             self.segments.append(("coast", i, j, Phi, dvec))
             i = j
 
-        # terminal map z_N = M W_burn + e0 (+ Phi z0) via backward products
+        # terminal map z_N = M W_burn + e0 via backward products
+        self.E = np.empty((N, 7, 7))
         E = np.eye(7)
-        Mcols = np.zeros((nb, 7, 3))
         e0 = np.zeros(7)
-        pos = {int(s): t for t, s in enumerate(self.burn_idx)}
         for k in range(N - 1, -1, -1):
-            if self.has_u[k]:
-                Mcols[pos[k]] = E @ sub.B[k]
+            self.E[k] = E
             e0 = e0 + E @ sub.c[k]
             E = E @ sub.A[k]
-        self.e0 = e0 + E @ sub.z0
+        self.e0 = e0
+        Mcols = self.E[self.burn_idx] @ sub.B[self.burn_idx]
         # M columns are grouped per burn stage: [stage0(u_r,u_t,u_n), ...]
         self.M = np.transpose(Mcols, (1, 0, 2)).reshape(7, nb * 3)
 
     def rollout(self, W: np.ndarray) -> np.ndarray:
         sub = self.sub
         Z = np.empty((sub.n_stages + 1, 7))
-        Z[0] = sub.z0
+        Z[0] = 0.0
         for seg in self.segments:
             if seg[0] == "burn":
                 i = seg[1]
@@ -136,7 +142,7 @@ class ReducedArcSolver:
         scale[over] = ball[over] / norms[over]
         return q * scale[:, None]
 
-    def solve(self, max_iter: int = 100, tol: float = 1e-11,
+    def solve(self, tol: float = 1e-11,
               warm: np.ndarray | None = None) -> SubproblemSolution:
         """Semismooth Newton on the 7-dim terminal-gradient fixed point.
 
@@ -168,7 +174,7 @@ class ReducedArcSolver:
         gamma = warm if warm is not None else P @ (self.e0 - sub.z_ref)
         phi = residual(gamma)
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_NEWTON + 1):
             scale = max(float(np.max(np.abs(gamma))), 1.0)
             if float(np.max(np.abs(phi))) < tol * scale:
                 break

@@ -14,13 +14,16 @@ the current nodes plus the scaled state step.  Every stage is propagated
 from its own node in batched RK4 calls, and its stage defect is the scaled
 mismatch between that end state and the next node.  The merit is the
 objective with the last node moved by the defects' first-order effect on
-it, through the products of the current linearization's stage Jacobians;
-to first order that is the objective a sequential rollout of the candidate
-would reach.  The linear model's defects after a lam-scaled step are
-(1 - lam) times the current ones, and an accepted iterate's defects enter
-the next subproblem as its dynamics offset.  One sequential rollout of the
-returned controls runs at exit, and only after an accepted step, so the
-returned states are always a trajectory of the returned controls.
+it, through the terminal maps (products of the current linearization's
+stage Jacobians) that the condensed solver of :mod:`orbtour.qp` forms in
+its one backward pass; to first order that is the objective a sequential
+rollout of the candidate would reach.  The linear model's defects after a
+lam-scaled step are (1 - lam) times the current ones, and an accepted
+iterate's defects enter the next subproblem as its dynamics offset.  One
+sequential rollout of the returned controls runs at exit, and only after
+an accepted step, so the returned states are always a trajectory of the
+returned controls.  Warm starts and their coast tails are rolled by
+:func:`orbtour.ocp.roll_on`.
 
 States are scaled by the terminal reference magnitudes and controls by the
 peak thrust before solving, and everything is reported back in physical
@@ -41,10 +44,10 @@ from .errors import SchemaError, read_json_object, write_json
 from .maneuvers import (ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec,
                         TransferEstimate)
 from .ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, STAGE_CAP,
-                  StageGrid, build_grid, linearize_batch, rk4_stages, split_plan,
-                  warm_start, with_tail)
+                  StageGrid, build_grid, linearize_batch, rk4_stages, roll_on,
+                  split_plan, warm_start, with_tail)
 from .parallel import ordered_map
-from .propagate import PropagatorConfig, propagate_numeric, rk4_segment
+from .propagate import PropagatorConfig, propagate_numeric
 from .qp import ConvexSubproblem, ReducedArcSolver
 from .scenario import MissionScenario
 from .tour import tour_plans
@@ -136,17 +139,6 @@ def stage_defects(states: np.ndarray, controls: np.ndarray, grid: StageGrid,
                        isp * consts.g0, consts) - states[1:])
 
 
-def _terminal_maps(A: np.ndarray) -> np.ndarray:
-    """E[k] = A[N-1] ... A[k+1] for stage maps A (N, 7, 7): the linear map
-    from a defect in the end state of stage k to the last node."""
-    E = np.empty_like(A)
-    M = np.eye(A.shape[1])
-    for k in range(A.shape[0] - 1, -1, -1):
-        E[k] = M
-        M = M @ A[k]
-    return E
-
-
 def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
               warm_controls: np.ndarray,
               max_iterations: int = MAX_ITERATIONS) -> RefinedArc:
@@ -193,14 +185,6 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     iterations = 0
     gamma = None
     coast = grid.tmax <= 0.0
-
-    if N == 0 or np.all(grid.tmax == 0.0) and np.all(np.abs(U) == 0.0):
-        # pure coast: the warm start is the unique feasible point
-        return RefinedArc(states=X, controls=U, dt=dt, t0=problem.t0,
-                          dv_total=realized_dv(U, dt, X), iterations=1,
-                          converged=True, objective=J, x_ref=problem.x_ref.copy(),
-                          label=problem.label, objective_history=history)
-
     solver = None
     z_ref_dev = None
     for iterations in range(1, max_iterations + 1):
@@ -214,10 +198,10 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             c = D - np.einsum("nij,nj->ni", B, U / su)
             z_ref_dev = (problem.x_ref - X[-1]) / sx
             sub = ConvexSubproblem(A=A, B=B, c=c, P=P, z_ref=z_ref_dev,
-                                   r=R_SCALE, ball=ball, z0=np.zeros(7))
+                                   r=R_SCALE, ball=ball)
             solver = ReducedArcSolver(sub)
-            E = _terminal_maps(A)
-            shift = np.einsum("kab,kb->a", E, D)
+            # the defects' first-order effect on the last node
+            shift = np.einsum("kab,kb->a", solver.E, D)
         sol = solver.solve(warm=gamma)
         gamma = sol.gamma
         # trust region: the step is affine in the controls, so scaling the
@@ -227,7 +211,6 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
         lam = 1.0 if step_scale <= radius else radius / step_scale
         W_step = U / su + lam * (sol.controls - U / su)
         U_new = W_step * su
-        U_new[coast] = 0.0
         Z_lam = lam * sol.states
         err = Z_lam[-1] + (1.0 - lam) * shift - z_ref_dev
         J_pred = float(0.5 * err @ P @ err
@@ -237,7 +220,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
         D_new = stage_defects(X_new, U_new, grid, problem.isp, consts) / sx
         # J stays the merit its iterate was accepted with, so the accepted
         # merits only fall
-        J_new = merit(X_new, U_new, np.einsum("kab,kb->a", E, D_new))
+        J_new = merit(X_new, U_new, np.einsum("kab,kb->a", solver.E, D_new))
         pred_red = J - J_pred
         act_red = J - J_new
         step_norm = max(lam * step_scale,
@@ -420,22 +403,6 @@ def _retime_node_plan(plan: BurnPlan, x0: np.ndarray, isp: float,
     return BurnPlan(events)
 
 
-def _coast_on(states: np.ndarray, controls: np.ndarray, dt: np.ndarray,
-              isp: float, consts: PhysicalConstants
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Warm-start (states, controls) extended by coast stages of durations
-    ``dt``, each rolled as :func:`~orbtour.ocp.warm_start` rolls a coast."""
-    n = controls.shape[0]
-    W = np.empty((n + dt.size + 1, 7))
-    W[:n + 1] = states
-    y = tuple(float(v) for v in states[-1])
-    ve = isp * consts.g0
-    for i, d in enumerate(dt, start=n + 1):
-        y = rk4_segment(y, (0.0, 0.0, 0.0), float(d), COAST_SUBSTEP, ve, consts)
-        W[i] = y
-    return W, np.concatenate([controls, np.zeros((dt.size, 3))])
-
-
 def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
                 x_ref: np.ndarray | None, options: RefineOptions,
                 consts: PhysicalConstants, isp: float, t0: float = 0.0,
@@ -469,10 +436,19 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
     period = 2.0 * math.pi * math.sqrt(kep.a**3 / consts.mu)
     prefix = build_grid(plan, thruster, period)
     W_prefix, U_prefix = warm_start(plan, prefix, x0, isp, consts)
+    n = prefix.n_stages
+
+    def rolled_on(grid: StageGrid) -> tuple[np.ndarray, np.ndarray]:
+        # the prefix's warm start rolled on through the grid's tail
+        U = np.zeros((grid.n_stages, 3))
+        U[:n] = U_prefix
+        tail = roll_on(W_prefix[-1], U[n:], grid.dt[n:], isp, consts)
+        return np.concatenate([W_prefix[:-1], tail]), U
+
     if x_ref is None:
         grid = with_tail(prefix, period / COAST_STAGES_PER_ORBIT, period,
                          options.stage_cap)
-        W, U = _coast_on(W_prefix, U_prefix, grid.dt[prefix.n_stages:], isp, consts)
+        W, U = rolled_on(grid)
         x_ref = W[-1].copy()
     else:
         u0 = (u_anchor if u_anchor is not None
@@ -480,8 +456,7 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
         tail = 0.25 * period
         for _ in range(3):
             grid = with_tail(prefix, tail, period, options.stage_cap)
-            W, U = _coast_on(W_prefix, U_prefix, grid.dt[prefix.n_stages:],
-                             isp, consts)
+            W, U = rolled_on(grid)
             kep_w = mee_to_kep(MeeState.from_array(W[-1, :6]))
             u_n = (W[-1, 5] - kep_w.raan) % (2.0 * math.pi)
             gap = (u0 - u_n) % (2.0 * math.pi)

@@ -33,6 +33,8 @@ TOL_SMA_KM = 10.0
 TOL_INC_DEG = 0.1
 #: allowed gap between numeric and analytic leg fuel, relative to the latter
 TOL_FUEL_FRACTION = 0.05
+#: report.json schema version; 3 dropped ``de``, a copy of ``achieved_e``
+REPORT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class LegReport:
     achieved_e: float
     achieved_i_deg: float
     da_km: float
-    de: float
     di_deg: float
     fuel_numeric_kg: float
     fuel_analytic_kg: float
@@ -74,7 +75,7 @@ class VerificationReport:
         return all(leg.passed for leg in self.legs)
 
     def to_dict(self) -> dict:
-        return {"version": 2,
+        return {"version": REPORT_VERSION,
                 "all_passed": self.all_passed,
                 "legs": [vars(leg) for leg in self.legs]}
 
@@ -172,7 +173,7 @@ def verify_trajectory(arcs: list[RefinedArc], tour: Tour,
             target_a_km=target_a, target_i_deg=math.degrees(target_i),
             achieved_a_km=achieved.a, achieved_e=achieved.e,
             achieved_i_deg=math.degrees(achieved.i),
-            da_km=da, de=achieved.e, di_deg=math.degrees(di),
+            da_km=da, di_deg=math.degrees(di),
             fuel_numeric_kg=fuel_numeric, fuel_analytic_kg=fuel_analytic,
             dv_numeric_mps=dv_numeric * 1000.0,
             consistency_err=consistency,

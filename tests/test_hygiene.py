@@ -1,0 +1,46 @@
+"""Static checks on the package source: every imported name is used."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import orbtour
+
+SOURCES = sorted(Path(orbtour.__file__).parent.glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; a name listed in the
+    module's ``__all__`` counts as read."""
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(),
+                                                             key=lambda kv: kv[1])
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []
+
+
+def test_guard_catches_an_unused_import():
+    tree = ast.parse("from .propagate import propagate_numeric, rk4_segment\n"
+                     "import numpy as np\n"
+                     "propagate_numeric(np.zeros(3))\n")
+    assert unused_imports(tree) == ["line 1: rk4_segment"]

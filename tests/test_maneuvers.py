@@ -159,15 +159,15 @@ def test_phasing_zero_when_condition_already_met():
     dep = KeplerianState(6950.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     tgt = KeplerianState(7000.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     # target arrival longitude exactly pi ahead of the chaser
-    assert phasing_coast(1.0, 1.0 + math.pi, 1000.0, dep, tgt) == 0.0
+    assert phasing_coast(1.0, 1.0 + math.pi, dep, tgt) == 0.0
 
 
 def test_phasing_equal_rates_full_period():
     dep = KeplerianState(7000.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    coast = phasing_coast(0.0, 0.5, 0.0, dep, dep)
+    coast = phasing_coast(0.0, 0.5, dep, dep)
     _, period, _ = orbit_scalars(7000.0)
     assert coast == pytest.approx(period)
-    assert phasing_coast(0.0, math.pi, 0.0, dep, dep) == 0.0
+    assert phasing_coast(0.0, math.pi, dep, dep) == 0.0
 
 
 def test_phasing_solution_against_bisection():
@@ -176,7 +176,6 @@ def test_phasing_solution_against_bisection():
     dep = KeplerianState(6950.0, 0.0, math.radians(97.3), 0.5, 0.0, 0.0)
     tgt = KeplerianState(7000.0, 0.0, math.radians(97.5), 0.7, 0.0, 0.0)
     L0 = 1.0
-    tof = 2.0e5
     L1_arr = 1.0 - math.radians(10.0) + math.pi  # target trails by 10 deg
     rate0 = mean_longitude_rate(dep.a, dep.e, dep.i)
     rate1 = mean_longitude_rate(tgt.a, tgt.e, tgt.i)
@@ -186,7 +185,7 @@ def test_phasing_solution_against_bisection():
         rhs = L1_arr + rate1 * c - math.pi
         return (rhs - lhs + math.pi) % TAU - math.pi
 
-    coast = phasing_coast(L0, L1_arr, tof, dep, tgt)
+    coast = phasing_coast(L0, L1_arr, dep, tgt)
     assert coast >= 0.0
     assert abs(condition(coast)) < 1e-6
     # bisection over one relative revolution brackets the same root

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import TWO_BODY, linearize_one
 from orbtour.constants import EARTH
-from orbtour.elements import KeplerianState, kep_to_mee
+from orbtour.elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
-from orbtour.ocp import (BURN_STAGES, build_grid, burn_windows, linearize_batch,
-                         split_plan, warm_start, with_tail)
+from orbtour.ocp import (BURN_STAGES, COAST_SUBSTEP, build_grid, burn_windows,
+                         linearize_batch, roll_on, split_plan, warm_start, with_tail)
+from orbtour.propagate import PropagatorConfig, propagate_numeric
 
 TH = ThrusterSpec()
 
@@ -137,6 +138,36 @@ def test_warm_start_clips_and_spills():
     with pytest.warns(UserWarning, match="thrust bound"):
         states, controls = warm_start(plan, grid, x0_circular(), TH.isp)
     assert np.max(np.linalg.norm(controls, axis=1)) <= TH.thrust_kn * (1 + 1e-9)
+
+
+def test_warm_start_is_one_rollout_of_its_controls():
+    """Two windows that clip, the second only because the first spills into
+    it: the warm start's states are propagate_numeric of its own controls at
+    COAST_SUBSTEP, bit for bit, and so is the warm start rolled on through a
+    tail.  The refiner starts from zero stage defects on this."""
+    plan = BurnPlan([BurnEvent(100.0, (0.0, 0.5, 0.0), "perigee"),
+                     BurnEvent(3100.0, (0.0, 1e-4, 0.0), "perigee")])
+    prefix = build_grid(plan, TH, 5800.0)
+    x0 = x0_circular()
+
+    def sequential(controls, dt):
+        s0 = SpacecraftState(MeeState.from_array(x0[:6]), float(x0[6]))
+        return propagate_numeric(s0, controls, dt, TH.isp,
+                                 PropagatorConfig(step=COAST_SUBSTEP))
+
+    with pytest.warns(UserWarning, match="thrust bound"):
+        W, U = warm_start(plan, prefix, x0, TH.isp)
+    burn = prefix.tmax > 0.0
+    assert np.allclose(np.linalg.norm(U[burn], axis=1), TH.thrust_kn, rtol=1e-12)
+    assert np.all(U[~burn] == 0.0)
+    assert np.array_equal(W, sequential(U, prefix.dt))
+
+    grid = with_tail(prefix, 0.25 * 5800.0, 5800.0)
+    n = prefix.n_stages
+    U_full = np.concatenate([U, np.zeros((grid.n_stages - n, 3))])
+    tail = roll_on(W[-1], U_full[n:], grid.dt[n:], TH.isp)
+    assert np.array_equal(np.concatenate([W[:-1], tail]),
+                          sequential(U_full, grid.dt))
 
 
 # ---------------------------------------------------------------------------

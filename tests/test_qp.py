@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -25,10 +27,10 @@ def qp_objective(sub: ConvexSubproblem, Z: np.ndarray, W: np.ndarray) -> float:
 
 
 def linear_rollout(sub: ConvexSubproblem, W: np.ndarray) -> np.ndarray:
-    """Oracle: the linear dynamics stepped stage by stage."""
+    """Oracle: the linear dynamics stepped stage by stage from z_0 = 0."""
     N = sub.n_stages
     Z = np.empty((N + 1, 7))
-    Z[0] = sub.z0
+    Z[0] = 0.0
     for i in range(N):
         Z[i + 1] = sub.A[i] @ Z[i] + sub.B[i] @ W[i] + sub.c[i]
     return Z
@@ -45,12 +47,11 @@ def dense_kkt_solution(sub: ConvexSubproblem):
     g[7 * N:7 * N + 7] = -sub.P @ sub.z_ref
     for i in range(N):
         H[nz + 3 * i:nz + 3 * i + 3, nz + 3 * i:nz + 3 * i + 3] = sub.r * np.eye(3)
-    # equality constraints: z_0 = z0; z_{i+1} - A z_i - B u_i = c_i
+    # equality constraints: z_0 = 0; z_{i+1} - A z_i - B u_i = c_i
     ne = 7 * (N + 1)
     E = np.zeros((ne, nz + nu))
     d = np.zeros(ne)
     E[:7, :7] = np.eye(7)
-    d[:7] = sub.z0
     for i in range(N):
         r = 7 * (i + 1)
         E[r:r + 7, 7 * (i + 1):7 * (i + 2)] = np.eye(7)
@@ -91,6 +92,29 @@ def test_all_coast_returns_rollout():
     err = sol.states[-1] - sub.z_ref
     assert qp_objective(sub, sol.states, sol.controls) == pytest.approx(
         0.5 * err @ sub.P @ err, rel=1e-12)
+
+
+def test_terminal_maps_match_linear_rollout_oracle():
+    """E[k] moves the last state by a change in stage k's end state, coast
+    or burn; M's block for each burn stage k is E[k] B[k], and e0 is the
+    last state of the zero-control rollout."""
+    rng = np.random.default_rng(8)
+    N = 7
+    sub = random_subproblem(rng, N=N, ball=0.05, coast=(0, 2, 3, 6))
+    solver = ReducedArcSolver(sub)
+    W = np.zeros((N, 3))
+    base = linear_rollout(sub, W)[-1]
+    assert np.allclose(solver.e0, base, rtol=0.0, atol=1e-12)
+    for k in range(N):
+        for a in range(7):
+            c = sub.c.copy()
+            c[k, a] += 1.0
+            moved = linear_rollout(dataclasses.replace(sub, c=c), W)[-1] - base
+            assert np.allclose(moved, solver.E[k][:, a], rtol=0.0, atol=1e-12)
+    assert solver.burn_idx.tolist() == [1, 4, 5]
+    for t, k in enumerate(solver.burn_idx):
+        block = solver.M[:, 3 * t:3 * t + 3]
+        assert np.allclose(block, solver.E[k] @ sub.B[k], rtol=0.0, atol=1e-12)
 
 
 def test_huge_control_penalty_drives_controls_to_zero():

@@ -112,8 +112,12 @@ def test_report_serialization(refined_mission, tmp_path):
     save_report(report, tmp_path / "report.json", tmp_path / "report.csv")
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["all_passed"] == report.all_passed
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert len(data["legs"]) == 3
     lines = (tmp_path / "report.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 3
     assert lines[0].startswith("label,target_a_km")
+    # achieved_e is the achieved eccentricity; no duplicate de column
+    assert all("de" not in leg and "achieved_e" in leg for leg in data["legs"])
+    header = lines[0].split(",")
+    assert "de" not in header and "achieved_e" in header
