@@ -328,6 +328,13 @@ SUMMARY_FIELDS = ["n_bundles", "count", "fuel_mean_kg", "fuel_std_kg",
                   "fuel_min_kg", "fuel_max_kg", "feasible_fraction"]
 
 
+def _feasible(cell) -> bool:
+    """A montecarlo row's ``feasible`` value: a bool or its CSV text."""
+    if str(cell) not in ("True", "true", "False", "false"):
+        raise ValueError(f"feasible must be True or False, got {str(cell)!r}")
+    return str(cell) in ("True", "true")
+
+
 def write_summary(rows: list[dict], path: str | Path) -> list[dict]:
     """Write fuel statistics grouped by bundle count as CSV; returns them."""
     groups: dict[int, list[dict]] = {}
@@ -336,8 +343,7 @@ def write_summary(rows: list[dict], path: str | Path) -> list[dict]:
     out = []
     for nb in sorted(groups):
         fuels = np.array([float(r["fuel_kg"]) for r in groups[nb]])
-        feas = np.array([str(r["feasible"]) in ("True", "true") or r["feasible"] is True
-                         for r in groups[nb]])
+        feas = np.array([_feasible(r["feasible"]) for r in groups[nb]])
         out.append({"n_bundles": nb, "count": len(fuels),
                     "fuel_mean_kg": float(np.mean(fuels)),
                     "fuel_std_kg": float(np.std(fuels)),
@@ -418,19 +424,19 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _jobs(text: str) -> int:
-    """``--jobs`` value: a whole number of worker processes, at least 1."""
+def _count(text: str) -> int:
+    """A count option's value: a whole number, at least 1."""
     try:
-        jobs = int(text)
+        count = int(text)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
+        count = 0
+    if count < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return jobs
+    return count
 
 
 def _add_jobs(p: argparse.ArgumentParser, what: str) -> None:
-    p.add_argument("--jobs", type=_jobs, default=None,
+    p.add_argument("--jobs", type=_count, default=None,
                    help=f"worker processes for the {what} (default: the CPUs "
                         f"available to this process)")
 
@@ -443,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample randomized mission scenarios")
     p.add_argument("--config", help="scenario config JSON")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_count, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -482,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="batch mission analysis")
     p.add_argument("--config", help="scenario config JSON")
     p.add_argument("--optimizer-config")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bundles", type=int, help="pin the bundle count")
     _add_jobs(p, "scenarios")

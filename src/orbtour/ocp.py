@@ -162,9 +162,9 @@ def roll_on(x: np.ndarray, controls: np.ndarray, dt: np.ndarray, isp: float,
                              PropagatorConfig(step=COAST_SUBSTEP), consts)
 
 
-def warm_start(plan: BurnPlan, grid: StageGrid, x0: np.ndarray, isp: float,
+def warm_start(grid: StageGrid, x0: np.ndarray, isp: float,
                consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
-    """Initial trajectory realizing the plan's impulses as finite burns.
+    """Initial trajectory realizing the burn windows' impulses as finite burns.
 
     Each window applies a constant thrust m*|dv|/duration along the
     impulse's LVLH direction, with m the mass where the window starts;

@@ -7,8 +7,7 @@ terminal state, so condensing the dynamics leaves a 7-dimensional fixed
 point in the terminal gradient: for a given gradient every burn stage's
 control has a closed form (clipped onto its ball), and a semismooth Newton
 iteration finds the gradient that reproduces itself.  Thrust-free stages
-carry no unknowns; long coast runs are collapsed into stacked transition
-tensors so a rollout costs one einsum per run instead of a Python loop.
+carry no unknowns; one forward pass over the stages gives the states.
 The backward pass that condenses the dynamics keeps its terminal maps
 E[k] = A[N-1]...A[k+1]; the refiner moves its merit's last node through
 the same maps.
@@ -71,40 +70,15 @@ class ReducedArcSolver:
     terminal-gradient fixed point needs a symmetric P; :meth:`solve` rejects
     anything else.  The refiner imposes its trust region by scaling the
     returned step: the step is affine in the controls, so any scaled step
-    stays ball-feasible and linear-model-consistent.
+    stays ball-feasible and linear-model-consistent, and a smaller radius
+    needs no second solve.
     """
 
     def __init__(self, sub: ConvexSubproblem):
         self.sub = sub
         N = sub.n_stages
-        self.has_u = sub.ball > 1e-15
-        self.burn_idx = np.flatnonzero(self.has_u)
+        self.burn_idx = np.flatnonzero(sub.ball > 1e-15)
         nb = self.burn_idx.size
-
-        # forward segment stacks for fast rollouts: burn stages one by one,
-        # coast runs as collapsed transition tensors
-        self.segments: list[tuple] = []
-        i = 0
-        while i < N:
-            if self.has_u[i]:
-                self.segments.append(("burn", i))
-                i += 1
-                continue
-            j = i
-            while j < N and not self.has_u[j]:
-                j += 1
-            L = j - i
-            Phi = np.empty((L, 7, 7))
-            dvec = np.empty((L, 7))
-            M = np.eye(7)
-            d = np.zeros(7)
-            for k in range(i, j):
-                M = sub.A[k] @ M
-                d = sub.A[k] @ d + sub.c[k]
-                Phi[k - i] = M
-                dvec[k - i] = d
-            self.segments.append(("coast", i, j, Phi, dvec))
-            i = j
 
         # terminal map z_N = M W_burn + e0 via backward products
         self.E = np.empty((N, 7, 7))
@@ -120,16 +94,12 @@ class ReducedArcSolver:
         self.M = np.transpose(Mcols, (1, 0, 2)).reshape(7, nb * 3)
 
     def rollout(self, W: np.ndarray) -> np.ndarray:
+        """States of the linear dynamics under controls W, from z_0 = 0."""
         sub = self.sub
-        Z = np.empty((sub.n_stages + 1, 7))
-        Z[0] = 0.0
-        for seg in self.segments:
-            if seg[0] == "burn":
-                i = seg[1]
-                Z[i + 1] = sub.A[i] @ Z[i] + sub.B[i] @ W[i] + sub.c[i]
-            else:
-                _, i, j, Phi, dvec = seg
-                Z[i + 1:j + 1] = np.einsum("kab,b->ka", Phi, Z[i]) + dvec
+        v = sub.c + np.einsum("kab,kb->ka", sub.B, W)
+        Z = np.zeros((sub.n_stages + 1, 7))
+        for k in range(sub.n_stages):
+            Z[k + 1] = sub.A[k] @ Z[k] + v[k]
         return Z
 
     def _controls_for(self, gamma: np.ndarray, ball: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ linearized about the current iterate, the convex subproblem is solved with
 hard per-stage thrust balls, the step toward its solution is scaled so the
 predicted state deviation stays within the trust radius, and the step is
 accepted or rejected on the ratio of actual to predicted merit reduction,
-which also drives the trust radius.
+which also drives the trust radius.  The radius only scales the step, so
+each linearization's subproblem is solved once.
 
 Candidates are scored by multiple shooting, not by a sequential rollout.
 An iterate is the node states and the controls; a candidate's nodes are
@@ -186,7 +187,6 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     gamma = None
     coast = grid.tmax <= 0.0
     solver = None
-    z_ref_dev = None
     for iterations in range(1, max_iterations + 1):
         if solver is None:
             A, B = linearize_batch(X[:-1], U, dt, substeps, problem.isp, consts,
@@ -202,8 +202,8 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             solver = ReducedArcSolver(sub)
             # the defects' first-order effect on the last node
             shift = np.einsum("kab,kb->a", solver.E, D)
-        sol = solver.solve(warm=gamma)
-        gamma = sol.gamma
+            sol = solver.solve(warm=gamma)
+            gamma = sol.gamma
         # trust region: the step is affine in the controls, so scaling the
         # control step keeps it ball-feasible and model-consistent; the
         # linear model's defects after a lam-scaled step are (1 - lam) d
@@ -262,7 +262,6 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
 
 @dataclass
 class RefineOptions:
-    max_iterations: int = MAX_ITERATIONS
     stage_cap: int = STAGE_CAP
 
 
@@ -435,7 +434,7 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
     kep = mee_to_kep(MeeState.from_array(x0[:6]))
     period = 2.0 * math.pi * math.sqrt(kep.a**3 / consts.mu)
     prefix = build_grid(plan, thruster, period)
-    W_prefix, U_prefix = warm_start(plan, prefix, x0, isp, consts)
+    W_prefix, U_prefix = warm_start(prefix, x0, isp, consts)
     n = prefix.n_stages
 
     def rolled_on(grid: StageGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -489,7 +488,7 @@ def refine_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
     """Prepare and solve one plan chunk."""
     problem, W, U = prepare_arc(x0, plan, thruster, x_ref, options, consts,
                                 isp, t0, label, lead_coast, u_anchor)
-    return scp_solve(problem, W, U, max_iterations=options.max_iterations)
+    return scp_solve(problem, W, U)
 
 
 # ---------------------------------------------------------------------------

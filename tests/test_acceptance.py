@@ -239,7 +239,7 @@ def test_criterion_09_refiner_internal_checks(case1):
     from orbtour.ocp import build_grid, warm_start, with_tail
     from orbtour.scp import OcpProblem, scp_solve
     grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 2000.0, 5800.0)
-    W, U = warm_start(BurnPlan([]), grid, x, TH.isp)
+    W, U = warm_start(grid, x, TH.isp)
     coast = scp_solve(OcpProblem(x0=x, grid=grid, x_ref=W[-1].copy(), isp=TH.isp),
                       W, U)
     assert coast.converged and coast.iterations == 1

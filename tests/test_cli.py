@@ -220,13 +220,17 @@ def test_a_failing_leg_fails_refine_alike_on_one_or_two_jobs(tmp_path, tiny_path
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("command", ["refine", "verify", "montecarlo"])
+@pytest.mark.parametrize("command, option", [
+    ("refine", "--jobs"), ("verify", "--jobs"), ("montecarlo", "--jobs"),
+    ("generate", "--count"), ("montecarlo", "--n")],
+    ids=["refine", "verify", "montecarlo", "generate-count", "montecarlo-n"])
 @pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_jobs_below_one_is_a_usage_error(command, value, capsys):
+def test_jobs_below_one_is_a_usage_error(command, option, value, capsys):
+    # a count below 1 would write an empty result and exit 0
     with pytest.raises(SystemExit) as exc:
-        run([command, "--jobs", value])
+        run([command, option, value])
     assert exc.value.code == 2
-    assert f"argument --jobs: expected an integer >= 1, got '{value}'" in \
+    assert f"argument {option}: expected an integer >= 1, got '{value}'" in \
         capsys.readouterr().err
 
 
@@ -328,11 +332,13 @@ def test_report_without_rows_is_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no rows" in err and len(err.strip().splitlines()) == 1
     assert not (outdir / "summary.csv").exists()
-    # so do a missing column, a value that is not a number and a row
-    # shorter than its header
+    # so do a missing column, a value that is not a number, a feasibility
+    # that is neither True nor False and a row shorter than its header
     for text, what in (("scenario,seed,fuel_kg,feasible\n0,1,2.5,True\n", "n_bundles"),
                        ("scenario,seed,n_bundles,fuel_kg,feasible\n0,1,2,abc,True\n",
                         "abc"),
+                       ("scenario,seed,n_bundles,fuel_kg,feasible\n0,1,2,2.5,maybe\n",
+                        "'maybe'"),
                        ("scenario,seed,n_bundles,fuel_kg,feasible\n0,1,2,2.5,True\n"
                         "0,1\n", "row 2 is short")):
         (outdir / "montecarlo.csv").write_text(text)

@@ -1,4 +1,5 @@
-"""Static checks on the package source: every imported name is used."""
+"""Static checks on the package source: every imported name and every
+function parameter is used."""
 import ast
 from pathlib import Path
 
@@ -44,3 +45,35 @@ def test_guard_catches_an_unused_import():
                      "import numpy as np\n"
                      "propagate_numeric(np.zeros(3))\n")
     assert unused_imports(tree) == ["line 1: rk4_segment"]
+
+
+def unused_parameters(tree: ast.Module) -> list[str]:
+    """Parameters, other than ``self`` and ``cls``, that their function's
+    body never reads; a nested function's reads count."""
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(p for p in (a.vararg, a.kwarg) if p is not None)]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"line {node.lineno}: {node.name}.{p.arg}" for p in params
+                   if p.arg not in ("self", "cls") and p.arg not in read]
+    return unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_parameters(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_parameters(tree) == []
+
+
+def test_guard_catches_an_unused_parameter():
+    tree = ast.parse("class Grid:\n"
+                     "    def stages(self, plan, n, *rest, scale=1.0):\n"
+                     "        def row(k):\n"
+                     "            return k * scale\n"
+                     "        return [row(k) for k in range(n)]\n")
+    assert unused_parameters(tree) == ["line 2: stages.plan", "line 2: stages.rest"]

@@ -112,7 +112,7 @@ def x0_circular(a=6950.0, i_deg=97.3964, mass=235.0):
 
 def test_zero_plan_warm_start_is_coast():
     grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 600.0, 5800.0)
-    states, controls = warm_start(BurnPlan([]), grid, x0_circular(), TH.isp)
+    states, controls = warm_start(grid, x0_circular(), TH.isp)
     assert np.all(controls == 0.0)
     assert states[-1, 6] == states[0, 6]
 
@@ -121,7 +121,7 @@ def test_impulse_spread_to_constant_force():
     th = ThrusterSpec(t_on=60.0, thrust=12.6, cluster=4)
     plan = BurnPlan([BurnEvent(100.0, (0.0, 1e-3, 0.0), "perigee")])
     grid = with_tail(build_grid(plan, th, 5800.0), 0.25 * 5800.0, 5800.0)
-    states, controls = warm_start(plan, grid, x0_circular(), th.isp)
+    states, controls = warm_start(grid, x0_circular(), th.isp)
     on = np.linalg.norm(controls, axis=1) > 0.0
     force = np.linalg.norm(controls[on], axis=1)
     # m * dv / window: 235 kg * 1 m/s / 60 s = 3.9167 N
@@ -136,7 +136,7 @@ def test_warm_start_clips_and_spills():
     plan = BurnPlan([BurnEvent(100.0, (0.0, 0.5, 0.0), "perigee")])
     grid = with_tail(build_grid(plan, TH, 5800.0), 0.25 * 5800.0, 5800.0)
     with pytest.warns(UserWarning, match="thrust bound"):
-        states, controls = warm_start(plan, grid, x0_circular(), TH.isp)
+        states, controls = warm_start(grid, x0_circular(), TH.isp)
     assert np.max(np.linalg.norm(controls, axis=1)) <= TH.thrust_kn * (1 + 1e-9)
 
 
@@ -156,7 +156,7 @@ def test_warm_start_is_one_rollout_of_its_controls():
                                  PropagatorConfig(step=COAST_SUBSTEP))
 
     with pytest.warns(UserWarning, match="thrust bound"):
-        W, U = warm_start(plan, prefix, x0, TH.isp)
+        W, U = warm_start(prefix, x0, TH.isp)
     burn = prefix.tmax > 0.0
     assert np.allclose(np.linalg.norm(U[burn], axis=1), TH.thrust_kn, rtol=1e-12)
     assert np.all(U[~burn] == 0.0)

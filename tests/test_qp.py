@@ -159,15 +159,18 @@ def test_matches_slsqp_oracle_with_coast_stages():
 
 
 def test_equality_residual_is_zero_and_balls_exact():
+    # coast runs inside, at both ends (the shape of every refiner grid) and
+    # none at all
     rng = np.random.default_rng(4)
-    sub = random_subproblem(rng, N=8, ball=0.02, coast=(2, 3))
-    sol = ReducedArcSolver(sub).solve(tol=1e-10)
-    Z, U = sol.states, sol.controls
-    for i in range(8):
-        resid = Z[i + 1] - (sub.A[i] @ Z[i] + sub.B[i] @ U[i] + sub.c[i])
-        assert np.max(np.abs(resid)) < 1e-9
-    assert np.all(np.linalg.norm(U, axis=1) <= sub.ball + 1e-15)
-    assert np.all(U[[2, 3]] == 0.0)
+    for coast in ((2, 3), (0, 1, 5, 6, 7), ()):
+        sub = random_subproblem(rng, N=8, ball=0.02, coast=coast)
+        sol = ReducedArcSolver(sub).solve(tol=1e-10)
+        Z, U = sol.states, sol.controls
+        for i in range(8):
+            resid = Z[i + 1] - (sub.A[i] @ Z[i] + sub.B[i] @ U[i] + sub.c[i])
+            assert np.max(np.abs(resid)) < 1e-9
+        assert np.all(np.linalg.norm(U, axis=1) <= sub.ball + 1e-15)
+        assert np.all(U[list(coast)] == 0.0)
 
 
 def test_scaled_step_stays_feasible_and_linear():

@@ -56,7 +56,7 @@ def weak_raise_problem():
 def test_pure_coast_converges_in_one_iteration():
     x0 = x0_circ()
     grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 2000.0, 5800.0)
-    W, U = warm_start(BurnPlan([]), grid, x0, TH.isp)
+    W, U = warm_start(grid, x0, TH.isp)
     problem = OcpProblem(x0=x0, grid=grid, x_ref=W[-1].copy(), isp=TH.isp)
     arc = scp_solve(problem, W, U)
     assert arc.converged
@@ -143,7 +143,7 @@ def test_warm_start_prefix_rolled_once_equals_full_roll(monkeypatch):
         assert sum("thrust bound" in str(w.message) for w in caught) == 1
         full = with_tail(build_grid(retimed, weak, period), tails[-1], period)
         with pytest.warns(UserWarning, match="thrust bound"):
-            W_full, U_full = warm_start(retimed, full, x0, weak.isp)
+            W_full, U_full = warm_start(full, x0, weak.isp)
         assert np.array_equal(problem.grid.dt, full.dt)
         assert np.array_equal(problem.grid.tmax, full.tmax)
         assert np.array_equal(problem.grid.window_of_stage, full.window_of_stage)
@@ -168,7 +168,9 @@ def test_iteration_cap_flags_nonconvergence():
 def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     # in the 0.75 deg plane change at 7000 km the second QP step fits inside
     # the trust radius and is rejected; shrinking the radius only once
-    # scored that same candidate again at iterations 3 to 5
+    # scored that same candidate again at iterations 3 to 5.  The radius
+    # only scales the step, so each linearization's subproblem is solved
+    # once, not once per iteration
     est, plan = nic_estimate(math.radians(0.75), 7000.0, 235.0, TH)
     x0 = x0_circ(7000.0, 97.1464)
     end = KeplerianState(7000.0, 0.0, math.radians(97.8964), math.radians(158.0),
@@ -177,7 +179,9 @@ def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     problem, W, U = prepare_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH,
                                 isp=TH.isp)
     calls = []
+    built, solved = [], []
     score, roll = scp.stage_defects, scp.propagate_numeric
+    build, solve = scp.ReducedArcSolver, scp.ReducedArcSolver.solve
 
     def spy_score(states, controls, *args):
         calls.append(("score", hashlib.sha256(states.tobytes()
@@ -188,9 +192,21 @@ def test_rejected_full_step_is_never_scored_twice(monkeypatch):
         calls.append(("roll", controls.copy()))
         return roll(state0, controls, *args)
 
+    def spy_build(sub):
+        built.append(build(sub))
+        return built[-1]
+
+    def spy_solve(solver, *args, **kwargs):
+        solved.append(solver)
+        return solve(solver, *args, **kwargs)
+
     monkeypatch.setattr(scp, "stage_defects", spy_score)
     monkeypatch.setattr(scp, "propagate_numeric", spy_roll)
+    monkeypatch.setattr(scp, "ReducedArcSolver", spy_build)
+    monkeypatch.setattr(build, "solve", spy_solve)
     arc = scp_solve(problem, W, U, max_iterations=5)
+    assert len(solved) == len(built) == 2
+    assert solved == built
     scored = [h for kind, h in calls if kind == "score"]
     assert len(scored) == arc.iterations == 5
     assert len(set(scored)) == len(scored)
