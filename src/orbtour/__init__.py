@@ -18,7 +18,7 @@ from .scenario import (Bundle, MissionScenario, PayloadSpec, ScenarioConfig,
                        save_scenario, sso_inclination)
 from .scp import OcpProblem, RefineOptions, RefinedArc, refine_tour, scp_solve
 from .tour import Tour, TourEvaluator, brute_force, heuristic_walks, tour_cost
-from .verify import Tolerances, VerificationReport, verify_trajectory
+from .verify import VerificationReport, verify_trajectory
 
 __all__ = [
     "EARTH", "PhysicalConstants",
@@ -31,5 +31,5 @@ __all__ = [
     "sso_inclination",
     "OcpProblem", "RefineOptions", "RefinedArc", "refine_tour", "scp_solve",
     "Tour", "TourEvaluator", "brute_force", "heuristic_walks", "tour_cost",
-    "Tolerances", "VerificationReport", "verify_trajectory",
+    "VerificationReport", "verify_trajectory",
 ]

@@ -39,8 +39,7 @@ from .scenario import (MissionScenario, ScenarioConfig, load_scenario,
                        sample_scenario, save_scenario)
 from .scp import RefineOptions, load_arcs, refine_tour, save_arcs
 from .tour import Tour, brute_force, heuristic_walks, tour_cost
-from .verify import (TOL_INC_DEG, TOL_SMA_KM, PropagatorConfig, Tolerances,
-                     save_report, verify_trajectory)
+from .verify import save_report, verify_trajectory
 
 
 def _sha256(path: str | Path) -> str:
@@ -172,7 +171,8 @@ def save_tour(tour: Tour, path: str | Path) -> None:
     write_json(path, tour_to_dict(tour))
 
 
-def load_tour_order(path: str | Path) -> list[int]:
+def load_tour_order(path: str | Path, n_bundles: int) -> list[int]:
+    """The visit order in the tour file ``path``: a permutation of range(n_bundles)."""
     data = read_json_object(path)
     if "order" not in data:
         raise SchemaError(f"{path} is not a tour record")
@@ -180,6 +180,9 @@ def load_tour_order(path: str | Path) -> list[int]:
     if not (isinstance(order, list)
             and all(isinstance(i, int) and not isinstance(i, bool) for i in order)):
         raise SchemaError(f"{path}: tour order must be a list of integers")
+    if sorted(order) != list(range(n_bundles)):
+        raise SchemaError(f"{path}: tour order {order} is not a permutation of "
+                          f"the scenario's {n_bundles} bundle indices")
     return order
 
 
@@ -219,7 +222,7 @@ def cmd_solve(args) -> int:
     if args.seed_candidates == "walks":
         seeds_in = list(heuristic_walks(scn, consts).values())
     for path in args.seed_tours or []:
-        seeds_in.append(load_tour_order(path))
+        seeds_in.append(load_tour_order(path, scn.n_bundles))
 
     if args.exact:
         tour = brute_force(scn, consts=consts)
@@ -246,7 +249,7 @@ def cmd_refine(args) -> int:
     t0 = time.time()
     consts = active_constants()
     scn = load_scenario(args.scenario, consts)
-    order = load_tour_order(args.tour)
+    order = load_tour_order(args.tour, scn.n_bundles)
     arcs = refine_tour(order, scn, RefineOptions(), consts, jobs=args.jobs)
     save_arcs(arcs, args.out)
     write_manifest(args.out, "refine", vars(args), [args.scenario, args.tour],
@@ -263,15 +266,12 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     consts = active_constants()
     scn = load_scenario(args.scenario, consts)
-    order = load_tour_order(args.tour)
+    order = load_tour_order(args.tour, scn.n_bundles)
     tour = tour_cost(scn, order, consts)
     arcs = load_arcs(args.arcs)
     try:
-        report = verify_trajectory(arcs, tour, scn,
-                                   Tolerances(sma_km=args.tol_sma, inc_deg=args.tol_inc),
-                                   PropagatorConfig(step=args.step), consts,
-                                   jobs=args.jobs)
-    except SchemaError as exc:  # an arc label that names no leg
+        report = verify_trajectory(arcs, tour, scn, consts, jobs=args.jobs)
+    except SchemaError as exc:  # an arc label that names no leg, or a leg with no arc
         raise SchemaError(f"{args.arcs}: {exc}") from exc
     save_report(report, args.out, args.csv)
     write_manifest(args.out, "verify", vars(args),
@@ -477,9 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arcs", required=True)
     p.add_argument("--tour", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--tol-sma", type=float, default=TOL_SMA_KM)
-    p.add_argument("--tol-inc", type=float, default=TOL_INC_DEG)
-    p.add_argument("--step", type=float, default=10.0)
     p.add_argument("--csv")
     _add_jobs(p, "arcs")
     p.add_argument("--out", required=True)

@@ -3,8 +3,8 @@
 Each island evolves a population of key vectors in [0,1)^n (decoded to
 permutations by argsort) with either a generational GA (tournament
 selection, blend crossover, Gaussian key mutation, elitism) or a
-global-best PSO.  Islands are initialized from scrambled Sobol points, with
-a fixed share spawned near any candidate solutions through Mallows
+global-best PSO.  Each island starts from one draw of scrambled Sobol
+points, with a fixed share spawned near any candidate solutions by Mallows
 sampling; the candidates themselves are always injected verbatim, so the
 final best can never be worse than the best seed.  A ring migration moves
 each island's best individual onto its neighbour every few generations.
@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
-from .permutations import (MallowsParams, SobolEngine, decode, encode,
-                           sample_mallows)
+from .permutations import decode, encode, sample_mallows, sobol_points
 from .scenario import MissionScenario
 from .tour import Tour, TourEvaluator, tour_cost
 
@@ -115,7 +114,7 @@ def _ga_step(keys: np.ndarray, cost: np.ndarray,
 def _initial_population(n: int, count: int, candidates: list[np.ndarray],
                         rng: np.random.Generator) -> np.ndarray:
     sobol_seed = int(rng.integers(0, 2**31))
-    keys = SobolEngine(n, seed=sobol_seed).draw(count) if n > 1 else np.zeros((count, 1))
+    keys = sobol_points(n, count, sobol_seed) if n > 1 else np.zeros((count, 1))
     if candidates:
         # Mallows dispersion: 2n over the largest Kendall distance n(n-1)/2
         theta = 4.0 / (n - 1) if n > 1 else 1.0
@@ -127,8 +126,7 @@ def _initial_population(n: int, count: int, candidates: list[np.ndarray],
             keys[slot] = encode(candidates[slot], rng)
         for slot in range(n_verbatim, min(n_seeded, count)):
             cand = candidates[(slot - n_verbatim) % len(candidates)]
-            sample = sample_mallows(MallowsParams(tuple(int(x) for x in cand), theta),
-                                    1, seed=int(rng.integers(0, 2**31)))[0]
+            sample = sample_mallows(cand, theta, 1, seed=int(rng.integers(0, 2**31)))[0]
             keys[slot] = encode(sample, rng)
     return keys
 

@@ -1,10 +1,10 @@
 """Permutation sampling and random-keys encoding.
 
-Uniform sampling draws low-discrepancy Sobol points in the unit hypercube,
-which argsort to permutations; distance-based sampling uses the Kendall-tau Mallows model
-via insertion-vector (Lehmer code) sampling.  Random-keys vectors decode to
-permutations by stable argsort, so any continuous optimizer can act on the
-keys directly.
+Uniform sampling argsorts the low-discrepancy points of :func:`sobol_points`
+to permutations; :func:`sample_mallows` draws from the Kendall-tau Mallows
+model around a center order by insertion-vector (Lehmer code) sampling.
+Random-keys vectors decode to permutations by stable argsort, so any
+continuous optimizer can act on the keys directly.
 
 The Sobol generator is self-contained: direction numbers are built from the
 first 64 dimensions of the published Joe-Kuo table (primitive polynomials
@@ -13,7 +13,6 @@ and initial values) frozen below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,62 +86,41 @@ def _direction_numbers(dim: int) -> np.ndarray:
     return v
 
 
-class SobolEngine:
-    """Stateful Sobol sequence generator (Gray-code order).
+def sobol_points(dim: int, count: int, seed: int | None = None) -> np.ndarray:
+    """The first ``count`` Sobol points in [0, 1)^dim, in Gray-code order,
+    shape (count, dim).
 
     The all-zeros index-0 point is skipped: a constant vector argsorts to
     the same permutation in every chain and wastes a sample.  A non-None
     ``seed`` applies a per-dimension digital shift scramble.
     """
-
-    def __init__(self, dim: int, seed: int | None = None):
-        if not (1 <= dim <= MAX_SOBOL_DIM):
-            raise ValueError(f"dim must be in [1, {MAX_SOBOL_DIM}], got {dim}")
-        self.dim = dim
-        self._v = _direction_numbers(dim)
-        self._state = np.zeros(dim, dtype=np.uint64)
-        self._index = 0
-        if seed is None:
-            self._shift = np.zeros(dim, dtype=np.uint64)
-        else:
-            rng = np.random.default_rng(seed)
-            self._shift = rng.integers(0, 2**_BITS, size=dim, dtype=np.uint64)
-
-    def draw(self, count: int) -> np.ndarray:
-        """Next ``count`` points, shape (count, dim), coordinates in [0, 1)."""
-        if count < 1:
-            raise ValueError("count must be positive")
-        out = np.empty((count, self.dim))
-        for row in range(count):
-            self._index += 1
-            # Gray-code step: flip the direction of the lowest zero bit of n-1
-            c = 0
-            idx = self._index - 1
-            while idx & 1:
-                idx >>= 1
-                c += 1
-            self._state ^= self._v[:, c]
-            out[row] = (self._state ^ self._shift) / _SCALE
-        return out
+    if not (1 <= dim <= MAX_SOBOL_DIM):
+        raise ValueError(f"dim must be in [1, {MAX_SOBOL_DIM}], got {dim}")
+    if count < 1:
+        raise ValueError("count must be positive")
+    v = _direction_numbers(dim)
+    if seed is None:
+        shift = np.zeros(dim, dtype=np.uint64)
+    else:
+        rng = np.random.default_rng(seed)
+        shift = rng.integers(0, 2**_BITS, size=dim, dtype=np.uint64)
+    state = np.zeros(dim, dtype=np.uint64)
+    out = np.empty((count, dim))
+    for row in range(count):
+        # Gray-code step: flip the direction of the lowest zero bit of row
+        c = 0
+        idx = row
+        while idx & 1:
+            idx >>= 1
+            c += 1
+        state ^= v[:, c]
+        out[row] = (state ^ shift) / _SCALE
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Mallows model
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MallowsParams:
-    """Kendall-tau Mallows model: P(sigma) ~ exp(-theta * d(sigma, center))."""
-
-    center: tuple[int, ...]
-    theta: float
-
-    def __post_init__(self) -> None:
-        if self.theta < 0.0:
-            raise ValueError("theta must be >= 0")
-        if sorted(self.center) != list(range(len(self.center))):
-            raise ValueError("center must be a permutation of [0, n)")
-
 
 def _decode_lehmer(codes: np.ndarray) -> np.ndarray:
     """Insertion decode: row-wise pick the code[j]-th smallest remaining
@@ -159,23 +137,28 @@ def _decode_lehmer(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_mallows(params: MallowsParams, count: int, seed: int | None = None) -> np.ndarray:
-    """Sample ``count`` permutations from the Mallows model, shape (count, n).
+def sample_mallows(center, theta: float, count: int, seed: int | None = None) -> np.ndarray:
+    """Sample ``count`` permutations from the Kendall-tau Mallows model
+    P(sigma) ~ exp(-theta * d(sigma, center)), shape (count, n).
 
     Insertion-vector method: the Lehmer-code entries are independent
     truncated-geometric variables whose sum is the Kendall distance to the
     center, so the exact target distribution is produced in O(n^2) per
     sample.
     """
-    n = len(params.center)
+    if theta < 0.0:
+        raise ValueError("theta must be >= 0")
+    if sorted(center) != list(range(len(center))):
+        raise ValueError("center must be a permutation of [0, n)")
+    n = len(center)
     rng = np.random.default_rng(seed)
     if n == 1:
         return np.zeros((count, 1), dtype=np.int64)
     codes = np.zeros((count, n), dtype=np.int64)
-    q = math.exp(-params.theta)
+    q = math.exp(-theta)
     for j in range(n - 1):
         support = n - j
-        if params.theta == 0.0:
+        if theta == 0.0:
             codes[:, j] = rng.integers(0, support, count)
         else:
             weights = q ** np.arange(support)
@@ -183,7 +166,7 @@ def sample_mallows(params: MallowsParams, count: int, seed: int | None = None) -
             cdf /= cdf[-1]
             codes[:, j] = np.searchsorted(cdf, rng.random(count), side="right")
     raw = _decode_lehmer(codes)
-    center = np.asarray(params.center, dtype=np.int64)
+    center = np.asarray(center, dtype=np.int64)
     return raw[:, center]
 
 
@@ -197,12 +180,10 @@ def decode(keys) -> np.ndarray:
     return np.argsort(np.asarray(keys), kind="stable")
 
 
-def encode(perm, seed_or_rng=None) -> np.ndarray:
-    """Key vector whose decode is ``perm``: draw keys, sort them, and place
-    the j-th smallest at position perm[j]."""
+def encode(perm, rng: np.random.Generator) -> np.ndarray:
+    """Key vector whose decode is ``perm``: draw keys from ``rng``, sort
+    them, and place the j-th smallest at position perm[j]."""
     perm = np.asarray(perm, dtype=np.int64)
-    rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
-           else np.random.default_rng(seed_or_rng))
     keys = np.sort(rng.random(perm.size))
     out = np.empty(perm.size)
     out[perm] = keys

@@ -323,4 +323,9 @@ def save_scenario(scn: MissionScenario, path: str | os.PathLike,
 
 def load_scenario(path: str | os.PathLike,
                   consts: PhysicalConstants = EARTH) -> MissionScenario:
-    return scenario_from_dict(read_json_object(path), consts)
+    """The scenario in ``path``; a bad record raises a schema error naming the file."""
+    data = read_json_object(path)
+    try:
+        return scenario_from_dict(data, consts)
+    except ValueError as exc:  # a SchemaError is a ValueError too
+        raise SchemaError(f"{path}: {exc}") from exc

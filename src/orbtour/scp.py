@@ -141,16 +141,15 @@ def stage_defects(states: np.ndarray, controls: np.ndarray, grid: StageGrid,
 
 
 def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
-              warm_controls: np.ndarray,
-              max_iterations: int = MAX_ITERATIONS) -> RefinedArc:
+              warm_controls: np.ndarray) -> RefinedArc:
     """Refine one arc from a dynamics-consistent warm start.
 
     Returns the last accepted iterate's controls with their sequential
     rollout as states.  ``objective_history`` holds the merit of the warm
     start and of each accepted iterate; ``objective`` is the true objective
     of the returned states.  ``converged`` is False when a step was still
-    left at the iteration cap, or when the last iterate's largest scaled
-    stage defect is not below :data:`DEFECT_TOL`.
+    left at the iteration cap :data:`MAX_ITERATIONS`, or when the last
+    iterate's largest scaled stage defect is not below :data:`DEFECT_TOL`.
     """
     grid = problem.grid
     N = grid.n_stages
@@ -187,7 +186,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     gamma = None
     coast = grid.tmax <= 0.0
     solver = None
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         if solver is None:
             A, B = linearize_batch(X[:-1], U, dt, substeps, problem.isp, consts,
                                    u_scale=su, skip_b=coast)
@@ -536,6 +535,9 @@ def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
 
 
 def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
+    """The arcs in ``path``.  Another record or version, a label that is not
+    a string, or arrays that are not numbers of shape ``dt_s`` (N,), ``states``
+    (N+1, 7), ``controls_lvlh_kN`` (N, 3), ``x_ref`` (7,) raise a SchemaError."""
     data = read_json_object(path)
     if "arcs" not in data:
         raise SchemaError(f"{path} is not an arcs record")
@@ -543,6 +545,19 @@ def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
         raise SchemaError(f"{path}: unsupported arcs schema version "
                           f"{data.get('version')!r}")
     try:
-        return [arc_from_dict(d) for d in data["arcs"]]
-    except (KeyError, TypeError) as exc:
+        arcs = [arc_from_dict(d) for d in data["arcs"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed arc record: {exc}") from exc
+    for arc in arcs:
+        if not isinstance(arc.label, str):
+            raise SchemaError(f"{path}: arc label {arc.label!r} is not a string")
+        n = arc.dt.size
+        for key, array, shape in (("dt_s", arc.dt, (n,)),
+                                  ("states", arc.states, (n + 1, 7)),
+                                  ("controls_lvlh_kN", arc.controls, (n, 3)),
+                                  ("x_ref", arc.x_ref, (7,))):
+            if array.shape != shape or array.dtype.kind not in "fi":
+                raise SchemaError(f"{path}: arc {arc.label!r}: {key} must be "
+                                  f"numbers of shape {shape}, got {array.dtype} "
+                                  f"of shape {array.shape}")
+    return arcs

@@ -1,11 +1,12 @@
 """Independent verification of refined trajectories.
 
 Every arc's controls are re-propagated from the arc's stored initial state
-with the plain fixed-step integrator (full nonlinear dynamics plus the
-instantaneous oblateness term) and the achieved terminal orbits are
-compared against the mission targets and fuel accounting.  The verifier
-shares only the dynamics primitives with the refiner, never its linearized
-model, and failures become report rows rather than exceptions.
+with the plain RK4 integrator at the fixed step :data:`STEP_S` (full
+nonlinear dynamics plus the instantaneous oblateness term), and the
+achieved terminal orbits are checked against the fixed mission gates
+(:data:`TOL_SMA_KM`, :data:`TOL_INC_DEG`, :data:`TOL_FUEL_FRACTION`).  The
+verifier shares only the dynamics primitives with the refiner, never its
+linearized model, and failed gates become report rows, not exceptions.
 """
 from __future__ import annotations
 
@@ -28,19 +29,15 @@ from .scenario import MissionScenario
 from .scp import RefinedArc, realized_dv
 from .tour import Tour
 
-#: injection accuracy requirements (defaults)
+#: injection accuracy requirements
 TOL_SMA_KM = 10.0
 TOL_INC_DEG = 0.1
 #: allowed gap between numeric and analytic leg fuel, relative to the latter
 TOL_FUEL_FRACTION = 0.05
+#: RK4 step of the re-propagation [s]
+STEP_S = 10.0
 #: report.json schema version; 3 dropped ``de``, a copy of ``achieved_e``
 REPORT_VERSION = 3
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    sma_km: float = TOL_SMA_KM
-    inc_deg: float = TOL_INC_DEG
 
 
 @dataclass
@@ -96,11 +93,11 @@ def repropagate_arc(arc: RefinedArc, config: PropagatorConfig, isp: float,
     return propagate_numeric(state0, arc.controls, arc.dt, isp, config, consts)
 
 
-def _check_arc(arc: RefinedArc, config: PropagatorConfig, isp: float,
+def _check_arc(arc: RefinedArc, isp: float,
                consts: PhysicalConstants) -> tuple[float, float, float, np.ndarray]:
     """Re-propagate one arc: its numeric fuel [kg] and delta-v [km/s], its
     refiner-vs-verifier terminal mismatch and its re-propagated final state."""
-    traj = repropagate_arc(arc, config, isp, consts)
+    traj = repropagate_arc(arc, PropagatorConfig(step=STEP_S), isp, consts)
     scale = np.maximum(np.abs(arc.x_ref), 1e-2)
     return (float(traj[0, 6] - traj[-1, 6]),
             realized_dv(arc.controls, arc.dt, traj),
@@ -119,27 +116,30 @@ def _leg_of(label: str, n_legs: int) -> int:
 
 def verify_trajectory(arcs: list[RefinedArc], tour: Tour,
                       scenario: MissionScenario,
-                      tolerances: Tolerances = Tolerances(),
-                      config: PropagatorConfig = PropagatorConfig(),
                       consts: PhysicalConstants = EARTH,
                       jobs: int | None = 1) -> VerificationReport:
     """Check every refined leg against its mission target.
 
-    Arcs are grouped by their ``legN/...`` labels, and a label that names
-    no leg of the tour raises :class:`~orbtour.errors.SchemaError` before
-    any arc is re-propagated.  The last arc of each leg carries the
-    injection.  Fuel is compared against the analytical leg estimates
-    recorded on the tour.  Arcs are independent, so they are re-propagated
-    on up to ``jobs`` forked worker processes (None: every available CPU);
-    fuel and delta-v are then summed per leg in arc order, so the report is
-    bit-identical to a serial run's.
+    Arcs are grouped by their ``legN/...`` labels.  A label that names no
+    leg of the tour, or a leg with burns that no arc refines, raises
+    :class:`~orbtour.errors.SchemaError` before any arc is re-propagated.
+    The last arc of each leg carries the injection.  Fuel is compared
+    against the analytical leg estimates recorded on the tour.  Arcs are
+    independent, so they are re-propagated on up to ``jobs`` forked worker
+    processes (None: every available CPU); fuel and delta-v are then summed
+    per leg in arc order, so the report is bit-identical to a serial run's.
     """
     isp = scenario.spacecraft.thruster.isp
     legs = [_leg_of(arc.label, len(tour.legs)) for arc in arcs]
+    missing = [f"leg{i}" for i, est in enumerate(tour.legs)
+               if est.burn_count > 0 and i not in legs]
+    if missing:
+        raise SchemaError(f"no arc refines {', '.join(missing)}, which the "
+                          "tour says must burn")
     # weights: about each arc's RK4 steps, so the longest arcs start first
     checks = ordered_map(
-        partial(_check_arc, config=config, isp=isp, consts=consts), arcs, jobs,
-        weights=[arc.dt.size + float(arc.dt.sum()) / config.step for arc in arcs])
+        partial(_check_arc, isp=isp, consts=consts), arcs, jobs,
+        weights=[arc.dt.size + float(arc.dt.sum()) / STEP_S for arc in arcs])
     by_leg: dict[int, list[tuple[float, float, float, np.ndarray]]] = {}
     for leg_idx, check in zip(legs, checks):
         by_leg.setdefault(leg_idx, []).append(check)
@@ -177,8 +177,8 @@ def verify_trajectory(arcs: list[RefinedArc], tour: Tour,
             fuel_numeric_kg=fuel_numeric, fuel_analytic_kg=fuel_analytic,
             dv_numeric_mps=dv_numeric * 1000.0,
             consistency_err=consistency,
-            pass_sma=abs(da) <= tolerances.sma_km,
-            pass_inc=abs(math.degrees(di)) <= tolerances.inc_deg,
+            pass_sma=abs(da) <= TOL_SMA_KM,
+            pass_inc=abs(math.degrees(di)) <= TOL_INC_DEG,
             pass_fuel=fuel_ok,
         ))
     return report

@@ -30,7 +30,7 @@ from orbtour.errors import SingularStateError
 from orbtour.ocp import linearize_batch
 from orbtour.optimizer import (CROSSOVER_BLEND, ELITES, MUTATION_RATE,
                                MUTATION_SIGMA, TOURNAMENT)
-from orbtour.permutations import SobolEngine
+from orbtour.permutations import sobol_points
 from orbtour.propagate import rk4_batch
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario)
@@ -239,12 +239,6 @@ def kep_to_cartesian(kep: KeplerianState, consts: PhysicalConstants = EARTH) -> 
 # ---------------------------------------------------------------------------
 # permutation helpers
 # ---------------------------------------------------------------------------
-
-def sobol_points(dim: int, count: int, seed: int | None = None) -> np.ndarray:
-    """First ``count`` points (after the skipped origin) of the Sobol
-    sequence in [0,1)^dim, optionally digitally scrambled by ``seed``."""
-    return SobolEngine(dim, seed).draw(count)
-
 
 def sample_uniform_permutations(n: int, count: int, seed: int | None = None) -> np.ndarray:
     """Uniform permutations of [0, n) obtained by argsorting Sobol points,

@@ -1,11 +1,14 @@
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbtour.verify
 from conftest import tiny_mission
 from orbtour.cli import main
 from orbtour.errors import SingularStateError
@@ -14,6 +17,16 @@ from orbtour.scenario import save_scenario
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_module(*args, **kwargs):
+    """``python -m orbtour.cli args`` in a fresh interpreter that imports
+    this checkout's package, installed or not."""
+    src = str(Path(orbtour.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "orbtour.cli", *map(str, args)],
+                          env=env, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -155,16 +168,17 @@ def test_refine_and_verify_pipeline(tmp_path, tiny_paths, monkeypatch):
     assert csvp.read_text().count("\n") == len(data["legs"]) + 1
     # a failed verification completes its report but says so in the exit code
     strict = tmp_path / "strict.json"
-    assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
-                "--tol-sma", 1e-9, "--out", strict]) == 4
+    with monkeypatch.context() as m:
+        m.setattr(orbtour.verify, "TOL_SMA_KM", 1e-9)
+        assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
+                    "--out", strict]) == 4
     assert json.loads(strict.read_text())["all_passed"] is False
     # refinement is a deterministic pipeline stage: an identical rerun, here
     # in a fresh process, writes identical bytes and a manifest that differs
     # only in the wall time
     manifest = tmp_path / "arcs.json.manifest.json"
     first_arcs, first_manifest = arcs.read_bytes(), json.loads(manifest.read_text())
-    proc = subprocess.run([sys.executable, "-m", "orbtour.cli", "refine", "--tour",
-                           str(tour), "--scenario", str(scn_path), "--out", str(arcs)])
+    proc = run_module("refine", "--tour", tour, "--scenario", scn_path, "--out", arcs)
     assert proc.returncode == 0
     assert arcs.read_bytes() == first_arcs
     second_manifest = json.loads(manifest.read_text())
@@ -232,6 +246,17 @@ def test_jobs_below_one_is_a_usage_error(command, option, value, capsys):
     assert exc.value.code == 2
     assert f"argument {option}: expected an integer >= 1, got '{value}'" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("--tol-sma", "1"), ("--tol-inc", "1"),
+                                           ("--step", "5")])
+def test_verify_gates_and_step_are_not_options(option, value, capsys):
+    # verify checks the fixed mission requirements at a fixed RK4 step
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--arcs", "a.json", "--tour", "t.json", "--scenario", "s.json",
+             "--out", "r.json", option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 def test_montecarlo_and_report(tmp_path):
@@ -409,6 +434,15 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch)
     assert "mu_typo" in err and str(cfg) in err and len(err.strip().splitlines()) == 1
 
 
+def arc_record(label: str = "leg0/phase0.0", stages: int = 1, **fields) -> dict:
+    """An arcs.json arc of ``stages`` coast stages, with ``fields`` replaced."""
+    x = [7000.0, 0, 0, 0, 0, 0, 235.0]
+    return {"label": label, "states": [x] * (stages + 1),
+            "controls_lvlh_kN": [[0.0, 0.0, 0.0]] * stages, "dt_s": [60.0] * stages,
+            "dv_mps": 0.0, "iterations": 1, "converged": True, "objective": 0.0,
+            "x_ref": x, "objective_history": [0.0], **fields}
+
+
 def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
     _, scn_path = tiny_paths
     tour = tmp_path / "tour.json"
@@ -422,11 +456,26 @@ def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
     broken.write_text("{bad")
     assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
     capsys.readouterr()
-    for arcs, tour_in, text in ((tour, tour, "not an arcs record"),
-                                (old, tour, "version 1"),
-                                (bad, tour, "malformed arc record"),
-                                (broken, tour, f"invalid JSON in {broken}"),
-                                (old, scalar, f"{scalar}: expected a JSON object")):
+    cases = [(tour, tour, "not an arcs record"),
+             (old, tour, "version 1"),
+             (bad, tour, "malformed arc record"),
+             (broken, tour, f"invalid JSON in {broken}"),
+             (old, scalar, f"{scalar}: expected a JSON object")]
+    # every array must be numbers of its stage count's shape, and the label
+    # a string
+    arc0 = "arc 'leg0/phase0.0':"
+    for i, (arc, text) in enumerate((
+            (arc_record(states=[]), f"{arc0} states must be numbers of shape (2, 7)"),
+            (arc_record(stages=2, controls_lvlh_kN=[[0.0, 0.0, 0.0]]),
+             f"{arc0} controls_lvlh_kN must be numbers of shape (2, 3)"),
+            (arc_record(dt_s=["60"]), f"{arc0} dt_s must be numbers of shape (1,)"),
+            (arc_record(x_ref=[7000.0] * 6), f"{arc0} x_ref must be numbers of shape (7,)"),
+            (arc_record(states=[[7000.0] * 7, [7000.0] * 6]), "malformed arc record"),
+            (arc_record(label=5), "arc label 5 is not a string"))):
+        shaped = tmp_path / f"shape{i}.json"
+        shaped.write_text(json.dumps({"version": 2, "arcs": [arc]}))
+        cases.append((shaped, tour, f"{shaped}: {text}"))
+    for arcs, tour_in, text in cases:
         assert run(["verify", "--arcs", arcs, "--tour", tour_in, "--scenario",
                     scn_path, "--out", tmp_path / "report.json"]) == 1
         err = capsys.readouterr().err
@@ -456,11 +505,7 @@ def test_verify_rejects_an_arc_label_that_names_no_leg(tmp_path, tiny_paths, cap
     tour = tmp_path / "tour.json"
     assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
     arcs = tmp_path / "arcs.json"
-    arcs.write_text(json.dumps({"version": 2, "arcs": [{
-        "label": label, "states": [[7000.0, 0, 0, 0, 0, 0, 235.0]] * 2,
-        "controls_lvlh_kN": [[0.0, 0.0, 0.0]], "dt_s": [60.0], "dv_mps": 0.0,
-        "iterations": 1, "converged": True, "objective": 0.0,
-        "x_ref": [7000.0, 0, 0, 0, 0, 0, 235.0], "objective_history": [0.0]}]}))
+    arcs.write_text(json.dumps({"version": 2, "arcs": [arc_record(label)]}))
     capsys.readouterr()
     assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
                 "--out", tmp_path / "report.json"]) == 1
@@ -469,9 +514,71 @@ def test_verify_rejects_an_arc_label_that_names_no_leg(tmp_path, tiny_paths, cap
                    f"(leg0 to leg2)\n")
 
 
+@pytest.mark.parametrize("labels, missing", [
+    ([], "leg0, leg1, leg2"), (["leg0/phase0.0", "leg0/phase1.0"], "leg1, leg2")],
+    ids=["no-arcs", "leg0-only"])
+def test_verify_rejects_arcs_that_leave_a_burning_leg_unrefined(tmp_path, tiny_paths,
+                                                               capsys, labels, missing):
+    # every leg of the tiny tour burns; a report without some of them would
+    # pass only the legs it has
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    arcs = tmp_path / "arcs.json"
+    arcs.write_text(json.dumps({"version": 2, "arcs": [arc_record(label) for label in labels]}))
+    capsys.readouterr()
+    assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
+                "--out", tmp_path / "report.json"]) == 1
+    assert capsys.readouterr().err == (f"error: {arcs}: no arc refines {missing}, "
+                                       "which the tour says must burn\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_bad_scenario_or_tour_order_names_its_file(tmp_path, tiny_paths, capsys):
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    capsys.readouterr()
+
+    def without_spacecraft(d):
+        del d["spacecraft"]
+
+    def hyperbolic(d):
+        d["bundles"][0]["target"]["e"] = 1.5
+
+    def rock(d):
+        d["bundles"][0]["payloads"][0]["class"] = "rock"
+
+    def no_bundles(d):
+        d["bundles"] = []
+
+    bad = tmp_path / "scenario.json"
+    for edit, text in ((without_spacecraft, "'spacecraft'"),
+                       (hyperbolic, "eccentricity must be in [0, 1), got 1.5"),
+                       (rock, "unknown payload class 'rock'"),
+                       (no_bundles, "bundle count")):
+        record = json.loads(scn_path.read_text())
+        edit(record)
+        bad.write_text(json.dumps(record))
+        assert run(["solve", "--exact", "--scenario", bad, "--out", tmp_path / "o.json"]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and text in err and len(err.strip().splitlines()) == 1
+    # an order that is not a permutation of the scenario's two bundles
+    order = tmp_path / "order.json"
+    for text in ('{"order": [0, 0]}', '{"order": [0, 1, 2]}', '{"order": []}'):
+        order.write_text(text)
+        for command in (["refine", "--tour", order],
+                        ["verify", "--arcs", tmp_path / "arcs.json", "--tour", order],
+                        ["solve", "--seed-tours", order]):
+            assert run(command + ["--scenario", scn_path,
+                                  "--out", tmp_path / "o.json"]) == 1, (command, text)
+            err = capsys.readouterr().err
+            assert f"{order}: tour order" in err and "not a permutation" in err
+            assert len(err.strip().splitlines()) == 1
+
+
 def test_console_entry_point(tiny_paths):
     _, scn_path = tiny_paths
-    proc = subprocess.run([sys.executable, "-m", "orbtour.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_module("--help", capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout and "montecarlo" in proc.stdout

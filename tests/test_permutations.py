@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import kendall_tau, sample_uniform_permutations, sobol_points
-from orbtour.permutations import (MAX_SOBOL_DIM, MallowsParams, SobolEngine,
-                                  decode, encode, sample_mallows)
+from conftest import kendall_tau, sample_uniform_permutations
+from orbtour.permutations import (MAX_SOBOL_DIM, decode, encode, sample_mallows,
+                                  sobol_points)
 
 
 def l2_star_discrepancy(pts: np.ndarray) -> float:
@@ -66,14 +66,7 @@ def test_dim_bounds():
     with pytest.raises(ValueError):
         sobol_points(MAX_SOBOL_DIM + 1, 1)
     with pytest.raises(ValueError):
-        SobolEngine(3).draw(0)
-
-
-def test_engine_is_stateful_iterator():
-    eng = SobolEngine(3)
-    first = eng.draw(5)
-    second = eng.draw(5)
-    assert np.array_equal(np.vstack([first, second]), sobol_points(3, 10))
+        sobol_points(3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +104,7 @@ def test_kendall_tau_basics():
 
 
 def test_mallows_zero_dispersion_is_uniform():
-    params = MallowsParams((0, 1, 2, 3), 0.0)
-    perms = sample_mallows(params, 24000, seed=1)
+    perms = sample_mallows((0, 1, 2, 3), 0.0, 24000, seed=1)
     keys = perms @ (4 ** np.arange(4))
     _, counts = np.unique(keys, return_counts=True)
     chi2 = float(((counts - 1000.0) ** 2 / 1000.0).sum())
@@ -121,7 +113,7 @@ def test_mallows_zero_dispersion_is_uniform():
 
 def test_mallows_concentrates_on_center():
     center = (2, 0, 3, 1)
-    perms = sample_mallows(MallowsParams(center, 20.0), 5000, seed=2)
+    perms = sample_mallows(center, 20.0, 5000, seed=2)
     frac = float((perms == np.array(center)).all(axis=1).mean())
     assert frac > 0.999
 
@@ -130,7 +122,7 @@ def test_mallows_exponential_distance_law():
     """Frequency ratios across Kendall distances follow exp(-theta*d): the
     log-frequency regression over the exhaustive group recovers -theta."""
     theta = 1.0
-    perms = sample_mallows(MallowsParams((0, 1, 2, 3), theta), 1_000_000, seed=3)
+    perms = sample_mallows((0, 1, 2, 3), theta, 1_000_000, seed=3)
     keys = perms @ (4 ** np.arange(4))
     uniq, counts = np.unique(keys, return_counts=True)
     freq = dict(zip(uniq.tolist(), counts.tolist()))
@@ -152,9 +144,15 @@ def test_mallows_exponential_distance_law():
 
 
 def test_mallows_determinism():
-    params = MallowsParams((3, 1, 0, 2), 0.7)
-    assert np.array_equal(sample_mallows(params, 50, seed=9),
-                          sample_mallows(params, 50, seed=9))
+    assert np.array_equal(sample_mallows((3, 1, 0, 2), 0.7, 50, seed=9),
+                          sample_mallows((3, 1, 0, 2), 0.7, 50, seed=9))
+
+
+@pytest.mark.parametrize("center, theta", [((0, 1, 2), -0.5), ((0, 2, 2), 1.0),
+                                           ((1, 2, 3), 1.0)])
+def test_mallows_rejects_a_bad_center_or_dispersion(center, theta):
+    with pytest.raises(ValueError):
+        sample_mallows(center, theta, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_tour_round_trip_is_byte_stable(tmp_path, scn, data):
     save_scenario(scn, tmp_path / "scenario.json")
     scn = load_scenario(tmp_path / "scenario.json")
     order = data.draw(st.permutations(range(scn.n_bundles)))
-    cycle(save_tour, lambda path: tour_cost(scn, load_tour_order(path)),
+    cycle(save_tour, lambda path: tour_cost(scn, load_tour_order(path, scn.n_bundles)),
           tour_cost(scn, order), tmp_path / "a.json", tmp_path / "b.json")
 
 

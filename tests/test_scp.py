@@ -158,9 +158,10 @@ def test_accepted_objectives_monotone():
     assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
 
 
-def test_iteration_cap_flags_nonconvergence():
+def test_iteration_cap_flags_nonconvergence(monkeypatch):
     problem, W, U = weak_raise_problem()
-    arc = scp_solve(problem, W, U, max_iterations=1)
+    monkeypatch.setattr(scp, "MAX_ITERATIONS", 1)
+    arc = scp_solve(problem, W, U)
     assert not arc.converged
     assert arc.iterations == 1
 
@@ -204,7 +205,8 @@ def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     monkeypatch.setattr(scp, "propagate_numeric", spy_roll)
     monkeypatch.setattr(scp, "ReducedArcSolver", spy_build)
     monkeypatch.setattr(build, "solve", spy_solve)
-    arc = scp_solve(problem, W, U, max_iterations=5)
+    monkeypatch.setattr(scp, "MAX_ITERATIONS", 5)
+    arc = scp_solve(problem, W, U)
     assert len(solved) == len(built) == 2
     assert solved == built
     scored = [h for kind, h in calls if kind == "score"]

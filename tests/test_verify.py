@@ -10,8 +10,9 @@ from orbtour.elements import KeplerianState, kep_to_mee
 from orbtour.propagate import PropagatorConfig
 from orbtour.scp import RefinedArc, refine_tour
 from orbtour.tour import tour_cost
-from orbtour.verify import (TOL_FUEL_FRACTION, Tolerances, repropagate_arc,
-                            save_report, verify_trajectory)
+import orbtour.verify
+from orbtour.verify import (TOL_FUEL_FRACTION, repropagate_arc, save_report,
+                            verify_trajectory)
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +66,22 @@ def test_numeric_fuel_close_to_analytic(refined_mission):
                                                         rel=0.15)
 
 
-def test_tolerances_drive_pass_flags(refined_mission):
+def test_tolerances_drive_pass_flags(refined_mission, monkeypatch):
+    # the gates are read when the report is built: a tighter one fails
+    # every leg on its own flag and leaves the other flags passing
     scn, tour, arcs = refined_mission
-    strict = verify_trajectory(arcs, tour, scn,
-                               Tolerances(sma_km=1e-9, inc_deg=1e-12))
+    monkeypatch.setattr(orbtour.verify, "TOL_SMA_KM", 1e-9)
+    strict = verify_trajectory(arcs, tour, scn)
     assert not strict.all_passed
+    assert not any(leg.pass_sma for leg in strict.legs)
+    assert all(leg.pass_inc and leg.pass_fuel for leg in strict.legs)
+    monkeypatch.undo()
+    monkeypatch.setattr(orbtour.verify, "TOL_INC_DEG", 1e-12)
+    strict = verify_trajectory(arcs, tour, scn)
+    assert not strict.all_passed
+    # the decommissioning leg has no inclination target
+    assert not any(leg.pass_inc for leg in strict.legs[:scn.n_bundles])
+    assert all(leg.pass_sma and leg.pass_fuel for leg in strict.legs)
 
 
 def test_excess_fuel_fails_the_leg_and_verify(refined_mission, tmp_path):
