@@ -2,9 +2,10 @@
 nodal inclination changes, their sequential composition, phasing coasts and
 the decommissioning maneuver.
 
-Every estimator returns a :class:`TransferEstimate` (costs, durations, end
-state) together with a :class:`BurnPlan` (the impulsive event sequence that
-realizes the estimate, consumed by the trajectory refiner's warm start).
+Every estimator returns a :class:`TransferEstimate` (total dv, fuel, burn
+count, duty-cycle time of flight and end state) together with a
+:class:`BurnPlan` (the impulsive event sequence that realizes the estimate,
+consumed by the trajectory refiner's warm start).
 
 Duty-cycle model: a burn consumes at most ``mdot * t_on`` of propellant
 (continuous firing limited to ``t_on`` seconds); burns are executed once per
@@ -14,8 +15,7 @@ revolution at the nodes for plane changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 from .constants import EARTH, TWO_PI, PhysicalConstants, wrap_angle
 from .dynamics import j2_secular_rates, mean_longitude_rate, orbit_scalars
@@ -114,35 +114,18 @@ class BurnPlan:
         return BurnPlan(self.events + other.shifted(offset).events)
 
 
-class LegCost(NamedTuple):
-    """One row of an estimate's cost breakdown."""
-
-    label: str
-    dv: float     # km/s
-    burns: int
-    tof: float    # s
-
-
 @dataclass
 class TransferEstimate:
-    """Cost summary of one maneuver or maneuver sequence."""
+    """Cost summary of one maneuver or maneuver sequence: total ``dv_total``
+    [km/s], ``fuel_mass`` [kg], ``burn_count``, ``tof_total`` [s] and the
+    ``end_state``.  ``tof_total`` is the duty-cycle timeline, phasing and
+    node coasts included; the burn plan carries the physical epochs."""
 
-    dv_legs: list[LegCost]
+    dv_total: float
     fuel_mass: float
-    phasing_coast: float
+    burn_count: int
+    tof_total: float
     end_state: SpacecraftState
-
-    @property
-    def dv_total(self) -> float:
-        return sum(leg.dv for leg in self.dv_legs)
-
-    @property
-    def tof_total(self) -> float:
-        return self.phasing_coast + sum(leg.tof for leg in self.dv_legs)
-
-    @property
-    def burn_count(self) -> int:
-        return sum(leg.burns for leg in self.dv_legs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +228,9 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
         raise ValueError("craft mass must be positive")
 
     if abs(r1 - r0) < 1e-12:
-        legs = [LegCost("mht-depart", 0.0, 0, 0.0),
-                LegCost("mht-circularize", 0.0, 0, 0.0)]
         end_kep = KeplerianState(a=r1, e=0.0, i=0.0, raan=0.0, argp=0.0, ta=0.0)
         end = SpacecraftState(kep_to_mee(end_kep), mass=craft_mass, epoch=0.0)
-        return (TransferEstimate(dv_legs=legs, fuel_mass=0.0, phasing_coast=0.0,
-                                 end_state=end), BurnPlan([]))
+        return TransferEstimate(0.0, 0.0, 0, 0.0, end), BurnPlan([])
 
     dv_d, dv_c = hohmann_dv(r0, r1, consts.mu)
     ve = thruster.exhaust_velocity(consts)
@@ -286,13 +266,14 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
         sma = 1.0 / (2.0 / r1 - v_far**2 / consts.mu)
         t += TWO_PI * math.sqrt(sma**3 / consts.mu)
 
+    # reported as the departure's plus the circularization's share of the
+    # duty-cycle time: the sum can differ from ``tof`` in the last bit, and
+    # tour timelines are accumulated from it
     k_tot = max(k_d + k_c, 1)
-    legs = [LegCost("mht-depart", dv_d, k_d, tof * k_d / k_tot),
-            LegCost("mht-circularize", dv_c, k_c, tof * k_c / k_tot)]
+    tof = tof * k_d / k_tot + tof * k_c / k_tot
     end_kep = KeplerianState(a=r1, e=0.0, i=0.0, raan=0.0, argp=0.0, ta=0.0)
     end = SpacecraftState(kep_to_mee(end_kep), mass=craft_mass - fuel_d - fuel_c, epoch=tof)
-    est = TransferEstimate(dv_legs=legs, fuel_mass=fuel_d + fuel_c,
-                           phasing_coast=0.0, end_state=end)
+    est = TransferEstimate(dv_d + dv_c, fuel_d + fuel_c, k_d + k_c, tof, end)
     return est, BurnPlan(events)
 
 
@@ -329,11 +310,9 @@ def nic_estimate(di: float, r: float, craft_mass: float, thruster: ThrusterSpec,
                                 ASC_NODE if ascending else DESC_NODE))
         t += half
 
-    legs = [LegCost("nic", dv, k, tof)]
     end_kep = KeplerianState(a=r, e=0.0, i=abs(di), raan=0.0, argp=0.0, ta=0.0)
     end = SpacecraftState(kep_to_mee(end_kep), mass=craft_mass - fuel, epoch=tof)
-    est = TransferEstimate(dv_legs=legs, fuel_mass=fuel, phasing_coast=0.0, end_state=end)
-    return est, BurnPlan(events)
+    return TransferEstimate(dv, fuel, k, tof, end), BurnPlan(events)
 
 
 def phasing_coast(L_chaser: float, L_target_at_arrival: float,
@@ -395,29 +374,25 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
     raan = kep0.raan
     elapsed = 0.0    # reported (duty-cycle) timeline
     phys_t = 0.0     # physical plan timeline
-    legs: list[LegCost] = []
     plan = BurnPlan([])
-    coast_total = 0.0
+    dv_total = 0.0
     fuel_total = 0.0
-
-    def apply_drift(a_mean: float, i_mean: float, dt: float) -> None:
-        nonlocal raan
-        raan += _sec_drift(a_mean, i_mean, dt, consts)
+    burns = 0
 
     def coast(a_mean: float, i_mean: float, dt: float) -> None:
-        nonlocal elapsed, phys_t, coast_total
-        coast_total += dt
-        apply_drift(a_mean, i_mean, dt)
+        nonlocal raan, elapsed, phys_t
+        raan += _sec_drift(a_mean, i_mean, dt, consts)
         elapsed += dt
         phys_t += dt
 
     def burn(est: TransferEstimate, raw_plan: BurnPlan, a_mean: float,
              i_mean: float) -> None:
-        nonlocal mass, elapsed, phys_t, fuel_total, plan
-        legs.extend(est.dv_legs)
+        nonlocal raan, mass, elapsed, phys_t, dv_total, fuel_total, burns, plan
+        dv_total += est.dv_total
         fuel_total += est.fuel_mass
+        burns += est.burn_count
         mass -= est.fuel_mass
-        apply_drift(a_mean, i_mean, est.tof_total)
+        raan += _sec_drift(a_mean, i_mean, est.tof_total, consts)
         plan = plan.then(raw_plan, phys_t, thruster.cycle)
         phys_t = max(phys_t + raw_plan.duration, plan.duration)
         elapsed += est.tof_total
@@ -459,9 +434,7 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
         raise InsufficientFuelError("release mass exceeds remaining spacecraft mass")
     end = SpacecraftState(kep_to_mee(end_kep), mass=end_mass,
                           epoch=state.epoch + elapsed)
-    est = TransferEstimate(dv_legs=legs, fuel_mass=fuel_total,
-                           phasing_coast=coast_total, end_state=end)
-    return est, plan
+    return TransferEstimate(dv_total, fuel_total, burns, elapsed, end), plan
 
 
 def decommission_estimate(state: SpacecraftState, decom_radius: float,
@@ -475,21 +448,15 @@ def decommission_estimate(state: SpacecraftState, decom_radius: float,
         raise ValueError("decommission radius must exceed the Earth radius")
     if abs(r0 - decom_radius) < 1e-9:
         end = SpacecraftState(state.mee, state.mass, state.epoch)
-        return (TransferEstimate(dv_legs=[LegCost("decommission", 0.0, 0, 0.0)],
-                                 fuel_mass=0.0, phasing_coast=0.0, end_state=end),
-                BurnPlan([]))
+        return TransferEstimate(0.0, 0.0, 0, 0.0, end), BurnPlan([])
 
-    est_raw, plan = mht_estimate(r0, decom_radius, state.mass, thruster, consts)
-    legs = [LegCost("decommission", est_raw.dv_total, est_raw.burn_count,
-                    est_raw.tof_total)]
-    tof = est_raw.tof_total
+    est, plan = mht_estimate(r0, decom_radius, state.mass, thruster, consts)
+    tof = est.tof_total
     d_raan = _sec_drift(0.5 * (r0 + decom_radius), kep0.i, tof, consts)
     L_end = state.mee.L + math.sqrt(consts.mu / (0.5 * (r0 + decom_radius))**3) * tof
     end_raan = wrap_angle(kep0.raan + d_raan)
     end_kep = KeplerianState(a=decom_radius, e=0.0, i=kep0.i, raan=end_raan,
                              argp=0.0, ta=wrap_angle(L_end - end_raan))
-    end = SpacecraftState(kep_to_mee(end_kep), mass=state.mass - est_raw.fuel_mass,
+    end = SpacecraftState(kep_to_mee(end_kep), mass=state.mass - est.fuel_mass,
                           epoch=state.epoch + tof)
-    est = TransferEstimate(dv_legs=legs, fuel_mass=est_raw.fuel_mass,
-                           phasing_coast=0.0, end_state=end)
-    return est, plan
+    return replace(est, end_state=end), plan

@@ -247,6 +247,8 @@ def _radians(deg: float) -> float:
 
 def _kep_from_dict(d: dict) -> KeplerianState:
     try:
+        if not d["i_deg"] < 180.0:  # equinoctial elements are singular at 180
+            raise SchemaError(f"orbit i_deg must be below 180, got {d['i_deg']}")
         return KeplerianState(a=d["a_km"], e=d["e"], i=_radians(d["i_deg"]),
                               raan=_radians(d["raan_deg"]),
                               argp=_radians(d["argp_deg"]),
@@ -282,11 +284,25 @@ def scenario_to_dict(scn: MissionScenario, consts: PhysicalConstants = EARTH) ->
     }
 
 
+def _check_finite(value, where: str) -> None:
+    """Raise a schema error naming, as a dotted path, the first number in
+    ``value`` that is not finite (JSON's NaN and Infinity, or an overflow)."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_finite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"{where} must be a finite number, got {value}")
+
+
 def scenario_from_dict(d: dict, consts: PhysicalConstants = EARTH) -> MissionScenario:
     if not isinstance(d, dict) or "version" not in d:
         raise SchemaError("not a scenario record")
     if d["version"] != SCHEMA_VERSION:
         raise SchemaError(f"unsupported scenario schema version {d['version']!r}")
+    _check_finite(d, "")
+    epoch0 = d.get("epoch0_s", 0.0)
+    if isinstance(epoch0, bool) or not isinstance(epoch0, (int, float)):
+        raise SchemaError(f"epoch0_s must be a number, got {epoch0!r}")
     try:
         th = d["spacecraft"]["thruster"]
         thruster = ThrusterSpec(thrust=th["thrust_n"], isp=th["isp_s"], t_on=th["t_on_s"],
@@ -304,12 +320,15 @@ def scenario_from_dict(d: dict, consts: PhysicalConstants = EARTH) -> MissionSce
             payloads = tuple(PayloadSpec(p["class"], p["mass_kg"], target)
                              for p in bd["payloads"])
             bundles.append(Bundle(payloads, target))
+        decommission_radius = d["decommission_alt_km"] + consts.re
+        if not decommission_radius > consts.re:
+            raise SchemaError(f"decommission_alt_km must be positive, got {d['decommission_alt_km']}")
         return MissionScenario(
             spacecraft=spacecraft,
             insertion=_kep_from_dict(d["insertion"]),
-            decommission_radius=d["decommission_alt_km"] + consts.re,
+            decommission_radius=decommission_radius,
             bundles=tuple(bundles),
-            epoch0=d.get("epoch0_s", 0.0),
+            epoch0=epoch0,
             seed=d.get("seed"),
         )
     except (KeyError, TypeError) as exc:

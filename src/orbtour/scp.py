@@ -536,8 +536,9 @@ def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
 
 def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
     """The arcs in ``path``.  Another record or version, a label that is not
-    a string, or arrays that are not numbers of shape ``dt_s`` (N,), ``states``
-    (N+1, 7), ``controls_lvlh_kN`` (N, 3), ``x_ref`` (7,) raise a SchemaError."""
+    a string, arrays that are not numbers of shape ``dt_s`` (N,), ``states``
+    (N+1, 7), ``controls_lvlh_kN`` (N, 3), ``x_ref`` (7,), an open first orbit
+    or a ``dt_s`` outside [0, its period about the Earth] raise a SchemaError."""
     data = read_json_object(path)
     if "arcs" not in data:
         raise SchemaError(f"{path} is not an arcs record")
@@ -560,4 +561,13 @@ def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
                 raise SchemaError(f"{path}: arc {arc.label!r}: {key} must be "
                                   f"numbers of shape {shape}, got {array.dtype} "
                                   f"of shape {array.shape}")
+        p, f, g = arc.states[0, :3]
+        if not (p > 0.0 and f * f + g * g < 1.0):
+            raise SchemaError(f"{path}: arc {arc.label!r}: states[0] is not a closed "
+                              f"orbit (p = {p}, f^2 + g^2 = {f * f + g * g})")
+        period = 2.0 * math.pi * math.sqrt((p / (1.0 - f * f - g * g))**3 / EARTH.mu)
+        bad = arc.dt[~((arc.dt >= 0.0) & (arc.dt <= period))]
+        if bad.size:
+            raise SchemaError(f"{path}: arc {arc.label!r}: dt_s must lie in [0, "
+                              f"{period:.1f}] s, one period of states[0], got {bad[0]}")
     return arcs

@@ -7,8 +7,8 @@ circular mission orbits depends only on their radii and inclinations, so a
 and prices whole batches of candidate orders with a vectorized rocket
 equation; :func:`tour_plans` walks one order through the full estimator
 chain (phasing, drift, burn plans) and :func:`tour_cost` prices that walk,
-the slow, detailed path.  Both agree on fuel to float accuracy and the
-tests assert it.
+the slow, detailed path.  Both agree on fuel to float accuracy (the tests
+assert it) and price a fuel overrun alike, with :func:`overrun_cost`.
 
 The exhaustive oracle :func:`brute_force` prices every order on the
 permutation tree, each leg of a shared prefix once, with the batch's own
@@ -36,7 +36,7 @@ MAX_EXACT_BUNDLES = 9
 
 @dataclass
 class Tour:
-    """A visit order with its cost breakdown."""
+    """A visit order with its leg estimates and totals."""
 
     order: tuple[int, ...]
     legs: list[TransferEstimate]
@@ -45,6 +45,14 @@ class Tour:
     tof_total: float
     feasible: bool
     cost: float
+
+
+def overrun_cost(fuel: float | np.ndarray, budget: float):
+    """(cost, feasible) of tours that burn ``fuel`` [kg] against ``budget``.
+    Infeasible tours pay the budget plus a steep overrun penalty, keeping
+    cost increasing in fuel so rankings are preserved."""
+    feasible = fuel <= budget + 1e-12
+    return np.where(feasible, fuel, budget + OVERRUN_PENALTY * (fuel - budget)), feasible
 
 
 def drifted_target(target: KeplerianState, elapsed: float,
@@ -151,13 +159,9 @@ class TourEvaluator:
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(cost, fuel, feasible) for each row of ``orders``, or for every
         visit order in lexicographic order (:meth:`fuel_tree`) when
-        ``orders`` is None.  Infeasible tours pay the budget plus a steep
-        overrun penalty, keeping cost increasing in fuel so rankings are
-        preserved."""
+        ``orders`` is None; see :func:`overrun_cost`."""
         fuel = self.fuel_tree() if orders is None else self.fuel_batch(orders)
-        feasible = fuel <= self._budget + 1e-12
-        cost = np.where(feasible, fuel,
-                        self._budget + OVERRUN_PENALTY * (fuel - self._budget))
+        cost, feasible = overrun_cost(fuel, self._budget)
         return cost, fuel, feasible
 
 
@@ -199,11 +203,9 @@ def tour_cost(scenario: MissionScenario, order,
     fuel_total = sum(leg.fuel_mass for leg in legs)
     dv_total = sum(leg.dv_total for leg in legs)
     tof_total = legs[-1].end_state.epoch - scenario.epoch0
-    feasible = fuel_total <= scenario.fuel_budget + 1e-12
-    cost = fuel_total if feasible else (
-        scenario.fuel_budget + OVERRUN_PENALTY * (fuel_total - scenario.fuel_budget))
+    cost, feasible = overrun_cost(fuel_total, scenario.fuel_budget)
     return Tour(order=order, legs=legs, fuel_total=fuel_total, dv_total=dv_total,
-                tof_total=tof_total, feasible=feasible, cost=cost)
+                tof_total=tof_total, feasible=bool(feasible), cost=float(cost))
 
 
 def heuristic_walks(scenario: MissionScenario,

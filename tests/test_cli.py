@@ -471,7 +471,14 @@ def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
             (arc_record(dt_s=["60"]), f"{arc0} dt_s must be numbers of shape (1,)"),
             (arc_record(x_ref=[7000.0] * 6), f"{arc0} x_ref must be numbers of shape (7,)"),
             (arc_record(states=[[7000.0] * 7, [7000.0] * 6]), "malformed arc record"),
-            (arc_record(label=5), "arc label 5 is not a string"))):
+            (arc_record(label=5), "arc label 5 is not a string"),
+            # stage durations: finite, non-negative, at most one period
+            # (5,828 s at p = 7000 km), checked before any propagation
+            (arc_record(dt_s=[float("nan")]), f"{arc0} dt_s must lie in [0, 5828.5] s"),
+            (arc_record(dt_s=[-5.0]), f"{arc0} dt_s must lie in [0, 5828.5] s"),
+            (arc_record(dt_s=[1e8]), f"{arc0} dt_s must lie in [0, 5828.5] s"),
+            (arc_record(states=[[7000.0, 1.0, 0, 0, 0, 0, 235.0]] * 2),
+             f"{arc0} states[0] is not a closed orbit"))):
         shaped = tmp_path / f"shape{i}.json"
         shaped.write_text(json.dumps({"version": 2, "arcs": [arc]}))
         cases.append((shaped, tour, f"{shaped}: {text}"))
@@ -552,11 +559,31 @@ def test_a_bad_scenario_or_tour_order_names_its_file(tmp_path, tiny_paths, capsy
     def no_bundles(d):
         d["bundles"] = []
 
+    def retrograde_insertion(d):
+        d["insertion"]["i_deg"] = 180.0
+
+    def retrograde_target(d):
+        d["bundles"][1]["target"]["i_deg"] = 180.0
+
+    def underground(d):
+        d["decommission_alt_km"] = -7000.0
+
+    def epoch_text(d):
+        d["epoch0_s"] = "x"
+
+    def endless_isp(d):
+        d["spacecraft"]["thruster"]["isp_s"] = float("inf")
+
     bad = tmp_path / "scenario.json"
     for edit, text in ((without_spacecraft, "'spacecraft'"),
                        (hyperbolic, "eccentricity must be in [0, 1), got 1.5"),
                        (rock, "unknown payload class 'rock'"),
-                       (no_bundles, "bundle count")):
+                       (no_bundles, "bundle count"),
+                       (retrograde_insertion, "i_deg must be below 180, got 180.0"),
+                       (retrograde_target, "i_deg must be below 180, got 180.0"),
+                       (underground, "decommission_alt_km must be positive, got -7000.0"),
+                       (epoch_text, "epoch0_s must be a number, got 'x'"),
+                       (endless_isp, "spacecraft.thruster.isp_s must be a finite number")):
         record = json.loads(scn_path.read_text())
         edit(record)
         bad.write_text(json.dumps(record))

@@ -1,6 +1,8 @@
 """Static checks on the package source: every imported name and every
-function parameter is used."""
+function parameter is used, and every name the experiment scripts import
+from the package exists."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import orbtour
 
 SOURCES = sorted(Path(orbtour.__file__).parent.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -77,3 +80,28 @@ def test_guard_catches_an_unused_parameter():
                      "            return k * scale\n"
                      "        return [row(k) for k in range(n)]\n")
     assert unused_parameters(tree) == ["line 2: stages.plan", "line 2: stages.rest"]
+
+
+def missing_package_names(tree: ast.Module) -> list[str]:
+    """Names a module imports from ``orbtour`` or its submodules that the
+    package does not define."""
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "orbtour":
+            module = importlib.import_module(node.module)
+            missing += [f"line {node.lineno}: {node.module}.{alias.name}"
+                        for alias in node.names if not hasattr(module, alias.name)]
+    return missing
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_import_only_names_the_package_defines(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert missing_package_names(tree) == []
+
+
+def test_guard_catches_a_missing_package_name():
+    tree = ast.parse("import math\n"
+                     "from orbtour.scp import refine_arc, solve_arc\n"
+                     "from orbtour.tour import tour_cost\n")
+    assert missing_package_names(tree) == ["line 2: orbtour.scp.solve_arc"]

@@ -9,7 +9,7 @@ from orbtour.constants import EARTH
 from orbtour.dynamics import mean_longitude_rate, orbit_scalars
 from orbtour.elements import KeplerianState, SpacecraftState, kep_to_mee, mee_to_kep
 from orbtour.errors import InsufficientFuelError
-from orbtour.maneuvers import (ASC_NODE, DESC_NODE, ThrusterSpec,
+from orbtour.maneuvers import (APOGEE, ASC_NODE, DESC_NODE, PERIGEE, ThrusterSpec,
                                decommission_estimate, hohmann_dv, mht_estimate,
                                nic_estimate, phasing_coast, plane_change_dv,
                                rocket_fuel, sequential_mht_nic, split_dv)
@@ -49,8 +49,10 @@ def test_mht_reference_raise_cost():
 def test_mht_equals_independent_formula():
     dv_d, dv_c = eq9_xi_form(6878.137, 7378.137)
     est, _ = mht_estimate(6878.137, 7378.137, 235.0, TH)
-    assert est.dv_legs[0].dv == pytest.approx(dv_d, rel=1e-12)
-    assert est.dv_legs[1].dv == pytest.approx(dv_c, rel=1e-12)
+    depart, circularize = hohmann_dv(6878.137, 7378.137, EARTH.mu)
+    assert depart == pytest.approx(dv_d, rel=1e-12)
+    assert circularize == pytest.approx(dv_c, rel=1e-12)
+    assert est.dv_total == pytest.approx(dv_d + dv_c, rel=1e-12)
     assert (dv_d + dv_c) * 1000 == pytest.approx(262.38879893711254, rel=1e-12)
 
 
@@ -211,23 +213,26 @@ def start_state(a, i_deg, raan_deg=158.0, mass=235.0):
     return SpacecraftState(kep_to_mee(kep), mass=mass)
 
 
+def node_dv(plan):
+    """Plane-change dv of a plan: its node-tagged impulses summed."""
+    return sum(ev.magnitude for ev in plan.events if ev.tag in (ASC_NODE, DESC_NODE))
+
+
 def test_sequential_coplanar_reduces_to_altitude_transfer():
     st_ = start_state(6950.0, 97.3964)
     tgt = KeplerianState(7000.0, 0.0, math.radians(97.3964), 1.0, 0.0, 2.0)
-    est, _ = sequential_mht_nic(st_, tgt, 0.0, TH)
+    est, plan = sequential_mht_nic(st_, tgt, 0.0, TH)
     assert est.dv_total * 1000.0 == pytest.approx(27.09, rel=0.02)
-    assert all(l.dv == 0.0 or l.label.startswith("mht") for l in est.dv_legs)
+    assert {ev.tag for ev in plan.events} <= {PERIGEE, APOGEE}
 
 
 def test_sequential_raise_changes_plane_at_high_orbit():
     st_ = start_state(6950.0, 97.2714)
     tgt = KeplerianState(7000.0, 0.0, math.radians(97.5214), 1.0, 0.0, 2.0)
     est, plan = sequential_mht_nic(st_, tgt, 10.0, TH)
-    labels = [l.label for l in est.dv_legs]
-    assert labels.index("nic") > labels.index("mht-depart")
+    assert plan.events[0].tag == PERIGEE
     # plane-change cost priced at the higher (slower) orbit
-    nic_dv = [l.dv for l in est.dv_legs if l.label == "nic"][0]
-    assert nic_dv == pytest.approx(
+    assert node_dv(plan) == pytest.approx(
         plane_change_dv(math.radians(0.25), math.sqrt(EARTH.mu / 7000.0)), rel=1e-12)
     end = mee_to_kep(est.end_state.mee)
     assert end.a == pytest.approx(7000.0, abs=1e-9)
@@ -238,11 +243,9 @@ def test_sequential_raise_changes_plane_at_high_orbit():
 def test_sequential_lowering_changes_plane_first():
     st_ = start_state(7000.0, 97.5)
     tgt = KeplerianState(6950.0, 0.0, math.radians(97.3), 1.0, 0.0, 2.0)
-    est, _ = sequential_mht_nic(st_, tgt, 5.0, TH)
-    labels = [l.label for l in est.dv_legs]
-    assert labels.index("nic") < labels.index("mht-depart")
-    nic_dv = [l.dv for l in est.dv_legs if l.label == "nic"][0]
-    assert nic_dv == pytest.approx(
+    _, plan = sequential_mht_nic(st_, tgt, 5.0, TH)
+    assert plan.events[0].tag in (ASC_NODE, DESC_NODE)
+    assert node_dv(plan) == pytest.approx(
         plane_change_dv(math.radians(0.2), math.sqrt(EARTH.mu / 7000.0)), rel=1e-10)
 
 
@@ -254,10 +257,19 @@ def test_sequential_plane_change_never_cheaper_at_low_orbit():
         di = rng.uniform(-0.01, 0.01)
         st_ = start_state(a0, 97.4)
         tgt = KeplerianState(a1, 0.0, math.radians(97.4) + di, 1.0, 0.0, 0.0)
-        est, _ = sequential_mht_nic(st_, tgt, 0.0, TH)
-        nic_dv = sum(l.dv for l in est.dv_legs if l.label == "nic")
+        _, plan = sequential_mht_nic(st_, tgt, 0.0, TH)
         low_dv = plane_change_dv(di, math.sqrt(EARTH.mu / min(a0, a1)))
-        assert nic_dv <= low_dv + 1e-15
+        assert node_dv(plan) <= low_dv + 1e-15
+
+
+def test_sequential_tof_is_the_end_epoch():
+    # the reported time of flight is the duty-cycle timeline, coasts
+    # included, that the end state's epoch advances by
+    for a0, i0, a1, i1 in ((6950.0, 97.3, 7000.0, 97.45), (7000.0, 97.5, 6950.0, 97.3)):
+        tgt = KeplerianState(a1, 0.0, math.radians(i1), 1.0, 0.0, 2.0)
+        est, _ = sequential_mht_nic(start_state(a0, i0), tgt, 0.0, TH)
+        assert est.tof_total > 0.0
+        assert est.tof_total == est.end_state.epoch
 
 
 def test_sequential_secular_drift_reflected_in_end_state():

@@ -26,7 +26,7 @@ ANGLE = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
 RADIUS = st.floats(EARTH.re + 200.0, EARTH.re + 2000.0)
 
 
-def orbits(radius=RADIUS, inclination=st.floats(0.0, math.pi)):
+def orbits(radius=RADIUS, inclination=st.floats(0.0, math.radians(179.0))):
     return st.builds(KeplerianState, a=radius, e=st.floats(0.0, 0.05),
                      i=inclination, raan=ANGLE, argp=ANGLE, ta=ANGLE)
 
