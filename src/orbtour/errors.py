@@ -36,9 +36,9 @@ def read_json_object(path: str | os.PathLike) -> dict:
     return data
 
 
-def write_json(path: str | os.PathLike, obj, indent: int | None = 2) -> None:
-    """Write ``obj`` to ``path`` as JSON with sorted keys and a final
-    newline, so equal objects give equal bytes."""
+def write_json(path: str | os.PathLike, obj) -> None:
+    """Write ``obj`` to ``path`` as JSON indented by 2, with sorted keys and
+    a final newline, so equal objects give equal bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

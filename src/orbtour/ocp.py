@@ -245,52 +245,38 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
 
     ``skip_b`` marks stages whose control is structurally zero (coast); their
     B block is left zero and costs no evaluations.  One batched integration
-    takes 14 state-offset rows per stage and 6 control-offset rows per
-    thrusting stage.  Returns (A (N,7,7), B (N,7,3)).
+    takes 14 state-offset rows per thrusting stage, 12 per thrust-free stage
+    and 6 control-offset rows per stage not in ``skip_b``.  Where a control
+    row is exactly zero the mass enters only through ``0/m``, so the mass
+    column is filled exactly, as its two rows would give it: ``A[:6, 6] = 0``
+    and ``A[6, 6] = ((m + e) - (m - e)) / (2e)``.  Returns (A (N,7,7), B (N,7,3)).
     """
     N = x.shape[0]
     ve = isp * consts.g0
     if u_scale is None:
         u_scale = max(float(np.max(np.linalg.norm(u, axis=1), initial=0.0)), 1e-4)
-    eps_x = _FD_REL * _FD_STATE_SCALE
-    eps_u = _FD_REL * max(u_scale, 1e-4)
-    if skip_b is None:
-        skip_b = np.zeros(N, dtype=bool)
-    nb = int(np.sum(~skip_b))
+    eps = _FD_REL * np.append(_FD_STATE_SCALE, [max(u_scale, 1e-4)] * 3)
+    bsel = np.ones(N, dtype=bool) if skip_b is None else ~skip_b
+    fire = np.any(u != 0.0, axis=1)
 
-    # rows: 14 state offsets + 6 control offsets
-    rows_x = []
-    rows_u = []
-    for jcomp in range(7):
-        for sign in (+1.0, -1.0):
-            xp = x.copy()
-            xp[:, jcomp] += sign * eps_x[jcomp]
-            rows_x.append(xp)
-            rows_u.append(u)
-    bsel = ~skip_b
-    for jcomp in range(3):
-        for sign in (+1.0, -1.0):
-            up = u[bsel].copy()
-            up[:, jcomp] += sign * eps_u
-            rows_x.append(x[bsel])
-            rows_u.append(up)
+    # the stages of the +/- offset rows of each of the 10 inputs: every
+    # stage for p..L, the thrusting ones for m, those with a B block for u
+    stages = ([np.arange(N)] * 6 + [np.flatnonzero(fire)]
+              + [np.flatnonzero(bsel)] * 3)
+    idx = np.concatenate([i for i in stages for _ in range(2)])
+    big = np.hstack([x, u])[idx]
+    off = 0
+    for j, i in enumerate(stages):
+        big[off:off + i.size, j] += eps[j]
+        big[off + i.size:off + 2 * i.size, j] -= eps[j]
+        off += 2 * i.size
+    out = rk4_stages(big[:, :7], big[:, 7:], dt[idx], substeps[idx], ve, consts)
 
-    big_x = np.concatenate(rows_x, axis=0)
-    big_u = np.concatenate(rows_u, axis=0)
-    base = np.concatenate([dt] * 14 + [dt[bsel]] * 6)
-    sub = np.concatenate([substeps] * 14 + [substeps[bsel]] * 6)
-
-    out = rk4_stages(big_x, big_u, base, sub, ve, consts)
-
-    A = np.empty((N, 7, 7))
-    for jcomp in range(7):
-        plus = out[2 * jcomp * N:(2 * jcomp + 1) * N]
-        minus = out[(2 * jcomp + 1) * N:(2 * jcomp + 2) * N]
-        A[:, :, jcomp] = (plus - minus) / (2.0 * eps_x[jcomp])
-    B = np.zeros((N, 7, 3))
-    off = 14 * N
-    for jcomp in range(3):
-        plus = out[off + 2 * jcomp * nb: off + (2 * jcomp + 1) * nb]
-        minus = out[off + (2 * jcomp + 1) * nb: off + (2 * jcomp + 2) * nb]
-        B[bsel, :, jcomp] = (plus - minus) / (2.0 * eps_u)
-    return A, B
+    J = np.zeros((N, 7, 10))
+    off = 0
+    for j, i in enumerate(stages):
+        J[i, :, j] = (out[off:off + i.size] - out[off + i.size:off + 2 * i.size]) / (2.0 * eps[j])
+        off += 2 * i.size
+    m = x[~fire, 6]
+    J[~fire, 6, 6] = ((m + eps[6]) - (m - eps[6])) / (2.0 * eps[6])
+    return J[:, :, :7].copy(), J[:, :, 7:].copy()

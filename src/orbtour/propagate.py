@@ -10,11 +10,12 @@ Two entry points: a scalar sequential integrator used for trajectory
 rollouts, warm starts and verification, and a batch one-segment integrator
 used for vectorized finite differencing.  Each has one fused right-hand
 side: the J2 acceleration and the Gauss variational equations in the LVLH
-frame share cos L, sin L, w, s^2 and v.  Every expression keeps the
-operation order of the separate J2 and variational-equation functions the
-tests hold as oracles, so fusing changed no result bit.  Both raise
-:class:`~orbtour.errors.SingularStateError` where w <= 0 (the radius
-diverges); the scalar one also raises once the mass is burnt to zero.
+frame share cos L, sin L, w, s^2 and v, in the operation order of the
+separate functions the tests hold as oracles.  The scalar integrator writes
+it out for the four evaluations of a step, so each step runs in one Python
+frame, and skips the thrust terms and mass updates of thrust-free segments.
+Both raise :class:`~orbtour.errors.SingularStateError` where w <= 0 (the
+radius diverges); the scalar one also raises once the mass is burnt to zero.
 
 The batch integrator cuts its rows into fixed blocks of
 :data:`BATCH_BLOCK` and integrates each block in struct-of-arrays layout,
@@ -53,9 +54,14 @@ def rk4_segment(y, u, duration: float, max_step: float, ve: float,
                 consts: PhysicalConstants):
     """Integrate one constant-control segment; returns the end state tuple.
 
-    The right-hand side is fused: each stage evaluation computes cos L,
-    sin L, w, s^2, v and r once and feeds them to both the J2 acceleration
-    and the variational equations, on plain floats throughout.
+    Each step evaluates the fused right-hand side four times inline, on
+    plain floats, raising where w <= 0.  The mass is checked once per step,
+    at the stage-4 mass m + dt*dm, the smallest of the four under monotone
+    rounding.  A thrust-free segment (``u`` all zero) skips the thrust
+    terms and the mass updates.  The closure-based kernel in
+    ``tests/conftest.py`` is the oracle: dropping ``0/m`` from ``0/m + a``
+    can flip only the sign of an element that is exactly +-0 (two-body or
+    equatorial states), so every result equals the oracle's under ``==``.
     """
     if duration == 0.0:
         return tuple(y)
@@ -63,55 +69,111 @@ def rk4_segment(y, u, duration: float, max_step: float, ve: float,
     dt = duration / nsteps
     half, sixth = 0.5 * dt, dt / 6.0
     ur, ut, un = float(u[0]), float(u[1]), float(u[2])
+    thrust = ur != 0.0 or ut != 0.0 or un != 0.0
     dm = -math.sqrt(ur * ur + ut * ut + un * un) / ve
     dm_step = sixth * (dm + 2.0 * dm + 2.0 * dm + dm)
     mu = consts.mu
     cj2 = mu * consts.j2 * consts.re * consts.re
     cos, sin, sqrt = math.cos, math.sin, math.sqrt
-
-    def rhs(p, f, g, h, k, L, m):
-        if m <= 0.0:
+    p, f, g, h, k, L, m = (float(c) for c in y)
+    m2 = m4 = m
+    for _ in range(nsteps):
+        # stage 1 is evaluated at (p, f, g, h, k, L, m), stages 2-4 at (ps,
+        # fs, gs, hs, ks, Ls) and m2, m2, m4; stage j gives aj, bj, ... lj
+        if thrust:
+            m2, m4 = m + half * dm, m + dt * dm
+        if m4 <= 0.0:
             raise SingularStateError("mass reached zero during propagation")
-        cosL = cos(L)
-        sinL = sin(L)
+        cosL, sinL = cos(L), sin(L)
         w = 1.0 + f * cosL + g * sinL
         if w <= 0.0:
             raise SingularStateError(f"w = {w} <= 0: radius diverges")
         hh, kk = h * h, k * k
         s2 = 1.0 + hh + kk
         s4 = s2 * s2
-        v = h * sinL - k * cosL
-        r = p / w
-        coef = cj2 / r**4
-        ar = ur / m + -1.5 * coef * (1.0 - 12.0 * v * v / s4)
-        at = ut / m + -12.0 * coef * v * (h * cosL + k * sinL) / s4
-        an = un / m + -6.0 * coef * v * (1.0 - hh - kk) / s4
+        v, coef = h * sinL - k * cosL, cj2 / (p / w)**4
+        ar = -1.5 * coef * (1.0 - 12.0 * v * v / s4)
+        at = -12.0 * coef * v * (h * cosL + k * sinL) / s4
+        an = -6.0 * coef * v * (1.0 - hh - kk) / s4
+        if thrust:
+            ar, at, an = ur / m + ar, ut / m + at, un / m + an
         sqpm = sqrt(p / mu)
         node = sqpm * s2 / (2.0 * w)
-        return (2.0 * p / w * sqpm * at,
-                sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an),
-                sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an),
-                node * cosL * an,
-                node * sinL * an,
-                sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an)
-
-    p, f, g, h, k, L, m = (float(c) for c in y)
-    for _ in range(nsteps):
-        a1, b1, c1, d1, e1, l1 = rhs(p, f, g, h, k, L, m)
-        m2 = m + half * dm
-        a2, b2, c2, d2, e2, l2 = rhs(p + half * a1, f + half * b1, g + half * c1,
-                                     h + half * d1, k + half * e1, L + half * l1, m2)
-        a3, b3, c3, d3, e3, l3 = rhs(p + half * a2, f + half * b2, g + half * c2,
-                                     h + half * d2, k + half * e2, L + half * l2, m2)
-        a4, b4, c4, d4, e4, l4 = rhs(p + dt * a3, f + dt * b3, g + dt * c3,
-                                     h + dt * d3, k + dt * e3, L + dt * l3, m + dt * dm)
+        b1 = sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an)
+        c1 = sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an)
+        a1, d1, e1 = 2.0 * p / w * sqpm * at, node * cosL * an, node * sinL * an
+        l1 = sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an
+        ps, fs, gs = p + half * a1, f + half * b1, g + half * c1
+        hs, ks, Ls = h + half * d1, k + half * e1, L + half * l1
+        cosL, sinL = cos(Ls), sin(Ls)
+        w = 1.0 + fs * cosL + gs * sinL
+        if w <= 0.0:
+            raise SingularStateError(f"w = {w} <= 0: radius diverges")
+        hh, kk = hs * hs, ks * ks
+        s2 = 1.0 + hh + kk
+        s4 = s2 * s2
+        v, coef = hs * sinL - ks * cosL, cj2 / (ps / w)**4
+        ar = -1.5 * coef * (1.0 - 12.0 * v * v / s4)
+        at = -12.0 * coef * v * (hs * cosL + ks * sinL) / s4
+        an = -6.0 * coef * v * (1.0 - hh - kk) / s4
+        if thrust:
+            ar, at, an = ur / m2 + ar, ut / m2 + at, un / m2 + an
+        sqpm = sqrt(ps / mu)
+        node = sqpm * s2 / (2.0 * w)
+        b2 = sqpm * (ar * sinL + ((w + 1.0) * cosL + fs) / w * at - gs * v / w * an)
+        c2 = sqpm * (-ar * cosL + ((w + 1.0) * sinL + gs) / w * at + fs * v / w * an)
+        a2, d2, e2 = 2.0 * ps / w * sqpm * at, node * cosL * an, node * sinL * an
+        l2 = sqrt(mu * ps) * (w / ps) ** 2 + sqpm * v / w * an
+        ps, fs, gs = p + half * a2, f + half * b2, g + half * c2
+        hs, ks, Ls = h + half * d2, k + half * e2, L + half * l2
+        cosL, sinL = cos(Ls), sin(Ls)
+        w = 1.0 + fs * cosL + gs * sinL
+        if w <= 0.0:
+            raise SingularStateError(f"w = {w} <= 0: radius diverges")
+        hh, kk = hs * hs, ks * ks
+        s2 = 1.0 + hh + kk
+        s4 = s2 * s2
+        v, coef = hs * sinL - ks * cosL, cj2 / (ps / w)**4
+        ar = -1.5 * coef * (1.0 - 12.0 * v * v / s4)
+        at = -12.0 * coef * v * (hs * cosL + ks * sinL) / s4
+        an = -6.0 * coef * v * (1.0 - hh - kk) / s4
+        if thrust:
+            ar, at, an = ur / m2 + ar, ut / m2 + at, un / m2 + an
+        sqpm = sqrt(ps / mu)
+        node = sqpm * s2 / (2.0 * w)
+        b3 = sqpm * (ar * sinL + ((w + 1.0) * cosL + fs) / w * at - gs * v / w * an)
+        c3 = sqpm * (-ar * cosL + ((w + 1.0) * sinL + gs) / w * at + fs * v / w * an)
+        a3, d3, e3 = 2.0 * ps / w * sqpm * at, node * cosL * an, node * sinL * an
+        l3 = sqrt(mu * ps) * (w / ps) ** 2 + sqpm * v / w * an
+        ps, fs, gs = p + dt * a3, f + dt * b3, g + dt * c3
+        hs, ks, Ls = h + dt * d3, k + dt * e3, L + dt * l3
+        cosL, sinL = cos(Ls), sin(Ls)
+        w = 1.0 + fs * cosL + gs * sinL
+        if w <= 0.0:
+            raise SingularStateError(f"w = {w} <= 0: radius diverges")
+        hh, kk = hs * hs, ks * ks
+        s2 = 1.0 + hh + kk
+        s4 = s2 * s2
+        v, coef = hs * sinL - ks * cosL, cj2 / (ps / w)**4
+        ar = -1.5 * coef * (1.0 - 12.0 * v * v / s4)
+        at = -12.0 * coef * v * (hs * cosL + ks * sinL) / s4
+        an = -6.0 * coef * v * (1.0 - hh - kk) / s4
+        if thrust:
+            ar, at, an = ur / m4 + ar, ut / m4 + at, un / m4 + an
+        sqpm = sqrt(ps / mu)
+        node = sqpm * s2 / (2.0 * w)
+        b4 = sqpm * (ar * sinL + ((w + 1.0) * cosL + fs) / w * at - gs * v / w * an)
+        c4 = sqpm * (-ar * cosL + ((w + 1.0) * sinL + gs) / w * at + fs * v / w * an)
+        a4, d4, e4 = 2.0 * ps / w * sqpm * at, node * cosL * an, node * sinL * an
+        l4 = sqrt(mu * ps) * (w / ps) ** 2 + sqpm * v / w * an
         p += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         f += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         g += sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
         h += sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         k += sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
         L += sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        m += dm_step
+        if thrust:
+            m += dm_step
     return p, f, g, h, k, L, m
 
 
@@ -133,13 +195,10 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
         raise ValueError("segment durations must be non-negative")
     ve = isp * consts.g0
     m = state.mee
-    y = (m.p, m.f, m.g, m.h, m.k, m.L, state.mass)
-    out = np.empty((durations.size + 1, 7))
-    out[0] = y
-    for i, (u, dur) in enumerate(zip(controls, durations)):
-        y = rk4_segment(y, u, float(dur), config.step, ve, consts)
-        out[i + 1] = y
-    return out
+    rows = [(m.p, m.f, m.g, m.h, m.k, m.L, state.mass)]
+    for u, dur in zip(controls.tolist(), durations.tolist()):
+        rows.append(rk4_segment(rows[-1], u, dur, config.step, ve, consts))
+    return np.array(rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -245,16 +245,20 @@ def _radians(deg: float) -> float:
     return x
 
 
-def _kep_from_dict(d: dict) -> KeplerianState:
+def _kep_from_dict(d: dict, where: str) -> KeplerianState:
+    """The orbit record ``d``; its errors start with ``where``, the orbit's
+    place in the scenario (``insertion`` or ``bundles[k].target``)."""
     try:
         if not d["i_deg"] < 180.0:  # equinoctial elements are singular at 180
-            raise SchemaError(f"orbit i_deg must be below 180, got {d['i_deg']}")
+            raise ValueError(f"i_deg must be below 180, got {d['i_deg']}")
         return KeplerianState(a=d["a_km"], e=d["e"], i=_radians(d["i_deg"]),
                               raan=_radians(d["raan_deg"]),
                               argp=_radians(d["argp_deg"]),
                               ta=_radians(d["ta_deg"]))
     except KeyError as exc:
-        raise SchemaError(f"orbit record missing field {exc}") from exc
+        raise SchemaError(f"{where}: orbit record missing field {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def scenario_to_dict(scn: MissionScenario, consts: PhysicalConstants = EARTH) -> dict:
@@ -315,8 +319,8 @@ def scenario_from_dict(d: dict, consts: PhysicalConstants = EARTH) -> MissionSce
             fuel_mass=d["spacecraft"]["fuel_mass_kg"],
             thruster=thruster)
         bundles = []
-        for bd in d["bundles"]:
-            target = _kep_from_dict(bd["target"])
+        for k, bd in enumerate(d["bundles"]):
+            target = _kep_from_dict(bd["target"], f"bundles[{k}].target")
             payloads = tuple(PayloadSpec(p["class"], p["mass_kg"], target)
                              for p in bd["payloads"])
             bundles.append(Bundle(payloads, target))
@@ -325,7 +329,7 @@ def scenario_from_dict(d: dict, consts: PhysicalConstants = EARTH) -> MissionSce
             raise SchemaError(f"decommission_alt_km must be positive, got {d['decommission_alt_km']}")
         return MissionScenario(
             spacecraft=spacecraft,
-            insertion=_kep_from_dict(d["insertion"]),
+            insertion=_kep_from_dict(d["insertion"], "insertion"),
             decommission_radius=decommission_radius,
             bundles=tuple(bundles),
             epoch0=epoch0,

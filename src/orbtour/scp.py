@@ -32,6 +32,7 @@ units.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee, mee_to_kep
-from .errors import SchemaError, read_json_object, write_json
+from .errors import SchemaError, read_json_object
 from .maneuvers import (ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec,
                         TransferEstimate)
 from .ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, STAGE_CAP,
@@ -530,8 +531,15 @@ def arc_from_dict(d: dict) -> RefinedArc:
 
 
 def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
-    write_json(path, {"version": ARCS_VERSION, "arcs": [arc_to_dict(a) for a in arcs]},
-               indent=None)
+    """Write the bytes of ``json.dump(record, fh, sort_keys=True)`` and a
+    newline, one arc at a time: ``json.dumps`` runs CPython's C encoder,
+    about twice as fast as ``json.dump``'s pure-Python one, and holds one
+    arc's text in memory, not the whole file's."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"arcs": [')   # sorted keys: "arcs" before "version"
+        for i, arc in enumerate(arcs):
+            fh.write((", " if i else "") + json.dumps(arc_to_dict(arc), sort_keys=True))
+        fh.write(f'], "version": {ARCS_VERSION}}}\n')
 
 
 def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:

@@ -9,7 +9,10 @@ equations and the oblateness model, whose LVLH components are read through
 The separate variational-equation and J2 functions below are the unfused
 reference for the fused right-hand sides in :mod:`orbtour.propagate`, and
 the whole-batch array-of-structs RK4 is the reference for the blocked
-struct-of-arrays batch integrator.  The plain enumeration of every visit
+struct-of-arrays batch integrator.  The closure-based sequential RK4 is the
+reference for the inline one, and the linearization that offsets every
+state component of every stage the reference for the one that skips the
+mass offsets of thrust-free stages.  The plain enumeration of every visit
 order is the reference for the permutation-tree pricer, and the GA step
 drawing its crossover with ``Generator.uniform`` the reference for the
 optimizer's.  The Cartesian conversions and the permutation helpers (Sobol
@@ -27,7 +30,7 @@ import pytest
 from orbtour.constants import EARTH, PhysicalConstants
 from orbtour.elements import KeplerianState, MeeState
 from orbtour.errors import SingularStateError
-from orbtour.ocp import linearize_batch
+from orbtour.ocp import _FD_REL, _FD_STATE_SCALE, linearize_batch, rk4_stages
 from orbtour.optimizer import (CROSSOVER_BLEND, ELITES, MUTATION_RATE,
                                MUTATION_SIGMA, TOURNAMENT)
 from orbtour.permutations import sobol_points
@@ -186,6 +189,147 @@ def aos_rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: in
         k4 = aos_rhs_batch(y + dt * k3, u, ve, consts)
         y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+# ---------------------------------------------------------------------------
+# sequential RK4 with a nested right-hand side (the inline kernel's oracle)
+# ---------------------------------------------------------------------------
+
+def closure_rk4_segment(y, u, duration: float, max_step: float, ve: float,
+                        consts: PhysicalConstants):
+    """Integrate one constant-control segment; returns the end state tuple.
+
+    The reference for :func:`orbtour.propagate.rk4_segment`: the same fused
+    right-hand side as a nested function, called four times per step, that
+    checks the mass and w at every evaluation and always adds the thrust
+    terms and steps the mass.
+    """
+    if duration == 0.0:
+        return tuple(y)
+    nsteps = max(1, math.ceil(duration / max_step - 1e-12))
+    dt = duration / nsteps
+    half, sixth = 0.5 * dt, dt / 6.0
+    ur, ut, un = float(u[0]), float(u[1]), float(u[2])
+    dm = -math.sqrt(ur * ur + ut * ut + un * un) / ve
+    dm_step = sixth * (dm + 2.0 * dm + 2.0 * dm + dm)
+    mu = consts.mu
+    cj2 = mu * consts.j2 * consts.re * consts.re
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+
+    def rhs(p, f, g, h, k, L, m):
+        if m <= 0.0:
+            raise SingularStateError("mass reached zero during propagation")
+        cosL = cos(L)
+        sinL = sin(L)
+        w = 1.0 + f * cosL + g * sinL
+        if w <= 0.0:
+            raise SingularStateError(f"w = {w} <= 0: radius diverges")
+        hh, kk = h * h, k * k
+        s2 = 1.0 + hh + kk
+        s4 = s2 * s2
+        v = h * sinL - k * cosL
+        r = p / w
+        coef = cj2 / r**4
+        ar = ur / m + -1.5 * coef * (1.0 - 12.0 * v * v / s4)
+        at = ut / m + -12.0 * coef * v * (h * cosL + k * sinL) / s4
+        an = un / m + -6.0 * coef * v * (1.0 - hh - kk) / s4
+        sqpm = sqrt(p / mu)
+        node = sqpm * s2 / (2.0 * w)
+        return (2.0 * p / w * sqpm * at,
+                sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an),
+                sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an),
+                node * cosL * an,
+                node * sinL * an,
+                sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an)
+
+    p, f, g, h, k, L, m = (float(c) for c in y)
+    for _ in range(nsteps):
+        a1, b1, c1, d1, e1, l1 = rhs(p, f, g, h, k, L, m)
+        m2 = m + half * dm
+        a2, b2, c2, d2, e2, l2 = rhs(p + half * a1, f + half * b1, g + half * c1,
+                                     h + half * d1, k + half * e1, L + half * l1, m2)
+        a3, b3, c3, d3, e3, l3 = rhs(p + half * a2, f + half * b2, g + half * c2,
+                                     h + half * d2, k + half * e2, L + half * l2, m2)
+        a4, b4, c4, d4, e4, l4 = rhs(p + dt * a3, f + dt * b3, g + dt * c3,
+                                     h + dt * d3, k + dt * e3, L + dt * l3, m + dt * dm)
+        p += sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        f += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        g += sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        h += sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        k += sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        L += sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        m += dm_step
+    return p, f, g, h, k, L, m
+
+
+
+# ---------------------------------------------------------------------------
+# central differences with every state offset (the linearization's oracle)
+# ---------------------------------------------------------------------------
+
+def full_linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
+                         substeps: np.ndarray, isp: float,
+                         consts: PhysicalConstants = EARTH,
+                         u_scale: float | None = None,
+                         skip_b: np.ndarray | None = None,
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized central-difference Jacobians of the discrete dynamics at
+    every node: x (N,7), u (N,3), dt (N,), substeps (N,) ints.
+
+    ``skip_b`` marks stages whose control is structurally zero (coast); their
+    B block is left zero and costs no evaluations.  One batched integration
+    takes 14 state-offset rows per stage and 6 control-offset rows per
+    thrusting stage.  Returns (A (N,7,7), B (N,7,3)).
+
+    The reference for :func:`orbtour.ocp.linearize_batch`, which leaves out
+    the mass-offset rows of thrust-free stages.
+    """
+    N = x.shape[0]
+    ve = isp * consts.g0
+    if u_scale is None:
+        u_scale = max(float(np.max(np.linalg.norm(u, axis=1), initial=0.0)), 1e-4)
+    eps_x = _FD_REL * _FD_STATE_SCALE
+    eps_u = _FD_REL * max(u_scale, 1e-4)
+    if skip_b is None:
+        skip_b = np.zeros(N, dtype=bool)
+    nb = int(np.sum(~skip_b))
+
+    # rows: 14 state offsets + 6 control offsets
+    rows_x = []
+    rows_u = []
+    for jcomp in range(7):
+        for sign in (+1.0, -1.0):
+            xp = x.copy()
+            xp[:, jcomp] += sign * eps_x[jcomp]
+            rows_x.append(xp)
+            rows_u.append(u)
+    bsel = ~skip_b
+    for jcomp in range(3):
+        for sign in (+1.0, -1.0):
+            up = u[bsel].copy()
+            up[:, jcomp] += sign * eps_u
+            rows_x.append(x[bsel])
+            rows_u.append(up)
+
+    big_x = np.concatenate(rows_x, axis=0)
+    big_u = np.concatenate(rows_u, axis=0)
+    base = np.concatenate([dt] * 14 + [dt[bsel]] * 6)
+    sub = np.concatenate([substeps] * 14 + [substeps[bsel]] * 6)
+
+    out = rk4_stages(big_x, big_u, base, sub, ve, consts)
+
+    A = np.empty((N, 7, 7))
+    for jcomp in range(7):
+        plus = out[2 * jcomp * N:(2 * jcomp + 1) * N]
+        minus = out[(2 * jcomp + 1) * N:(2 * jcomp + 2) * N]
+        A[:, :, jcomp] = (plus - minus) / (2.0 * eps_x[jcomp])
+    B = np.zeros((N, 7, 3))
+    off = 14 * N
+    for jcomp in range(3):
+        plus = out[off + 2 * jcomp * nb: off + (2 * jcomp + 1) * nb]
+        minus = out[off + (2 * jcomp + 1) * nb: off + (2 * jcomp + 2) * nb]
+        B[bsel, :, jcomp] = (plus - minus) / (2.0 * eps_u)
+    return A, B
 
 
 # ---------------------------------------------------------------------------

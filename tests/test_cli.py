@@ -565,6 +565,9 @@ def test_a_bad_scenario_or_tour_order_names_its_file(tmp_path, tiny_paths, capsy
     def retrograde_target(d):
         d["bundles"][1]["target"]["i_deg"] = 180.0
 
+    def no_radius(d):
+        del d["bundles"][1]["target"]["a_km"]
+
     def underground(d):
         d["decommission_alt_km"] = -7000.0
 
@@ -576,11 +579,13 @@ def test_a_bad_scenario_or_tour_order_names_its_file(tmp_path, tiny_paths, capsy
 
     bad = tmp_path / "scenario.json"
     for edit, text in ((without_spacecraft, "'spacecraft'"),
-                       (hyperbolic, "eccentricity must be in [0, 1), got 1.5"),
+                       (hyperbolic, "bundles[0].target: eccentricity must be in [0, 1), got 1.5"),
                        (rock, "unknown payload class 'rock'"),
                        (no_bundles, "bundle count"),
-                       (retrograde_insertion, "i_deg must be below 180, got 180.0"),
-                       (retrograde_target, "i_deg must be below 180, got 180.0"),
+                       (retrograde_insertion, "insertion: i_deg must be below 180, got 180.0"),
+                       (retrograde_target, "bundles[1].target: i_deg must be below 180, got 180.0"),
+                       (no_radius,
+                        "bundles[1].target: orbit record missing field 'a_km'"),
                        (underground, "decommission_alt_km must be positive, got -7000.0"),
                        (epoch_text, "epoch0_s must be a number, got 'x'"),
                        (endless_isp, "spacecraft.thruster.isp_s must be a finite number")):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TWO_BODY, linearize_one
+from conftest import TWO_BODY, full_linearize_batch, linearize_one
+from orbtour import ocp
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
@@ -245,3 +246,37 @@ def test_linearize_batch_agrees_with_single():
                                    int([1, 2][row]), TH.isp, u_scale=0.01)
         assert np.allclose(A[row], A1, atol=1e-12)
         assert np.allclose(B[row], B1, atol=1e-12)
+
+
+@pytest.mark.parametrize("consts", [EARTH, TWO_BODY], ids=["j2", "two_body"])
+def test_linearization_equals_every_offset_oracle(monkeypatch, consts):
+    # coast stages, burn stages and one burn-window stage whose control is
+    # exactly zero: its mass-offset rows go because u == 0, not because of
+    # its thrust bound, and A and B keep the oracle's bits, zero signs too
+    rng = np.random.default_rng(43)
+    n = 40
+    x = np.column_stack([
+        rng.uniform(6800.0, 7200.0, n), rng.normal(0.0, 2e-3, (n, 2)),
+        rng.normal(0.0, 0.5, (n, 2)), rng.uniform(0.0, 40.0, n),
+        rng.uniform(150.0, 235.0, n)])
+    u = rng.normal(size=(n, 3))
+    u = 0.0126 * u / np.linalg.norm(u, axis=1)[:, None]
+    skip_b = np.arange(n) < 24
+    u[skip_b] = 0.0
+    u[30] = 0.0
+    dt = rng.uniform(5.0, 160.0, n)
+    substeps = rng.integers(1, 4, n)
+    rows = []
+    stages = ocp.rk4_stages
+
+    def counting(x, u, *args):
+        rows.append(x.shape[0])
+        return stages(x, u, *args)
+
+    monkeypatch.setattr(ocp, "rk4_stages", counting)
+    A, B = linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=skip_b)
+    A0, B0 = full_linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=skip_b)
+    assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
+    assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
+    # 14 rows per thrusting stage, 12 per thrust-free one, 6 per B block
+    assert rows == [14 * n - 2 * 25 + 6 * 16]

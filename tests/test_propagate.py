@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (TWO_BODY, aos_rk4_batch, gve_rhs_batch, gve_rhs_scalar,
-                      j2_accel_batch, j2_accel_scalar)
+from conftest import (TWO_BODY, aos_rk4_batch, closure_rk4_segment, gve_rhs_batch,
+                      gve_rhs_scalar, j2_accel_batch, j2_accel_scalar)
 from orbtour import propagate
 from orbtour.constants import EARTH
 from orbtour.dynamics import orbit_scalars
@@ -158,6 +158,49 @@ def test_fused_scalar_step_matches_unfused_oracle(consts, magnitude):
         fused = rk4_segment(tuple(y), u, 10.0, 10.0, VE, consts)
         np.testing.assert_allclose(fused, oracle_rk4_step(y, u, 10.0, consts),
                                    rtol=1e-12, atol=0.0)
+
+
+def eccentric_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 7) states with eccentricities of 0.05-0.5 and p of 7500-12000 km,
+    otherwise drawn like :func:`near_circular_states`."""
+    y = near_circular_states(rng, n)
+    e, peri = rng.uniform(0.05, 0.5, n), rng.uniform(0.0, 2 * math.pi, n)
+    y[:, 0] = rng.uniform(7500.0, 12000.0, n)
+    y[:, 1], y[:, 2] = e * np.cos(peri), e * np.sin(peri)
+    return y
+
+
+@pytest.mark.parametrize("consts", [EARTH, TWO_BODY], ids=["j2", "two_body"])
+@pytest.mark.parametrize("duration", [7.3, 1234.5], ids=["1_substep", "124_substeps"])
+def test_inline_kernel_equals_closure_oracle(consts, duration):
+    # thrust-free, thrusting and thrusting with one zero component, from
+    # near-circular and eccentric states; == lets a thrust-free step differ
+    # from the oracle only in the sign of an element that is exactly zero
+    rng = np.random.default_rng(37)
+    states = np.vstack([near_circular_states(rng, 24), eccentric_states(rng, 24)])
+    one_zero = thrusts(rng, 48)
+    one_zero[np.arange(48), rng.integers(0, 3, 48)] = 0.0
+    for controls in (np.zeros((48, 3)), thrusts(rng, 48), one_zero):
+        for y, u in zip(states.tolist(), controls.tolist()):
+            inline = rk4_segment(y, u, duration, 10.0, VE, consts)
+            assert inline == closure_rk4_segment(y, u, duration, 10.0, VE, consts)
+
+
+@pytest.mark.parametrize("consts", [EARTH, TWO_BODY], ids=["j2", "two_body"])
+def test_propagate_numeric_equals_loop_over_closure_oracle(consts):
+    rng = np.random.default_rng(41)
+    y0 = near_circular_states(rng, 1)[0]
+    controls = thrusts(rng, 40)
+    controls[rng.random(40) < 0.6] = 0.0
+    durations = rng.uniform(0.0, 400.0, 40)
+    durations[3] = 0.0
+    state = SpacecraftState(MeeState.from_array(y0[:6]), float(y0[6]))
+    traj = propagate_numeric(state, controls, durations, 277.0,
+                             PropagatorConfig(step=10.0), consts)
+    rows = [tuple(y0)]
+    for u, dur in zip(controls.tolist(), durations.tolist()):
+        rows.append(closure_rk4_segment(rows[-1], u, dur, 10.0, VE, consts))
+    assert np.array_equal(traj, np.array(rows))
 
 
 @pytest.mark.parametrize("consts", [EARTH, TWO_BODY], ids=["j2", "two_body"])

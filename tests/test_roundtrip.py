@@ -4,6 +4,8 @@ Hand-built short inputs drawn by Hypothesis: scenarios of one to three
 bundles, tours over them, and refined arcs of one to four stages.  Each
 example is a save -> load -> save cycle through the files the CLI writes.
 """
+import io
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,7 @@ from orbtour.maneuvers import ThrusterSpec
 from orbtour.scenario import (PAYLOAD_CLASS_MASS, Bundle, MissionScenario,
                               PayloadSpec, SpacecraftSpec, load_scenario,
                               save_scenario)
-from orbtour.scp import RefinedArc, load_arcs, save_arcs
+from orbtour.scp import RefinedArc, arc_to_dict, load_arcs, save_arcs
 from orbtour.tour import tour_cost
 
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -118,3 +120,28 @@ def arcs(draw):
 @given(arc_list=st.lists(arcs(), min_size=1, max_size=3))
 def test_arcs_round_trip_is_byte_stable(tmp_path, arc_list):
     cycle(save_arcs, load_arcs, arc_list, tmp_path / "a.json", tmp_path / "b.json")
+    assert_arcs_file_is_json_dump(arc_list, tmp_path / "a.json")
+
+
+def assert_arcs_file_is_json_dump(arc_list, path) -> None:
+    """The file save_arcs wrote at ``path`` holds the bytes of one
+    ``json.dump`` of its whole record with sorted keys, and a newline."""
+    buf = io.StringIO()
+    json.dump({"version": 2, "arcs": [arc_to_dict(a) for a in arc_list]}, buf,
+              sort_keys=True)
+    assert path.read_text(encoding="utf-8") == buf.getvalue() + "\n"
+
+
+def test_arcs_file_is_the_json_dump_of_its_record(tmp_path):
+    # no arcs at all, and an arc holding a negative zero, the smallest
+    # subnormal and a number near the largest double
+    odd = RefinedArc(
+        states=np.array([[7000.0, -0.0, 5e-324, 0.1, -0.0, 1.0, 235.0],
+                         [7000.5, 1e-3, -0.0, 0.1, 0.2, 1.5, 234.9]]),
+        controls=np.array([[-0.0, 5e-324, 0.0126]]), dt=np.array([5e-324]),
+        t0=-0.0, dv_total=5e-324, iterations=3, converged=False, objective=1e308,
+        x_ref=np.array([7000.0, -0.0, 0.0, 5e-324, 0.0, 1e308, 200.0]), label="odd",
+        objective_history=[1e308, -0.0, 5e-324])
+    for arc_list in ([], [odd], [odd, odd]):
+        cycle(save_arcs, load_arcs, arc_list, tmp_path / "a.json", tmp_path / "b.json")
+        assert_arcs_file_is_json_dump(arc_list, tmp_path / "a.json")
