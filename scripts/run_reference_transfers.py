@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Refine the two reference transfers (coplanar raise, one-degree plane
-change) and print an estimator-vs-refiner-vs-verifier comparison table.
+change), print an estimator-vs-refiner-vs-verifier comparison table, then
+the process's peak resident set size.
 
 Usage: python scripts/run_reference_transfers.py
 """
 import math
+import resource
 import time
 
 import numpy as np
@@ -59,6 +61,10 @@ def main():
              KeplerianState(7000.0, 0.0, math.radians(97.8964),
                             math.radians(158.0), 0.0, 0.0),
              th)
+
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"peak RSS {peak:.1f} MB")
 
 
 if __name__ == "__main__":

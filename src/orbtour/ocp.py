@@ -4,6 +4,14 @@ start, and linearization of the discrete dynamics by vectorized central
 finite differences.  :func:`roll_on` rolls warm starts and their tails,
 one :func:`~orbtour.propagate.propagate_numeric` run per coast or window.
 
+The linearization and the independent stage integration of
+:func:`rk4_stages` walk the grid in chunks of stages sharing a substep
+count, each chunk at most one block of
+:func:`~orbtour.propagate.rk4_batch` rows, and write every chunk's result
+straight into the grid-sized output.  What they hold besides that output
+is bounded by one chunk, not by the grid; since stages never interact, the
+bits do not depend on the chunk split.
+
 The stage grid is nonuniform: burn windows (one per planned impulse, the
 thruster's maximum on-time wide, centered on the impulse) are resolved by
 several short stages, coast gaps by a fixed number of stages per
@@ -21,7 +29,7 @@ import numpy as np
 from .constants import EARTH, PhysicalConstants
 from .elements import MeeState, SpacecraftState
 from .maneuvers import BurnPlan, ThrusterSpec
-from .propagate import PropagatorConfig, propagate_numeric, rk4_batch
+from .propagate import BATCH_BLOCK, PropagatorConfig, propagate_numeric, rk4_batch
 
 #: grid resolution (stages per burn window / per coast revolution)
 BURN_STAGES = 4
@@ -213,16 +221,26 @@ def warm_start(grid: StageGrid, x0: np.ndarray, isp: float,
     return states, controls
 
 
+def _chunks(substeps: np.ndarray, size: int):
+    """Runs of at most ``size`` stages sharing a substep count, as
+    (substep count, stage indices) pairs in stage order within a count."""
+    for ns in np.unique(substeps):
+        stages = np.flatnonzero(substeps == ns)
+        for a in range(0, stages.size, size):
+            yield int(ns), stages[a:a + size]
+
+
 def rk4_stages(x: np.ndarray, u: np.ndarray, dt: np.ndarray, substeps: np.ndarray,
                ve: float, consts: PhysicalConstants = EARTH) -> np.ndarray:
     """End states of independent stages, each integrated from its own start
-    state: x (N,7), u (N,3), dt (N,), substeps (N,) ints -> (N,7).  Rows
-    sharing a substep count go to one :func:`~orbtour.propagate.rk4_batch`
-    call."""
+    state: x (N,7), u (N,3), dt (N,), substeps (N,) ints -> (N,7).  The
+    stages are walked in chunks of at most
+    :data:`~orbtour.propagate.BATCH_BLOCK` sharing a substep count, one
+    :func:`~orbtour.propagate.rk4_batch` block each, so the memory the
+    walk holds besides its result does not grow with N."""
     out = np.empty_like(x)
-    for ns in np.unique(substeps):
-        rows = substeps == ns
-        out[rows] = rk4_batch(x[rows], u[rows], dt[rows], int(ns), ve, consts)
+    for ns, i in _chunks(substeps, BATCH_BLOCK):
+        out[i] = rk4_batch(x[i], u[i], dt[i], ns, ve, consts)
     return out
 
 
@@ -233,6 +251,9 @@ def rk4_stages(x: np.ndarray, u: np.ndarray, dt: np.ndarray, substeps: np.ndarra
 #: characteristic scales for finite-difference steps on [p f g h k L m] and u
 _FD_STATE_SCALE = np.array([7000.0, 1.0, 1.0, 1.0, 1.0, 1.0, 200.0])
 _FD_REL = 6.0e-6
+#: stages per chunk of :func:`linearize_batch`: at most 20 offset rows per
+#: stage keep a chunk within one block of :func:`~orbtour.propagate.rk4_batch`
+LINEARIZE_CHUNK = BATCH_BLOCK // 20
 
 
 def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
@@ -244,12 +265,20 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     every node: x (N,7), u (N,3), dt (N,), substeps (N,) ints.
 
     ``skip_b`` marks stages whose control is structurally zero (coast); their
-    B block is left zero and costs no evaluations.  One batched integration
-    takes 14 state-offset rows per thrusting stage, 12 per thrust-free stage
-    and 6 control-offset rows per stage not in ``skip_b``.  Where a control
-    row is exactly zero the mass enters only through ``0/m``, so the mass
-    column is filled exactly, as its two rows would give it: ``A[:6, 6] = 0``
-    and ``A[6, 6] = ((m + e) - (m - e)) / (2e)``.  Returns (A (N,7,7), B (N,7,3)).
+    B block is left zero and costs no evaluations.  A stage takes 14
+    state-offset rows if it thrusts, 12 if not, and 6 control-offset rows
+    if it is not in ``skip_b``.  Where a control row is exactly zero the
+    mass enters only through ``0/m``, so the mass column is filled exactly,
+    as its two rows would give it: ``A[:6, 6] = 0`` and
+    ``A[6, 6] = ((m + e) - (m - e)) / (2e)``.
+
+    The step sizes (from ``u_scale``, by default the largest thrust of the
+    whole grid) and the thrust and ``skip_b`` masks are fixed over the
+    whole grid first.  Then the stages are walked in chunks of
+    :data:`LINEARIZE_CHUNK` sharing a substep count: a chunk's offset rows
+    are built, integrated by one :func:`~orbtour.propagate.rk4_batch` call
+    and reduced straight into the preallocated A and B, so the memory in
+    flight is bounded by one chunk.  Returns (A (N,7,7), B (N,7,3)).
     """
     N = x.shape[0]
     ve = isp * consts.g0
@@ -259,24 +288,26 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     bsel = np.ones(N, dtype=bool) if skip_b is None else ~skip_b
     fire = np.any(u != 0.0, axis=1)
 
-    # the stages of the +/- offset rows of each of the 10 inputs: every
-    # stage for p..L, the thrusting ones for m, those with a B block for u
-    stages = ([np.arange(N)] * 6 + [np.flatnonzero(fire)]
-              + [np.flatnonzero(bsel)] * 3)
-    idx = np.concatenate([i for i in stages for _ in range(2)])
-    big = np.hstack([x, u])[idx]
-    off = 0
-    for j, i in enumerate(stages):
-        big[off:off + i.size, j] += eps[j]
-        big[off + i.size:off + 2 * i.size, j] -= eps[j]
-        off += 2 * i.size
-    out = rk4_stages(big[:, :7], big[:, 7:], dt[idx], substeps[idx], ve, consts)
-
-    J = np.zeros((N, 7, 10))
-    off = 0
-    for j, i in enumerate(stages):
-        J[i, :, j] = (out[off:off + i.size] - out[off + i.size:off + 2 * i.size]) / (2.0 * eps[j])
-        off += 2 * i.size
+    A = np.zeros((N, 7, 7))
+    B = np.zeros((N, 7, 3))
+    for ns, i in _chunks(substeps, LINEARIZE_CHUNK):
+        # the stages of the +/- offset rows of each of the 10 inputs: every
+        # stage for p..L, the thrusting ones for m, those with a B block for u
+        stages = [i] * 6 + [i[fire[i]]] + [i[bsel[i]]] * 3
+        idx = np.concatenate([s for s in stages for _ in range(2)])
+        big = np.hstack([x[idx], u[idx]])
+        off = 0
+        for j, s in enumerate(stages):
+            big[off:off + s.size, j] += eps[j]
+            big[off + s.size:off + 2 * s.size, j] -= eps[j]
+            off += 2 * s.size
+        end = rk4_batch(big[:, :7], big[:, 7:], dt[idx], ns, ve, consts)
+        off = 0
+        for j, s in enumerate(stages):
+            jac, col = (A, j) if j < 7 else (B, j - 7)
+            jac[s, :, col] = (end[off:off + s.size]
+                              - end[off + s.size:off + 2 * s.size]) / (2.0 * eps[j])
+            off += 2 * s.size
     m = x[~fire, 6]
-    J[~fire, 6, 6] = ((m + eps[6]) - (m - eps[6])) / (2.0 * eps[6])
-    return J[:, :, :7].copy(), J[:, :, 7:].copy()
+    A[~fire, 6, 6] = ((m + eps[6]) - (m - eps[6])) / (2.0 * eps[6])
+    return A, B

@@ -17,14 +17,16 @@ frame, and skips the thrust terms and mass updates of thrust-free segments.
 Both raise :class:`~orbtour.errors.SingularStateError` where w <= 0 (the
 radius diverges); the scalar one also raises once the mass is burnt to zero.
 
-The batch integrator cuts its rows into fixed blocks of
-:data:`BATCH_BLOCK` and integrates each block in struct-of-arrays layout,
-one contiguous array per element and control component, with the per-row
-constants (mass rate, step sizes) computed once per call.  The blocks run
-on a thread pool created and joined inside each call, since numpy releases
-the GIL in its loops.  Rows never interact and each keeps the operation
-order of a whole-batch integration, so the result is bit-identical for any
-block split and any thread count.
+The batch integrator spreads a call of more than one block over a thread
+pool created and joined inside the call, one contiguous run of rows per
+thread, since numpy releases the GIL in its loops.  Each thread walks its
+run in blocks of at most :data:`BATCH_BLOCK` rows, in struct-of-arrays
+layout on one work array it allocates once: one contiguous row per
+element, control component, per-row constant (mass rate, step sizes),
+stage input, rate, rate sum and right-hand-side intermediate, every
+operation written in place.  Rows never interact and each keeps the
+operation order of the expression-form whole-batch integration, so the
+result is bit-identical for any block split and any thread count.
 """
 from __future__ import annotations
 
@@ -205,69 +207,176 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
 # batch integration for finite differencing
 # ---------------------------------------------------------------------------
 
-#: rows per block of :func:`rk4_batch`; the block bounds depend on the row
-#: count alone, never on the thread count
+#: rows per block of :func:`rk4_batch`, and the width of a thread's work array
 BATCH_BLOCK = 8192
+#: scratch rows of :func:`_rhs_into`
+_RHS_SCRATCH = 13
+#: rows of a thread's work array: state, controls, per-row constants, stage
+#: inputs, stage mass, rates, rate sums and right-hand-side scratch
+_WORK_ROWS = 7 + 3 + 6 + 6 + 1 + 6 + 6 + _RHS_SCRATCH
 
 
-def _rhs_batch(p, f, g, h, k, L, m, ur, ut, un, mu: float, cj2: float):
-    """Vectorized right-hand side of the six elements on (B,) arrays, one
-    per element and control component; returns their six (B,) rates.
+def _rhs_into(rate, p, f, g, h, k, L, m, ur, ut, un, mu: float, cj2: float,
+              scratch) -> None:
+    """Vectorized right-hand side of the six elements on (b,) arrays, one
+    per element and control component, written into the six rows of
+    ``rate``; ``scratch`` holds :data:`_RHS_SCRATCH` more (b,) rows.
 
-    Fused like :func:`rk4_segment`: cos L, sin L, w, h^2, k^2, s^2, s^4 and
-    v are computed once per call for both the J2 acceleration
-    (``cj2 = mu * j2 * re^2``) and the variational equations.  The mass
-    rate is constant per row, so :func:`rk4_batch` computes it once."""
-    cosL, sinL = np.cos(L), np.sin(L)
-    w = 1.0 + f * cosL + g * sinL
+    Fused like :func:`rk4_segment`: cos L, sin L, w, s^2, s^4 and v are
+    computed once per call for both the J2 acceleration
+    (``cj2 = mu * j2 * re^2``) and the variational equations.  Every value
+    takes the operations of the expression form kept as the oracle in
+    ``tests/conftest.py``, in the same order, one ufunc at a time into a
+    preallocated row, so the bits are the same.  The mass rate is constant
+    per row, so :func:`_rk4_block` computes it once."""
+    cosL, sinL, w, v, s2, s4, coef, ar, at, an, sqpm, x, y = scratch
+    rp, rf, rg, rh, rk, rL = rate
+    np.cos(L, out=cosL)
+    np.sin(L, out=sinL)
+    np.multiply(f, cosL, out=w)
+    w += 1.0
+    np.multiply(g, sinL, out=x)
+    w += x
     if np.any(w <= 0.0):
         raise SingularStateError("w <= 0 in batch evaluation")
-    hh, kk = h * h, k * k
-    s2 = 1.0 + hh + kk
-    s4 = s2 * s2
-    v = h * sinL - k * cosL
-    coef = cj2 / (p / w)**4
-    ar = ur / m + -1.5 * coef * (1.0 - 12.0 * v * v / s4)
-    at = ut / m + -12.0 * coef * v * (h * cosL + k * sinL) / s4
-    an = un / m + -6.0 * coef * v * (1.0 - hh - kk) / s4
-    sqpm = np.sqrt(p / mu)
-    node = sqpm * s2 / (2.0 * w)
-    return (2.0 * p / w * sqpm * at,
-            sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an),
-            sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an),
-            node * cosL * an,
-            node * sinL * an,
-            np.sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an)
+    np.multiply(h, h, out=x)
+    np.multiply(k, k, out=y)
+    np.add(x, 1.0, out=s2)
+    s2 += y
+    np.subtract(1.0, x, out=x)   # 1 - h^2 - k^2
+    x -= y
+    np.multiply(s2, s2, out=s4)
+    np.multiply(h, sinL, out=v)
+    np.multiply(k, cosL, out=y)
+    v -= y
+    np.divide(p, w, out=coef)
+    np.power(coef, 4, out=coef)
+    np.divide(cj2, coef, out=coef)
+    # an = un/m + -6 coef v (1 - h^2 - k^2) / s^4
+    np.multiply(coef, -6.0, out=an)
+    an *= v
+    an *= x
+    an /= s4
+    np.divide(un, m, out=y)
+    an += y
+    # ar = ur/m + -1.5 coef (1 - 12 v v / s^4)
+    np.multiply(v, 12.0, out=x)
+    x *= v
+    x /= s4
+    np.subtract(1.0, x, out=x)
+    np.multiply(coef, -1.5, out=ar)
+    ar *= x
+    np.divide(ur, m, out=y)
+    ar += y
+    # at = ut/m + -12 coef v (h cos L + k sin L) / s^4
+    np.multiply(coef, -12.0, out=at)
+    at *= v
+    np.multiply(h, cosL, out=x)
+    np.multiply(k, sinL, out=y)
+    x += y
+    at *= x
+    at /= s4
+    np.divide(ut, m, out=y)
+    at += y
+    np.divide(p, mu, out=sqpm)
+    np.sqrt(sqpm, out=sqpm)
+    node = s2                    # sqpm s^2 / (2 w), over s^2
+    node *= sqpm
+    np.multiply(w, 2.0, out=x)
+    node /= x
+    np.multiply(p, 2.0, out=rp)
+    rp /= w
+    rp *= sqpm
+    rp *= at
+    # sqpm (ar sin L + ((w + 1) cos L + f) / w at - g v / w an)
+    np.multiply(ar, sinL, out=rf)
+    np.add(w, 1.0, out=x)
+    x *= cosL
+    x += f
+    x /= w
+    x *= at
+    rf += x
+    np.multiply(g, v, out=x)
+    x /= w
+    x *= an
+    rf -= x
+    rf *= sqpm
+    # sqpm (-ar cos L + ((w + 1) sin L + g) / w at + f v / w an)
+    np.negative(ar, out=rg)
+    rg *= cosL
+    np.add(w, 1.0, out=x)
+    x *= sinL
+    x += g
+    x /= w
+    x *= at
+    rg += x
+    np.multiply(f, v, out=x)
+    x /= w
+    x *= an
+    rg += x
+    rg *= sqpm
+    np.multiply(node, cosL, out=rh)
+    rh *= an
+    np.multiply(node, sinL, out=rk)
+    rk *= an
+    # sqrt(mu p) (w / p)^2 + sqpm v / w an
+    np.multiply(p, mu, out=rL)
+    np.sqrt(rL, out=rL)
+    np.divide(w, p, out=x)
+    x *= x
+    rL *= x
+    np.multiply(sqpm, v, out=x)
+    x /= w
+    x *= an
+    rL += x
 
 
-def _rk4_block(y, u, dm, dt, nsteps: int, mu: float, cj2: float) -> np.ndarray:
-    """RK4 over one block of rows in struct-of-arrays layout: y (b, 7),
-    u (b, 3), mass rate dm (b,) and step dt (b,) -> end states (7, b)."""
-    p, f, g, h, k, L, m = y.T.copy()
-    ur, ut, un = u.T.copy()
-    half, sixth = 0.5 * dt, dt / 6.0
-    dm_half, dm_full = half * dm, dt * dm
-    dm_step = sixth * (dm + 2.0 * dm + 2.0 * dm + dm)
+def _rk4_block(y, u, duration, nsteps: int, ve: float, mu: float, cj2: float,
+               work, out) -> None:
+    """RK4 over one block of b rows in struct-of-arrays layout, in place on
+    the rows of ``work`` (:data:`_WORK_ROWS`, b): y (b, 7), u (b, 3) and
+    duration (b,) -> end states written to ``out`` (b, 7).
+
+    The rates of the four stages are summed into one set of six rows as
+    k1 + 2 k2 + 2 k3 + k4, left to right, which is the operation order of
+    the expression form."""
+    state, stage, rate, total = work[:7], work[16:22], work[23:29], work[29:35]
+    p, f, g, h, k, L, m, ur, ut, un, dt, half, sixth, dm_half, dm_full, dm_step = work[:16]
+    ms = work[22]
+    scratch = work[35:]
+    state[:] = y.T
+    work[7:10] = u.T
+    np.divide(duration, nsteps, out=dt)
+    np.multiply(dt, 0.5, out=half)
+    np.divide(dt, 6.0, out=sixth)
+    dm = -np.linalg.norm(u, axis=1) / ve
+    np.multiply(half, dm, out=dm_half)
+    np.multiply(dt, dm, out=dm_full)
+    twice = scratch[0]
+    np.multiply(dm, 2.0, out=twice)
+    np.add(dm, twice, out=dm_step)
+    dm_step += twice
+    dm_step += dm
+    dm_step *= sixth
     for _ in range(nsteps):
-        a1, b1, c1, d1, e1, l1 = _rhs_batch(p, f, g, h, k, L, m, ur, ut, un, mu, cj2)
-        m2 = m + dm_half
-        a2, b2, c2, d2, e2, l2 = _rhs_batch(
-            p + half * a1, f + half * b1, g + half * c1, h + half * d1,
-            k + half * e1, L + half * l1, m2, ur, ut, un, mu, cj2)
-        a3, b3, c3, d3, e3, l3 = _rhs_batch(
-            p + half * a2, f + half * b2, g + half * c2, h + half * d2,
-            k + half * e2, L + half * l2, m2, ur, ut, un, mu, cj2)
-        a4, b4, c4, d4, e4, l4 = _rhs_batch(
-            p + dt * a3, f + dt * b3, g + dt * c3, h + dt * d3,
-            k + dt * e3, L + dt * l3, m + dm_full, ur, ut, un, mu, cj2)
-        p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        f = f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        g = g + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        h = h + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        k = k + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-        L = L + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        m = m + dm_step
-    return np.stack((p, f, g, h, k, L, m))
+        _rhs_into(rate, p, f, g, h, k, L, m, ur, ut, un, mu, cj2, scratch)
+        total[:] = rate
+        np.add(m, dm_half, out=ms)
+        for _ in range(2):
+            np.multiply(rate, half, out=stage)
+            stage += state[:6]
+            _rhs_into(rate, *stage, ms, ur, ut, un, mu, cj2, scratch)
+            np.multiply(rate, 2.0, out=stage)
+            total += stage
+        np.multiply(rate, dt, out=stage)
+        stage += state[:6]
+        np.add(m, dm_full, out=ms)
+        _rhs_into(rate, *stage, ms, ur, ut, un, mu, cj2, scratch)
+        total += rate
+        total *= sixth
+        state[:6] += total
+        m += dm_step
+    out[:] = state.T
 
 
 def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
@@ -276,36 +385,39 @@ def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
     y (B, 7), u (B, 3), duration (B,) -> (B, 7).  All rows share the same
     substep count (callers group rows accordingly).
 
-    The rows are cut into blocks of :data:`BATCH_BLOCK`, each integrated in
-    struct-of-arrays layout so every element works on contiguous (b,)
-    arrays that stay in cache.  The blocks are spread over a thread pool of
-    ``min(available CPUs, blocks)`` threads that lives only for this call;
-    numpy releases the GIL inside its loops.  Every row keeps the operation
-    order of the whole-batch integration, and the block bounds do not
-    depend on the thread count, so any number of threads gives the same
-    bits.  A :class:`~orbtour.errors.SingularStateError` raised in a block
-    reaches the caller after every thread has finished.
+    The rows are spread over ``min(available CPUs, ceil(B / BATCH_BLOCK))``
+    threads of a pool that lives only for this call, one contiguous run of
+    rows each; numpy releases the GIL inside its loops.  A thread walks
+    its run in blocks of at most :data:`BATCH_BLOCK` rows on one work array
+    that it allocates once, so every element works on contiguous (b,)
+    arrays that stay allocated.  Rows never interact and each keeps the
+    operation order of a whole-batch integration, so any thread count and
+    block split gives the same bits.  A
+    :class:`~orbtour.errors.SingularStateError` raised in a block reaches
+    the caller after every thread has finished.
     """
-    dt = np.asarray(duration, dtype=float) / nsteps
-    dm = -np.linalg.norm(u, axis=1) / ve
+    duration = np.asarray(duration, dtype=float)
+    n = y.shape[0]
     mu = consts.mu
     cj2 = mu * consts.j2 * consts.re * consts.re
-    out = np.empty((y.shape[0], 7))
+    out = np.empty((n, 7))
+    threads = max(1, min(_available_cpus(), -(-n // BATCH_BLOCK)))
 
-    def run(a: int) -> None:
-        b = a + BATCH_BLOCK
-        out[a:b] = _rk4_block(y[a:b], u[a:b], dm[a:b], dt[a:b], nsteps, mu, cj2).T
+    def run(t: int) -> None:
+        a, b = n * t // threads, n * (t + 1) // threads
+        work = np.empty((_WORK_ROWS, min(BATCH_BLOCK, b - a)))
+        for s in range(a, b, BATCH_BLOCK):
+            e = min(s + BATCH_BLOCK, b)
+            _rk4_block(y[s:e], u[s:e], duration[s:e], nsteps, ve, mu, cj2,
+                       work[:, :e - s], out[s:e])
 
-    starts = range(0, y.shape[0], BATCH_BLOCK)
-    threads = min(_available_cpus(), len(starts))
-    if threads <= 1:
-        for a in starts:
-            run(a)
+    if threads == 1:
+        run(0)
     else:
         # imported here: a program that never integrates a batch on more
         # than one thread does not load the thread pool's modules
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(threads) as pool:
-            for _ in pool.map(run, starts):
+            for _ in pool.map(run, range(threads)):
                 pass
     return out

@@ -135,8 +135,8 @@ def stage_defects(states: np.ndarray, controls: np.ndarray, grid: StageGrid,
                   isp: float, consts: PhysicalConstants = EARTH) -> np.ndarray:
     """Stage defects of node states (N+1, 7) under controls (N, 3): the end
     state of every stage propagated from its own node, minus the next node,
-    in physical units (N, 7).  All stages are integrated at once, in
-    batches of equal substep count."""
+    in physical units (N, 7).  The stages are integrated by
+    :func:`~orbtour.ocp.rk4_stages`, in chunks of equal substep count."""
     return (rk4_stages(states[:-1], controls, grid.dt, grid.substeps(),
                        isp * consts.g0, consts) - states[1:])
 
@@ -243,7 +243,9 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             continue
         X, U, J, D = X_new, U_new, J_new, D_new
         history.append(J)
-        solver = None  # accepted: linearization point moved
+        # accepted: the linearization point moved; the old model goes
+        # before the next linearization is built
+        solver = sub = A = B = c = None
         if ratio > RATIO_EXPAND and lam < 1.0:
             radius = min(radius * GROW, MAX_RADIUS)
 

@@ -9,10 +9,13 @@ equations and the oblateness model, whose LVLH components are read through
 The separate variational-equation and J2 functions below are the unfused
 reference for the fused right-hand sides in :mod:`orbtour.propagate`, and
 the whole-batch array-of-structs RK4 is the reference for the blocked
-struct-of-arrays batch integrator.  The closure-based sequential RK4 is the
+struct-of-arrays batch integrator.  The expression-form struct-of-arrays
+block, which allocates a fresh array for every intermediate, is the
+reference for the in-place one.  The closure-based sequential RK4 is the
 reference for the inline one, and the linearization that offsets every
-state component of every stage the reference for the one that skips the
-mass offsets of thrust-free stages.  The plain enumeration of every visit
+state component of every stage, integrated as one whole-grid batch, the
+reference for the chunked one that skips the mass offsets of thrust-free
+stages.  The plain enumeration of every visit
 order is the reference for the permutation-tree pricer, and the GA step
 drawing its crossover with ``Generator.uniform`` the reference for the
 optimizer's.  The Cartesian conversions and the permutation helpers (Sobol
@@ -30,7 +33,7 @@ import pytest
 from orbtour.constants import EARTH, PhysicalConstants
 from orbtour.elements import KeplerianState, MeeState
 from orbtour.errors import SingularStateError
-from orbtour.ocp import _FD_REL, _FD_STATE_SCALE, linearize_batch, rk4_stages
+from orbtour.ocp import _FD_REL, _FD_STATE_SCALE, linearize_batch
 from orbtour.optimizer import (CROSSOVER_BLEND, ELITES, MUTATION_RATE,
                                MUTATION_SIGMA, TOURNAMENT)
 from orbtour.permutations import sobol_points
@@ -192,6 +195,70 @@ def aos_rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: in
 
 
 # ---------------------------------------------------------------------------
+# struct-of-arrays RK4 in expression form (the in-place kernel's oracle)
+# ---------------------------------------------------------------------------
+
+def expression_rhs_batch(p, f, g, h, k, L, m, ur, ut, un, mu: float, cj2: float):
+    """Vectorized right-hand side of the six elements on (B,) arrays, one
+    per element and control component; returns their six (B,) rates.
+
+    Fused like :func:`orbtour.propagate.rk4_segment`: cos L, sin L, w, h^2, k^2, s^2, s^4 and
+    v are computed once per call for both the J2 acceleration
+    (``cj2 = mu * j2 * re^2``) and the variational equations.  The mass
+    rate is constant per row, so :func:`expression_rk4_block` computes it once."""
+    cosL, sinL = np.cos(L), np.sin(L)
+    w = 1.0 + f * cosL + g * sinL
+    if np.any(w <= 0.0):
+        raise SingularStateError("w <= 0 in batch evaluation")
+    hh, kk = h * h, k * k
+    s2 = 1.0 + hh + kk
+    s4 = s2 * s2
+    v = h * sinL - k * cosL
+    coef = cj2 / (p / w)**4
+    ar = ur / m + -1.5 * coef * (1.0 - 12.0 * v * v / s4)
+    at = ut / m + -12.0 * coef * v * (h * cosL + k * sinL) / s4
+    an = un / m + -6.0 * coef * v * (1.0 - hh - kk) / s4
+    sqpm = np.sqrt(p / mu)
+    node = sqpm * s2 / (2.0 * w)
+    return (2.0 * p / w * sqpm * at,
+            sqpm * (ar * sinL + ((w + 1.0) * cosL + f) / w * at - g * v / w * an),
+            sqpm * (-ar * cosL + ((w + 1.0) * sinL + g) / w * at + f * v / w * an),
+            node * cosL * an,
+            node * sinL * an,
+            np.sqrt(mu * p) * (w / p) ** 2 + sqpm * v / w * an)
+
+
+def expression_rk4_block(y, u, dm, dt, nsteps: int, mu: float, cj2: float) -> np.ndarray:
+    """RK4 over one block of rows in struct-of-arrays layout: y (b, 7),
+    u (b, 3), mass rate dm (b,) and step dt (b,) -> end states (7, b)."""
+    p, f, g, h, k, L, m = y.T.copy()
+    ur, ut, un = u.T.copy()
+    half, sixth = 0.5 * dt, dt / 6.0
+    dm_half, dm_full = half * dm, dt * dm
+    dm_step = sixth * (dm + 2.0 * dm + 2.0 * dm + dm)
+    for _ in range(nsteps):
+        a1, b1, c1, d1, e1, l1 = expression_rhs_batch(p, f, g, h, k, L, m, ur, ut, un, mu, cj2)
+        m2 = m + dm_half
+        a2, b2, c2, d2, e2, l2 = expression_rhs_batch(
+            p + half * a1, f + half * b1, g + half * c1, h + half * d1,
+            k + half * e1, L + half * l1, m2, ur, ut, un, mu, cj2)
+        a3, b3, c3, d3, e3, l3 = expression_rhs_batch(
+            p + half * a2, f + half * b2, g + half * c2, h + half * d2,
+            k + half * e2, L + half * l2, m2, ur, ut, un, mu, cj2)
+        a4, b4, c4, d4, e4, l4 = expression_rhs_batch(
+            p + dt * a3, f + dt * b3, g + dt * c3, h + dt * d3,
+            k + dt * e3, L + dt * l3, m + dm_full, ur, ut, un, mu, cj2)
+        p = p + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        f = f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        g = g + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        h = h + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        k = k + sixth * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        L = L + sixth * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        m = m + dm_step
+    return np.stack((p, f, g, h, k, L, m))
+
+
+# ---------------------------------------------------------------------------
 # sequential RK4 with a nested right-hand side (the inline kernel's oracle)
 # ---------------------------------------------------------------------------
 
@@ -277,12 +344,14 @@ def full_linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     every node: x (N,7), u (N,3), dt (N,), substeps (N,) ints.
 
     ``skip_b`` marks stages whose control is structurally zero (coast); their
-    B block is left zero and costs no evaluations.  One batched integration
+    B block is left zero and costs no evaluations.  One whole-grid batch
     takes 14 state-offset rows per stage and 6 control-offset rows per
-    thrusting stage.  Returns (A (N,7,7), B (N,7,3)).
+    thrusting stage, integrated by :func:`aos_rk4_batch` one substep count
+    at a time.  Returns (A (N,7,7), B (N,7,3)).
 
-    The reference for :func:`orbtour.ocp.linearize_batch`, which leaves out
-    the mass-offset rows of thrust-free stages.
+    The reference for :func:`orbtour.ocp.linearize_batch`, which walks the
+    grid in chunks and leaves out the mass-offset rows of thrust-free
+    stages.
     """
     N = x.shape[0]
     ve = isp * consts.g0
@@ -316,7 +385,11 @@ def full_linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
     base = np.concatenate([dt] * 14 + [dt[bsel]] * 6)
     sub = np.concatenate([substeps] * 14 + [substeps[bsel]] * 6)
 
-    out = rk4_stages(big_x, big_u, base, sub, ve, consts)
+    out = np.empty_like(big_x)
+    for ns in np.unique(sub):
+        rows = sub == ns
+        out[rows] = aos_rk4_batch(big_x[rows], big_u[rows], base[rows], int(ns), ve,
+                                  consts)
 
     A = np.empty((N, 7, 7))
     for jcomp in range(7):
@@ -529,6 +602,27 @@ def random_kep(rng: np.random.Generator, e_max: float = 0.9) -> KeplerianState:
         argp=float(rng.uniform(0.0, 2 * math.pi)),
         ta=float(rng.uniform(0.0, 2 * math.pi)),
     )
+
+
+def mixed_stage_grid(rng: np.random.Generator, n: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A stage grid for the chunked walks: n random node states, about half
+    of them coasts of 120-160 s (4 substeps of 40 s) at zero thrust, the
+    rest burns of 5-40 s (1 substep) at 20-100% of full thrust in random
+    directions, and the first burn with its control exactly zero, as a
+    burn-window stage can have.  Returns (x (n, 7), u (n, 3), dt (n,),
+    coast (n,))."""
+    x = np.column_stack([
+        rng.uniform(6800.0, 7200.0, n), rng.normal(0.0, 2e-3, (n, 2)),
+        rng.normal(0.0, 0.5, (n, 2)), rng.uniform(0.0, 40.0, n),
+        rng.uniform(150.0, 235.0, n)])
+    coast = rng.uniform(size=n) < 0.5
+    u = rng.normal(size=(n, 3))
+    u = 0.0126 * rng.uniform(0.2, 1.0, n)[:, None] * u / np.linalg.norm(u, axis=1)[:, None]
+    u[coast] = 0.0
+    u[np.flatnonzero(~coast)[0]] = 0.0
+    dt = np.where(coast, rng.uniform(120.0, 160.0, n), rng.uniform(5.0, 40.0, n))
+    return x, u, dt, coast
 
 
 def tiny_mission(da0: float = 6.0, da1: float = -5.0, di_deg: float = 0.02,

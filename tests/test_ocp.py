@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import TWO_BODY, full_linearize_batch, linearize_one
-from orbtour import ocp
+from conftest import TWO_BODY, full_linearize_batch, linearize_one, mixed_stage_grid
+from orbtour import ocp, propagate
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
@@ -267,16 +268,51 @@ def test_linearization_equals_every_offset_oracle(monkeypatch, consts):
     dt = rng.uniform(5.0, 160.0, n)
     substeps = rng.integers(1, 4, n)
     rows = []
-    stages = ocp.rk4_stages
+    batch = ocp.rk4_batch
 
-    def counting(x, u, *args):
-        rows.append(x.shape[0])
-        return stages(x, u, *args)
+    def counting(y, *args):
+        rows.append(y.shape[0])
+        return batch(y, *args)
 
-    monkeypatch.setattr(ocp, "rk4_stages", counting)
+    monkeypatch.setattr(ocp, "rk4_batch", counting)
     A, B = linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=skip_b)
     A0, B0 = full_linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=skip_b)
     assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
     assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
     # 14 rows per thrusting stage, 12 per thrust-free one, 6 per B block
-    assert rows == [14 * n - 2 * 25 + 6 * 16]
+    assert sum(rows) == 14 * n - 2 * 25 + 6 * 16
+
+    # longer than a chunk: two chunks of 4-substep coasts and two of
+    # 1-substep burns, each second one ragged, the step sizes taken from
+    # the whole grid's largest thrust; one and two threads
+    n = 2 * ocp.LINEARIZE_CHUNK + 37
+    x, u, dt, coast = mixed_stage_grid(rng, n)
+    substeps = np.where(coast, 4, 1)
+    for group in (coast, ~coast):
+        assert ocp.LINEARIZE_CHUNK < np.sum(group) < 2 * ocp.LINEARIZE_CHUNK
+    A0, B0 = full_linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=coast)
+    for cpus in (1, 2):
+        monkeypatch.setattr(propagate, "_available_cpus", lambda: cpus)
+        rows.clear()
+        A, B = linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=coast)
+        assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
+        assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
+        assert len(rows) == 4 and max(rows) <= propagate.BATCH_BLOCK
+        assert sum(rows) == 12 * n + 2 * np.sum(np.any(u != 0.0, axis=1)) + 6 * np.sum(~coast)
+
+
+def test_linearization_memory_is_flat_in_the_stage_count():
+    # tracemalloc's peak over coast grids of one chunk and of four: only the
+    # returned Jacobians grow with the grid, not the offset rows in flight
+    def peak(n: int) -> int:
+        x = np.tile([7000.0, 1e-3, 0.0, 0.1, 0.2, 0.3, 235.0], (n, 1))
+        u, dt = np.zeros((n, 3)), np.full(n, 145.0)
+        substeps, coast = np.full(n, 4), np.ones(n, dtype=bool)
+        tracemalloc.start()
+        try:
+            linearize_batch(x, u, dt, substeps, TH.isp, skip_b=coast)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * ocp.LINEARIZE_CHUNK) < 1.5 * peak(ocp.LINEARIZE_CHUNK)

@@ -6,15 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (TWO_BODY, aos_rk4_batch, closure_rk4_segment, gve_rhs_batch,
+from conftest import (TWO_BODY, aos_rk4_batch, closure_rk4_segment,
+                      expression_rhs_batch, expression_rk4_block, gve_rhs_batch,
                       gve_rhs_scalar, j2_accel_batch, j2_accel_scalar)
-from orbtour import propagate
+from orbtour import ocp, propagate
 from orbtour.constants import EARTH
 from orbtour.dynamics import orbit_scalars
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
                               kep_to_mee, mee_to_kep)
 from orbtour.errors import SingularStateError
-from orbtour.propagate import (PropagatorConfig, _rhs_batch, propagate_numeric,
+from orbtour.ocp import linearize_batch
+from orbtour.propagate import (PropagatorConfig, _rhs_into, propagate_numeric,
                                rk4_batch, rk4_segment)
 
 TAU = 2 * math.pi
@@ -212,15 +214,22 @@ def test_fused_batch_rhs_equals_unfused_oracle(consts):
     acc = u / y[:, 6:7] + j2_accel_batch(y[:, :6], consts.mu, consts.j2, consts.re)
     expected = gve_rhs_batch(y[:, :6], acc, consts.mu)
     cj2 = consts.mu * consts.j2 * consts.re * consts.re
-    rates = _rhs_batch(*y.T.copy(), *u.T.copy(), consts.mu, cj2)
-    assert np.array_equal(np.column_stack(rates), expected)
+    rates = np.empty((6, 256))
+    _rhs_into(rates, *y.T.copy(), *u.T.copy(), consts.mu, cj2,
+              np.empty((propagate._RHS_SCRATCH, 256)))
+    assert np.array_equal(rates.T, expected)
+    # the in-place kernel keeps every bit of the expression form
+    oracle = np.array(expression_rhs_batch(*y.T.copy(), *u.T.copy(), consts.mu, cj2))
+    assert np.array_equal(rates.view(np.uint64), oracle.view(np.uint64))
 
 
 @pytest.mark.parametrize("nsteps", [1, 4])
 def test_blocked_batch_equals_whole_batch_oracle(monkeypatch, nsteps):
     # more than two blocks with a ragged tail, coast and burn rows mixed;
     # a thread per block with frequent thread switches, the pool's own
-    # choice and one thread all give the oracle's bits
+    # choice, two threads with two blocks each on one work array and one
+    # thread all give the bits of the whole-batch oracle and of the
+    # expression-form block
     rng = np.random.default_rng(29)
     n = 2 * propagate.BATCH_BLOCK + 1234
     y = near_circular_states(rng, n)
@@ -228,17 +237,25 @@ def test_blocked_batch_equals_whole_batch_oracle(monkeypatch, nsteps):
     u[::3] = 0.0
     duration = rng.uniform(1.0, 160.0, n)
     expected = aos_rk4_batch(y, u, duration, nsteps, VE, EARTH)
+    blocks = expression_rk4_block(y, u, -np.linalg.norm(u, axis=1) / VE,
+                                  duration / nsteps, nsteps, EARTH.mu,
+                                  EARTH.mu * EARTH.j2 * EARTH.re * EARTH.re).T
+    assert np.array_equal(blocks.view(np.uint64), expected.view(np.uint64))
     monkeypatch.setattr(propagate, "_available_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert np.array_equal(rk4_batch(y, u, duration, nsteps, VE, EARTH), expected)
+        got = rk4_batch(y, u, duration, nsteps, VE, EARTH)
     finally:
         sys.setswitchinterval(interval)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     monkeypatch.undo()
-    assert np.array_equal(rk4_batch(y, u, duration, nsteps, VE, EARTH), expected)
-    monkeypatch.setattr(propagate, "_available_cpus", lambda: 1)
-    assert np.array_equal(rk4_batch(y, u, duration, nsteps, VE, EARTH), expected)
+    got = rk4_batch(y, u, duration, nsteps, VE, EARTH)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    for cpus in (2, 1):
+        monkeypatch.setattr(propagate, "_available_cpus", lambda: cpus)
+        got = rk4_batch(y, u, duration, nsteps, VE, EARTH)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -278,4 +295,12 @@ def test_batch_row_with_nonpositive_w_raises(monkeypatch):
     threads = threading.active_count()
     with pytest.raises(SingularStateError):
         rk4_batch(y, np.zeros((n, 3)), np.full(n, 10.0), 1, VE, EARTH)
+    assert threading.active_count() == threads
+    # a bad stage in a later chunk of a linearization
+    n = 2 * ocp.LINEARIZE_CHUNK + 10
+    x = np.tile(y[0], (n, 1))
+    x[ocp.LINEARIZE_CHUNK + 5, 1:6] = [-1.5, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(SingularStateError):
+        linearize_batch(x, np.zeros((n, 3)), np.full(n, 10.0), np.ones(n, dtype=int),
+                        277.0)
     assert threading.active_count() == threads

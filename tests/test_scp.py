@@ -6,14 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import tiny_mission
-from orbtour import scp
+from conftest import aos_rk4_batch, mixed_stage_grid, tiny_mission
+from orbtour import propagate, scp
 from orbtour.constants import EARTH
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState, kep_to_mee,
                                mee_to_kep)
 from orbtour.maneuvers import BurnPlan, ThrusterSpec, mht_estimate, nic_estimate
-from orbtour.ocp import COAST_SUBSTEP, build_grid, warm_start, with_tail
-from orbtour.propagate import PropagatorConfig, propagate_numeric, rk4_batch, rk4_segment
+from orbtour.ocp import COAST_SUBSTEP, StageGrid, build_grid, warm_start, with_tail
+from orbtour.propagate import (BATCH_BLOCK, PropagatorConfig, propagate_numeric, rk4_batch,
+                               rk4_segment)
 from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc,
                          refine_tour, save_arcs, load_arcs, scp_solve, stage_defects)
 from orbtour.tour import tour_cost
@@ -276,6 +277,30 @@ def test_stage_defects_of_a_rollout_and_of_a_moved_node():
         keep = np.ones(len(U), dtype=bool)
         keep[[j - 1, j]] = False
         assert np.array_equal(got[keep], d[keep])
+
+
+def test_chunked_stage_defects_equal_whole_grid_oracle(monkeypatch):
+    # a grid like the chunked linearization check's, long enough for the
+    # stage walk to chunk it: two chunks of 4-substep coasts and two of
+    # 1-substep burns, each second one ragged, at one and two threads
+    rng = np.random.default_rng(43)
+    n = 3 * BATCH_BLOCK + 37
+    x, u, dt, coast = mixed_stage_grid(rng, n + 1)
+    u, dt, coast = u[:n], dt[:n], coast[:n]
+    grid = StageGrid(dt=dt, tmax=np.where(coast, 0.0, TH.thrust_kn))
+    substeps = grid.substeps()
+    assert np.array_equal(substeps, np.where(coast, 4, 1))
+    for group in (coast, ~coast):
+        assert BATCH_BLOCK < np.sum(group) < 2 * BATCH_BLOCK
+    want = np.empty((n, 7))
+    for ns in (1, 4):
+        rows = substeps == ns
+        want[rows] = aos_rk4_batch(x[:-1][rows], u[rows], dt[rows], ns,
+                                   TH.isp * EARTH.g0, EARTH) - x[1:][rows]
+    for cpus in (1, 2):
+        monkeypatch.setattr(propagate, "_available_cpus", lambda: cpus)
+        got = stage_defects(x, u, grid, TH.isp)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_stage_cap_splits_arc_into_chunks():
