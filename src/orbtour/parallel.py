@@ -48,8 +48,8 @@ def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: int | None = Non
     order = range(len(tasks))
     if weights is not None:
         order = sorted(order, key=lambda i: -weights[i])
-    # fork: no thread of this program outlives the call that started it,
-    # so the children inherit no lock held by another thread
+    # fork: this program starts no thread, so the children inherit no
+    # lock held by another thread
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")
                              ) as pool:
         futures = {i: pool.submit(fn, tasks[i]) for i in order}

@@ -17,16 +17,14 @@ frame, and skips the thrust terms and mass updates of thrust-free segments.
 Both raise :class:`~orbtour.errors.SingularStateError` where w <= 0 (the
 radius diverges); the scalar one also raises once the mass is burnt to zero.
 
-The batch integrator spreads a call of more than one block over a thread
-pool created and joined inside the call, one contiguous run of rows per
-thread, since numpy releases the GIL in its loops.  Each thread walks its
-run in blocks of at most :data:`BATCH_BLOCK` rows, in struct-of-arrays
-layout on one work array it allocates once: one contiguous row per
-element, control component, per-row constant (mass rate, step sizes),
-stage input, rate, rate sum and right-hand-side intermediate, every
-operation written in place.  Rows never interact and each keeps the
-operation order of the expression-form whole-batch integration, so the
-result is bit-identical for any block split and any thread count.
+The batch integrator walks its rows in blocks of at most
+:data:`BATCH_BLOCK`, in struct-of-arrays layout on one work array it
+allocates once per call: one contiguous row per element, control
+component, per-row constant (mass rate, step sizes), stage input, rate,
+rate sum and right-hand-side intermediate, every operation written in
+place.  Rows never interact and each keeps the operation order of the
+expression-form whole-batch integration, so the result is bit-identical
+for any block split.
 """
 from __future__ import annotations
 
@@ -38,7 +36,6 @@ import numpy as np
 from .constants import EARTH, PhysicalConstants
 from .elements import SpacecraftState
 from .errors import SingularStateError
-from .parallel import available_cpus as _available_cpus
 
 
 @dataclass(frozen=True)
@@ -207,12 +204,13 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
 # batch integration for finite differencing
 # ---------------------------------------------------------------------------
 
-#: rows per block of :func:`rk4_batch`, and the width of a thread's work array
+#: rows per block of :func:`rk4_batch`, and the width of its work array
 BATCH_BLOCK = 8192
 #: scratch rows of :func:`_rhs_into`
 _RHS_SCRATCH = 13
-#: rows of a thread's work array: state, controls, per-row constants, stage
-#: inputs, stage mass, rates, rate sums and right-hand-side scratch
+#: rows of the work array of :func:`rk4_batch`: state, controls, per-row
+#: constants, stage inputs, stage mass, rates, rate sums and right-hand-side
+#: scratch
 _WORK_ROWS = 7 + 3 + 6 + 6 + 1 + 6 + 6 + _RHS_SCRATCH
 
 
@@ -385,39 +383,20 @@ def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
     y (B, 7), u (B, 3), duration (B,) -> (B, 7).  All rows share the same
     substep count (callers group rows accordingly).
 
-    The rows are spread over ``min(available CPUs, ceil(B / BATCH_BLOCK))``
-    threads of a pool that lives only for this call, one contiguous run of
-    rows each; numpy releases the GIL inside its loops.  A thread walks
-    its run in blocks of at most :data:`BATCH_BLOCK` rows on one work array
-    that it allocates once, so every element works on contiguous (b,)
-    arrays that stay allocated.  Rows never interact and each keeps the
-    operation order of a whole-batch integration, so any thread count and
-    block split gives the same bits.  A
-    :class:`~orbtour.errors.SingularStateError` raised in a block reaches
-    the caller after every thread has finished.
+    The rows are walked in blocks of at most :data:`BATCH_BLOCK` on one
+    work array allocated once per call, so every element works on
+    contiguous (b,) arrays that stay allocated.  Rows never interact and
+    each keeps the operation order of a whole-batch integration, so any
+    block split gives the same bits.
     """
     duration = np.asarray(duration, dtype=float)
     n = y.shape[0]
     mu = consts.mu
     cj2 = mu * consts.j2 * consts.re * consts.re
     out = np.empty((n, 7))
-    threads = max(1, min(_available_cpus(), -(-n // BATCH_BLOCK)))
-
-    def run(t: int) -> None:
-        a, b = n * t // threads, n * (t + 1) // threads
-        work = np.empty((_WORK_ROWS, min(BATCH_BLOCK, b - a)))
-        for s in range(a, b, BATCH_BLOCK):
-            e = min(s + BATCH_BLOCK, b)
-            _rk4_block(y[s:e], u[s:e], duration[s:e], nsteps, ve, mu, cj2,
-                       work[:, :e - s], out[s:e])
-
-    if threads == 1:
-        run(0)
-    else:
-        # imported here: a program that never integrates a batch on more
-        # than one thread does not load the thread pool's modules
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(threads) as pool:
-            for _ in pool.map(run, range(threads)):
-                pass
+    work = np.empty((_WORK_ROWS, min(BATCH_BLOCK, n)))
+    for s in range(0, n, BATCH_BLOCK):
+        e = min(s + BATCH_BLOCK, n)
+        _rk4_block(y[s:e], u[s:e], duration[s:e], nsteps, ve, mu, cj2,
+                   work[:, :e - s], out[s:e])
     return out

@@ -284,21 +284,19 @@ def test_linearization_equals_every_offset_oracle(monkeypatch, consts):
 
     # longer than a chunk: two chunks of 4-substep coasts and two of
     # 1-substep burns, each second one ragged, the step sizes taken from
-    # the whole grid's largest thrust; one and two threads
+    # the whole grid's largest thrust
     n = 2 * ocp.LINEARIZE_CHUNK + 37
     x, u, dt, coast = mixed_stage_grid(rng, n)
     substeps = np.where(coast, 4, 1)
     for group in (coast, ~coast):
         assert ocp.LINEARIZE_CHUNK < np.sum(group) < 2 * ocp.LINEARIZE_CHUNK
     A0, B0 = full_linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=coast)
-    for cpus in (1, 2):
-        monkeypatch.setattr(propagate, "_available_cpus", lambda: cpus)
-        rows.clear()
-        A, B = linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=coast)
-        assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
-        assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
-        assert len(rows) == 4 and max(rows) <= propagate.BATCH_BLOCK
-        assert sum(rows) == 12 * n + 2 * np.sum(np.any(u != 0.0, axis=1)) + 6 * np.sum(~coast)
+    rows.clear()
+    A, B = linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=coast)
+    assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
+    assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
+    assert len(rows) == 4 and max(rows) <= propagate.BATCH_BLOCK
+    assert sum(rows) == 12 * n + 2 * np.sum(np.any(u != 0.0, axis=1)) + 6 * np.sum(~coast)
 
 
 def test_linearization_memory_is_flat_in_the_stage_count():

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -224,12 +222,10 @@ def test_fused_batch_rhs_equals_unfused_oracle(consts):
 
 
 @pytest.mark.parametrize("nsteps", [1, 4])
-def test_blocked_batch_equals_whole_batch_oracle(monkeypatch, nsteps):
-    # more than two blocks with a ragged tail, coast and burn rows mixed;
-    # a thread per block with frequent thread switches, the pool's own
-    # choice, two threads with two blocks each on one work array and one
-    # thread all give the bits of the whole-batch oracle and of the
-    # expression-form block
+def test_blocked_batch_equals_whole_batch_oracle(nsteps):
+    # more than two blocks with a ragged tail, coast and burn rows mixed,
+    # walked on one work array: the bits of the whole-batch oracle and of
+    # the expression-form block
     rng = np.random.default_rng(29)
     n = 2 * propagate.BATCH_BLOCK + 1234
     y = near_circular_states(rng, n)
@@ -241,21 +237,8 @@ def test_blocked_batch_equals_whole_batch_oracle(monkeypatch, nsteps):
                                   duration / nsteps, nsteps, EARTH.mu,
                                   EARTH.mu * EARTH.j2 * EARTH.re * EARTH.re).T
     assert np.array_equal(blocks.view(np.uint64), expected.view(np.uint64))
-    monkeypatch.setattr(propagate, "_available_cpus", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = rk4_batch(y, u, duration, nsteps, VE, EARTH)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-    monkeypatch.undo()
     got = rk4_batch(y, u, duration, nsteps, VE, EARTH)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-    for cpus in (2, 1):
-        monkeypatch.setattr(propagate, "_available_cpus", lambda: cpus)
-        got = rk4_batch(y, u, duration, nsteps, VE, EARTH)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +264,17 @@ def test_state_with_nonpositive_w_raises():
                           np.array([10.0]), 277.0)
 
 
-def test_batch_row_with_nonpositive_w_raises(monkeypatch):
+def test_batch_row_with_nonpositive_w_raises():
     y = np.array([[7000.0, 0.0, 0.0, 0.1, 0.2, 0.3, 235.0],
                   [7000.0, -1.5, 0.0, 0.0, 0.0, 0.0, 235.0]])
     with pytest.raises(SingularStateError):
         rk4_batch(y, np.zeros((2, 3)), np.array([10.0, 10.0]), 1, VE, EARTH)
-    # a bad row in the third block, run on a pool thread: the error reaches
-    # the caller and no thread outlives the call
-    monkeypatch.setattr(propagate, "_available_cpus", lambda: 2)
+    # a bad row in the third block
     n = 2 * propagate.BATCH_BLOCK + 10
     y = np.tile(y[0], (n, 1))
     y[2 * propagate.BATCH_BLOCK + 5, 1:6] = [-1.5, 0.0, 0.0, 0.0, 0.0]
-    threads = threading.active_count()
     with pytest.raises(SingularStateError):
         rk4_batch(y, np.zeros((n, 3)), np.full(n, 10.0), 1, VE, EARTH)
-    assert threading.active_count() == threads
     # a bad stage in a later chunk of a linearization
     n = 2 * ocp.LINEARIZE_CHUNK + 10
     x = np.tile(y[0], (n, 1))
@@ -303,4 +282,3 @@ def test_batch_row_with_nonpositive_w_raises(monkeypatch):
     with pytest.raises(SingularStateError):
         linearize_batch(x, np.zeros((n, 3)), np.full(n, 10.0), np.ones(n, dtype=int),
                         277.0)
-    assert threading.active_count() == threads

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import aos_rk4_batch, mixed_stage_grid, tiny_mission
-from orbtour import propagate, scp
+from orbtour import scp
 from orbtour.constants import EARTH
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState, kep_to_mee,
                                mee_to_kep)
@@ -279,10 +279,10 @@ def test_stage_defects_of_a_rollout_and_of_a_moved_node():
         assert np.array_equal(got[keep], d[keep])
 
 
-def test_chunked_stage_defects_equal_whole_grid_oracle(monkeypatch):
+def test_chunked_stage_defects_equal_whole_grid_oracle():
     # a grid like the chunked linearization check's, long enough for the
     # stage walk to chunk it: two chunks of 4-substep coasts and two of
-    # 1-substep burns, each second one ragged, at one and two threads
+    # 1-substep burns, each second one ragged
     rng = np.random.default_rng(43)
     n = 3 * BATCH_BLOCK + 37
     x, u, dt, coast = mixed_stage_grid(rng, n + 1)
@@ -297,10 +297,8 @@ def test_chunked_stage_defects_equal_whole_grid_oracle(monkeypatch):
         rows = substeps == ns
         want[rows] = aos_rk4_batch(x[:-1][rows], u[rows], dt[rows], ns,
                                    TH.isp * EARTH.g0, EARTH) - x[1:][rows]
-    for cpus in (1, 2):
-        monkeypatch.setattr(propagate, "_available_cpus", lambda: cpus)
-        got = stage_defects(x, u, grid, TH.isp)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    got = stage_defects(x, u, grid, TH.isp)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_stage_cap_splits_arc_into_chunks():
