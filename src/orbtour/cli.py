@@ -38,7 +38,7 @@ from .parallel import ordered_map
 from .scenario import (MissionScenario, ScenarioConfig, load_scenario,
                        sample_scenario, save_scenario)
 from .scp import RefineOptions, load_arcs, refine_tour, save_arcs
-from .tour import Tour, brute_force, heuristic_walks, tour_cost
+from .tour import MAX_EXACT_BUNDLES, Tour, brute_force, heuristic_walks, tour_cost
 from .verify import save_report, verify_trajectory
 
 
@@ -461,7 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-candidates", choices=["walks"],
                    help="inject hand-crafted candidate walks")
     p.add_argument("--seed-tours", nargs="*", help="tour JSON files to inject")
-    p.add_argument("--exact", action="store_true", help="brute-force oracle")
+    p.add_argument("--exact", action="store_true",
+                   help="exact optimum by dynamic programming (at most "
+                        f"{MAX_EXACT_BUNDLES} bundles)")
     p.add_argument("--trace", help="evolution trace CSV path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)

@@ -194,10 +194,12 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
         raise ValueError("segment durations must be non-negative")
     ve = isp * consts.g0
     m = state.mee
-    rows = [(m.p, m.f, m.g, m.h, m.k, m.L, state.mass)]
-    for u, dur in zip(controls.tolist(), durations.tolist()):
-        rows.append(rk4_segment(rows[-1], u, dur, config.step, ve, consts))
-    return np.array(rows, dtype=float)
+    y = (m.p, m.f, m.g, m.h, m.k, m.L, state.mass)
+    out = np.empty((durations.size + 1, 7))
+    out[0] = y
+    for i, (u, dur) in enumerate(zip(controls.tolist(), durations.tolist()), 1):
+        out[i] = y = rk4_segment(y, u, dur, config.step, ve, consts)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ reference for the in-place one.  The closure-based sequential RK4 is the
 reference for the inline one, and the linearization that offsets every
 state component of every stage, integrated as one whole-grid batch, the
 reference for the chunked one that skips the mass offsets of thrust-free
-stages.  The plain enumeration of every visit
-order is the reference for the permutation-tree pricer, and the GA step
-drawing its crossover with ``Generator.uniform`` the reference for the
-optimizer's.  The Cartesian conversions and the permutation helpers (Sobol
+stages.  The plain enumeration of every visit order, priced by the batch
+evaluator, is the reference for the exact dynamic program over (visited
+set, last bundle), and the GA step drawing its crossover with
+``Generator.uniform`` the reference for the optimizer's.  The Cartesian conversions and the permutation helpers (Sobol
 points, uniform permutations, Kendall distance) serve only the checks.
 """
 from __future__ import annotations
@@ -470,7 +470,7 @@ def sample_uniform_permutations(n: int, count: int, seed: int | None = None) -> 
 
 def lex_orders(n: int) -> np.ndarray:
     """Every permutation of [0, n) in lexicographic order, shape (n!, n):
-    the plain enumeration that the permutation-tree pricer must agree with."""
+    the plain enumeration that the exact dynamic program must agree with."""
     return np.array(list(itertools.permutations(range(n))),
                     dtype=np.int64).reshape(math.factorial(n), n)
 

@@ -165,8 +165,8 @@ def test_criterion_06_optimizer_matches_exhaustive():
         assert best.cost >= exact.cost - 1e-9  # oracle lower-bounds heuristics
     assert hits / n_runs >= 0.95
     assert t_bf_max < 10.0
-    report("6", f"optimizer matched the exhaustive optimum in {hits}/{n_runs} "
-               f"runs; worst exhaustive n<=8 solve {t_bf_max:.2f} s")
+    report("6", f"optimizer matched the exact optimum in {hits}/{n_runs} "
+               f"runs; worst exact n<=8 solve {t_bf_max:.2f} s")
 
 
 def test_criterion_07_monte_carlo_fuel_statistics():

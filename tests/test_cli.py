@@ -75,6 +75,43 @@ def test_solve_exact_matches_brute_force(tmp_path, tiny_paths):
     assert data["totals"]["fuel_kg"] == pytest.approx(oracle.fuel_total, rel=1e-12)
 
 
+def test_solve_exact_at_13_bundles_beats_every_competitor(tmp_path):
+    from orbtour.optimizer import OptimizerConfig, optimize
+    from orbtour.scenario import ScenarioConfig, load_scenario, sample_scenario
+    from orbtour.tour import TourEvaluator, heuristic_walks, tour_cost
+    scn_path, out = tmp_path / "s.json", tmp_path / "tour.json"
+    save_scenario(sample_scenario(ScenarioConfig(fixed_bundles=13), 31), scn_path)
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", out]) == 0
+    scn = load_scenario(scn_path)
+    order = tuple(json.loads(out.read_text())["order"])
+    ev = TourEvaluator(scn)
+    fuel = ev.fuel_batch(np.array(order))[0]
+    # the fuel the dynamic program minimized is the batch price of its order
+    assert ev.exact_order() == (order, fuel)
+    # the tour file carries the detailed path's price of that order
+    written = json.loads(out.read_text())["totals"]["fuel_kg"]
+    assert written == tour_cost(scn, order).fuel_total == pytest.approx(fuel, rel=1e-12)
+    rivals = [t.order for t in heuristic_walks(scn).values()]
+    rivals += [optimize(scn, OptimizerConfig(seed=k))[0].order for k in range(3)]
+    rivals = np.vstack([rivals, np.random.default_rng(31).permuted(
+        np.tile(np.arange(13), (10_000, 1)), axis=1)])
+    assert ev.fuel_batch(rivals).min() >= fuel
+
+
+def test_solve_exact_above_the_cap_is_a_one_line_error(tmp_path, capsys):
+    from orbtour.scenario import ScenarioConfig, sample_scenario
+    from orbtour.tour import MAX_EXACT_BUNDLES
+    scn_path = tmp_path / "s.json"
+    cfg = ScenarioConfig(n_cubesats=13, n_pocketqubes=4, n_smallsats=0, fixed_bundles=17)
+    save_scenario(sample_scenario(cfg, 3), scn_path)
+    capsys.readouterr()
+    code = run(["solve", "--scenario", scn_path, "--exact", "--out", tmp_path / "t.json"])
+    err = capsys.readouterr().err
+    assert code == 1 and not (tmp_path / "t.json").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"limited to {MAX_EXACT_BUNDLES} bundles" in err and "has 17" in err
+
+
 def test_solve_deterministic_and_traced(tmp_path):
     scn_file = tmp_path / "s.json"
     run(["generate", "--seed", 2, "--out", scn_file])

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from orbtour.maneuvers import hohmann_dv, plane_change_dv
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario,
                               sso_inclination)
-from orbtour.tour import (OVERRUN_PENALTY, TourEvaluator, brute_force,
-                          drifted_target, heuristic_walks, tour_cost, tour_plans)
+from orbtour.tour import (MAX_EXACT_BUNDLES, OVERRUN_PENALTY, TourEvaluator,
+                          brute_force, drifted_target, heuristic_walks, tour_cost,
+                          tour_plans)
 
 
 def single_bundle_at_insertion() -> MissionScenario:
@@ -165,7 +167,7 @@ def test_strictly_increasing_inclinations_walk_is_identity():
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracle
+# exact oracle
 # ---------------------------------------------------------------------------
 
 def test_brute_force_single_bundle():
@@ -185,8 +187,11 @@ def test_brute_force_enumerates_all_orders(small_scenario):
 
 
 def test_brute_force_respects_cap():
-    scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=4)
-    with pytest.raises(ValueError):
+    cfg = ScenarioConfig(n_cubesats=13, n_pocketqubes=4, n_smallsats=0, fixed_bundles=17)
+    scn = sample_scenario(cfg, seed=4)
+    assert scn.n_bundles == MAX_EXACT_BUNDLES + 1
+    with pytest.raises(ValueError, match=f"limited to {MAX_EXACT_BUNDLES} bundles, "
+                                         f"scenario has 17"):
         brute_force(scn)
 
 
@@ -219,14 +224,37 @@ def test_permutation_tree_matches_enumeration_and_first_minimum_wins(n):
         scn = sample_scenario(ScenarioConfig(fixed_bundles=n), seed=60 + n)
     ev = TourEvaluator(scn)
     orders = lex_orders(scn.n_bundles)
-    want = ev.cost_batch(orders)
-    for got, expected in zip(ev.cost_batch(), want):
-        assert np.array_equal(got, expected)
-    tied = orders[want[0] == want[0].min()]
+    cost, fuel, _ = ev.cost_batch(orders)
+    first = int(np.argmin(cost))
     if n == "twins":
-        assert len(tied) >= 2
+        assert np.count_nonzero(cost == cost[first]) >= 2
     # the enumeration is lexicographic, so its first tied row is the winner
-    assert brute_force(scn).order == tuple(tied[0].tolist())
+    assert brute_force(scn).order == tuple(orders[first].tolist())
+    assert ev.exact_order() == (tuple(orders[first].tolist()), fuel[first])
+
+
+def test_dynamic_program_matches_enumeration_on_sampled_scenarios():
+    orders = {n: lex_orders(n) for n in range(2, 9)}
+    for seed in range(300):
+        scn = sample_scenario(ScenarioConfig(fixed_bundles=2 + seed % 7), seed=80_000 + seed)
+        ev = TourEvaluator(scn)
+        cost, fuel, _ = ev.cost_batch(orders[scn.n_bundles])
+        first = int(np.argmin(cost))
+        order, dp_fuel = ev.exact_order()
+        assert order == tuple(orders[scn.n_bundles][first].tolist()), seed
+        assert dp_fuel == fuel[first] == ev.fuel_batch(order)[0], seed
+
+
+def test_brute_force_memory_stays_small_at_9_bundles():
+    # the tables hold 14k values here; pricing all 9! orders took about 23 MB
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=9), seed=9)
+    tracemalloc.start()
+    try:
+        brute_force(scn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_dropping_decommission_never_raises_cost(small_scenario):
