@@ -2,7 +2,7 @@
 
 Each island evolves a population of key vectors in [0,1)^n (decoded to
 permutations by argsort) with either a generational GA (tournament
-selection, blend crossover, Gaussian key mutation, elitism) or a
+selection, blend crossover, Gaussian key mutation, one elite) or a
 global-best PSO.  Each island starts from one draw of scrambled Sobol
 points, with a fixed share spawned near any candidate solutions by Mallows
 sampling; the candidates themselves are always injected verbatim, so the
@@ -13,7 +13,13 @@ All islands are held as one (islands, population, n) key array: each
 generation prices every member in one batch, and the GA and PSO islands are
 each stepped together.  Every island still draws from its own generator,
 spawned from one seed, in a fixed order, so results are reproducible bit
-for bit and do not depend on how the islands are grouped.
+for bit and do not depend on how the islands are grouped.  After its
+initial population (and, on a PSO island, its initial velocities), each
+generation an island draws:
+
+- GA: its tournament picks, one block of uniforms (the crossover's, then
+  the mutation mask's), then the mutation normals;
+- PSO: one block of uniforms (the cognitive term's, then the social's).
 """
 from __future__ import annotations
 
@@ -30,12 +36,11 @@ from .tour import Tour, TourEvaluator, tour_cost
 #: share of each initial population seeded from the candidate tours
 SEEDING_FRACTION = 0.25
 #: GA: tournament size, blend-crossover reach, per-gene mutation rate and
-#: step, and members carried over unchanged
+#: step
 TOURNAMENT = 3
 CROSSOVER_BLEND = 0.3
 MUTATION_RATE = 0.15
 MUTATION_SIGMA = 0.2
-ELITES = 1
 #: PSO: the constriction coefficients of Clerc & Kennedy (2002) and a
 #: velocity clamp in key units
 INERTIA = 0.729
@@ -59,6 +64,8 @@ class OptimizerConfig:
         if min(self.islands, self.population, self.generations,
                self.migration_interval) < 1:
             raise ValueError("island/population/generation counts must be positive")
+        if not self.algorithms:
+            raise ValueError("algorithms must name at least one island algorithm")
         for alg in self.algorithms:
             if alg not in ("ga", "pso"):
                 raise ValueError(f"unknown island algorithm {alg!r}")
@@ -85,29 +92,37 @@ class EvolutionTrace:
 def _ga_step(keys: np.ndarray, cost: np.ndarray,
              rngs: list[np.random.Generator]) -> np.ndarray:
     """Next generation of the GA islands ``keys`` (islands, pop, n) priced at
-    ``cost`` (islands, pop).  Island i draws only from ``rngs[i]``, in the
-    order picks, crossover, mutation mask, mutation."""
+    ``cost`` (islands, pop): the cheapest member of each island, then its
+    offspring.  Island i draws only from ``rngs[i]``, in the order tournament
+    picks, one block of uniforms (crossover, then mutation mask), mutation
+    normals."""
     isl, pop, n = keys.shape
-    n_off = pop - ELITES
-    rows = np.arange(isl)[:, None]
-    children = np.empty_like(keys)
-    children[:, :ELITES] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :ELITES]]
-    # tournament selection for both parent slots
-    picks = np.stack([rng.integers(0, pop, (2, n_off, TOURNAMENT)) for rng in rngs])
-    won = np.argmin(cost[rows[..., None, None], picks], axis=3)
+    n_off = pop - 1
+    picks = np.empty((isl, 2, n_off, TOURNAMENT), dtype=np.int64)
+    uniform = np.empty((isl, 2, n_off, n))
+    normal = np.empty((isl, n_off, n))
+    for i, rng in enumerate(rngs):
+        picks[i] = rng.integers(0, pop, (2, n_off, TOURNAMENT))
+        rng.random(out=uniform[i])
+        normal[i] = rng.normal(0.0, MUTATION_SIGMA, (n_off, n))
+    # tournament selection for both parent slots, on flat member indices
+    first = pop * np.arange(isl)
+    picks += first[:, None, None, None]
+    won = np.argmin(np.take(cost, picks), axis=3)
     winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
-    pa, pb = keys[rows, winners[:, 0]], keys[rows, winners[:, 1]]
+    flat = keys.reshape(isl * pop, n)
+    pa, pb = flat[winners[:, 0]], flat[winners[:, 1]]
     # blend crossover per gene: lo + (hi - lo) * U[0, 1) is how
     # Generator.uniform draws, bit for bit, without its per-call overhead
     lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
     reach = CROSSOVER_BLEND * (hi - lo)
     lo, hi = lo - reach, hi + reach
-    child = lo + (hi - lo) * np.stack([rng.random((n_off, n)) for rng in rngs])
+    child = lo + (hi - lo) * uniform[:, 0]
     # gaussian mutation
-    child = child + np.stack([(rng.random((n_off, n)) < MUTATION_RATE)
-                              * rng.normal(0.0, MUTATION_SIGMA, (n_off, n))
-                              for rng in rngs])
-    children[:, ELITES:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
+    child = child + (uniform[:, 1] < MUTATION_RATE) * normal
+    children = np.empty_like(keys)
+    children[:, 0] = flat[first + np.argmin(cost, axis=1)]
+    children[:, 1:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
     return children
 
 
@@ -156,40 +171,40 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
     pso = np.array([config.algorithms[i % len(config.algorithms)] == "pso"
                     for i in range(config.islands)])
     ga_idx, pso_idx = np.flatnonzero(~pso), np.flatnonzero(pso)
-    velocity = np.zeros_like(keys)
-    for i in pso_idx:
-        velocity[i] = rngs[i].uniform(-0.1, 0.1, keys.shape[1:])
-    pbest_keys, pbest_cost = keys.copy(), np.full(keys.shape[:2], np.inf)
-    gbest_keys, gbest_cost = keys[:, 0].copy(), np.full(config.islands, np.inf)
+    # PSO state, one row per PSO island
+    velocity = np.empty((pso_idx.size,) + keys.shape[1:])
+    for j, i in enumerate(pso_idx):
+        velocity[j] = rngs[i].uniform(-0.1, 0.1, keys.shape[1:])
+    uniform = np.empty((pso_idx.size, 2) + keys.shape[1:])
+    pbest_keys, pbest_cost = keys[pso_idx], np.full((pso_idx.size, keys.shape[1]), np.inf)
+    gbest_keys, gbest_cost = keys[pso_idx, 0], np.full(pso_idx.size, np.inf)
 
     rows = np.arange(config.islands)
     best_fuel = np.empty((config.generations, config.islands))
     mean_fuel = np.empty((config.generations, config.islands))
-    running_best = np.full(config.islands, np.inf)
     migrations: list[tuple[int, int, int]] = []
     global_best_cost, global_best_keys = np.inf, None
 
     for gen in range(config.generations):
         cost, fuel, _ = (a.reshape(keys.shape[:2])
                          for a in evaluator.cost_batch(decode(keys).reshape(-1, n)))
-        # PSO personal bests, then each PSO island's global best
-        better = (cost < pbest_cost) & pso[:, None]
-        pbest_keys[better] = keys[better]
-        pbest_cost[better] = cost[better]
-        b = np.argmin(pbest_cost, axis=1)
-        improved = pso & (pbest_cost[rows, b] < gbest_cost)
-        gbest_cost[improved] = pbest_cost[rows, b][improved]
-        gbest_keys[improved] = pbest_keys[rows, b][improved]
-        # an island's best is its global best (PSO) or best member (GA)
         b = np.argmin(cost, axis=1)
-        best_cost = np.where(pso, gbest_cost, cost[rows, b])
-        best_keys = np.where(pso[:, None], gbest_keys, keys[rows, b])
+        best_cost, best_keys = cost[rows, b], keys[rows, b]
+        # PSO personal bests; a global best is its island's least personal
+        # best, so it can only move to the island's cheapest member of this
+        # generation, the first of ties, and it is the island's best
+        x, c = keys[pso_idx], cost[pso_idx]
+        better = c < pbest_cost
+        pbest_keys[better], pbest_cost[better] = x[better], c[better]
+        improved = best_cost[pso_idx] < gbest_cost
+        gbest_cost[improved] = best_cost[pso_idx[improved]]
+        gbest_keys[improved] = best_keys[pso_idx[improved]]
+        best_cost[pso_idx], best_keys[pso_idx] = gbest_cost, gbest_keys
         top = int(np.argmin(best_cost))
         if best_cost[top] < global_best_cost:
             global_best_cost, global_best_keys = best_cost[top], best_keys[top]
-        running_best = np.minimum(running_best, fuel[rows, b])
-        best_fuel[gen] = running_best
-        mean_fuel[gen] = np.mean(fuel, axis=1)
+        best_fuel[gen] = fuel[rows, b]
+        mean_fuel[gen] = fuel.mean(axis=1)
         if (gen + 1) % config.migration_interval == 0 and config.islands > 1:
             # ring migration: each island's best replaces its neighbour's worst
             worst = np.argmax(cost, axis=1)
@@ -202,15 +217,16 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
             keys[ga_idx] = _ga_step(keys[ga_idx], cost[ga_idx],
                                     [rngs[i] for i in ga_idx])
         if pso_idx.size:
-            r1, r2 = np.array([[rngs[i].random(keys.shape[1:]),
-                                rngs[i].random(keys.shape[1:])]
-                               for i in pso_idx]).swapaxes(0, 1)
+            for j, i in enumerate(pso_idx):
+                rngs[i].random(out=uniform[j])
             x = keys[pso_idx]
-            v = (INERTIA * velocity[pso_idx]
-                 + COGNITIVE * r1 * (pbest_keys[pso_idx] - x)
-                 + SOCIAL * r2 * (gbest_keys[pso_idx, None] - x))
-            velocity[pso_idx] = np.clip(v, -MAX_VELOCITY, MAX_VELOCITY)
-            keys[pso_idx] = np.clip(x + velocity[pso_idx], 0.0, np.nextafter(1.0, 0.0))
+            v = (INERTIA * velocity
+                 + COGNITIVE * uniform[:, 0] * (pbest_keys - x)
+                 + SOCIAL * uniform[:, 1] * (gbest_keys[:, None] - x))
+            velocity = np.clip(v, -MAX_VELOCITY, MAX_VELOCITY)
+            keys[pso_idx] = np.clip(x + velocity, 0.0, np.nextafter(1.0, 0.0))
+    # each island's best member fuel so far
+    np.minimum.accumulate(best_fuel, axis=0, out=best_fuel)
 
     return (tour_cost(scenario, decode(global_best_keys), consts),
             EvolutionTrace(best_fuel=best_fuel, mean_fuel=mean_fuel, migrations=migrations))

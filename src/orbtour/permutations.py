@@ -12,6 +12,7 @@ and initial values) frozen below.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -63,8 +64,10 @@ _MINIT = [
 MAX_SOBOL_DIM = len(_POLY)
 
 
+@functools.cache
 def _direction_numbers(dim: int) -> np.ndarray:
-    """32-bit direction integers, shape (dim, 32)."""
+    """32-bit direction integers, shape (dim, 32), built once per ``dim`` and
+    shared read-only."""
     v = np.zeros((dim, _BITS), dtype=np.uint64)
     for d in range(dim):
         if d == 0:
@@ -83,6 +86,7 @@ def _direction_numbers(dim: int) -> np.ndarray:
                 if (a >> (s - 1 - t)) & 1:
                     val ^= int(v[d, j - t])
             v[d, j] = val
+    v.flags.writeable = False
     return v
 
 

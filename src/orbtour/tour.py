@@ -3,12 +3,16 @@ exact oracle.
 
 The deployment-order objective is total propellant.  Leg dv between two
 circular mission orbits depends only on their radii and inclinations, so a
-:class:`TourEvaluator` precomputes the pairwise dv table once per scenario
-and prices whole batches of candidate orders with a vectorized rocket
-equation; :func:`tour_plans` walks one order through the full estimator
-chain (phasing, drift, burn plans) and :func:`tour_cost` prices that walk,
-the slow, detailed path.  Both agree on fuel to float accuracy (the tests
-assert it) and price a fuel overrun alike, with :func:`overrun_cost`.
+:class:`TourEvaluator` turns it, once per scenario, into leg-fraction tables:
+the share of the mass each leg burns, ``1 - exp(-dv/ve)``, from the
+insertion orbit and from every bundle to every other, and from every bundle
+to the disposal orbit.  A batch of candidate orders gathers its fractions
+and releases with one index each and walks the rocket equation leg by leg,
+vectorized over the batch; :func:`tour_plans` walks one order through the
+full estimator chain (phasing, drift, burn plans) and :func:`tour_cost`
+prices that walk, the slow, detailed path.  Both agree on fuel to float
+accuracy (the tests assert it) and price a fuel overrun alike, with
+:func:`overrun_cost`.
 
 The exact oracle :func:`brute_force` finds the cheapest order by dynamic
 programming over (visited set, last bundle), with the batch's own per-leg
@@ -83,7 +87,6 @@ class TourEvaluator:
         radii = np.array([b.target.a for b in scenario.bundles])
         incs = np.array([b.target.i for b in scenario.bundles])
         self.bundle_mass = np.array([b.mass for b in scenario.bundles])
-        self._ve = scenario.spacecraft.thruster.exhaust_velocity(consts)
         self._m0 = scenario.initial_mass
         self._budget = scenario.fuel_budget
 
@@ -92,31 +95,30 @@ class TourEvaluator:
             v_high = math.sqrt(consts.mu / max(r0, r1))
             return dv_d + dv_c + plane_change_dv(i1 - i0, v_high)
 
-        self.dv = np.zeros((n, n))
+        dv = np.zeros((n + 1, n))
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    self.dv[i, j] = pair_dv(radii[i], incs[i], radii[j], incs[j])
+                    dv[i, j] = pair_dv(radii[i], incs[i], radii[j], incs[j])
         ins = scenario.insertion
-        self.dv_from_insertion = np.array(
-            [pair_dv(ins.a, ins.i, radii[j], incs[j]) for j in range(n)])
-        self.dv_decommission = np.array(
+        dv[n] = [pair_dv(ins.a, ins.i, radii[j], incs[j]) for j in range(n)]
+        dv_decommission = np.array(
             [sum(hohmann_dv(radii[j], scenario.decommission_radius, consts.mu))
              if abs(radii[j] - scenario.decommission_radius) > 1e-9 else 0.0
              for j in range(n)])
+        ve = scenario.spacecraft.thruster.exhaust_velocity(consts)
+        #: share of the mass a leg burns, 1 - exp(-dv/ve): row i < n from
+        #: bundle i, row n from the insertion orbit; column j to bundle j
+        self.leg_frac = 1.0 - np.exp(-dv / ve)
+        #: share burnt leaving each bundle for the disposal orbit
+        self.decommission_frac = 1.0 - np.exp(-dv_decommission / ve)
 
-    def _leg(self, m: np.ndarray, fuel: np.ndarray, prev: np.ndarray | None,
-             cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mass, fuel) after the rocket-equation leg from bundle ``prev``
-        (None: the insertion orbit) to bundle ``cur`` and its release."""
-        dv = self.dv_from_insertion[cur] if prev is None else self.dv[prev, cur]
-        burn = m * (1.0 - np.exp(-dv / self._ve))
-        return m - (burn + self.bundle_mass[cur]), fuel + burn
-
-    def _decommission(self, m: np.ndarray, fuel: np.ndarray,
-                      last: np.ndarray) -> np.ndarray:
-        """Total fuel once the spacecraft leaves bundle ``last`` for disposal."""
-        return fuel + m * (1.0 - np.exp(-self.dv_decommission[last] / self._ve))
+    def _leg(self, m: np.ndarray, fuel: np.ndarray, frac: np.ndarray,
+             release: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mass, fuel) after a leg that burns the share ``frac`` of the mass
+        ``m`` and then releases the bundle mass ``release``."""
+        burn = m * frac
+        return m - (burn + release), fuel + burn
 
     def fuel_batch(self, orders: np.ndarray) -> np.ndarray:
         """Total propellant [kg] for each row of ``orders`` (B, n_bundles)."""
@@ -124,11 +126,15 @@ class TourEvaluator:
         B, n = orders.shape
         if n != self.scenario.n_bundles:
             raise ValueError("order length must equal the bundle count")
-        m, fuel, prev = np.full(B, self._m0), np.zeros(B), None
-        for cur in orders.T:
-            m, fuel = self._leg(m, fuel, prev, cur)
-            prev = cur
-        return self._decommission(m, fuel, prev)
+        cur = orders.T
+        prev = np.empty_like(cur)
+        prev[0], prev[1:] = n, cur[:-1]
+        frac = np.take(self.leg_frac, prev * n + cur)
+        release = np.take(self.bundle_mass, cur)
+        m, fuel = np.full(B, self._m0), np.zeros(B)
+        for leg in range(n):
+            m, fuel = self._leg(m, fuel, frac[leg], release[leg])
+        return fuel + m * np.take(self.decommission_frac, cur[-1])
 
     def exact_order(self) -> tuple[tuple[int, ...], float]:
         """(order, fuel) of the cheapest visit order, by dynamic programming
@@ -140,7 +146,7 @@ class TourEvaluator:
         J. SIAM 10, 1962).  Each state keeps that prefix's mass and fuel,
         priced by :meth:`_leg` in one step per set size and last bundle, and
         the bitmask of the predecessors whose mass ties it bit for bit.
-        Every full set is closed by :meth:`_decommission`.  The winner is
+        Every full set is closed by its disposal leg.  The winner is
         rebuilt forward: the states on a path of tied predecessors to a
         minimum-cost full set are marked walking backward, then from the
         insertion the smallest next bundle that stays on a marked path is
@@ -155,18 +161,19 @@ class TourEvaluator:
         mass, fuel = np.zeros((2, 1 << n, n))
         ties = np.zeros((1 << n, n), dtype=np.int64)
         mass[single, bits], fuel[single, bits] = self._leg(
-            np.full(n, self._m0), np.zeros(n), None, bits)
+            np.full(n, self._m0), np.zeros(n), self.leg_frac[n], self.bundle_mass)
         for layer in layers[2:]:
             for j in bits:
                 cur = layer[member[layer, j]]
                 prev = cur ^ single[j]
-                m, f = self._leg(mass[prev], fuel[prev], bits, j)
+                m, f = self._leg(mass[prev], fuel[prev], self.leg_frac[:n, j],
+                                 self.bundle_mass[j])
                 m[~member[prev]] = -np.inf
                 tied = m == m.max(axis=1, keepdims=True)
                 pick, rows = tied.argmax(axis=1), np.arange(cur.size)
                 mass[cur, j], fuel[cur, j] = m[rows, pick], f[rows, pick]
                 ties[cur, j] = tied @ single
-        end = self._decommission(mass[-1], fuel[-1], bits)
+        end = fuel[-1] + mass[-1] * self.decommission_frac
         cost, _ = overrun_cost(end, self._budget)
         marked = np.zeros((1 << n, n), dtype=bool)
         marked[-1] = cost == cost.min()

@@ -17,9 +17,12 @@ state component of every stage, integrated as one whole-grid batch, the
 reference for the chunked one that skips the mass offsets of thrust-free
 stages.  The plain enumeration of every visit order, priced by the batch
 evaluator, is the reference for the exact dynamic program over (visited
-set, last bundle), and the GA step drawing its crossover with
-``Generator.uniform`` the reference for the optimizer's.  The Cartesian conversions and the permutation helpers (Sobol
-points, uniform permutations, Kendall distance) serve only the checks.
+set, last bundle); one order priced leg by leg from the closed-form dv,
+with the rocket equation evaluated in full on every leg, the reference for
+the batch pricing over leg-fraction tables; and the GA step drawing its
+crossover with ``Generator.uniform`` the reference for the optimizer's.
+The Cartesian conversions and the permutation helpers (Sobol points,
+uniform permutations, Kendall distance) serve only the checks.
 """
 from __future__ import annotations
 
@@ -33,9 +36,10 @@ import pytest
 from orbtour.constants import EARTH, PhysicalConstants
 from orbtour.elements import KeplerianState, MeeState
 from orbtour.errors import SingularStateError
+from orbtour.maneuvers import hohmann_dv, plane_change_dv
 from orbtour.ocp import _FD_REL, _FD_STATE_SCALE, linearize_batch
-from orbtour.optimizer import (CROSSOVER_BLEND, ELITES, MUTATION_RATE,
-                               MUTATION_SIGMA, TOURNAMENT)
+from orbtour.optimizer import (CROSSOVER_BLEND, MUTATION_RATE, MUTATION_SIGMA,
+                               TOURNAMENT)
 from orbtour.permutations import sobol_points
 from orbtour.propagate import rk4_batch
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
@@ -475,6 +479,34 @@ def lex_orders(n: int) -> np.ndarray:
                     dtype=np.int64).reshape(math.factorial(n), n)
 
 
+def leg_dv(r0: float, i0: float, r1: float, i1: float, consts=EARTH) -> float:
+    """Closed-form dv [km/s] of one leg between circular orbits: a Hohmann
+    transfer and a plane change at the higher orbit's speed."""
+    dv_d, dv_c = hohmann_dv(r0, r1, consts.mu)
+    return dv_d + dv_c + plane_change_dv(i1 - i0, math.sqrt(consts.mu / max(r0, r1)))
+
+
+def disposal_dv(r: float, scenario: MissionScenario, consts=EARTH) -> float:
+    """dv [km/s] from a circular orbit of radius ``r`` to the disposal orbit."""
+    r1 = scenario.decommission_radius
+    return sum(hohmann_dv(r, r1, consts.mu)) if abs(r - r1) > 1e-9 else 0.0
+
+
+def order_fuel(scenario: MissionScenario, order, consts=EARTH) -> float:
+    """Total propellant [kg] of one visit order, one leg at a time, each leg
+    burning ``m * (1 - exp(-dv/ve))`` from its closed-form dv: the reference
+    for :meth:`orbtour.tour.TourEvaluator.fuel_batch`, bit for bit."""
+    ve = scenario.spacecraft.thruster.exhaust_velocity(consts)
+    m, fuel, here = scenario.initial_mass, 0.0, scenario.insertion
+    for idx in order:
+        bundle = scenario.bundles[idx]
+        dv = leg_dv(here.a, here.i, bundle.target.a, bundle.target.i, consts)
+        burn = m * (1.0 - np.exp(-dv / ve))
+        m, fuel = m - (burn + bundle.mass), fuel + burn
+        here = bundle.target
+    return fuel + m * (1.0 - np.exp(-disposal_dv(here.a, scenario, consts) / ve))
+
+
 def kendall_tau(a, b) -> int:
     """Number of discordant pairs between two permutations."""
     a = np.asarray(a)
@@ -489,12 +521,14 @@ def kendall_tau(a, b) -> int:
 def ga_step_uniform(keys: np.ndarray, cost: np.ndarray,
                     rngs: list[np.random.Generator]) -> np.ndarray:
     """The GA step with its blend crossover drawn by ``Generator.uniform``,
-    the reference for :func:`orbtour.optimizer._ga_step`."""
+    each draw its own call and the elite taken by a stable sort: the
+    reference for :func:`orbtour.optimizer._ga_step`."""
     isl, pop, n = keys.shape
-    n_off = pop - ELITES
+    elites = 1
+    n_off = pop - elites
     rows = np.arange(isl)[:, None]
     children = np.empty_like(keys)
-    children[:, :ELITES] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :ELITES]]
+    children[:, :elites] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :elites]]
     picks = np.stack([rng.integers(0, pop, (2, n_off, TOURNAMENT)) for rng in rngs])
     won = np.argmin(cost[rows[..., None, None], picks], axis=3)
     winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
@@ -506,7 +540,7 @@ def ga_step_uniform(keys: np.ndarray, cost: np.ndarray,
     child = child + np.stack([(rng.random((n_off, n)) < MUTATION_RATE)
                               * rng.normal(0.0, MUTATION_SIGMA, (n_off, n))
                               for rng in rngs])
-    children[:, ELITES:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
+    children[:, elites:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
     return children
 
 

@@ -1,23 +1,30 @@
 """The traced benchmark run wraps functions where orbtour's modules bind
 them and reads their arguments by parameter name, so a renamed function or
 parameter breaks it only at run time.  This drives each wrapped binding the
-counters depend on once, through ``perfbench/spans.py`` as it stands."""
+counters depend on once, through ``perfbench/spans.py`` as it stands, and a
+small island search and the exact oracle, whose spans nest the search's
+priced batches under it, one per generation."""
 import importlib
 from pathlib import Path
 
 import numpy as np
 
-from orbtour import cli, ocp, scp, verify
+from orbtour import cli, ocp, optimizer, scp, tour, verify
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, SpacecraftState, kep_to_mee
 from orbtour.propagate import PropagatorConfig
+from orbtour.scenario import ScenarioConfig, sample_scenario
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
-def test_benchmark_counters_read_the_arguments_they_name(monkeypatch, tmp_path):
+def load_spans(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spans = importlib.import_module("spans")
+    return importlib.import_module("spans")
+
+
+def test_benchmark_counters_read_the_arguments_they_name(monkeypatch, tmp_path):
+    spans = load_spans(monkeypatch)
     tracer = spans.Tracer()
     spans.instrument(tracer)
     state = SpacecraftState(kep_to_mee(KeplerianState(7000.0, 0.0, 1.0, 0.0, 0.0, 0.0)),
@@ -41,3 +48,28 @@ def test_benchmark_counters_read_the_arguments_they_name(monkeypatch, tmp_path):
     assert rows == 2 * 20 and counts["propagate.batch_rows"] == rows + 2
     assert counts["cli.arcs_bytes"] == (tmp_path / "arcs.json").stat().st_size > 0
     assert scp.propagate_numeric is verify.propagate_numeric is ocp.propagate_numeric
+
+
+def test_benchmark_sees_one_priced_batch_per_island_generation(monkeypatch):
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=5), seed=4)
+    config = optimizer.OptimizerConfig(islands=3, population=8, generations=4, seed=1)
+    try:
+        optimizer.optimize(scn, config)
+        tour.brute_force(scn)
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer, 1, [1.0], 1.0)
+    assert metrics["tour.cost_batch_rows"] == 3 * 8 * 4
+    assert metrics["tour.cost_batch_calls"] == metrics["optimizer.island_generations"] == 4
+    assert metrics["optimizer.optimize_calls"] == 1
+    children = {name: [] for name, *_ in tracer.spans}
+    for name, _, _, parent, _ in tracer.spans:
+        if parent is not None:
+            children[tracer.spans[parent][0]].append(name)
+    assert [name for name, _, _, parent, _ in tracer.spans if parent is None] == [
+        "optimizer.optimize", "tour.brute_force"]
+    assert children["optimizer.optimize"] == ["tour.cost_batch"] * 4 + ["tour.tour_cost"]
+    assert children["tour.brute_force"] == ["tour.tour_cost"]

@@ -458,11 +458,20 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch)
                           (["generate", "--config"], '{bad'),
                           (["solve", "--scenario", scn_path, "--optimizer-config"],
                            '{"generations": "ten"}'),
+                          (["solve", "--scenario", scn_path, "--optimizer-config"],
+                           '{"algorithms": []}'),
                           (["generate", "--config"], '{"fixed_bundles": "x"}')):
         cfg.write_text(text)
         assert run(command + [cfg, "--out", tmp_path / "o.json"]) == 1
         err = capsys.readouterr().err
         assert str(cfg) in err and len(err.strip().splitlines()) == 1
+    # montecarlo reads the optimizer config once, before any scenario runs
+    cfg.write_text('{"algorithms": []}')
+    assert run(["montecarlo", "--n", 2, "--jobs", 1, "--out-dir", tmp_path / "mc",
+                "--optimizer-config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: bad OptimizerConfig value: algorithms" in err
+    assert len(err.strip().splitlines()) == 1
     # so does a constants file with an unknown key
     cfg.write_text('{"mu_typo": 1}')
     monkeypatch.setenv("ORBTOUR_CONSTANTS", str(cfg))

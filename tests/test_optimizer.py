@@ -82,6 +82,20 @@ def test_archipelago_priced_once_per_generation_with_pinned_results(
     assert calls == [3 * 16] * 30
 
 
+def test_production_size_search_pinned():
+    # the default archipelago (4 GA and 4 PSO islands of 64 members, 200
+    # generations) on 13 bundles; order, fuel, migrations and trace digest
+    # recorded before the leg-fraction tables and the batched draws
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=1913)
+    best, trace = optimize(scn, OptimizerConfig(seed=19))
+    assert best.order == (2, 3, 11, 0, 4, 1, 12, 9, 6, 7, 10, 8, 5)
+    assert repr(float(best.fuel_total)) == "24.96445952376199"
+    assert trace.migrations == [(g, i, (i + 1) % 8) for g in range(19, 200, 20)
+                                for i in range(8)]
+    assert (hashlib.sha256(trace.to_csv().encode()).hexdigest()
+            == "011f51ed6149e63a6fb627c251087578175256243b628563f5168c5fb518f2b3")
+
+
 def test_island_best_monotone_and_migrations_logged(small_scenario):
     cfg = OptimizerConfig(seed=7, generations=50, islands=4, population=16,
                           migration_interval=10)
@@ -127,6 +141,8 @@ def test_config_validation():
         OptimizerConfig(islands=0)
     with pytest.raises(ValueError):
         OptimizerConfig(algorithms=("annealing",))
+    with pytest.raises(ValueError, match="at least one"):
+        OptimizerConfig(algorithms=())
 
 
 def test_bad_seed_tour_rejected(small_scenario):

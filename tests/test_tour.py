@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import lex_orders
+from conftest import disposal_dv, leg_dv, lex_orders, order_fuel
 from orbtour.constants import EARTH, SECONDS_PER_YEAR
 from orbtour.dynamics import orbit_scalars
 from orbtour.elements import KeplerianState
@@ -105,6 +105,30 @@ def test_evaluator_agrees_with_detailed_path():
     fast = ev.fuel_batch(orders)
     for row, order in enumerate(orders):
         assert fast[row] == pytest.approx(tour_cost(scn, order).fuel_total, abs=1e-9)
+
+
+def test_leg_fraction_tables_equal_the_rocket_equation_exactly():
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=31)
+    ev = TourEvaluator(scn)
+    ve = scn.spacecraft.thruster.exhaust_velocity()
+    nodes = [b.target for b in scn.bundles] + [scn.insertion]
+    assert ev.leg_frac.shape == (14, 13) and ev.decommission_frac.shape == (13,)
+    for i, here in enumerate(nodes):
+        for j, there in enumerate(nodes[:-1]):
+            dv = 0.0 if i == j else leg_dv(here.a, here.i, there.a, there.i)
+            assert ev.leg_frac[i, j] == 1.0 - np.exp(-dv / ve), (i, j)
+    for j, there in enumerate(nodes[:-1]):
+        dv = disposal_dv(there.a, scn)
+        assert ev.decommission_frac[j] == 1.0 - np.exp(-dv / ve), j
+
+
+@pytest.mark.parametrize("seed", [3, 52, 77])
+def test_fuel_batch_equals_the_per_order_oracle_bit_for_bit(seed):
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=seed)
+    rng = np.random.default_rng(seed)
+    orders = np.array([rng.permutation(13) for _ in range(200)])
+    expected = [order_fuel(scn, order) for order in orders]
+    assert TourEvaluator(scn).fuel_batch(orders).tolist() == expected
 
 
 def test_infeasible_tours_flagged_with_penalty():
@@ -261,7 +285,7 @@ def test_dropping_decommission_never_raises_cost(small_scenario):
     ev = TourEvaluator(small_scenario)
     orders = lex_orders(small_scenario.n_bundles)
     with_decom, _, _ = ev.cost_batch(orders)
-    ev.dv_decommission = np.zeros_like(ev.dv_decommission)
+    ev.decommission_frac = np.zeros_like(ev.decommission_frac)
     without, _, _ = ev.cost_batch(orders)
     assert without.min() <= with_decom.min() + 1e-15
 
