@@ -11,7 +11,7 @@ over N forked worker processes and gather the results in task order, so
 their artifacts are byte-identical to a ``--jobs 1`` run's.
 
 Exit codes: 0 success, 2 infeasible-but-completed, 3 partial refinement,
-4 verification failed, 1 error.
+4 verification failed, 1 error (a bad option or value included).
 """
 from __future__ import annotations
 
@@ -424,15 +424,30 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """A count option's value: a whole number, at least 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return count
+def _at_least(low: int):
+    """An option type: a whole number, at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_count, _seed = _at_least(1), _at_least(0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the error code, since 2 means an infeasible
+    tour."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_jobs(p: argparse.ArgumentParser, what: str) -> None:
@@ -442,13 +457,13 @@ def _add_jobs(p: argparse.ArgumentParser, what: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="orbtour",
-                                     description="multi-target rendezvous mission design")
+    parser = _Parser(prog="orbtour",
+                     description="multi-target rendezvous mission design")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample randomized mission scenarios")
     p.add_argument("--config", help="scenario config JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--count", type=_count, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -456,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize the visit order")
     p.add_argument("--scenario", required=True)
     p.add_argument("--optimizer-config")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="optimizer seed (default: the config's seed, else 0)")
     p.add_argument("--seed-candidates", choices=["walks"],
                    help="inject hand-crafted candidate walks")
@@ -488,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="scenario config JSON")
     p.add_argument("--optimizer-config")
     p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--bundles", type=int, help="pin the bundle count")
     _add_jobs(p, "scenarios")
     p.add_argument("--out-dir", required=True)

@@ -9,13 +9,16 @@ sampling; the candidates themselves are always injected verbatim, so the
 final best can never be worse than the best seed.  A ring migration moves
 each island's best individual onto its neighbour every few generations.
 
-All islands are held as one (islands, population, n) key array: each
-generation prices every member in one batch, and the GA and PSO islands are
-each stepped together.  Every island still draws from its own generator,
-spawned from one seed, in a fixed order, so results are reproducible bit
-for bit and do not depend on how the islands are grouped.  After its
-initial population (and, on a PSO island, its initial velocities), each
-generation an island draws:
+All islands are held as one (islands, population, n) key array, the GA
+islands first and the PSO islands after, each block in island order: each
+generation prices every member in one batch, and each algorithm steps its
+block in place.  Index maps give back the island order wherever it shows:
+the trace columns, the ring migration and the first of ties for the global
+best.  Every island still draws from its own generator, spawned from one
+seed, in an unchanged order, so results are reproducible bit for bit and do
+not depend on how the islands are laid out.  After its initial population
+(and, on a PSO island, its initial velocities), each generation an island
+draws:
 
 - GA: its tournament picks, one block of uniforms (the crossover's, then
   the mutation mask's), then the mutation normals;
@@ -47,6 +50,8 @@ INERTIA = 0.729
 COGNITIVE = 1.49445
 SOCIAL = 1.49445
 MAX_VELOCITY = 0.5
+#: the largest key, so every key stays in [0, 1)
+_KEY_MAX = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,8 @@ class OptimizerConfig:
         for alg in self.algorithms:
             if alg not in ("ga", "pso"):
                 raise ValueError(f"unknown island algorithm {alg!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -90,9 +97,9 @@ class EvolutionTrace:
 
 
 def _ga_step(keys: np.ndarray, cost: np.ndarray,
-             rngs: list[np.random.Generator]) -> np.ndarray:
-    """Next generation of the GA islands ``keys`` (islands, pop, n) priced at
-    ``cost`` (islands, pop): the cheapest member of each island, then its
+             rngs: list[np.random.Generator]) -> None:
+    """Step the GA islands ``keys`` (islands, pop, n) priced at ``cost``
+    (islands, pop) in place: the cheapest member of each island, then its
     offspring.  Island i draws only from ``rngs[i]``, in the order tournament
     picks, one block of uniforms (crossover, then mutation mask), mutation
     normals."""
@@ -108,22 +115,32 @@ def _ga_step(keys: np.ndarray, cost: np.ndarray,
     # tournament selection for both parent slots, on flat member indices
     first = pop * np.arange(isl)
     picks += first[:, None, None, None]
-    won = np.argmin(np.take(cost, picks), axis=3)
-    winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
+    # the first of the cheapest picks wins, as argmin would choose
+    fought = cost.take(picks)
+    winner, least = picks[..., 0], fought[..., 0]
+    for k in range(1, TOURNAMENT):
+        beats = fought[..., k] < least
+        winner = np.where(beats, picks[..., k], winner)
+        least = np.minimum(least, fought[..., k])
     flat = keys.reshape(isl * pop, n)
-    pa, pb = flat[winners[:, 0]], flat[winners[:, 1]]
+    parents = flat.take(winner, axis=0)
+    elite = flat.take(first + cost.argmin(axis=1), axis=0)
+    pa, pb = parents[:, 0], parents[:, 1]
     # blend crossover per gene: lo + (hi - lo) * U[0, 1) is how
     # Generator.uniform draws, bit for bit, without its per-call overhead
-    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-    reach = CROSSOVER_BLEND * (hi - lo)
-    lo, hi = lo - reach, hi + reach
-    child = lo + (hi - lo) * uniform[:, 0]
+    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb, out=pa)
+    reach = np.subtract(hi, lo, out=pb)
+    reach *= CROSSOVER_BLEND
+    lo -= reach
+    hi += reach
+    hi -= lo
+    hi *= uniform[:, 0]
+    child = np.add(lo, hi, out=lo)
     # gaussian mutation
-    child = child + (uniform[:, 1] < MUTATION_RATE) * normal
-    children = np.empty_like(keys)
-    children[:, 0] = flat[first + np.argmin(cost, axis=1)]
-    children[:, 1:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
-    return children
+    normal *= uniform[:, 1] < MUTATION_RATE
+    child += normal
+    keys[:, 0] = elite
+    np.minimum(np.maximum(child, 0.0, out=child), _KEY_MAX, out=keys[:, 1:])
 
 
 def _initial_population(n: int, count: int, candidates: list[np.ndarray],
@@ -164,68 +181,85 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
             raise ValueError("seed tours must be permutations of the bundle indices")
         candidates.append(order)
 
+    isl, pop = config.islands, config.population
     rngs = [np.random.default_rng(child)
-            for child in np.random.SeedSequence(config.seed).spawn(config.islands)]
-    keys = np.stack([_initial_population(n, config.population, candidates, rng)
-                     for rng in rngs])  # (islands, population, n)
+            for child in np.random.SeedSequence(config.seed).spawn(isl)]
     pso = np.array([config.algorithms[i % len(config.algorithms)] == "pso"
-                    for i in range(config.islands)])
-    ga_idx, pso_idx = np.flatnonzero(~pso), np.flatnonzero(pso)
+                    for i in range(isl)])
+    # the GA islands, then the PSO islands, each block in island order: block
+    # row r holds island perm[r], and island i sits at block row inv[i]
+    perm = np.argsort(pso, kind="stable")
+    inv = np.argsort(perm)
+    n_ga = isl - int(pso.sum())
+    rngs = [rngs[i] for i in perm]
+    keys = np.stack([_initial_population(n, pop, candidates, rng)
+                     for rng in rngs])  # (islands, population, n)
+    flat = keys.reshape(-1, n)
+    ga_keys, pso_keys = keys[:n_ga], keys[n_ga:]
     # PSO state, one row per PSO island
-    velocity = np.empty((pso_idx.size,) + keys.shape[1:])
-    for j, i in enumerate(pso_idx):
-        velocity[j] = rngs[i].uniform(-0.1, 0.1, keys.shape[1:])
-    uniform = np.empty((pso_idx.size, 2) + keys.shape[1:])
-    pbest_keys, pbest_cost = keys[pso_idx], np.full((pso_idx.size, keys.shape[1]), np.inf)
-    gbest_keys, gbest_cost = keys[pso_idx, 0], np.full(pso_idx.size, np.inf)
+    velocity = np.empty_like(pso_keys)
+    for v, rng in zip(velocity, rngs[n_ga:]):
+        v[...] = rng.uniform(-0.1, 0.1, v.shape)
+    uniform, scratch = np.empty((len(velocity), 2, pop, n)), np.empty_like(velocity)
+    pull = np.array([COGNITIVE, SOCIAL])[:, None, None]
+    pbest_keys, pbest_cost = pso_keys.copy(), np.full(pso_keys.shape[:2], np.inf)
+    gbest_keys, gbest_cost = pso_keys[:, 0].copy(), np.full(len(velocity), np.inf)
 
-    rows = np.arange(config.islands)
-    best_fuel = np.empty((config.generations, config.islands))
-    mean_fuel = np.empty((config.generations, config.islands))
+    first = pop * np.arange(isl)
+    source = inv[(perm - 1) % isl]  # block row of each island's ring predecessor
+    best_fuel = np.empty((config.generations, isl))
+    mean_fuel = np.empty((config.generations, isl))
     migrations: list[tuple[int, int, int]] = []
     global_best_cost, global_best_keys = np.inf, None
 
     for gen in range(config.generations):
-        cost, fuel, _ = (a.reshape(keys.shape[:2])
-                         for a in evaluator.cost_batch(decode(keys).reshape(-1, n)))
-        b = np.argmin(cost, axis=1)
-        best_cost, best_keys = cost[rows, b], keys[rows, b]
+        cost, fuel, _ = (a.reshape(isl, pop)
+                         for a in evaluator.cost_batch(decode(flat)))
+        b = first + cost.argmin(axis=1)
+        best_cost, best_keys = cost.take(b), flat.take(b, axis=0)
         # PSO personal bests; a global best is its island's least personal
         # best, so it can only move to the island's cheapest member of this
         # generation, the first of ties, and it is the island's best
-        x, c = keys[pso_idx], cost[pso_idx]
-        better = c < pbest_cost
-        pbest_keys[better], pbest_cost[better] = x[better], c[better]
-        improved = best_cost[pso_idx] < gbest_cost
-        gbest_cost[improved] = best_cost[pso_idx[improved]]
-        gbest_keys[improved] = best_keys[pso_idx[improved]]
-        best_cost[pso_idx], best_keys[pso_idx] = gbest_cost, gbest_keys
-        top = int(np.argmin(best_cost))
+        c = cost[n_ga:]
+        np.copyto(pbest_keys, pso_keys, where=(c < pbest_cost)[..., None])
+        np.minimum(pbest_cost, c, out=pbest_cost)
+        improved = best_cost[n_ga:] < gbest_cost
+        np.copyto(gbest_keys, best_keys[n_ga:], where=improved[:, None])
+        np.minimum(gbest_cost, best_cost[n_ga:], out=gbest_cost)
+        best_cost[n_ga:], best_keys[n_ga:] = gbest_cost, gbest_keys
+        top = inv[best_cost[inv].argmin()]  # the first of ties in island order
         if best_cost[top] < global_best_cost:
             global_best_cost, global_best_keys = best_cost[top], best_keys[top]
-        best_fuel[gen] = fuel[rows, b]
-        mean_fuel[gen] = fuel.mean(axis=1)
-        if (gen + 1) % config.migration_interval == 0 and config.islands > 1:
+        fuel.take(b, out=best_fuel[gen])
+        np.add.reduce(fuel, axis=1, out=mean_fuel[gen])  # fuel.mean's sum
+        if (gen + 1) % config.migration_interval == 0 and isl > 1:
             # ring migration: each island's best replaces its neighbour's worst
-            worst = np.argmax(cost, axis=1)
-            keys[rows, worst] = np.roll(best_keys, 1, axis=0)
-            cost[rows, worst] = -np.inf  # refreshed on next evaluate
-            migrations += [(gen, i, (i + 1) % config.islands) for i in rows.tolist()]
+            worst = first + cost.argmax(axis=1)
+            flat[worst] = best_keys[source]
+            cost.reshape(-1)[worst] = -np.inf  # refreshed on next evaluate
+            migrations += [(gen, i, (i + 1) % isl) for i in range(isl)]
         if gen == config.generations - 1:
             break
-        if ga_idx.size:
-            keys[ga_idx] = _ga_step(keys[ga_idx], cost[ga_idx],
-                                    [rngs[i] for i in ga_idx])
-        if pso_idx.size:
-            for j, i in enumerate(pso_idx):
-                rngs[i].random(out=uniform[j])
-            x = keys[pso_idx]
-            v = (INERTIA * velocity
-                 + COGNITIVE * uniform[:, 0] * (pbest_keys - x)
-                 + SOCIAL * uniform[:, 1] * (gbest_keys[:, None] - x))
-            velocity = np.clip(v, -MAX_VELOCITY, MAX_VELOCITY)
-            keys[pso_idx] = np.clip(x + velocity, 0.0, np.nextafter(1.0, 0.0))
-    # each island's best member fuel so far
+        if n_ga:
+            _ga_step(ga_keys, cost[:n_ga], rngs[:n_ga])
+        if len(velocity):
+            for u, rng in zip(uniform, rngs[n_ga:]):
+                rng.random(out=u)
+            # v = INERTIA v + COGNITIVE U (pbest - x) + SOCIAL U' (gbest - x)
+            velocity *= INERTIA
+            uniform *= pull
+            for u, best in zip((uniform[:, 0], uniform[:, 1]),
+                               (pbest_keys, gbest_keys[:, None])):
+                np.subtract(best, pso_keys, out=scratch)
+                scratch *= u
+                velocity += scratch
+            np.minimum(np.maximum(velocity, -MAX_VELOCITY, out=velocity),
+                       MAX_VELOCITY, out=velocity)
+            pso_keys += velocity
+            np.minimum(np.maximum(pso_keys, 0.0, out=pso_keys), _KEY_MAX,
+                       out=pso_keys)
+    # each island's best member fuel so far, in island order
+    best_fuel, mean_fuel = best_fuel[:, inv], mean_fuel[:, inv] / pop
     np.minimum.accumulate(best_fuel, axis=0, out=best_fuel)
 
     return (tour_cost(scenario, decode(global_best_keys), consts),

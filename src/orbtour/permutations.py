@@ -181,7 +181,7 @@ def sample_mallows(center, theta: float, count: int, seed: int | None = None) ->
 def decode(keys) -> np.ndarray:
     """Permutation encoded by a key vector: stable argsort (ties keep index
     order)."""
-    return np.argsort(np.asarray(keys), kind="stable")
+    return np.asarray(keys).argsort(kind="stable")
 
 
 def encode(perm, rng: np.random.Generator) -> np.ndarray:

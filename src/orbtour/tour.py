@@ -113,12 +113,16 @@ class TourEvaluator:
         #: share burnt leaving each bundle for the disposal orbit
         self.decommission_frac = 1.0 - np.exp(-dv_decommission / ve)
 
-    def _leg(self, m: np.ndarray, fuel: np.ndarray, frac: np.ndarray,
-             release: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mass, fuel) after a leg that burns the share ``frac`` of the mass
-        ``m`` and then releases the bundle mass ``release``."""
-        burn = m * frac
-        return m - (burn + release), fuel + burn
+    @staticmethod
+    def _leg(m: np.ndarray, fuel: np.ndarray, frac: np.ndarray,
+             release: np.ndarray, burn: np.ndarray) -> None:
+        """Advance the mass ``m`` and ``fuel`` in place over a leg that burns
+        the share ``frac`` of the mass and then releases the bundle mass
+        ``release``; ``burn`` is scratch of ``m``'s shape."""
+        np.multiply(m, frac, out=burn)
+        np.add(fuel, burn, out=fuel)
+        burn += release
+        m -= burn
 
     def fuel_batch(self, orders: np.ndarray) -> np.ndarray:
         """Total propellant [kg] for each row of ``orders`` (B, n_bundles)."""
@@ -129,12 +133,14 @@ class TourEvaluator:
         cur = orders.T
         prev = np.empty_like(cur)
         prev[0], prev[1:] = n, cur[:-1]
-        frac = np.take(self.leg_frac, prev * n + cur)
-        release = np.take(self.bundle_mass, cur)
-        m, fuel = np.full(B, self._m0), np.zeros(B)
+        frac = self.leg_frac.take(prev * n + cur)
+        release = self.bundle_mass.take(cur)
+        m, fuel, burn = np.full(B, self._m0), np.zeros(B), np.empty(B)
         for leg in range(n):
-            m, fuel = self._leg(m, fuel, frac[leg], release[leg])
-        return fuel + m * np.take(self.decommission_frac, cur[-1])
+            self._leg(m, fuel, frac[leg], release[leg], burn)
+        m *= self.decommission_frac.take(cur[-1])
+        fuel += m
+        return fuel
 
     def exact_order(self) -> tuple[tuple[int, ...], float]:
         """(order, fuel) of the cheapest visit order, by dynamic programming
@@ -160,14 +166,16 @@ class TourEvaluator:
         layers = [sets[member.sum(axis=1) == k] for k in range(n + 1)]
         mass, fuel = np.zeros((2, 1 << n, n))
         ties = np.zeros((1 << n, n), dtype=np.int64)
-        mass[single, bits], fuel[single, bits] = self._leg(
-            np.full(n, self._m0), np.zeros(n), self.leg_frac[n], self.bundle_mass)
+        m, f = np.full(n, self._m0), np.zeros(n)
+        self._leg(m, f, self.leg_frac[n], self.bundle_mass, np.empty(n))
+        mass[single, bits], fuel[single, bits] = m, f
         for layer in layers[2:]:
             for j in bits:
                 cur = layer[member[layer, j]]
                 prev = cur ^ single[j]
-                m, f = self._leg(mass[prev], fuel[prev], self.leg_frac[:n, j],
-                                 self.bundle_mass[j])
+                m, f = mass[prev], fuel[prev]
+                self._leg(m, f, self.leg_frac[:n, j], self.bundle_mass[j],
+                          np.empty_like(m))
                 m[~member[prev]] = -np.inf
                 tied = m == m.max(axis=1, keepdims=True)
                 pick, rows = tied.argmax(axis=1), np.arange(cur.size)

@@ -8,6 +8,7 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from orbtour import cli, ocp, optimizer, scp, tour, verify
 from orbtour.constants import EARTH
@@ -73,3 +74,27 @@ def test_benchmark_sees_one_priced_batch_per_island_generation(monkeypatch):
         "optimizer.optimize", "tour.brute_force"]
     assert children["optimizer.optimize"] == ["tour.cost_batch"] * 4 + ["tour.tour_cost"]
     assert children["tour.brute_force"] == ["tour.tour_cost"]
+
+
+@pytest.mark.parametrize("algorithms", [("ga",), ("pso",)], ids=["all-ga", "all-pso"])
+def test_an_empty_island_block_still_prices_once_per_generation(monkeypatch, algorithms):
+    # with no PSO (or no GA) islands the search still prices every member in
+    # one batch per generation
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=6), seed=8)
+    config = optimizer.OptimizerConfig(islands=3, population=5, generations=7,
+                                       migration_interval=3, algorithms=algorithms,
+                                       seed=2)
+    try:
+        optimizer.optimize(scn, config)
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer, 1, [1.0], 1.0)
+    assert metrics["tour.cost_batch_rows"] == 3 * 5 * 7
+    assert metrics["tour.cost_batch_calls"] == metrics["optimizer.island_generations"] == 7
+    (root,) = [i for i, (_, _, _, parent, _) in enumerate(tracer.spans) if parent is None]
+    assert tracer.spans[root][0] == "optimizer.optimize"
+    assert [name for name, _, _, parent, _ in tracer.spans if parent == root] == [
+        "tour.cost_batch"] * 7 + ["tour.tour_cost"]

@@ -271,18 +271,36 @@ def test_a_failing_leg_fails_refine_alike_on_one_or_two_jobs(tmp_path, tiny_path
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("command, option", [
-    ("refine", "--jobs"), ("verify", "--jobs"), ("montecarlo", "--jobs"),
-    ("generate", "--count"), ("montecarlo", "--n")],
-    ids=["refine", "verify", "montecarlo", "generate-count", "montecarlo-n"])
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_jobs_below_one_is_a_usage_error(command, option, value, capsys):
-    # a count below 1 would write an empty result and exit 0
+COUNT_OPTIONS = {"refine": ("refine", "--jobs"), "verify": ("verify", "--jobs"),
+                 "montecarlo": ("montecarlo", "--jobs"),
+                 "generate-count": ("generate", "--count"),
+                 "montecarlo-n": ("montecarlo", "--n")}
+
+
+@pytest.mark.parametrize("command, option, value, low", [
+    *(pytest.param(command, option, value, 1, id=f"{value}-{name}")
+      for value in ("0", "-1", "two")
+      for name, (command, option) in COUNT_OPTIONS.items()),
+    pytest.param("solve", "--seed", "-1", 0, id="-1-solve-seed"),
+    pytest.param("generate", "--seed", "-2", 0, id="-2-generate-seed"),
+    pytest.param("montecarlo", "--seed", "-3", 0, id="-3-montecarlo-seed"),
+    pytest.param("solve", "--seed", "one", 0, id="one-solve-seed")])
+def test_jobs_below_one_is_a_usage_error(command, option, value, low, capsys):
+    # a count below 1 would write an empty result and exit 0, and a negative
+    # seed fails inside numpy with a message that names no input; a usage
+    # error exits 1, not 2, which means an infeasible tour
     with pytest.raises(SystemExit) as exc:
         run([command, option, value])
-    assert exc.value.code == 2
-    assert f"argument {option}: expected an integer >= 1, got '{value}'" in \
+    assert exc.value.code == 1
+    assert f"argument {option}: expected an integer >= {low}, got '{value}'" in \
         capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option, value", [("--tol-sma", "1"), ("--tol-inc", "1"),
@@ -292,7 +310,7 @@ def test_verify_gates_and_step_are_not_options(option, value, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--arcs", "a.json", "--tour", "t.json", "--scenario", "s.json",
              "--out", "r.json", option, value])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
@@ -460,6 +478,8 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch)
                            '{"generations": "ten"}'),
                           (["solve", "--scenario", scn_path, "--optimizer-config"],
                            '{"algorithms": []}'),
+                          (["solve", "--scenario", scn_path, "--optimizer-config"],
+                           '{"seed": -5}'),
                           (["generate", "--config"], '{"fixed_bundles": "x"}')):
         cfg.write_text(text)
         assert run(command + [cfg, "--out", tmp_path / "o.json"]) == 1

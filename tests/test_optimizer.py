@@ -33,8 +33,9 @@ def test_ga_step_equals_uniform_crossover_oracle(seed):
     keys, cost = g.random((islands, pop, n)), g.random((islands, pop))
     mine = [np.random.default_rng([seed, i]) for i in range(islands)]
     oracle = [np.random.default_rng([seed, i]) for i in range(islands)]
-    assert np.array_equal(_ga_step(keys, cost, mine),
-                          ga_step_uniform(keys, cost, oracle))
+    stepped = keys.copy()
+    _ga_step(stepped, cost, mine)
+    assert np.array_equal(stepped, ga_step_uniform(keys, cost, oracle))
     # each island's generator is left in the same state
     assert [r.random() for r in mine] == [r.random() for r in oracle]
 
@@ -96,6 +97,38 @@ def test_production_size_search_pinned():
             == "011f51ed6149e63a6fb627c251087578175256243b628563f5168c5fb518f2b3")
 
 
+@pytest.mark.parametrize("config, order, fuel, digest", [
+    (OptimizerConfig(islands=5, population=16, generations=50, migration_interval=7,
+                     algorithms=("pso", "ga", "ga"), seed=20),
+     (2, 1, 3, 4, 7, 0, 6, 5), "18.482476866167584",
+     "e80d14a9875b051875d6025fff9c34bdf748eeba5862d5ac47c60e863ba8c208"),
+    (OptimizerConfig(islands=1, population=24, generations=40, seed=21),
+     (2, 1, 3, 4, 7, 0, 6, 5), "18.482476866167584",
+     "b472691360b9b435d2b755363061f161adb51e2353a611c1fb1fad1da76dbad8"),
+    (OptimizerConfig(islands=3, population=16, generations=40, migration_interval=9,
+                     algorithms=("pso",), seed=22),
+     (2, 0, 6, 5, 7, 3, 4, 1), "21.200318956114728",
+     "d34805293586ac046c8263715672d3ba6e231a58929ccb30d0569ce024c21363"),
+    (OptimizerConfig(islands=4, population=1, generations=30, migration_interval=5,
+                     seed=23),
+     (1, 3, 4, 7, 2, 5, 0, 6), "24.73472545836444",
+     "16c0dabdeaceb1ca04e8ac945d1414a9895a78d8e11b0b976a5645f794168856"),
+], ids=["pso-ga-ga-cycle", "single-island", "all-pso", "population-1"])
+def test_island_layouts_pinned(config, order, fuel, digest):
+    # layouts that do not alternate GA-first: a PSO island first, GA islands
+    # side by side, no GA block, one island, one member; the values were
+    # recorded with the GA and PSO islands gathered from the array by index
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=8), seed=2020)
+    best, trace = optimize(scn, config)
+    isl, every = config.islands, config.migration_interval
+    ring = [(g, i, (i + 1) % isl) for g in range(every - 1, config.generations, every)
+            for i in range(isl)]
+    assert best.order == order
+    assert repr(float(best.fuel_total)) == fuel
+    assert trace.migrations == (ring if isl > 1 else [])
+    assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == digest
+
+
 def test_island_best_monotone_and_migrations_logged(small_scenario):
     cfg = OptimizerConfig(seed=7, generations=50, islands=4, population=16,
                           migration_interval=10)
@@ -143,6 +176,8 @@ def test_config_validation():
         OptimizerConfig(algorithms=("annealing",))
     with pytest.raises(ValueError, match="at least one"):
         OptimizerConfig(algorithms=())
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        OptimizerConfig(seed=-5)
 
 
 def test_bad_seed_tour_rejected(small_scenario):
