@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Refine the two reference transfers (coplanar raise, one-degree plane
 change), print an estimator-vs-refiner-vs-verifier comparison table, then
-the process's peak resident set size.
+the process's peak resident set size.  Each transfer's rows show its SCP
+iterations and accepted steps, and the gap between its exit rollout's
+objective and its last accepted merit that decides ``converged``.
 
 Usage: python scripts/run_reference_transfers.py
 """
@@ -15,7 +17,7 @@ from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, MeeState, kep_to_mee, mee_to_kep
 from orbtour.maneuvers import ThrusterSpec, mht_estimate, nic_estimate
 from orbtour.propagate import PropagatorConfig
-from orbtour.scp import RefineOptions, refine_arc
+from orbtour.scp import ROLLOUT_SHARE, RefineOptions, refine_arc
 from orbtour.verify import repropagate_arc
 
 
@@ -32,9 +34,13 @@ def run_case(name, est, plan, kep0, kep_ref, thruster):
     print(f"{name}:")
     print(f"  estimator dv      {est.dv_total * 1e3:8.2f} m/s   "
           f"tof {est.tof_total / 3600:8.2f} h   burns {est.burn_count}")
+    merit = arc.objective_history[-1]
     print(f"  refined dv        {arc.dv_total * 1e3:8.2f} m/s   "
-          f"iterations {arc.iterations}   converged {arc.converged}   "
-          f"[{wall:.1f} s wall]")
+          f"iterations {arc.iterations} ({len(arc.objective_history) - 1} accepted)   "
+          f"converged {arc.converged}   [{wall:.1f} s wall]")
+    print(f"  exit rollout      objective {arc.objective:.6e}, "
+          f"{(arc.objective - merit) / merit:+.1e} of the last accepted merit "
+          f"(converged needs <= {ROLLOUT_SHARE:+.0e})")
     print(f"  injection errors  da {err['da_km']:+.3f} km   "
           f"de {err['de']:+.5f}   di {err['di_deg']:+.5f} deg")
     print(f"  re-propagated     a {achieved.a:.3f} km   e {achieved.e:.5f}   "

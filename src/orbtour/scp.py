@@ -1,30 +1,28 @@
-"""Trajectory refinement by successive convexification.
+"""Trajectory refinement by successive convexification (SCP).
 
 Each transfer arc is re-optimized as a discrete optimal-control problem on
-the nonuniform stage grid of :mod:`orbtour.ocp`: the nonlinear dynamics are
-linearized about the current iterate, the convex subproblem is solved with
-hard per-stage thrust balls, the step toward its solution is scaled so the
-predicted state deviation stays within the trust radius, and the step is
-accepted or rejected on the ratio of actual to predicted merit reduction,
-which also drives the trust radius.  The radius only scales the step, so
-each linearization's subproblem is solved once.
+the nonuniform stage grid of :mod:`orbtour.ocp`: the dynamics are
+linearized about the current iterate, the convex subproblem is solved once
+with hard per-stage thrust balls, the step toward its solution is scaled so
+the predicted state deviation stays within the trust radius, and the ratio
+of actual to predicted merit reduction accepts or rejects it and drives the
+radius.  SCP stops when a step is predicted to lower the merit by less than
+:data:`STOP_SHARE` of it, which moves no mission gate (10 km, 0.1 deg, 5%
+fuel) by a visible amount.
 
-Candidates are scored by multiple shooting, not by a sequential rollout.
-An iterate is the node states and the controls; a candidate's nodes are
-the current nodes plus the scaled state step.  Every stage is propagated
+Candidates are scored by multiple shooting: a candidate's node states are
+the current nodes plus the scaled state step, every stage is propagated
 from its own node in batched RK4 calls, and its stage defect is the scaled
 mismatch between that end state and the next node.  The merit is the
 objective with the last node moved by the defects' first-order effect on
-it, through the terminal maps (products of the current linearization's
-stage Jacobians) that the condensed solver of :mod:`orbtour.qp` forms in
-its one backward pass; to first order that is the objective a sequential
-rollout of the candidate would reach.  The linear model's defects after a
-lam-scaled step are (1 - lam) times the current ones, and an accepted
-iterate's defects enter the next subproblem as its dynamics offset.  One
-sequential rollout of the returned controls runs at exit, and only after
-an accepted step, so the returned states are always a trajectory of the
-returned controls.  Warm starts and their coast tails are rolled by
-:func:`orbtour.ocp.roll_on`.
+it, through the terminal maps that the condensed solver of
+:mod:`orbtour.qp` forms in its one backward pass.  The linear model's
+defects after a lam-scaled step are (1 - lam) times the current ones, and
+an accepted iterate's defects enter the next subproblem as its dynamics
+offset.  One sequential rollout of the returned controls runs at exit,
+only after an accepted step, so the returned states are always a
+trajectory of the returned controls; ``converged`` speaks of that rollout.
+Warm starts and their coast tails are rolled by :func:`orbtour.ocp.roll_on`.
 
 States are scaled by the terminal reference magnitudes and controls by the
 peak thrust before solving, and everything is reported back in physical
@@ -37,6 +35,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -60,8 +59,6 @@ P_DIAG = (1e4, 1e4, 1e4, 1e4, 1e4, 1e2, 0.0)
 #: control-energy weight in scaled units; regularization only, so the
 #: terminal error always dominates the trade
 R_SCALE = 1e-6
-#: largest scaled stage defect of a converged iterate
-DEFECT_TOL = 1e-6
 #: scale floors for near-zero reference components [p f g h k L m]
 _SCALE_FLOOR = np.array([1.0, 1e-2, 1e-2, 1e-2, 1e-2, 1.0, 1.0])
 #: trust region on the scaled state step: initial radius and its bounds
@@ -72,8 +69,8 @@ TRUST_RADIUS, MIN_RADIUS, MAX_RADIUS = 0.1, 1e-7, 10.0
 #: grows it by GROW
 SHRINK, GROW = 0.5, 2.0
 RATIO_ACCEPT, RATIO_EXPAND = 0.25, 0.75
-#: a scaled step below this is converged
-UPDATE_TOL = 1e-6
+#: the stop rule and the converged bound of :func:`scp_solve`
+UPDATE_TOL, STOP_SHARE, STOP_FLOOR, ROLLOUT_SHARE = 1e-6, 1e-4, 1e-9, 1e-6
 #: SCP iteration cap per arc
 MAX_ITERATIONS = 50
 
@@ -148,12 +145,14 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     Returns the last accepted iterate's controls with their sequential
     rollout as states.  ``objective_history`` holds the merit of the warm
     start and of each accepted iterate; ``objective`` is the true objective
-    of the returned states.  ``converged`` is False when a step was still
-    left at the iteration cap :data:`MAX_ITERATIONS`, or when the last
-    iterate's largest scaled stage defect is not below :data:`DEFECT_TOL`.
+    of the returned states.  SCP stops on a scaled step below
+    :data:`UPDATE_TOL` or a predicted reduction below
+    ``max(STOP_SHARE * |J|, STOP_FLOOR)`` at merit J, and takes that last
+    step if it lowers the merit.  ``converged`` is True when SCP stopped
+    before :data:`MAX_ITERATIONS` and ``objective`` is at most the last
+    accepted merit plus :data:`ROLLOUT_SHARE` of it: lower is no fault.
     """
     grid = problem.grid
-    N = grid.n_stages
     sx, su = problem.scales()
     P = np.diag(P_DIAG)
     ball = grid.tmax / su
@@ -161,12 +160,6 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     dt = grid.dt
     substeps = grid.substeps()
     consts = problem.consts
-    prop_cfg = PropagatorConfig(step=COAST_SUBSTEP)
-
-    def rollout(controls: np.ndarray) -> np.ndarray:
-        state0 = SpacecraftState(MeeState.from_array(problem.x0[:6]),
-                                 mass=float(problem.x0[6]))
-        return propagate_numeric(state0, controls, dt, problem.isp, prop_cfg, consts)
 
     def merit(states: np.ndarray, controls: np.ndarray,
               moved: np.ndarray | float = 0.0) -> float:
@@ -178,15 +171,12 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
 
     X = np.asarray(warm_states, dtype=float).copy()
     U = np.asarray(warm_controls, dtype=float).copy()
-    D = np.zeros((N, 7))   # the warm start is a rollout
+    D = np.zeros((grid.n_stages, 7))   # the warm start is a rollout
     J = merit(X, U)
     history = [J]
     radius = TRUST_RADIUS
-    converged = False
-    iterations = 0
-    gamma = None
+    stopped, iterations, gamma, solver = False, 0, None, None
     coast = grid.tmax <= 0.0
-    solver = None
     for iterations in range(1, MAX_ITERATIONS + 1):
         if solver is None:
             A, B = linearize_batch(X[:-1], U, dt, substeps, problem.isp, consts,
@@ -226,12 +216,11 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
         step_norm = max(lam * step_scale,
                         float(np.max(np.abs((U_new - U) / su))) if U.size else 0.0)
 
-        if step_norm < UPDATE_TOL or pred_red < 1e-9 * (1.0 + abs(J)):
-            # no meaningful step left at solver precision
+        if step_norm < UPDATE_TOL or pred_red < max(STOP_SHARE * abs(J), STOP_FLOOR):
             if act_red > 0.0:
                 X, U, J, D = X_new, U_new, J_new, D_new
                 history.append(J)
-            converged = float(np.max(np.abs(D))) < DEFECT_TOL
+            stopped = True
             break
         ratio = act_red / pred_red
         if ratio < RATIO_ACCEPT:
@@ -250,10 +239,16 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             radius = min(radius * GROW, MAX_RADIUS)
 
     if len(history) > 1:
-        X = rollout(U)
+        state0 = SpacecraftState(MeeState.from_array(problem.x0[:6]),
+                                 mass=float(problem.x0[6]))
+        X = propagate_numeric(state0, U, dt, problem.isp,
+                              PropagatorConfig(step=COAST_SUBSTEP), consts)
+    objective = merit(X, U)
     return RefinedArc(states=X, controls=U, dt=dt, t0=problem.t0,
                       dv_total=realized_dv(U, dt, X), iterations=iterations,
-                      converged=converged, objective=merit(X, U),
+                      # one-sided: the rollout may land below its accepted merit
+                      converged=stopped and objective <= J + ROLLOUT_SHARE * abs(J),
+                      objective=objective,
                       x_ref=problem.x_ref.copy(), label=problem.label,
                       objective_history=history)
 
@@ -268,17 +263,10 @@ class RefineOptions:
 
 
 def _phase_groups(plan: BurnPlan) -> list[BurnPlan]:
-    """Split a leg plan into maneuver phases (altitude vs plane groups)."""
-    groups: list[list] = []
-    kind_of = lambda tag: "plane" if tag in (ASC_NODE, DESC_NODE) else "altitude"
-    current_kind = None
-    for ev in plan.events:
-        k = kind_of(ev.tag)
-        if k != current_kind:
-            groups.append([])
-            current_kind = k
-        groups[-1].append(ev)
-    return [BurnPlan(evts) for evts in groups]
+    """Split a leg plan into maneuver phases: runs of plane (node) burns and
+    of altitude burns."""
+    return [BurnPlan(list(evts)) for _, evts in
+            groupby(plan.events, lambda ev: ev.tag in (ASC_NODE, DESC_NODE))]
 
 
 def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
@@ -292,8 +280,6 @@ def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
     interior pieces produced by phase grouping or stage-cap splitting, whose
     physical target is just the staircase state where the next piece starts.
     """
-    if not plan.events:
-        return []
     groups = _phase_groups(plan)
     pieces: list[tuple[BurnPlan, np.ndarray | None, str]] = []
     for gi, g in enumerate(groups):
@@ -523,13 +509,26 @@ def arc_to_dict(arc: RefinedArc) -> dict:
 
 
 def arc_from_dict(d: dict) -> RefinedArc:
+    """The arc of one arcs.json record; a scalar of the wrong JSON type
+    raises a SchemaError that names the arc and the key."""
+    history, t0 = d["objective_history"], d.get("t0_s", 0.0)
+    number = lambda v: type(v) in (int, float)   # a bool is no number here
+    for key, ok, kind in (("converged", type(d["converged"]) is bool, "a bool"),
+                          ("iterations", type(d["iterations"]) is int, "an integer"),
+                          ("objective", number(d["objective"]), "a number"),
+                          ("dv_mps", number(d["dv_mps"]), "a number"),
+                          ("t0_s", number(t0), "a number"),
+                          ("objective_history", type(history) is list
+                           and all(map(number, history)), "a list of numbers")):
+        if not ok:
+            raise SchemaError(f"arc {d.get('label', 'arc')!r}: {key} must be {kind}, "
+                              f"got {json.dumps(d[key])}")
     return RefinedArc(
         states=np.array(d["states"]), controls=np.array(d["controls_lvlh_kN"]),
-        dt=np.array(d["dt_s"]), t0=d.get("t0_s", 0.0),
-        dv_total=d["dv_mps"] / 1000.0, iterations=d["iterations"],
-        converged=d["converged"], objective=d["objective"],
+        dt=np.array(d["dt_s"]), t0=t0, dv_total=d["dv_mps"] / 1000.0,
+        iterations=d["iterations"], converged=d["converged"], objective=d["objective"],
         x_ref=np.array(d["x_ref"]), label=d.get("label", "arc"),
-        objective_history=list(d["objective_history"]))
+        objective_history=history)
 
 
 def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
@@ -546,9 +545,10 @@ def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
 
 def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
     """The arcs in ``path``.  Another record or version, a label that is not
-    a string, arrays that are not numbers of shape ``dt_s`` (N,), ``states``
-    (N+1, 7), ``controls_lvlh_kN`` (N, 3), ``x_ref`` (7,), an open first orbit
-    or a ``dt_s`` outside [0, its period about the Earth] raise a SchemaError."""
+    a string, a scalar of the wrong type (see :func:`arc_from_dict`), arrays
+    that are not numbers of shape ``dt_s`` (N,), ``states`` (N+1, 7),
+    ``controls_lvlh_kN`` (N, 3), ``x_ref`` (7,), an open first orbit or a
+    ``dt_s`` outside [0, its period about the Earth] raise a SchemaError."""
     data = read_json_object(path)
     if "arcs" not in data:
         raise SchemaError(f"{path} is not an arcs record")

@@ -570,6 +570,32 @@ def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
             assert str(order) in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("converged", "no", "a bool"), ("converged", 1, "a bool"),
+    ("iterations", 2.5, "an integer"), ("iterations", True, "an integer"),
+    ("objective", "x", "a number"), ("objective", None, "a number"),
+    ("dv_mps", "0", "a number"), ("t0_s", False, "a number"),
+    ("objective_history", "abc", "a list of numbers"),
+    ("objective_history", [0.0, "1"], "a list of numbers"),
+    ("objective_history", {"0": 0.0}, "a list of numbers")])
+def test_verify_rejects_a_scalar_field_of_the_wrong_type(tmp_path, tiny_paths, capsys,
+                                                         key, value, kind):
+    # "converged": "no" loaded as truthy, and "objective_history": "abc"
+    # loaded as ['a', 'b', 'c'] and saved back as another file
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    arcs = tmp_path / "arcs.json"
+    arcs.write_text(json.dumps({"version": 2, "arcs": [arc_record(**{key: value})]}))
+    capsys.readouterr()
+    assert run(["verify", "--arcs", arcs, "--tour", tour, "--scenario", scn_path,
+                "--out", tmp_path / "report.json"]) == 1
+    assert capsys.readouterr().err == (f"error: {arcs}: malformed arc record: arc "
+                                       f"'leg0/phase0.0': {key} must be {kind}, got "
+                                       f"{json.dumps(value)}\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("label", ["leg7/phase0.0", "leg3", "arc", "legx/phase0.0"])
 def test_verify_rejects_an_arc_label_that_names_no_leg(tmp_path, tiny_paths, capsys,
                                                        label):

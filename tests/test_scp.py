@@ -18,6 +18,7 @@ from orbtour.propagate import (BATCH_BLOCK, PropagatorConfig, propagate_numeric,
 from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc,
                          refine_tour, save_arcs, load_arcs, scp_solve, stage_defects)
 from orbtour.tour import tour_cost
+from orbtour.verify import repropagate_arc
 
 TH = ThrusterSpec()
 
@@ -52,6 +53,17 @@ def weak_raise_problem():
                                 isp=TH.isp)
     U = 0.9 * U
     return problem, rollout(problem, U), U
+
+
+def plane_change_problem(deg):
+    """A ``deg`` plane change at 7000 km onto 97.8964 deg, as prepared for
+    SCP: (problem, warm states, warm controls)."""
+    est, plan = nic_estimate(math.radians(deg), 7000.0, 235.0, TH)
+    x0 = x0_circ(7000.0, 97.8964 - deg)
+    end = KeplerianState(7000.0, 0.0, math.radians(97.8964), math.radians(158.0),
+                         0.0, 0.0)
+    x_ref = np.concatenate([kep_to_mee(end).as_array(), [est.end_state.mass]])
+    return prepare_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH, isp=TH.isp)
 
 
 def test_pure_coast_converges_in_one_iteration():
@@ -169,17 +181,12 @@ def test_iteration_cap_flags_nonconvergence(monkeypatch):
 
 def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     # in the 0.75 deg plane change at 7000 km the second QP step fits inside
-    # the trust radius and is rejected; shrinking the radius only once
-    # scored that same candidate again at iterations 3 to 5.  The radius
-    # only scales the step, so each linearization's subproblem is solved
-    # once, not once per iteration
-    est, plan = nic_estimate(math.radians(0.75), 7000.0, 235.0, TH)
-    x0 = x0_circ(7000.0, 97.1464)
-    end = KeplerianState(7000.0, 0.0, math.radians(97.8964), math.radians(158.0),
-                         0.0, 0.0)
-    x_ref = np.concatenate([kep_to_mee(end).as_array(), [est.end_state.mass]])
-    problem, W, U = prepare_arc(x0, plan, TH, x_ref, RefineOptions(), EARTH,
-                                isp=TH.isp)
+    # the trust radius and is rejected at iteration 2; shrinking the radius
+    # only once scored that same candidate again at iterations 3 to 5.  The
+    # radius only scales the step, so each linearization's subproblem is
+    # solved once, not once per iteration.  The run stops on its predicted
+    # reduction at iteration 4, one below the cap
+    problem, W, U = plane_change_problem(0.75)
     calls = []
     built, solved = [], []
     score, roll = scp.stage_defects, scp.propagate_numeric
@@ -211,7 +218,7 @@ def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     assert len(solved) == len(built) == 2
     assert solved == built
     scored = [h for kind, h in calls if kind == "score"]
-    assert len(scored) == arc.iterations == 5
+    assert len(scored) == arc.iterations == 4
     assert len(set(scored)) == len(scored)
     assert len(arc.objective_history) >= 3
     # one sequential rollout, of the returned controls, after the last score
@@ -220,6 +227,49 @@ def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     assert np.array_equal(calls[-1][1], arc.controls)
     monkeypatch.undo()
     assert np.array_equal(arc.states, rollout(problem, arc.controls))
+
+
+@pytest.mark.parametrize("deg, most, fuel_kg, da_km, di_deg", [
+    (0.75, 4, 8.389331, 0.000788, -0.000571), (1.0, 7, 11.120610, 0.001287, -0.000585)])
+def test_plane_changes_stop_once_no_step_can_move_a_gate(deg, most, fuel_kg, da_km,
+                                                         di_deg):
+    # under the stop rule pred_red < 1e-9 (1 + |J|) these transfers ran 8
+    # and 23 iterations, their merit falling under 0.1% after the first
+    # step; re-propagated at verify's 10 s step, that tail moved fuel, da
+    # and di by far less than the 1e-3 kg, 0.01 km and 1e-4 deg allowed here
+    arc = scp_solve(*plane_change_problem(deg))
+    assert arc.converged
+    assert arc.iterations <= most
+    traj = repropagate_arc(arc, PropagatorConfig(step=10.0), TH.isp)
+    kep = mee_to_kep(MeeState.from_array(traj[-1, :6]))
+    assert traj[0, 6] - traj[-1, 6] == pytest.approx(fuel_kg, abs=1e-3)
+    assert kep.a - 7000.0 == pytest.approx(da_km, abs=0.01)
+    assert math.degrees(kep.i - math.radians(97.8964)) == pytest.approx(di_deg, abs=1e-4)
+
+
+@pytest.mark.parametrize("move, above", [(lambda last, ref: 2.0 * last - ref, True),
+                                         (lambda last, ref: ref, False)],
+                         ids=["error-doubled", "on-target"])
+def test_converged_bounds_the_exit_rollout_objective_from_above(monkeypatch, move,
+                                                                above):
+    # converged describes the returned rollout: the stop fired and its true
+    # objective is at most the last accepted merit plus ROLLOUT_SHARE of it.
+    # A rollout that lands below the merit is no fault
+    problem, W, U = weak_raise_problem()
+    roll = scp.propagate_numeric
+
+    def moved_roll(*args):
+        traj = roll(*args)
+        traj[-1] = move(traj[-1], problem.x_ref)
+        return traj
+
+    monkeypatch.setattr(scp, "propagate_numeric", moved_roll)
+    arc = scp_solve(problem, W, U)
+    assert len(arc.objective_history) > 1          # the exit rollout ran
+    assert arc.iterations < scp.MAX_ITERATIONS      # the stop fired
+    bound = arc.objective_history[-1] * (1.0 + scp.ROLLOUT_SHARE)
+    assert (arc.objective > bound) is above
+    assert arc.converged is not above
 
 
 def test_returned_states_are_the_rollout_of_the_returned_controls(monkeypatch):
