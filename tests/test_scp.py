@@ -235,8 +235,9 @@ def test_plane_changes_stop_once_no_step_can_move_a_gate(deg, most, fuel_kg, da_
                                                          di_deg):
     # under the stop rule pred_red < 1e-9 (1 + |J|) these transfers ran 8
     # and 23 iterations, their merit falling under 0.1% after the first
-    # step; re-propagated at verify's 10 s step, that tail moved fuel, da
-    # and di by far less than the 1e-3 kg, 0.01 km and 1e-4 deg allowed here
+    # step.  The pins are that run's fuel, da and di, re-propagated at
+    # verify's 10 s step; cutting the tail may move them by at most 1e-3 kg,
+    # 0.01 km and 1e-4 deg
     arc = scp_solve(*plane_change_problem(deg))
     assert arc.converged
     assert arc.iterations <= most
