@@ -14,9 +14,12 @@ bits do not depend on the chunk split.
 
 The stage grid is nonuniform: burn windows (one per planned impulse, the
 thruster's maximum on-time wide, centered on the impulse) are resolved by
-several short stages, coast gaps by a fixed number of stages per
-revolution.  This keeps multi-revolution arcs well under the stage cap that
-a uniform burn-resolving step would explode past.
+several short stages, coast gaps by :data:`COAST_STAGES_PER_ORBIT` stages
+per revolution.  A coast stage carries no control; it is only a multiple-
+shooting node, and the coast flow in equinoctial elements is nearly linear
+over a quarter orbit.  So four per orbit: a 1 deg plane change takes 2,880
+stages instead of the 11,520 of forty per orbit, for the same fuel to 1e-4
+kg.  At two per orbit the 1.25 deg plane change no longer converges.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from .propagate import BATCH_BLOCK, PropagatorConfig, propagate_numeric, rk4_bat
 
 #: grid resolution (stages per burn window / per coast revolution)
 BURN_STAGES = 4
-COAST_STAGES_PER_ORBIT = 40
+COAST_STAGES_PER_ORBIT = 4
 STAGE_CAP = 20000
 #: max internal integration substep on coast stages [s]
 COAST_SUBSTEP = 40.0

@@ -64,9 +64,8 @@ _SCALE_FLOOR = np.array([1.0, 1e-2, 1e-2, 1e-2, 1e-2, 1.0, 1.0])
 #: trust region on the scaled state step: initial radius and its bounds
 TRUST_RADIUS, MIN_RADIUS, MAX_RADIUS = 0.1, 1e-7, 10.0
 #: a step whose actual-to-predicted reduction ratio is below RATIO_ACCEPT
-#: is rejected and shrinks the radius by SHRINK, again until it binds a
-#: rejected full step; a scaled-down step whose ratio exceeds RATIO_EXPAND
-#: grows it by GROW
+#: is rejected and the radius becomes SHRINK times the step taken; a
+#: scaled-down step whose ratio exceeds RATIO_EXPAND grows it by GROW
 SHRINK, GROW = 0.5, 2.0
 RATIO_ACCEPT, RATIO_EXPAND = 0.25, 0.75
 #: the stop rule and the converged bound of :func:`scp_solve`
@@ -224,11 +223,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             break
         ratio = act_red / pred_red
         if ratio < RATIO_ACCEPT:
-            radius = max(radius * SHRINK, MIN_RADIUS)
-            # a full step (lam = 1) that fit inside the radius comes back
-            # unchanged until the radius binds it: shrink that far at once
-            while lam == 1.0 and step_scale <= radius and radius > MIN_RADIUS:
-                radius = max(radius * SHRINK, MIN_RADIUS)
+            radius = max(SHRINK * min(radius, step_scale), MIN_RADIUS)
             continue
         X, U, J, D = X_new, U_new, J_new, D_new
         history.append(J)

@@ -11,10 +11,13 @@ from orbtour import scp
 from orbtour.constants import EARTH
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState, kep_to_mee,
                                mee_to_kep)
-from orbtour.maneuvers import BurnPlan, ThrusterSpec, mht_estimate, nic_estimate
-from orbtour.ocp import COAST_SUBSTEP, StageGrid, build_grid, warm_start, with_tail
+from orbtour.maneuvers import (BurnPlan, ThrusterSpec, decommission_estimate, mht_estimate,
+                               nic_estimate)
+from orbtour.ocp import (COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, StageGrid, build_grid,
+                         warm_start, with_tail)
 from orbtour.propagate import (BATCH_BLOCK, PropagatorConfig, propagate_numeric, rk4_batch,
                                rk4_segment)
+from orbtour.scenario import ScenarioConfig
 from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc,
                          refine_tour, save_arcs, load_arcs, scp_solve, stage_defects)
 from orbtour.tour import tour_cost
@@ -150,7 +153,7 @@ def test_warm_start_prefix_rolled_once_equals_full_roll(monkeypatch):
         assert len(grids) == 1
         retimed, period = grids[0]
         if piece_ref is None:
-            assert tails == [period / 40]
+            assert tails == [period / COAST_STAGES_PER_ORBIT]
         else:
             assert len(tails) >= 2
         assert sum("thrust bound" in str(w.message) for w in caught) == 1
@@ -180,14 +183,16 @@ def test_iteration_cap_flags_nonconvergence(monkeypatch):
 
 
 def test_rejected_full_step_is_never_scored_twice(monkeypatch):
-    # in the 0.75 deg plane change at 7000 km the second QP step fits inside
-    # the trust radius and is rejected at iteration 2; shrinking the radius
-    # only once scored that same candidate again at iterations 3 to 5.  The
-    # radius only scales the step, so each linearization's subproblem is
-    # solved once, not once per iteration.  The run stops on its predicted
-    # reduction at iteration 4, one below the cap
+    # in the 0.75 deg plane change at 7000 km the second QP step fits well
+    # inside the trust radius and is rejected at iteration 2; shrinking the
+    # radius only once scored that same candidate again at iterations 3 to
+    # 5.  A rejected step sets the radius to half the step taken, so the
+    # third candidate is exactly half the second.  The radius only scales
+    # the step, so each linearization's subproblem is solved once, not once
+    # per iteration.  The run stops on its predicted reduction at iteration
+    # 3, two below the cap, with the first step accepted
     problem, W, U = plane_change_problem(0.75)
-    calls = []
+    calls, candidates = [], []
     built, solved = [], []
     score, roll = scp.stage_defects, scp.propagate_numeric
     build, solve = scp.ReducedArcSolver, scp.ReducedArcSolver.solve
@@ -195,6 +200,7 @@ def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     def spy_score(states, controls, *args):
         calls.append(("score", hashlib.sha256(states.tobytes()
                                               + controls.tobytes()).hexdigest()))
+        candidates.append(states.copy())
         return score(states, controls, *args)
 
     def spy_roll(state0, controls, *args):
@@ -218,9 +224,15 @@ def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     assert len(solved) == len(built) == 2
     assert solved == built
     scored = [h for kind, h in calls if kind == "score"]
-    assert len(scored) == arc.iterations == 4
+    assert len(scored) == arc.iterations == 3
     assert len(set(scored)) == len(scored)
-    assert len(arc.objective_history) >= 3
+    assert len(arc.objective_history) == 2
+    # candidates 2 and 3 step from the accepted first one along one QP step:
+    # a full step inside the radius, then half of it
+    sx = problem.scales()[0]
+    full, half = ((c - candidates[0]) / sx for c in candidates[1:])
+    assert np.max(np.abs(full)) < 0.5 * scp.TRUST_RADIUS
+    assert np.max(np.abs(half - 0.5 * full)) < 1e-12
     # one sequential rollout, of the returned controls, after the last score
     assert calls[-1][0] == "roll"
     assert sum(kind == "roll" for kind, _ in calls) == 1
@@ -233,11 +245,11 @@ def test_rejected_full_step_is_never_scored_twice(monkeypatch):
     (0.75, 4, 8.389331, 0.000788, -0.000571), (1.0, 7, 11.120610, 0.001287, -0.000585)])
 def test_plane_changes_stop_once_no_step_can_move_a_gate(deg, most, fuel_kg, da_km,
                                                          di_deg):
-    # under the stop rule pred_red < 1e-9 (1 + |J|) these transfers ran 8
-    # and 23 iterations, their merit falling under 0.1% after the first
-    # step.  The pins are that run's fuel, da and di, re-propagated at
-    # verify's 10 s step; cutting the tail may move them by at most 1e-3 kg,
-    # 0.01 km and 1e-4 deg
+    # under the stop rule pred_red < 1e-9 (1 + |J|), on 40 coast stages per
+    # orbit, these transfers ran 8 and 23 iterations, their merit falling
+    # under 0.1% after the first step.  The pins are that run's fuel, da and
+    # di, re-propagated at verify's 10 s step; cutting the tail and the
+    # coarser grid may move them by at most 1e-3 kg, 0.01 km and 1e-4 deg
     arc = scp_solve(*plane_change_problem(deg))
     assert arc.converged
     assert arc.iterations <= most
@@ -363,6 +375,24 @@ def test_stage_cap_splits_arc_into_chunks():
         last_by_leg[arc.label.split("/")[0]] = arc
     for leg, arc in last_by_leg.items():
         assert abs(arc.terminal_error["da_km"]) < 10.0
+
+
+def test_default_decommission_leg_is_one_piece_per_phase():
+    # the default ScenarioConfig's decommission, 500 -> 250 km, flown at the
+    # full wet mass (more than any tour has left by then): 518 burns over
+    # 33 days.  At 40 coast stages per orbit it needed about 23,000 stages
+    # and the stage cap split it; at COAST_STAGES_PER_ORBIT = 4 about 4,600
+    cfg = ScenarioConfig()
+    kep = KeplerianState(EARTH.re + cfg.insertion_altitude, 0.0, cfg.insertion_inclination,
+                         cfg.insertion_raan, 0.0, 0.0)
+    state0 = SpacecraftState(kep_to_mee(kep), mass=cfg.spacecraft.wet_mass)
+    est, plan = decommission_estimate(state0, EARTH.re + cfg.decommission_altitude,
+                                      cfg.spacecraft.thruster)
+    assert len(plan.events) == 518
+    x_ref = np.concatenate([est.end_state.mee.as_array(), [est.end_state.mass]])
+    pieces = scp._problems_for_leg(state0, plan, RefineOptions(), x_ref, EARTH, "leg")
+    assert [label for _, _, label in pieces] == [
+        f"leg/phase{gi}.0" for gi in range(len(scp._phase_groups(plan)))]
 
 
 @pytest.fixture(scope="module")
