@@ -73,17 +73,14 @@ def derived_seed(base: int, index: int) -> int:
 
 def _json_fits(value, hint) -> bool | None:
     """Whether the JSON ``value`` can set a field of type ``hint``: a bool
-    is not a number, a float is not an int, and a tuple comes from a list.
-    None when no JSON value can set such a field."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    is not a number and a float is not an int.  None when no JSON value can
+    set such a field."""
     if hint in (int, float):
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
     if hint in (str, type(None)):
         return isinstance(value, hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_json_fits(value, arg) for arg in args)
-    if origin is tuple and args[1:] == (Ellipsis,):
-        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_json_fits(value, arg) for arg in typing.get_args(hint))
     return None
 
 
@@ -129,7 +126,7 @@ def _scenario_config(path: str | None) -> ScenarioConfig:
 def _optimizer_config(path: str | None, seed: int | None) -> OptimizerConfig:
     """The config file's settings; ``seed`` replaces the file's ``seed``, and
     with neither the seed is 0, so every run is reproducible."""
-    config = _config_from(OptimizerConfig, path, {"algorithms": ("algorithms", tuple)})
+    config = _config_from(OptimizerConfig, path, {})
     if seed is None:
         seed = 0 if config.seed is None else config.seed
     return dataclasses.replace(config, seed=seed)

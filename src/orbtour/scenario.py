@@ -136,7 +136,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if (self.fixed_bundles is not None
                 and not self.min_bundles <= self.fixed_bundles <= self.n_payloads):
-            raise ValueError("fixed bundle count out of range")
+            raise ValueError(f"fixed_bundles must be in [{self.min_bundles}, "
+                             f"{self.n_payloads}], got {self.fixed_bundles}")
 
     @property
     def n_payloads(self) -> int:

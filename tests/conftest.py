@@ -519,27 +519,26 @@ def kendall_tau(a, b) -> int:
 
 
 def ga_step_uniform(keys: np.ndarray, cost: np.ndarray,
-                    rngs: list[np.random.Generator]) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """The GA step with its blend crossover drawn by ``Generator.uniform``,
-    each draw its own call and the elite taken by a stable sort: the
-    reference for :func:`orbtour.optimizer._ga_step`."""
+    its mutation by ``Generator.normal`` at the masked genes only and the
+    elite taken by a stable sort: the reference for
+    :func:`orbtour.optimizer._ga_step`."""
     isl, pop, n = keys.shape
     elites = 1
     n_off = pop - elites
     rows = np.arange(isl)[:, None]
     children = np.empty_like(keys)
     children[:, :elites] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :elites]]
-    picks = np.stack([rng.integers(0, pop, (2, n_off, TOURNAMENT)) for rng in rngs])
+    picks = rng.integers(0, pop, (isl, 2, n_off, TOURNAMENT))
     won = np.argmin(cost[rows[..., None, None], picks], axis=3)
     winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
     pa, pb = keys[rows, winners[:, 0]], keys[rows, winners[:, 1]]
     lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
     reach = CROSSOVER_BLEND * (hi - lo)
-    child = np.stack([rng.uniform(lo[i] - reach[i], hi[i] + reach[i])
-                      for i, rng in enumerate(rngs)])
-    child = child + np.stack([(rng.random((n_off, n)) < MUTATION_RATE)
-                              * rng.normal(0.0, MUTATION_SIGMA, (n_off, n))
-                              for rng in rngs])
+    child = rng.uniform(lo - reach, hi + reach)
+    mask = rng.random((isl, n_off, n)) < MUTATION_RATE
+    child[mask] = child[mask] + rng.normal(0.0, MUTATION_SIGMA, int(mask.sum()))
     children[:, elites:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
     return children
 

@@ -1,14 +1,13 @@
 """The traced benchmark run wraps functions where orbtour's modules bind
 them and reads their arguments by parameter name, so a renamed function or
 parameter breaks it only at run time.  This drives each wrapped binding the
-counters depend on once, through ``perfbench/spans.py`` as it stands, and a
-small island search and the exact oracle, whose spans nest the search's
-priced batches under it, one per generation."""
+counters depend on once, through ``perfbench/spans.py`` as it stands, and
+two small island searches and the exact oracle, whose spans nest each
+search's priced batches under it, one per generation."""
 import importlib
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from orbtour import cli, ocp, optimizer, scp, tour, verify
 from orbtour.constants import EARTH
@@ -52,49 +51,30 @@ def test_benchmark_counters_read_the_arguments_they_name(monkeypatch, tmp_path):
 
 
 def test_benchmark_sees_one_priced_batch_per_island_generation(monkeypatch):
+    # two searches, the second with ring migrations, then the exact oracle
     spans = load_spans(monkeypatch)
     tracer = spans.Tracer()
     spans.instrument(tracer)
     scn = sample_scenario(ScenarioConfig(fixed_bundles=5), seed=4)
-    config = optimizer.OptimizerConfig(islands=3, population=8, generations=4, seed=1)
+    searches = [(scn, optimizer.OptimizerConfig(islands=3, population=8, generations=4,
+                                                seed=1)),
+                (sample_scenario(ScenarioConfig(fixed_bundles=6), seed=8),
+                 optimizer.OptimizerConfig(islands=3, population=5, generations=7,
+                                           migration_interval=3, seed=2))]
     try:
-        optimizer.optimize(scn, config)
+        for scenario, config in searches:
+            optimizer.optimize(scenario, config)
         tour.brute_force(scn)
     finally:
         tracer.restore()
     metrics = spans.layer_metrics(tracer, 1, [1.0], 1.0)
-    assert metrics["tour.cost_batch_rows"] == 3 * 8 * 4
-    assert metrics["tour.cost_batch_calls"] == metrics["optimizer.island_generations"] == 4
-    assert metrics["optimizer.optimize_calls"] == 1
-    children = {name: [] for name, *_ in tracer.spans}
-    for name, _, _, parent, _ in tracer.spans:
-        if parent is not None:
-            children[tracer.spans[parent][0]].append(name)
-    assert [name for name, _, _, parent, _ in tracer.spans if parent is None] == [
-        "optimizer.optimize", "tour.brute_force"]
-    assert children["optimizer.optimize"] == ["tour.cost_batch"] * 4 + ["tour.tour_cost"]
-    assert children["tour.brute_force"] == ["tour.tour_cost"]
-
-
-@pytest.mark.parametrize("algorithms", [("ga",), ("pso",)], ids=["all-ga", "all-pso"])
-def test_an_empty_island_block_still_prices_once_per_generation(monkeypatch, algorithms):
-    # with no PSO (or no GA) islands the search still prices every member in
-    # one batch per generation
-    spans = load_spans(monkeypatch)
-    tracer = spans.Tracer()
-    spans.instrument(tracer)
-    scn = sample_scenario(ScenarioConfig(fixed_bundles=6), seed=8)
-    config = optimizer.OptimizerConfig(islands=3, population=5, generations=7,
-                                       migration_interval=3, algorithms=algorithms,
-                                       seed=2)
-    try:
-        optimizer.optimize(scn, config)
-    finally:
-        tracer.restore()
-    metrics = spans.layer_metrics(tracer, 1, [1.0], 1.0)
-    assert metrics["tour.cost_batch_rows"] == 3 * 5 * 7
-    assert metrics["tour.cost_batch_calls"] == metrics["optimizer.island_generations"] == 7
-    (root,) = [i for i, (_, _, _, parent, _) in enumerate(tracer.spans) if parent is None]
-    assert tracer.spans[root][0] == "optimizer.optimize"
-    assert [name for name, _, _, parent, _ in tracer.spans if parent == root] == [
-        "tour.cost_batch"] * 7 + ["tour.tour_cost"]
+    assert metrics["tour.cost_batch_rows"] == 3 * 8 * 4 + 3 * 5 * 7
+    assert metrics["tour.cost_batch_calls"] == metrics["optimizer.island_generations"] == 11
+    assert metrics["optimizer.optimize_calls"] == 2
+    roots = [i for i, (_, _, _, parent, _) in enumerate(tracer.spans) if parent is None]
+    assert [tracer.spans[i][0] for i in roots] == [
+        "optimizer.optimize", "optimizer.optimize", "tour.brute_force"]
+    assert [[name for name, _, _, parent, _ in tracer.spans if parent == root]
+            for root in roots] == [["tour.cost_batch"] * 4 + ["tour.tour_cost"],
+                                   ["tour.cost_batch"] * 7 + ["tour.tour_cost"],
+                                   ["tour.tour_cost"]]

@@ -464,7 +464,7 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch)
     assert "migration_cnt" in capsys.readouterr().err
     assert run(["generate", "--config", cfg, "--out", tmp_path / "s.json"]) == 1
     assert "migration_cnt" in capsys.readouterr().err
-    # the GA/PSO hyperparameters are constants, not config keys
+    # the GA hyperparameters are constants, not config keys
     cfg.write_text('{"mutation_rate": 0.2}')
     assert run(["solve", "--scenario", scn_path, "--optimizer-config", cfg,
                 "--out", tmp_path / "t.json"]) == 1
@@ -477,7 +477,7 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch)
                           (["solve", "--scenario", scn_path, "--optimizer-config"],
                            '{"generations": "ten"}'),
                           (["solve", "--scenario", scn_path, "--optimizer-config"],
-                           '{"algorithms": []}'),
+                           '{"islands": 0}'),
                           (["solve", "--scenario", scn_path, "--optimizer-config"],
                            '{"seed": -5}'),
                           (["generate", "--config"], '{"fixed_bundles": "x"}')):
@@ -486,11 +486,11 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch)
         err = capsys.readouterr().err
         assert str(cfg) in err and len(err.strip().splitlines()) == 1
     # montecarlo reads the optimizer config once, before any scenario runs
-    cfg.write_text('{"algorithms": []}')
+    cfg.write_text('{"islands": 0}')
     assert run(["montecarlo", "--n", 2, "--jobs", 1, "--out-dir", tmp_path / "mc",
                 "--optimizer-config", cfg]) == 1
     err = capsys.readouterr().err
-    assert f"{cfg}: bad OptimizerConfig value: algorithms" in err
+    assert f"{cfg}: bad OptimizerConfig value: island" in err
     assert len(err.strip().splitlines()) == 1
     # so does a constants file with an unknown key
     cfg.write_text('{"mu_typo": 1}')
@@ -498,6 +498,31 @@ def test_unknown_config_keys_rejected(tmp_path, tiny_paths, capsys, monkeypatch)
     assert run(["generate", "--out", tmp_path / "o.json"]) == 1
     err = capsys.readouterr().err
     assert "mu_typo" in err and str(cfg) in err and len(err.strip().splitlines()) == 1
+
+
+def test_algorithms_is_an_unknown_optimizer_key(tmp_path, tiny_paths, capsys):
+    # every island runs the GA, so the key that chose island algorithms is gone
+    _, scn_path = tiny_paths
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"algorithms": ["ga"]}')
+    for argv in (["solve", "--scenario", scn_path, "--out", tmp_path / "t.json"],
+                 ["montecarlo", "--n", 2, "--jobs", 1, "--out-dir", tmp_path / "mc"]):
+        assert run(argv + ["--optimizer-config", cfg]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: {cfg}: unknown OptimizerConfig key(s): algorithms"
+
+
+def test_bundle_count_out_of_range_names_value_and_range(tmp_path, capsys):
+    # the default manifest has 13 payloads and at least 2 bundles
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"fixed_bundles": 99}')
+    for argv, bad in ((["montecarlo", "--n", 1, "--jobs", 1, "--bundles", 0,
+                        "--out-dir", tmp_path / "mc"], 0),
+                      (["generate", "--config", cfg, "--out", tmp_path / "s.json"], 99)):
+        assert run(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.endswith(f"fixed_bundles must be in [2, 13], got {bad}")
 
 
 def arc_record(label: str = "leg0/phase0.0", stages: int = 1, **fields) -> dict:
