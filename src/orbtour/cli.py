@@ -215,24 +215,27 @@ def cmd_solve(args) -> int:
     t0 = time.time()
     consts = active_constants()
     scn = load_scenario(args.scenario, consts)
-    seeds_in: list = []
-    if args.seed_candidates == "walks":
-        seeds_in = list(heuristic_walks(scn, consts).values())
-    for path in args.seed_tours or []:
-        seeds_in.append(load_tour_order(path, scn.n_bundles))
-
     if args.exact:
+        for option in ("trace", "seed", "optimizer_config", "seed_candidates",
+                       "seed_tours"):
+            if getattr(args, option) is not None:
+                raise ValueError(f"--{option.replace('_', '-')} does not apply "
+                                 f"to solve --exact")
         tour = brute_force(scn, consts=consts)
-        trace = None
         seeds = {}
     else:
+        seeds_in: list = []
+        if args.seed_candidates == "walks":
+            seeds_in = list(heuristic_walks(scn, consts).values())
+        for path in args.seed_tours or []:
+            seeds_in.append(load_tour_order(path, scn.n_bundles))
         config = _optimizer_config(args.optimizer_config, args.seed)
         tour, trace = optimize(scn, config, seeds=seeds_in or None, consts=consts)
         seeds = {"seed": config.seed}
 
     save_tour(tour, args.out)
     outputs = [args.out]
-    if args.trace and trace is not None:
+    if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.to_csv())
         outputs.append(args.trace)

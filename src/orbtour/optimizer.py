@@ -1,30 +1,31 @@
 """Island-model genetic search of visit orders over random keys.
 
-Each island evolves a population of key vectors in [0,1)^n (decoded to
-permutations by argsort) with a generational GA: tournament selection,
-blend crossover, Gaussian key mutation and one elite.  Each island starts
-from one draw of scrambled Sobol points, with a fixed share spawned near
-any candidate solutions by Mallows sampling; the candidates themselves are
-always injected verbatim, so the final best can never be worse than the
-best seed.  A ring migration moves each island's best individual onto its
-neighbour every few generations.
+Each island evolves a population of key vectors in [0,1)^n, decoded to
+permutations by stable argsort, with a generational GA: tournament
+selection, blend crossover, Gaussian key mutation and one elite.  Each
+island starts from uniform keys, with a fixed share spawned near any
+candidate solutions by Mallows sampling.  The candidates are ranked by cost
+and as many as a population holds go in verbatim, cheapest first, so the
+final best can never be worse than the best seed.  A ring migration moves
+each island's best individual onto its neighbour every few generations.
 
 All islands are held as one (islands, population, n) key array: each
 generation prices every member in one batch and steps every island in
-place.  One generator, seeded from the config, draws the initial
-populations island by island and then, each generation, the tournament
-picks of every island, one block of uniforms (every island's crossover,
-then every mutation mask) and a normal for each masked gene only, so
-results are reproducible bit for bit.
+place.  One generator, seeded from the config, draws everything: the
+initial populations island by island (uniform keys, then the encodings and
+Mallows samples of the seeded share) and then, each generation, the
+tournament picks of every island, one block of uniforms (every island's
+crossover, then every mutation mask) and a normal for each masked gene
+only, so results are reproducible bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
-from .permutations import decode, encode, sample_mallows, sobol_points
 from .scenario import MissionScenario
 from .tour import Tour, TourEvaluator, tour_cost
 
@@ -117,23 +118,83 @@ def _ga_step(keys: np.ndarray, cost: np.ndarray, rng: np.random.Generator) -> No
     np.minimum(np.maximum(child, 0.0, out=child), _KEY_MAX, out=keys[:, 1:])
 
 
+def decode(keys) -> np.ndarray:
+    """Permutation encoded by a key vector: stable argsort (ties keep index
+    order)."""
+    return np.asarray(keys).argsort(kind="stable")
+
+
+def encode(perm, rng: np.random.Generator) -> np.ndarray:
+    """Key vector whose decode is ``perm``: draw keys from ``rng``, sort
+    them, and place the j-th smallest at position perm[j]."""
+    perm = np.asarray(perm, dtype=np.int64)
+    keys = np.sort(rng.random(perm.size))
+    out = np.empty(perm.size)
+    out[perm] = keys
+    return out
+
+
+def _decode_lehmer(codes: np.ndarray) -> np.ndarray:
+    """Insertion decode: row-wise pick the code[j]-th smallest remaining
+    item.  codes (B, n) -> permutations (B, n)."""
+    B, n = codes.shape
+    alive = np.ones((B, n), dtype=bool)
+    out = np.empty((B, n), dtype=np.int64)
+    rows = np.arange(B)
+    for j in range(n):
+        ranks = np.cumsum(alive, axis=1)
+        pick = np.argmax(ranks == (codes[:, j] + 1)[:, None], axis=1)
+        out[:, j] = pick
+        alive[rows, pick] = False
+    return out
+
+
+def sample_mallows(center, theta: float, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Sample ``count`` permutations from the Kendall-tau Mallows model
+    P(sigma) ~ exp(-theta * d(sigma, center)), shape (count, n), drawing
+    from ``rng``.
+
+    Insertion-vector method: the Lehmer-code entries are independent
+    truncated-geometric variables whose sum is the Kendall distance to the
+    center, so the exact target distribution is produced in O(n^2) per
+    sample.
+    """
+    if theta < 0.0:
+        raise ValueError("theta must be >= 0")
+    if sorted(center) != list(range(len(center))):
+        raise ValueError("center must be a permutation of [0, n)")
+    n = len(center)
+    codes = np.zeros((count, n), dtype=np.int64)
+    q = math.exp(-theta)
+    for j in range(n - 1):
+        support = n - j
+        if theta == 0.0:
+            codes[:, j] = rng.integers(0, support, count)
+        else:
+            weights = q ** np.arange(support)
+            cdf = np.cumsum(weights)
+            cdf /= cdf[-1]
+            codes[:, j] = np.searchsorted(cdf, rng.random(count), side="right")
+    return _decode_lehmer(codes)[:, np.asarray(center, dtype=np.int64)]
+
+
 def _initial_population(n: int, count: int, candidates: list[np.ndarray],
                         rng: np.random.Generator) -> np.ndarray:
-    sobol_seed = int(rng.integers(0, 2**31))
-    keys = sobol_points(n, count, sobol_seed) if n > 1 else np.zeros((count, 1))
+    """``count`` uniform key vectors; with ``candidates``, ranked cheapest
+    first, the first slots take the candidates verbatim and Mallows
+    neighbourhoods of them fill the rest of the seeded share."""
+    keys = rng.random((count, n))
     if candidates:
         # Mallows dispersion: 2n over the largest Kendall distance n(n-1)/2
-        theta = 4.0 / (n - 1) if n > 1 else 1.0
-        # every candidate goes in verbatim, then Mallows neighbourhoods fill
-        # the seeded share
+        theta = 4.0 / max(n - 1, 1)
         n_verbatim = min(len(candidates), count)
         n_seeded = max(int(round(SEEDING_FRACTION * count)), n_verbatim)
         for slot in range(n_verbatim):
             keys[slot] = encode(candidates[slot], rng)
-        for slot in range(n_verbatim, min(n_seeded, count)):
+        for slot in range(n_verbatim, n_seeded):
             cand = candidates[(slot - n_verbatim) % len(candidates)]
-            sample = sample_mallows(cand, theta, 1, seed=int(rng.integers(0, 2**31)))[0]
-            keys[slot] = encode(sample, rng)
+            keys[slot] = encode(sample_mallows(cand, theta, 1, rng)[0], rng)
     return keys
 
 
@@ -142,8 +203,9 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
              consts: PhysicalConstants = EARTH) -> tuple[Tour, EvolutionTrace]:
     """Archipelago search for the cheapest visit order.
 
-    ``seeds`` may contain Tours or plain orders; they are injected into the
-    initial populations and anchor the Mallows-seeded fraction.
+    ``seeds`` may contain Tours or plain orders; ranked by cost, they are
+    injected into the initial populations and anchor the Mallows-seeded
+    fraction.
     """
     config = config or OptimizerConfig()
     n = scenario.n_bundles
@@ -154,6 +216,11 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
         if sorted(order.tolist()) != list(range(n)):
             raise ValueError("seed tours must be permutations of the bundle indices")
         candidates.append(order)
+    if candidates:
+        # cheapest first, so a population too small for every seed keeps the
+        # best ones
+        rank = evaluator.cost_batch(np.stack(candidates))[0].argsort(kind="stable")
+        candidates = [candidates[i] for i in rank]
 
     isl, pop = config.islands, config.population
     rng = np.random.default_rng(config.seed)

@@ -21,8 +21,8 @@ set, last bundle); one order priced leg by leg from the closed-form dv,
 with the rocket equation evaluated in full on every leg, the reference for
 the batch pricing over leg-fraction tables; and the GA step drawing its
 crossover with ``Generator.uniform`` the reference for the optimizer's.
-The Cartesian conversions and the permutation helpers (Sobol points,
-uniform permutations, Kendall distance) serve only the checks.
+The Cartesian conversions and the permutation helpers (uniform
+permutations, Kendall distance) serve only the checks.
 """
 from __future__ import annotations
 
@@ -39,8 +39,7 @@ from orbtour.errors import SingularStateError
 from orbtour.maneuvers import hohmann_dv, plane_change_dv
 from orbtour.ocp import _FD_REL, _FD_STATE_SCALE, linearize_batch
 from orbtour.optimizer import (CROSSOVER_BLEND, MUTATION_RATE, MUTATION_SIGMA,
-                               TOURNAMENT)
-from orbtour.permutations import sobol_points
+                               TOURNAMENT, decode)
 from orbtour.propagate import rk4_batch
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario)
@@ -461,15 +460,12 @@ def kep_to_cartesian(kep: KeplerianState, consts: PhysicalConstants = EARTH) -> 
 # permutation helpers
 # ---------------------------------------------------------------------------
 
-def sample_uniform_permutations(n: int, count: int, seed: int | None = None) -> np.ndarray:
-    """Uniform permutations of [0, n) obtained by argsorting Sobol points,
-    shape (count, n)."""
+def sample_uniform_permutations(n: int, count: int, seed: int = 0) -> np.ndarray:
+    """Uniform permutations of [0, n), decoded from uniform keys as the
+    optimizer's initial populations are, shape (count, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return np.zeros((count, 1), dtype=np.int64)
-    pts = sobol_points(n, count, seed)
-    return np.argsort(pts, axis=1, kind="stable")
+    return decode(np.random.default_rng(seed).random((count, n)))
 
 
 def lex_orders(n: int) -> np.ndarray:

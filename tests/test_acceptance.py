@@ -19,8 +19,7 @@ from orbtour.dynamics import j2_secular_rates
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
                               kep_to_mee, mee_to_kep)
 from orbtour.maneuvers import ThrusterSpec, mht_estimate, nic_estimate
-from orbtour.optimizer import OptimizerConfig, optimize
-from orbtour.permutations import sample_mallows
+from orbtour.optimizer import OptimizerConfig, optimize, sample_mallows
 from orbtour.propagate import PropagatorConfig, propagate_numeric, rk4_batch
 from orbtour.scenario import (ScenarioConfig, sample_scenario,
                               scenario_to_dict, sso_inclination)
@@ -289,7 +288,8 @@ def test_criterion_11_sampling_statistics():
     assert counts.size == 24 and chi2 < crit
 
     theta = 1.0
-    draws = sample_mallows((0, 1, 2, 3), theta, 1_000_000, seed=8)
+    draws = sample_mallows((0, 1, 2, 3), theta, 1_000_000,
+                           np.random.default_rng(8))
     keys = draws @ (4 ** np.arange(4))
     uniq, counts = np.unique(keys, return_counts=True)
     freq = dict(zip(uniq.tolist(), counts.tolist()))

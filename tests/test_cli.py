@@ -112,6 +112,22 @@ def test_solve_exact_above_the_cap_is_a_one_line_error(tmp_path, capsys):
     assert f"limited to {MAX_EXACT_BUNDLES} bundles" in err and "has 17" in err
 
 
+@pytest.mark.parametrize("option", [["--trace", "t.csv"], ["--seed", "3"],
+                                    ["--optimizer-config", "opt.json"],
+                                    ["--seed-candidates", "walks"],
+                                    ["--seed-tours"]],
+                         ids=lambda o: o[0])
+def test_solve_exact_refuses_search_options(tiny_paths, tmp_path, monkeypatch, capsys,
+                                            option):
+    _, scn = tiny_paths
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code = run(["solve", "--scenario", scn, "--exact", "--out", "t.json", *option])
+    err = capsys.readouterr().err
+    assert code == 1 and not Path("t.json").exists() and not Path("t.csv").exists()
+    assert err == f"error: {option[0]} does not apply to solve --exact\n"
+
+
 def test_solve_deterministic_and_traced(tmp_path):
     scn_file = tmp_path / "s.json"
     run(["generate", "--seed", 2, "--out", scn_file])

@@ -6,7 +6,7 @@ import pytest
 from conftest import ga_step_uniform
 from orbtour.optimizer import OptimizerConfig, _ga_step, optimize
 from orbtour.scenario import ScenarioConfig, sample_scenario
-from orbtour.tour import TourEvaluator, brute_force, heuristic_walks
+from orbtour.tour import TourEvaluator, brute_force, heuristic_walks, tour_cost
 
 
 def test_two_bundles_solved_immediately():
@@ -40,13 +40,34 @@ def test_ga_step_equals_uniform_crossover_oracle(seed):
 
 
 def test_seeding_never_hurts(small_scenario):
-    walks = heuristic_walks(small_scenario)
-    seeds = list(walks.values())
-    best, _ = optimize(small_scenario,
-                       OptimizerConfig(seed=3, generations=5, islands=2,
-                                       population=12),
-                       seeds=seeds)
-    assert best.cost <= min(t.cost for t in seeds) + 1e-12
+    # the four walks; then more seeds than a population holds, the best last
+    walks = list(heuristic_walks(small_scenario).values())
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=9), seed=9001)
+    g = np.random.default_rng(0)
+    surplus = [g.permutation(9) for _ in range(8)] + [TourEvaluator(scn).exact_order()[0]]
+    cases = [(small_scenario, walks, [t.cost for t in walks],
+              OptimizerConfig(seed=3, generations=5, islands=2, population=12)),
+             (scn, surplus, [tour_cost(scn, s).cost for s in surplus],
+              OptimizerConfig(islands=2, population=8, generations=1, seed=0))]
+    for scenario, seeds, costs, config in cases:
+        best, _ = optimize(scenario, config, seeds=seeds)
+        assert best.cost <= min(costs) + 1e-12
+
+
+def test_search_draws_from_one_generator(small_scenario, monkeypatch):
+    walks = list(heuristic_walks(small_scenario).values())
+    built = []
+    make = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for seeds in (None, walks):
+        built.clear()
+        optimize(small_scenario, OptimizerConfig(seed=6, generations=2), seeds=seeds)
+        assert len(built) == 1
 
 
 def test_deterministic_under_seed(small_scenario):
@@ -77,7 +98,7 @@ def test_archipelago_priced_once_per_generation_with_pinned_results(
                                            population=16))
     assert best.order == (1, 2, 0)
     assert (hashlib.sha256(trace.to_csv().encode()).hexdigest()
-            == "2e433207683cb51466a1fdeb995393722bdb5f5a5e2e7daba6ca5e3937767196")
+            == "6571b6bbac250b6ddc6efa6c4eb42793b085f3fb2f21fc71ec728d8a5687937d")
     assert trace.migrations == [(19, 0, 1), (19, 1, 2), (19, 2, 0)]
     assert calls == [3 * 16] * 30
 
@@ -89,26 +110,26 @@ def test_production_size_search_pinned():
     # step
     scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=1913)
     best, trace = optimize(scn, OptimizerConfig(seed=19))
-    assert best.order == (12, 1, 0, 4, 2, 3, 11, 10, 7, 8, 5, 6, 9)
-    assert repr(float(best.fuel_total)) == "24.973668438930773"
+    assert best.order == (2, 3, 11, 0, 4, 1, 12, 9, 6, 7, 10, 8, 5)
+    assert repr(float(best.fuel_total)) == "24.96445952376199"
     assert trace.migrations == [(g, i, (i + 1) % 8) for g in range(19, 200, 20)
                                 for i in range(8)]
     assert (hashlib.sha256(trace.to_csv().encode()).hexdigest()
-            == "ad5f1775ef0976415b324472fa3c4c8285cf70f7d8c3253f83b7c169acdab90d")
+            == "2980f9453e6478e5b59a3d1891096546f070ffbb240f226351d78b5febb55985")
 
 
 @pytest.mark.parametrize("config, order, fuel, digest", [
     (OptimizerConfig(islands=1, population=24, generations=40, seed=21),
-     (2, 0, 6, 5, 7, 3, 4, 1), "21.200318956114728",
-     "da181e3ba4288d332086a3441c859c799e2be5b0e187d3b9d94a272f828e4874"),
+     (2, 1, 3, 4, 7, 0, 6, 5), "18.482476866167584",
+     "d1ad5385ec4c8561ff42b48e66adc3ab2fe7c7e0f264a85b5c6aba01de64c1f8"),
     (OptimizerConfig(islands=4, population=1, generations=30, migration_interval=5,
                      seed=23),
-     (1, 7, 0, 4, 5, 6, 3, 2), "27.06496256936167",
-     "d5310f20416091ab72c3c0d6db036c887f0fddee8c1305c166512d5d6a222514"),
+     (1, 3, 4, 5, 2, 6, 0, 7), "26.313752962027326",
+     "86fc7d76855b731c2c111b75b24bf03f6584ea9ddd553dad47a63e2a2acc7edd"),
     (OptimizerConfig(islands=5, population=16, generations=50, migration_interval=7,
                      seed=20),
      (2, 1, 3, 4, 7, 0, 6, 5), "18.482476866167584",
-     "f135d583a9429338bbe96c5223ec7faf92ccf496da43aa833a0f74c16deee2aa"),
+     "f37e85eb5d04fe1ef127c096bd67cb263887a1513bbdc5f4ad239b5866fd1add"),
 ], ids=["single-island", "population-1", "odd-ring"])
 def test_island_layouts_pinned(config, order, fuel, digest):
     # one island, one member per island, and an odd ring of five islands;
