@@ -1,12 +1,11 @@
-"""Discretized optimal-control problem construction: stage grids with
-per-stage thrust bounds aligned to a burn plan, the multi-impulsive warm
-start, and linearization of the discrete dynamics by vectorized central
-finite differences.  :func:`roll_on` rolls warm starts and their tails,
-one :func:`~orbtour.propagate.propagate_numeric` run per coast or window.
+"""Discretized optimal-control problem construction and its batch work:
+stage grids with per-stage thrust bounds aligned to a burn plan, the stage
+defects of node states and the linearization of the discrete dynamics by
+vectorized central finite differences.  Sequential rolls (warm starts,
+tails, exit rollouts) live in :mod:`orbtour.scp`.
 
-The linearization and the independent stage integration of
-:func:`rk4_stages` walk the grid in chunks of stages sharing a substep
-count, each chunk at most one block of
+:func:`stage_defects` and :func:`linearize_batch` walk the grid in chunks
+of stages sharing a substep count, each chunk at most one block of
 :func:`~orbtour.propagate.rk4_batch` rows, and write every chunk's result
 straight into the grid-sized output.  What they hold besides that output
 is bounded by one chunk, not by the grid; since stages never interact, the
@@ -30,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
-from .elements import MeeState, SpacecraftState
 from .maneuvers import BurnPlan, ThrusterSpec
-from .propagate import BATCH_BLOCK, PropagatorConfig, propagate_numeric, rk4_batch
+from .propagate import BATCH_BLOCK, rk4_batch
 
 #: grid resolution (stages per burn window / per coast revolution)
 BURN_STAGES = 4
@@ -40,9 +38,6 @@ COAST_STAGES_PER_ORBIT = 4
 STAGE_CAP = 20000
 #: max internal integration substep on coast stages [s]
 COAST_SUBSTEP = 40.0
-#: impulse shortfall [kN*s] left after the last window above which the warm
-#: start warns
-SPILL_TOL = 1e-3
 
 
 @dataclass
@@ -163,67 +158,6 @@ def split_plan(plan: BurnPlan, max_duration: float) -> list[BurnPlan]:
     return [BurnPlan(events) for events in chunks]
 
 
-def roll_on(x: np.ndarray, controls: np.ndarray, dt: np.ndarray, isp: float,
-            consts: PhysicalConstants = EARTH) -> np.ndarray:
-    """Sequential rollout from state x (7,) through stages of constant
-    thrust ``controls`` (n, 3) [kN] and durations ``dt`` (n,) at
-    :data:`COAST_SUBSTEP`; returns (n+1, 7) states, the first equal to x."""
-    state = SpacecraftState(MeeState.from_array(x[:6]), mass=float(x[6]))
-    return propagate_numeric(state, controls, dt, isp,
-                             PropagatorConfig(step=COAST_SUBSTEP), consts)
-
-
-def warm_start(grid: StageGrid, x0: np.ndarray, isp: float,
-               consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
-    """Initial trajectory realizing the burn windows' impulses as finite burns.
-
-    Each window applies a constant thrust m*|dv|/duration along the
-    impulse's LVLH direction, with m the mass where the window starts;
-    forces above the window's bound are clipped and the impulse shortfall
-    spills into the next window (a final shortfall above ``SPILL_TOL``
-    warns).  Each coast gap and each window is one :func:`roll_on` run, so
-    the states are the true nonlinear rollout of these controls and
-    (states, controls) is dynamics-consistent from the start.
-
-    Returns (states (N+1, 7), controls (N, 3) [kN]).
-    """
-    n = grid.n_stages
-    controls = np.zeros((n, 3))
-    states = np.empty((n + 1, 7))
-    states[0] = x0
-
-    owner = grid.window_of_stage
-    carry = np.zeros(3)  # impulse shortfall spilled forward [km/s * kg]
-    i = 0
-    while i < n:
-        # one run of stages i..j-1: a whole coast gap or a whole window
-        w = owner[i]
-        j = i + 1
-        while j < n and owner[j] == w:
-            j += 1
-        if w >= 0:
-            window = grid.windows[w]
-            needed = states[i, 6] * np.asarray(window.dv) + carry
-            force = needed / window.duration
-            fmag = float(np.linalg.norm(force))
-            bound = float(grid.tmax[i])
-            if fmag > bound * (1.0 + 1e-9):
-                force = force * (bound / fmag)
-                applied = force * window.duration
-                carry = needed - applied
-                # an unrealized tail above the impulse-bit scale is reportable
-                if (w == len(grid.windows) - 1
-                        and float(np.linalg.norm(carry)) > SPILL_TOL):
-                    warnings.warn("warm start could not realize the full impulse "
-                                  "within the thrust bound", stacklevel=2)
-            else:
-                carry = np.zeros(3)
-            controls[i:j] = force
-        states[i:j + 1] = roll_on(states[i], controls[i:j], grid.dt[i:j], isp, consts)
-        i = j
-    return states, controls
-
-
 def _chunks(substeps: np.ndarray, size: int):
     """Runs of at most ``size`` stages sharing a substep count, as
     (substep count, stage indices) pairs in stage order within a count."""
@@ -233,17 +167,18 @@ def _chunks(substeps: np.ndarray, size: int):
             yield int(ns), stages[a:a + size]
 
 
-def rk4_stages(x: np.ndarray, u: np.ndarray, dt: np.ndarray, substeps: np.ndarray,
-               ve: float, consts: PhysicalConstants = EARTH) -> np.ndarray:
-    """End states of independent stages, each integrated from its own start
-    state: x (N,7), u (N,3), dt (N,), substeps (N,) ints -> (N,7).  The
-    stages are walked in chunks of at most
+def stage_defects(states: np.ndarray, controls: np.ndarray, grid: StageGrid,
+                  isp: float, consts: PhysicalConstants = EARTH) -> np.ndarray:
+    """Stage defects of node states (N+1, 7) under controls (N, 3): the end
+    state of every stage integrated from its own node, minus the next node,
+    in physical units (N, 7).  The stages are walked in chunks of at most
     :data:`~orbtour.propagate.BATCH_BLOCK` sharing a substep count, one
-    :func:`~orbtour.propagate.rk4_batch` block each, so the memory the
-    walk holds besides its result does not grow with N."""
-    out = np.empty_like(x)
-    for ns, i in _chunks(substeps, BATCH_BLOCK):
-        out[i] = rk4_batch(x[i], u[i], dt[i], ns, ve, consts)
+    :func:`~orbtour.propagate.rk4_batch` block each, so the memory the walk
+    holds besides its result does not grow with N."""
+    ve = isp * consts.g0
+    out = np.empty((grid.n_stages, 7))
+    for ns, i in _chunks(grid.substeps(), BATCH_BLOCK):
+        out[i] = rk4_batch(states[i], controls[i], grid.dt[i], ns, ve, consts) - states[i + 1]
     return out
 
 

@@ -7,7 +7,9 @@ island starts from uniform keys, with a fixed share spawned near any
 candidate solutions by Mallows sampling.  The candidates are ranked by cost
 and as many as a population holds go in verbatim, cheapest first, so the
 final best can never be worse than the best seed.  A ring migration moves
-each island's best individual onto its neighbour every few generations.
+each island's best individual onto its neighbour's worst slot every few
+generations, priced at its known cost, so the next step keeps the cheaper
+of the island's own best and the migrant as its elite.
 
 All islands are held as one (islands, population, n) key array: each
 generation prices every member in one batch and steps every island in
@@ -247,7 +249,7 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
             # ring migration: each island's best replaces its neighbour's worst
             worst = first + cost.argmax(axis=1)
             flat[worst] = np.roll(best_keys, 1, axis=0)
-            cost.reshape(-1)[worst] = -np.inf  # refreshed on next evaluate
+            cost.reshape(-1)[worst] = np.roll(best_cost, 1)
             migrations += [(gen, i, (i + 1) % isl) for i in range(isl)]
         if gen == config.generations - 1:
             break

@@ -22,7 +22,10 @@ an accepted iterate's defects enter the next subproblem as its dynamics
 offset.  One sequential rollout of the returned controls runs at exit,
 only after an accepted step, so the returned states are always a
 trajectory of the returned controls; ``converged`` speaks of that rollout.
-Warm starts and their coast tails are rolled by :func:`orbtour.ocp.roll_on`.
+
+Every sequential roll of the refiner goes through :func:`roll_on`: the
+lead coast before an arc, the coast fit that retimes a nodal plan, warm
+starts and their tails, and the exit rollout.
 
 States are scaled by the terminal reference magnitudes and controls by the
 peak thrust before solving, and everything is reported back in physical
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
@@ -40,13 +44,13 @@ from itertools import groupby
 import numpy as np
 
 from .constants import EARTH, PhysicalConstants
-from .elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee, mee_to_kep
+from .elements import MeeState, SpacecraftState, mee_to_kep
 from .errors import SchemaError, read_json_object
 from .maneuvers import (ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec,
                         TransferEstimate)
 from .ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, STAGE_CAP,
-                  StageGrid, build_grid, linearize_batch, rk4_stages, roll_on,
-                  split_plan, warm_start, with_tail)
+                  StageGrid, build_grid, linearize_batch, split_plan, stage_defects,
+                  with_tail)
 from .parallel import ordered_map
 from .propagate import PropagatorConfig, propagate_numeric
 from .qp import ConvexSubproblem, ReducedArcSolver
@@ -61,17 +65,20 @@ P_DIAG = (1e4, 1e4, 1e4, 1e4, 1e4, 1e2, 0.0)
 R_SCALE = 1e-6
 #: scale floors for near-zero reference components [p f g h k L m]
 _SCALE_FLOOR = np.array([1.0, 1e-2, 1e-2, 1e-2, 1e-2, 1.0, 1.0])
-#: trust region on the scaled state step: initial radius and its bounds
-TRUST_RADIUS, MIN_RADIUS, MAX_RADIUS = 0.1, 1e-7, 10.0
+#: trust region on the scaled state step: initial radius and its bound
+TRUST_RADIUS, MAX_RADIUS = 0.1, 10.0
 #: a step whose actual-to-predicted reduction ratio is below RATIO_ACCEPT
 #: is rejected and the radius becomes SHRINK times the step taken; a
 #: scaled-down step whose ratio exceeds RATIO_EXPAND grows it by GROW
 SHRINK, GROW = 0.5, 2.0
 RATIO_ACCEPT, RATIO_EXPAND = 0.25, 0.75
 #: the stop rule and the converged bound of :func:`scp_solve`
-UPDATE_TOL, STOP_SHARE, STOP_FLOOR, ROLLOUT_SHARE = 1e-6, 1e-4, 1e-9, 1e-6
+STOP_SHARE, STOP_FLOOR, ROLLOUT_SHARE = 1e-4, 1e-9, 1e-6
 #: SCP iteration cap per arc
 MAX_ITERATIONS = 50
+#: impulse shortfall [kN*s] left after the last window above which the warm
+#: start warns
+SPILL_TOL = 1e-3
 
 
 @dataclass
@@ -127,14 +134,66 @@ def realized_dv(controls: np.ndarray, dt: np.ndarray, states: np.ndarray) -> flo
     return float(np.sum(mags * dt / m_mid))
 
 
-def stage_defects(states: np.ndarray, controls: np.ndarray, grid: StageGrid,
-                  isp: float, consts: PhysicalConstants = EARTH) -> np.ndarray:
-    """Stage defects of node states (N+1, 7) under controls (N, 3): the end
-    state of every stage propagated from its own node, minus the next node,
-    in physical units (N, 7).  The stages are integrated by
-    :func:`~orbtour.ocp.rk4_stages`, in chunks of equal substep count."""
-    return (rk4_stages(states[:-1], controls, grid.dt, grid.substeps(),
-                       isp * consts.g0, consts) - states[1:])
+def roll_on(x: np.ndarray, controls: np.ndarray, dt: np.ndarray, isp: float,
+            consts: PhysicalConstants = EARTH) -> np.ndarray:
+    """Sequential rollout from state x (7,) through stages of constant
+    thrust ``controls`` (n, 3) [kN] and durations ``dt`` (n,) at
+    :data:`~orbtour.ocp.COAST_SUBSTEP`; returns (n+1, 7) states, the first
+    equal to x."""
+    state = SpacecraftState(MeeState.from_array(x[:6]), mass=float(x[6]))
+    return propagate_numeric(state, controls, dt, isp,
+                             PropagatorConfig(step=COAST_SUBSTEP), consts)
+
+
+def warm_start(grid: StageGrid, x0: np.ndarray, isp: float,
+               consts: PhysicalConstants = EARTH) -> tuple[np.ndarray, np.ndarray]:
+    """Initial trajectory realizing the burn windows' impulses as finite burns.
+
+    Each window applies a constant thrust m*|dv|/duration along the
+    impulse's LVLH direction, with m the mass where the window starts;
+    forces above the window's bound are clipped and the impulse shortfall
+    spills into the next window (a final shortfall above ``SPILL_TOL``
+    warns).  Each coast gap and each window is one :func:`roll_on` run, so
+    the states are the true nonlinear rollout of these controls and
+    (states, controls) is dynamics-consistent from the start.
+
+    Returns (states (N+1, 7), controls (N, 3) [kN]).
+    """
+    n = grid.n_stages
+    controls = np.zeros((n, 3))
+    states = np.empty((n + 1, 7))
+    states[0] = x0
+
+    owner = grid.window_of_stage
+    carry = np.zeros(3)  # impulse shortfall spilled forward [km/s * kg]
+    i = 0
+    while i < n:
+        # one run of stages i..j-1: a whole coast gap or a whole window
+        w = owner[i]
+        j = i + 1
+        while j < n and owner[j] == w:
+            j += 1
+        if w >= 0:
+            window = grid.windows[w]
+            needed = states[i, 6] * np.asarray(window.dv) + carry
+            force = needed / window.duration
+            fmag = float(np.linalg.norm(force))
+            bound = float(grid.tmax[i])
+            if fmag > bound * (1.0 + 1e-9):
+                force = force * (bound / fmag)
+                applied = force * window.duration
+                carry = needed - applied
+                # an unrealized tail above the impulse-bit scale is reportable
+                if (w == len(grid.windows) - 1
+                        and float(np.linalg.norm(carry)) > SPILL_TOL):
+                    warnings.warn("warm start could not realize the full impulse "
+                                  "within the thrust bound", stacklevel=2)
+            else:
+                carry = np.zeros(3)
+            controls[i:j] = force
+        states[i:j + 1] = roll_on(states[i], controls[i:j], grid.dt[i:j], isp, consts)
+        i = j
+    return states, controls
 
 
 def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
@@ -144,12 +203,14 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     Returns the last accepted iterate's controls with their sequential
     rollout as states.  ``objective_history`` holds the merit of the warm
     start and of each accepted iterate; ``objective`` is the true objective
-    of the returned states.  SCP stops on a scaled step below
-    :data:`UPDATE_TOL` or a predicted reduction below
+    of the returned states.  SCP stops on a predicted reduction below
     ``max(STOP_SHARE * |J|, STOP_FLOOR)`` at merit J, and takes that last
-    step if it lowers the merit.  ``converged`` is True when SCP stopped
-    before :data:`MAX_ITERATIONS` and ``objective`` is at most the last
-    accepted merit plus :data:`ROLLOUT_SHARE` of it: lower is no fault.
+    step if it lowers the merit.  At lam = 0 the predicted merit is J, so a
+    shrinking radius drives the predicted reduction to zero and this rule
+    ends the run; the radius needs no floor.  ``converged`` is True when
+    SCP stopped before :data:`MAX_ITERATIONS` and ``objective`` is at most
+    the last accepted merit plus :data:`ROLLOUT_SHARE` of it: lower is no
+    fault.
     """
     grid = problem.grid
     sx, su = problem.scales()
@@ -212,10 +273,8 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
         J_new = merit(X_new, U_new, np.einsum("kab,kb->a", solver.E, D_new))
         pred_red = J - J_pred
         act_red = J - J_new
-        step_norm = max(lam * step_scale,
-                        float(np.max(np.abs((U_new - U) / su))) if U.size else 0.0)
 
-        if step_norm < UPDATE_TOL or pred_red < max(STOP_SHARE * abs(J), STOP_FLOOR):
+        if pred_red < max(STOP_SHARE * abs(J), STOP_FLOOR):
             if act_red > 0.0:
                 X, U, J, D = X_new, U_new, J_new, D_new
                 history.append(J)
@@ -223,7 +282,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             break
         ratio = act_red / pred_red
         if ratio < RATIO_ACCEPT:
-            radius = max(SHRINK * min(radius, step_scale), MIN_RADIUS)
+            radius = SHRINK * min(radius, step_scale)
             continue
         X, U, J, D = X_new, U_new, J_new, D_new
         history.append(J)
@@ -234,10 +293,7 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
             radius = min(radius * GROW, MAX_RADIUS)
 
     if len(history) > 1:
-        state0 = SpacecraftState(MeeState.from_array(problem.x0[:6]),
-                                 mass=float(problem.x0[6]))
-        X = propagate_numeric(state0, U, dt, problem.isp,
-                              PropagatorConfig(step=COAST_SUBSTEP), consts)
+        X = roll_on(problem.x0, U, dt, problem.isp, consts)
     objective = merit(X, U)
     return RefinedArc(states=X, controls=U, dt=dt, t0=problem.t0,
                       dv_total=realized_dv(U, dt, X), iterations=iterations,
@@ -364,16 +420,14 @@ def _retime_node_plan(plan: BurnPlan, x0: np.ndarray, isp: float,
     if not plan.events or any(ev.tag not in (ASC_NODE, DESC_NODE)
                               for ev in plan.events):
         return plan
-    state0 = SpacecraftState(MeeState.from_array(x0[:6]), mass=float(x0[6]))
-    kep = mee_to_kep(state0.mee)
+    kep = mee_to_kep(MeeState.from_array(x0[:6]))
     period = 2.0 * math.pi * math.sqrt(kep.a**3 / consts.mu)
     # fit over a whole number of revolutions so the short-period terms
     # integrate out of the slope; phase errors must stay small across
     # hundreds of burn revolutions
     n_orbits, n_seg = 8, 256
     seg = n_orbits * period / n_seg
-    traj = propagate_numeric(state0, np.zeros((n_seg, 3)), np.full(n_seg, seg),
-                             isp, PropagatorConfig(step=COAST_SUBSTEP), consts)
+    traj = roll_on(x0, np.zeros((n_seg, 3)), np.full(n_seg, seg), isp, consts)
     t = np.arange(n_seg + 1) * seg
     u = traj[:, 5] - np.unwrap(np.arctan2(traj[:, 4], traj[:, 3]))
     u_rate, u0 = np.polyfit(t, u, 1)
@@ -406,12 +460,9 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
     the target's a and i and takes every other element from the warm
     terminal.  Returns (problem, warm states, warm controls).
     """
-    if lead_coast > 0.0:
-        state0 = SpacecraftState(MeeState.from_array(x0[:6]), mass=float(x0[6]))
-        traj = propagate_numeric(state0, np.zeros((1, 3)), np.array([lead_coast]),
-                                 isp, PropagatorConfig(step=COAST_SUBSTEP), consts)
-        x0 = traj[-1]
     x0 = np.asarray(x0, dtype=float)
+    if lead_coast > 0.0:
+        x0 = roll_on(x0, np.zeros((1, 3)), np.array([lead_coast]), isp, consts)[-1]
     plan = _retime_node_plan(plan, x0, isp, consts)
 
     kep = mee_to_kep(MeeState.from_array(x0[:6]))
@@ -450,14 +501,11 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
         # target's e = 0 is unreachable at the anchor phase, where J2 leaves
         # a short-period eccentricity, the node is untargeted by the
         # mission and the phase was resolved combinatorially
-        kep_ref = mee_to_kep(MeeState.from_array(np.asarray(x_ref[:6], dtype=float)))
-        ref = KeplerianState(a=kep_ref.a, e=kep_ref.e, i=kep_ref.i,
-                             raan=kep_w.raan, argp=0.0,
-                             ta=(W[-1, 5] - kep_w.raan) % (2.0 * math.pi))
-        mee_ref = kep_to_mee(ref)
-        x_ref = np.concatenate([mee_ref.as_array(), [W[-1, 6]]])
-        x_ref[5] = W[-1, 5]
-        x_ref[1:3] = W[-1, 1:3]
+        kep_ref = mee_to_kep(MeeState.from_array(x_ref[:6]))
+        chi = math.tan(kep_ref.i / 2.0)
+        x_ref = W[-1].copy()
+        x_ref[0] = kep_ref.a * (1.0 - kep_ref.e**2)
+        x_ref[3:5] = chi * math.cos(kep_w.raan), chi * math.sin(kep_w.raan)
     problem = OcpProblem(x0=x0, grid=grid, x_ref=x_ref, isp=isp, consts=consts,
                          t0=t0, label=label)
     return problem, W, U

@@ -235,8 +235,8 @@ def test_criterion_09_refiner_internal_checks(case1):
 
     # a pure coast problem converges in one iteration
     from orbtour.maneuvers import BurnPlan
-    from orbtour.ocp import build_grid, warm_start, with_tail
-    from orbtour.scp import OcpProblem, scp_solve
+    from orbtour.ocp import build_grid, with_tail
+    from orbtour.scp import OcpProblem, scp_solve, warm_start
     grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 2000.0, 5800.0)
     W, U = warm_start(grid, x, TH.isp)
     coast = scp_solve(OcpProblem(x0=x, grid=grid, x_ref=W[-1].copy(), isp=TH.isp),

@@ -1,17 +1,22 @@
 """The traced benchmark run wraps functions where orbtour's modules bind
 them and reads their arguments by parameter name, so a renamed function or
 parameter breaks it only at run time.  This drives each wrapped binding the
-counters depend on once, through ``perfbench/spans.py`` as it stands, and
-two small island searches and the exact oracle, whose spans nest each
-search's priced batches under it, one per generation."""
+counters depend on once, through ``perfbench/spans.py`` as it stands, one
+refined arc, whose every sequential roll the benchmark must count, and two
+small island searches and the exact oracle, whose spans nest each search's
+priced batches under it, one per generation."""
 import importlib
+import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 
-from orbtour import cli, ocp, optimizer, scp, tour, verify
+import orbtour
+from orbtour import cli, ocp, optimizer, propagate, scp, tour, verify
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, SpacecraftState, kep_to_mee
+from orbtour.maneuvers import ThrusterSpec, mht_estimate
 from orbtour.propagate import PropagatorConfig
 from orbtour.scenario import ScenarioConfig, sample_scenario
 
@@ -47,7 +52,50 @@ def test_benchmark_counters_read_the_arguments_they_name(monkeypatch, tmp_path):
     assert counts["ocp.linearize_stages"] == 1
     assert rows == 2 * 20 and counts["propagate.batch_rows"] == rows + 2
     assert counts["cli.arcs_bytes"] == (tmp_path / "arcs.json").stat().st_size > 0
-    assert scp.propagate_numeric is verify.propagate_numeric is ocp.propagate_numeric
+
+
+def test_sequential_rolls_are_bound_only_where_the_benchmark_wraps_them():
+    # the benchmark counts sequential RK4 through scp.propagate_numeric and
+    # verify.propagate_numeric; a module binding it anywhere else would roll
+    # unseen
+    binders = set()
+    for info in pkgutil.iter_modules(orbtour.__path__, "orbtour."):
+        module = importlib.import_module(info.name)
+        if (module is not propagate
+                and getattr(module, "propagate_numeric", None) is propagate.propagate_numeric):
+            binders.add(info.name)
+    assert binders == {"orbtour.scp", "orbtour.verify"}
+
+
+def test_benchmark_counts_every_roll_of_a_refined_arc(monkeypatch):
+    # a short raise after a lead coast: the lead coast, the warm start, its
+    # tails and the exit rollout all count as scp.rollout RK4 steps, as
+    # many as the integrator itself takes
+    spans = load_spans(monkeypatch)
+    th = ThrusterSpec()
+    est, plan = mht_estimate(6950.0, 6958.0, 235.0, th)
+    orbit = lambda a: kep_to_mee(KeplerianState(a, 0.0, math.radians(97.3964),
+                                                math.radians(158.0), 0.0, 0.0))
+    x0 = np.append(orbit(6950.0).as_array(), 235.0)
+    x_ref = np.append(orbit(6958.0).as_array(), est.end_state.mass)
+    taken = []
+    segment = propagate.rk4_segment
+
+    def counted(y, u, duration, max_step, *args):
+        taken.append(0 if duration == 0.0
+                     else max(1, math.ceil(duration / max_step - 1e-12)))
+        return segment(y, u, duration, max_step, *args)
+
+    monkeypatch.setattr(propagate, "rk4_segment", counted)
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        arc = scp.refine_arc(x0, plan, th, x_ref, scp.RefineOptions(), EARTH,
+                             isp=th.isp, lead_coast=600.0)
+    finally:
+        tracer.restore()
+    assert len(arc.objective_history) > 1            # the exit rollout ran
+    assert tracer.counts["scp.rollout_rk4_steps"] == sum(taken) > 0
 
 
 def test_benchmark_sees_one_priced_batch_per_island_generation(monkeypatch):

@@ -10,10 +10,9 @@ from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
 from orbtour.ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, StageGrid,
-                         build_grid, burn_windows, linearize_batch, roll_on, split_plan,
-                         warm_start, with_tail)
+                         build_grid, burn_windows, linearize_batch, split_plan, with_tail)
 from orbtour.propagate import PropagatorConfig, propagate_numeric
-from orbtour.scp import TRUST_RADIUS, OcpProblem
+from orbtour.scp import TRUST_RADIUS, OcpProblem, roll_on, warm_start
 
 TH = ThrusterSpec()
 

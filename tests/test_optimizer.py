@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ga_step_uniform
+from orbtour import optimizer
 from orbtour.optimizer import OptimizerConfig, _ga_step, optimize
 from orbtour.scenario import ScenarioConfig, sample_scenario
 from orbtour.tour import TourEvaluator, brute_force, heuristic_walks, tour_cost
@@ -84,7 +85,8 @@ def test_deterministic_under_seed(small_scenario):
 def test_archipelago_priced_once_per_generation_with_pinned_results(
         small_scenario, monkeypatch):
     # the order, trace digest and migrations were recorded against a plain
-    # loop that priced and stepped each island with the reference GA step
+    # loop that priced and stepped each island with the reference GA step,
+    # each migrant keeping its known cost
     calls = []
     original = TourEvaluator.cost_batch
 
@@ -98,7 +100,7 @@ def test_archipelago_priced_once_per_generation_with_pinned_results(
                                            population=16))
     assert best.order == (1, 2, 0)
     assert (hashlib.sha256(trace.to_csv().encode()).hexdigest()
-            == "6571b6bbac250b6ddc6efa6c4eb42793b085f3fb2f21fc71ec728d8a5687937d")
+            == "04454c902058a92f97a089a926954d7c86db29501050c21d98b17a5d5fa509f4")
     assert trace.migrations == [(19, 0, 1), (19, 1, 2), (19, 2, 0)]
     assert calls == [3 * 16] * 30
 
@@ -107,7 +109,7 @@ def test_production_size_search_pinned():
     # the default archipelago (8 GA islands of 64 members, 200 generations)
     # on 13 bundles; order, fuel, migrations and trace digest recorded
     # against a plain loop that stepped each island with the reference GA
-    # step
+    # step, each migrant keeping its known cost
     scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=1913)
     best, trace = optimize(scn, OptimizerConfig(seed=19))
     assert best.order == (2, 3, 11, 0, 4, 1, 12, 9, 6, 7, 10, 8, 5)
@@ -115,7 +117,7 @@ def test_production_size_search_pinned():
     assert trace.migrations == [(g, i, (i + 1) % 8) for g in range(19, 200, 20)
                                 for i in range(8)]
     assert (hashlib.sha256(trace.to_csv().encode()).hexdigest()
-            == "2980f9453e6478e5b59a3d1891096546f070ffbb240f226351d78b5febb55985")
+            == "813ecdda762d02fac739c305574cc1add8cf125ce66f6793666c13faffd8d448")
 
 
 @pytest.mark.parametrize("config, order, fuel, digest", [
@@ -129,12 +131,13 @@ def test_production_size_search_pinned():
     (OptimizerConfig(islands=5, population=16, generations=50, migration_interval=7,
                      seed=20),
      (2, 1, 3, 4, 7, 0, 6, 5), "18.482476866167584",
-     "f37e85eb5d04fe1ef127c096bd67cb263887a1513bbdc5f4ad239b5866fd1add"),
+     "27e2d00d9ed58e65f1c20e7d0174328e50815dbe363c9714acb8389b98ffee54"),
 ], ids=["single-island", "population-1", "odd-ring"])
 def test_island_layouts_pinned(config, order, fuel, digest):
     # one island, one member per island, and an odd ring of five islands;
     # the values were recorded against a plain loop that priced and stepped
-    # each island with the reference GA step
+    # each island with the reference GA step, each migrant keeping its
+    # known cost
     scn = sample_scenario(ScenarioConfig(fixed_bundles=8), seed=2020)
     best, trace = optimize(scn, config)
     isl, every = config.islands, config.migration_interval
@@ -144,6 +147,30 @@ def test_island_layouts_pinned(config, order, fuel, digest):
     assert repr(float(best.fuel_total)) == fuel
     assert trace.migrations == (ring if isl > 1 else [])
     assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == digest
+
+
+def test_no_island_best_gets_worse_across_a_step(monkeypatch):
+    # a migrant arrives priced at its known cost, so each island's elite is
+    # the cheaper of its own best and the migrant; pricing every island
+    # before and after each step, its cheapest member never gets dearer
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=1913)
+    evaluator = TourEvaluator(scn)
+    step = optimizer._ga_step
+    worse = []
+
+    def island_best(keys):
+        cost = evaluator.cost_batch(optimizer.decode(keys.reshape(-1, keys.shape[2])))[0]
+        return cost.reshape(keys.shape[:2]).min(axis=1)
+
+    def checked(keys, cost, rng):
+        before = island_best(keys)
+        step(keys, cost, rng)
+        worse.append(int(np.count_nonzero(island_best(keys) > before)))
+
+    monkeypatch.setattr(optimizer, "_ga_step", checked)
+    optimize(scn, OptimizerConfig(seed=19))
+    assert len(worse) == 199
+    assert sum(worse) == 0
 
 
 def test_island_best_monotone_and_migrations_logged(small_scenario):

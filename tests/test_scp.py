@@ -14,12 +14,13 @@ from orbtour.elements import (KeplerianState, MeeState, SpacecraftState, kep_to_
 from orbtour.maneuvers import (BurnPlan, ThrusterSpec, decommission_estimate, mht_estimate,
                                nic_estimate)
 from orbtour.ocp import (COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, StageGrid, build_grid,
-                         warm_start, with_tail)
+                         with_tail)
 from orbtour.propagate import (BATCH_BLOCK, PropagatorConfig, propagate_numeric, rk4_batch,
                                rk4_segment)
 from orbtour.scenario import ScenarioConfig
 from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc,
-                         refine_tour, save_arcs, load_arcs, scp_solve, stage_defects)
+                         refine_tour, save_arcs, load_arcs, scp_solve, stage_defects,
+                         warm_start)
 from orbtour.tour import tour_cost
 from orbtour.verify import repropagate_arc
 
