@@ -4,7 +4,8 @@ change), print an estimator-vs-refiner-vs-verifier comparison table, then
 the process's peak resident set size.  Each transfer's rows show its stage
 count with the wall time of its refinement and of its re-propagation, its
 SCP iterations and accepted steps, and the gap between its exit rollout's
-objective and its last accepted merit that decides ``converged``.
+objective and its last accepted merit that decides ``converged``, and
+its refiner-vs-re-propagation consistency beside verify's 1e-5 gate.
 
 Usage: python scripts/run_reference_transfers.py
 """
@@ -51,6 +52,10 @@ def run_case(name, est, plan, kep0, kep_ref, thruster):
     print(f"  re-propagated     a {achieved.a:.3f} km   e {achieved.e:.5f}   "
           f"i {math.degrees(achieved.i):.4f} deg   "
           f"fuel {traj[0, 6] - traj[-1, 6]:.3f} kg")
+    consistency = np.max(np.abs(traj[-1] - arc.states[-1])
+                         / np.maximum(np.abs(arc.x_ref), 1e-2))
+    print(f"  consistency       {consistency:.1e} scaled terminal mismatch "
+          f"(verify needs < 1e-5)")
 
 
 def main():

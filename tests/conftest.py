@@ -37,7 +37,7 @@ from orbtour.constants import EARTH, PhysicalConstants
 from orbtour.elements import KeplerianState, MeeState
 from orbtour.errors import SingularStateError
 from orbtour.maneuvers import hohmann_dv, plane_change_dv
-from orbtour.ocp import _FD_REL, _FD_STATE_SCALE, linearize_batch
+from orbtour.ocp import _FD_REL, _FD_STATE_SCALE, COAST_SUBSTEP, linearize_batch
 from orbtour.optimizer import (CROSSOVER_BLEND, MUTATION_RATE, MUTATION_SIGMA,
                                TOURNAMENT, decode)
 from orbtour.propagate import rk4_batch
@@ -636,7 +636,7 @@ def random_kep(rng: np.random.Generator, e_max: float = 0.9) -> KeplerianState:
 def mixed_stage_grid(rng: np.random.Generator, n: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A stage grid for the chunked walks: n random node states, about half
-    of them coasts of 120-160 s (4 substeps of 40 s) at zero thrust, the
+    of them coasts of 3-4 COAST_SUBSTEP (4 substeps) at zero thrust, the
     rest burns of 5-40 s (1 substep) at 20-100% of full thrust in random
     directions, and the first burn with its control exactly zero, as a
     burn-window stage can have.  Returns (x (n, 7), u (n, 3), dt (n,),
@@ -650,7 +650,8 @@ def mixed_stage_grid(rng: np.random.Generator, n: int
     u = 0.0126 * rng.uniform(0.2, 1.0, n)[:, None] * u / np.linalg.norm(u, axis=1)[:, None]
     u[coast] = 0.0
     u[np.flatnonzero(~coast)[0]] = 0.0
-    dt = np.where(coast, rng.uniform(120.0, 160.0, n), rng.uniform(5.0, 40.0, n))
+    dt = np.where(coast, rng.uniform(3 * COAST_SUBSTEP, 4 * COAST_SUBSTEP, n),
+                  rng.uniform(5.0, 40.0, n))
     return x, u, dt, coast
 
 
