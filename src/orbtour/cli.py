@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=None,
                    help="optimizer seed (default: the config's seed, else 0)")
     p.add_argument("--seed-candidates", choices=["walks"],
-                   help="inject hand-crafted candidate walks")
-    p.add_argument("--seed-tours", nargs="*", help="tour JSON files to inject")
+                   help="seed island 0 with hand-crafted candidate walks")
+    p.add_argument("--seed-tours", nargs="*", help="tour JSON files that seed island 0")
     p.add_argument("--exact", action="store_true",
                    help="exact optimum by dynamic programming (at most "
                         f"{MAX_EXACT_BUNDLES} bundles)")

@@ -2,11 +2,12 @@
 
 Each island evolves a population of key vectors in [0,1)^n, decoded to
 permutations by stable argsort, with a generational GA: tournament
-selection, blend crossover, Gaussian key mutation and one elite.  Each
-island starts from uniform keys, with a fixed share spawned near any
-candidate solutions by Mallows sampling.  The candidates are ranked by cost
-and as many as a population holds go in verbatim, cheapest first, so the
-final best can never be worse than the best seed.  A ring migration moves
+selection, blend crossover, Gaussian key mutation and one elite.  Every
+island starts from uniform keys.  Candidate solutions, ranked by cost, seed
+island 0 alone: as many as a population holds go into its first slots,
+cheapest first, so its elite and the final best can never be worse than the
+best seed, while the other islands explore unseeded (seeding every island
+pulls the whole archipelago into the seeds' basin).  A ring migration moves
 each island's best individual onto its neighbour's worst slot every few
 generations, priced at its known cost, so the next step keeps the cheaper
 of the island's own best and the migrant as its elite.
@@ -14,15 +15,14 @@ of the island's own best and the migrant as its elite.
 All islands are held as one (islands, population, n) key array: each
 generation prices every member in one batch and steps every island in
 place.  One generator, seeded from the config, draws everything: the
-initial populations island by island (uniform keys, then the encodings and
-Mallows samples of the seeded share) and then, each generation, the
-tournament picks of every island, one block of uniforms (every island's
-crossover, then every mutation mask) and a normal for each masked gene
-only, so results are reproducible bit for bit.
+uniform keys of the whole archipelago in one block, then the keys that
+encode the seeds, and then, each generation, the tournament picks of every
+island, one block of uniforms (every island's crossover, then every
+mutation mask) and a normal for each masked gene only, so results are
+reproducible bit for bit.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +32,6 @@ from .scenario import MissionScenario
 from .tour import Tour, TourEvaluator, tour_cost
 
 
-#: share of each initial population seeded from the candidate tours
-SEEDING_FRACTION = 0.25
 #: GA: tournament size, blend-crossover reach, per-gene mutation rate and
 #: step
 TOURNAMENT = 3
@@ -136,78 +134,14 @@ def encode(perm, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _decode_lehmer(codes: np.ndarray) -> np.ndarray:
-    """Insertion decode: row-wise pick the code[j]-th smallest remaining
-    item.  codes (B, n) -> permutations (B, n)."""
-    B, n = codes.shape
-    alive = np.ones((B, n), dtype=bool)
-    out = np.empty((B, n), dtype=np.int64)
-    rows = np.arange(B)
-    for j in range(n):
-        ranks = np.cumsum(alive, axis=1)
-        pick = np.argmax(ranks == (codes[:, j] + 1)[:, None], axis=1)
-        out[:, j] = pick
-        alive[rows, pick] = False
-    return out
-
-
-def sample_mallows(center, theta: float, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Sample ``count`` permutations from the Kendall-tau Mallows model
-    P(sigma) ~ exp(-theta * d(sigma, center)), shape (count, n), drawing
-    from ``rng``.
-
-    Insertion-vector method: the Lehmer-code entries are independent
-    truncated-geometric variables whose sum is the Kendall distance to the
-    center, so the exact target distribution is produced in O(n^2) per
-    sample.
-    """
-    if theta < 0.0:
-        raise ValueError("theta must be >= 0")
-    if sorted(center) != list(range(len(center))):
-        raise ValueError("center must be a permutation of [0, n)")
-    n = len(center)
-    codes = np.zeros((count, n), dtype=np.int64)
-    q = math.exp(-theta)
-    for j in range(n - 1):
-        support = n - j
-        if theta == 0.0:
-            codes[:, j] = rng.integers(0, support, count)
-        else:
-            weights = q ** np.arange(support)
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
-            codes[:, j] = np.searchsorted(cdf, rng.random(count), side="right")
-    return _decode_lehmer(codes)[:, np.asarray(center, dtype=np.int64)]
-
-
-def _initial_population(n: int, count: int, candidates: list[np.ndarray],
-                        rng: np.random.Generator) -> np.ndarray:
-    """``count`` uniform key vectors; with ``candidates``, ranked cheapest
-    first, the first slots take the candidates verbatim and Mallows
-    neighbourhoods of them fill the rest of the seeded share."""
-    keys = rng.random((count, n))
-    if candidates:
-        # Mallows dispersion: 2n over the largest Kendall distance n(n-1)/2
-        theta = 4.0 / max(n - 1, 1)
-        n_verbatim = min(len(candidates), count)
-        n_seeded = max(int(round(SEEDING_FRACTION * count)), n_verbatim)
-        for slot in range(n_verbatim):
-            keys[slot] = encode(candidates[slot], rng)
-        for slot in range(n_verbatim, n_seeded):
-            cand = candidates[(slot - n_verbatim) % len(candidates)]
-            keys[slot] = encode(sample_mallows(cand, theta, 1, rng)[0], rng)
-    return keys
-
-
 def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
              seeds: list | None = None,
              consts: PhysicalConstants = EARTH) -> tuple[Tour, EvolutionTrace]:
     """Archipelago search for the cheapest visit order.
 
-    ``seeds`` may contain Tours or plain orders; ranked by cost, they are
-    injected into the initial populations and anchor the Mallows-seeded
-    fraction.
+    ``seeds`` may contain Tours or plain orders; ranked by cost, as many as
+    a population holds go verbatim into island 0's first slots, cheapest
+    first, and every other member starts from uniform keys.
     """
     config = config or OptimizerConfig()
     n = scenario.n_bundles
@@ -226,8 +160,9 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
 
     isl, pop = config.islands, config.population
     rng = np.random.default_rng(config.seed)
-    keys = np.stack([_initial_population(n, pop, candidates, rng)
-                     for _ in range(isl)])  # (islands, population, n)
+    keys = rng.random((isl, pop, n))
+    for slot, order in enumerate(candidates[:pop]):
+        keys[0, slot] = encode(order, rng)
     flat = keys.reshape(-1, n)
     first = pop * np.arange(isl)
     best_fuel = np.empty((config.generations, isl))

@@ -531,13 +531,9 @@ ARCS_VERSION = 2
 
 
 def arc_to_dict(arc: RefinedArc) -> dict:
-    coast_steps = arc.dt[np.isclose(np.linalg.norm(arc.controls, axis=1), 0.0)]
-    step_s = float(np.median(coast_steps)) if coast_steps.size else float(np.median(arc.dt))
     return {
         "label": arc.label,
-        "n_stages": int(arc.dt.size),
         "t0_s": arc.t0,
-        "step_s": step_s,
         "dt_s": arc.dt.tolist(),
         "states": arc.states.tolist(),
         "controls_lvlh_kN": arc.controls.tolist(),
@@ -545,7 +541,6 @@ def arc_to_dict(arc: RefinedArc) -> dict:
         "iterations": arc.iterations,
         "converged": arc.converged,
         "x_ref": arc.x_ref.tolist(),
-        "terminal_error": {k: float(v) for k, v in arc.terminal_error.items()},
         "objective": arc.objective,
         "objective_history": arc.objective_history,
     }

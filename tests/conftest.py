@@ -21,8 +21,8 @@ set, last bundle); one order priced leg by leg from the closed-form dv,
 with the rocket equation evaluated in full on every leg, the reference for
 the batch pricing over leg-fraction tables; and the GA step drawing its
 crossover with ``Generator.uniform`` the reference for the optimizer's.
-The Cartesian conversions and the permutation helpers (uniform
-permutations, Kendall distance) serve only the checks.
+The Cartesian conversions and the uniform permutation sampler serve
+only the checks.
 """
 from __future__ import annotations
 
@@ -501,17 +501,6 @@ def order_fuel(scenario: MissionScenario, order, consts=EARTH) -> float:
         m, fuel = m - (burn + bundle.mass), fuel + burn
         here = bundle.target
     return fuel + m * (1.0 - np.exp(-disposal_dv(here.a, scenario, consts) / ve))
-
-
-def kendall_tau(a, b) -> int:
-    """Number of discordant pairs between two permutations."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("permutations must have equal length")
-    da = np.sign(a[:, None] - a[None, :])
-    db = np.sign(b[:, None] - b[None, :])
-    return int((da * db < 0).sum() // 2)
 
 
 def ga_step_uniform(keys: np.ndarray, cost: np.ndarray,

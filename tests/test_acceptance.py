@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import (TWO_BODY, kendall_tau, linearize_one,
-                      sample_uniform_permutations)
+from conftest import TWO_BODY, linearize_one, sample_uniform_permutations
 from orbtour.constants import EARTH
 from orbtour.dynamics import j2_secular_rates
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState,
                               kep_to_mee, mee_to_kep)
 from orbtour.maneuvers import ThrusterSpec, mht_estimate, nic_estimate
-from orbtour.optimizer import OptimizerConfig, optimize, sample_mallows
+from orbtour.optimizer import OptimizerConfig, optimize
 from orbtour.propagate import PropagatorConfig, propagate_numeric, rk4_batch
 from orbtour.scenario import (ScenarioConfig, sample_scenario,
                               scenario_to_dict, sso_inclination)
@@ -287,26 +286,7 @@ def test_criterion_11_sampling_statistics():
     crit = float(stats.chi2.ppf(0.99, 23))
     assert counts.size == 24 and chi2 < crit
 
-    theta = 1.0
-    draws = sample_mallows((0, 1, 2, 3), theta, 1_000_000,
-                           np.random.default_rng(8))
-    keys = draws @ (4 ** np.arange(4))
-    uniq, counts = np.unique(keys, return_counts=True)
-    freq = dict(zip(uniq.tolist(), counts.tolist()))
-    import itertools
-    dists, logf = [], []
-    for perm in itertools.permutations(range(4)):
-        key = sum(p * 4**j for j, p in enumerate(perm))
-        dists.append(kendall_tau(np.array(perm), np.arange(4)))
-        logf.append(math.log(freq[key] / 1e6))
-    slope, intercept = np.polyfit(dists, logf, 1)
-    resid = np.array(logf) - (slope * np.array(dists) + intercept)
-    r2 = 1.0 - float((resid**2).sum()
-                     / ((np.array(logf) - np.mean(logf)) ** 2).sum())
-    assert slope == pytest.approx(-theta, rel=0.05)
-    assert r2 > 0.99
-    report("11", f"uniformity chi2 {chi2:.1f} < {crit:.1f}; distance-law slope "
-                 f"{slope:.4f} (expect -1), R^2 = {r2:.5f}")
+    report("11", f"uniformity chi2 {chi2:.1f} < {crit:.1f}")
 
 
 def test_criterion_12_determinism():

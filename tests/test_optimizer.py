@@ -71,6 +71,30 @@ def test_search_draws_from_one_generator(small_scenario, monkeypatch):
         assert len(built) == 1
 
 
+def test_seeds_open_island_zero_and_leave_the_rest_unseeded(monkeypatch):
+    # generation 0 is the last batch priced by a one-generation search
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=9), seed=9001)
+    walks = list(heuristic_walks(scn).values())
+    config = OptimizerConfig(seed=6, generations=1, islands=3, population=8)
+    priced = []
+    original = TourEvaluator.cost_batch
+
+    def captured(self, orders):
+        priced.append(np.array(orders))
+        return original(self, orders)
+
+    monkeypatch.setattr(TourEvaluator, "cost_batch", captured)
+    generation_zero = []
+    for seeds in (None, walks):
+        optimize(scn, config, seeds=seeds)
+        generation_zero.append(priced[-1].reshape(3, 8, 9))
+    plain, seeded = generation_zero
+    ranked = [w.order for w in sorted(walks, key=lambda t: t.cost)]
+    assert [tuple(row) for row in seeded[0, :4].tolist()] == ranked
+    assert np.array_equal(seeded[0, 4:], plain[0, 4:])
+    assert np.array_equal(seeded[1:], plain[1:])
+
+
 def test_deterministic_under_seed(small_scenario):
     cfg = OptimizerConfig(seed=42, generations=30, islands=3, population=16)
     a, tra = optimize(small_scenario, cfg)
