@@ -20,7 +20,7 @@ from orbtour.elements import KeplerianState, MeeState, kep_to_mee, mee_to_kep
 from orbtour.maneuvers import ThrusterSpec, mht_estimate, nic_estimate
 from orbtour.propagate import PropagatorConfig
 from orbtour.scp import ROLLOUT_SHARE, RefineOptions, refine_arc
-from orbtour.verify import repropagate_arc
+from orbtour.verify import STEP_S, repropagate_arc
 
 
 def run_case(name, est, plan, kep0, kep_ref, thruster):
@@ -31,7 +31,7 @@ def run_case(name, est, plan, kep0, kep_ref, thruster):
                      isp=thruster.isp, label=name)
     wall = time.time() - t0
     t0 = time.time()
-    traj = repropagate_arc(arc, PropagatorConfig(step=10.0), thruster.isp)
+    traj = repropagate_arc(arc, PropagatorConfig(step=STEP_S), thruster.isp)
     repropagation = time.time() - t0
     achieved = mee_to_kep(MeeState.from_array(traj[-1, :6]))
     err = arc.terminal_error
@@ -39,7 +39,7 @@ def run_case(name, est, plan, kep0, kep_ref, thruster):
     print(f"  estimator dv      {est.dv_total * 1e3:8.2f} m/s   "
           f"tof {est.tof_total / 3600:8.2f} h   burns {est.burn_count}")
     print(f"  grid              {arc.dt.size} stages   refine {wall:.2f} s   "
-          f"re-propagation {repropagation:.2f} s wall")
+          f"re-propagation {repropagation:.2f} s wall at a {STEP_S:g} s step")
     merit = arc.objective_history[-1]
     print(f"  refined dv        {arc.dv_total * 1e3:8.2f} m/s   "
           f"iterations {arc.iterations} ({len(arc.objective_history) - 1} accepted)   "

@@ -41,8 +41,8 @@ COAST_STAGES_PER_ORBIT = 4
 STAGE_CAP = 20000
 #: max internal integration substep on coast stages [s], for the stage
 #: walks here and every sequential roll of :mod:`orbtour.scp`.  At 80 s the
-#: refined arcs' terminal states stay within 1.2e-6 scaled of verify's 10 s
-#: re-propagation, 8x under its 1e-5 consistency gate; at 160 s they miss it
+#: refined arcs' terminal states stay within 1.2e-6 scaled of a 10 s RK4
+#: re-propagation, 8x under verify's 1e-5 consistency gate; at 160 s they miss it
 COAST_SUBSTEP = 80.0
 
 

@@ -24,7 +24,7 @@ from orbtour.scenario import (ScenarioConfig, sample_scenario,
                               scenario_to_dict, sso_inclination)
 from orbtour.scp import RefineOptions, refine_arc
 from orbtour.tour import brute_force, heuristic_walks
-from orbtour.verify import repropagate_arc
+from orbtour.verify import STEP_S, repropagate_arc
 
 TH = ThrusterSpec()
 TAU = 2 * math.pi
@@ -252,7 +252,7 @@ def test_criterion_10_verification_consistency(case1, case4):
         ("case4", case4, (7000.0, 97.8964)),
     ):
         assert arc.converged, name
-        traj = repropagate_arc(arc, PropagatorConfig(step=10.0), TH.isp)
+        traj = repropagate_arc(arc, PropagatorConfig(step=STEP_S), TH.isp)
         kep = mee_to_kep(MeeState.from_array(traj[-1, :6]))
         assert abs(kep.a - a_ref) <= 10.0, name
         assert abs(math.degrees(kep.i) - i_ref) <= 0.1, name

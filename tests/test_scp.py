@@ -22,7 +22,7 @@ from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc,
                          refine_tour, save_arcs, load_arcs, scp_solve, stage_defects,
                          warm_start)
 from orbtour.tour import tour_cost
-from orbtour.verify import repropagate_arc
+from orbtour.verify import STEP_S, repropagate_arc
 
 TH = ThrusterSpec()
 
@@ -247,12 +247,13 @@ def test_plane_changes_stop_once_no_step_can_move_a_gate(deg, most, fuel_kg, da_
     # under the stop rule pred_red < 1e-9 (1 + |J|), on 40 coast stages per
     # orbit, these transfers ran 8 and 23 iterations, their merit falling
     # under 0.1% after the first step.  The pins are that run's fuel, da and
-    # di, re-propagated at verify's 10 s step; cutting the tail and the
-    # coarser grid may move them by at most 1e-3 kg, 0.01 km and 1e-4 deg
+    # di, re-propagated at 10 s; they are checked at verify's STEP_S.  Cutting
+    # the tail, the coarser grid and the step may move them by at most
+    # 1e-3 kg, 0.01 km and 1e-4 deg
     arc = scp_solve(*plane_change_problem(deg))
     assert arc.converged
     assert arc.iterations <= most
-    traj = repropagate_arc(arc, PropagatorConfig(step=10.0), TH.isp)
+    traj = repropagate_arc(arc, PropagatorConfig(step=STEP_S), TH.isp)
     kep = mee_to_kep(MeeState.from_array(traj[-1, :6]))
     assert traj[0, 6] - traj[-1, 6] == pytest.approx(fuel_kg, abs=1e-3)
     assert kep.a - 7000.0 == pytest.approx(da_km, abs=0.01)

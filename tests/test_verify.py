@@ -7,12 +7,13 @@ import pytest
 from conftest import tiny_mission
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, kep_to_mee
+from orbtour.ocp import COAST_SUBSTEP
 from orbtour.propagate import PropagatorConfig
 from orbtour.scp import RefinedArc, refine_tour
 from orbtour.tour import tour_cost
 import orbtour.verify
-from orbtour.verify import (TOL_FUEL_FRACTION, repropagate_arc, save_report,
-                            verify_trajectory)
+from orbtour.verify import (STEP_S, TOL_FUEL_FRACTION, repropagate_arc,
+                            save_report, verify_trajectory)
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +85,22 @@ def test_tolerances_drive_pass_flags(refined_mission, monkeypatch):
     assert all(leg.pass_sma and leg.pass_fuel for leg in strict.legs)
 
 
-def test_excess_fuel_fails_the_leg_and_verify(refined_mission, tmp_path):
-    from orbtour.cli import main, save_tour
+def _save_mission(tmp_path, scn, tour, arcs) -> list[str]:
+    """Write a mission's inputs; the ``verify`` arguments that read them."""
+    from orbtour.cli import save_tour
     from orbtour.scenario import save_scenario
     from orbtour.scp import save_arcs
+    paths = {n: tmp_path / f"{n}.json" for n in ("scenario", "tour", "arcs", "report")}
+    save_scenario(scn, paths["scenario"])
+    save_tour(tour, paths["tour"])
+    save_arcs(arcs, paths["arcs"])
+    return ["verify", "--scenario", str(paths["scenario"]), "--tour",
+            str(paths["tour"]), "--arcs", str(paths["arcs"]), "--out",
+            str(paths["report"])]
+
+
+def test_excess_fuel_fails_the_leg_and_verify(refined_mission, tmp_path):
+    from orbtour.cli import main
     scn, tour, arcs = refined_mission
     assert all(leg.pass_fuel for leg in verify_trajectory(arcs, tour, scn).legs)
     # thrust on one coast stage of leg0's first arc: 1.5 times the allowed
@@ -102,14 +115,8 @@ def test_excess_fuel_fails_the_leg_and_verify(refined_mission, tmp_path):
     controls[stage, 0] = extra * ve / arc.dt[stage]
     heavy = [RefinedArc(**{**vars(a), "controls": controls}) if a is arc else a
              for a in arcs]
-    paths = {n: tmp_path / f"{n}.json" for n in ("scenario", "tour", "arcs", "report")}
-    save_scenario(scn, paths["scenario"])
-    save_tour(tour, paths["tour"])
-    save_arcs(heavy, paths["arcs"])
-    assert main(["verify", "--scenario", str(paths["scenario"]), "--tour",
-                 str(paths["tour"]), "--arcs", str(paths["arcs"]), "--out",
-                 str(paths["report"])]) == 4
-    data = json.loads(paths["report"].read_text())
+    assert main(_save_mission(tmp_path, scn, tour, heavy)) == 4
+    data = json.loads((tmp_path / "report.json").read_text())
     assert data["all_passed"] is False
     leg0 = data["legs"][0]
     assert leg0["pass_sma"] and leg0["pass_inc"] and not leg0["pass_fuel"]
@@ -124,7 +131,8 @@ def test_report_serialization(refined_mission, tmp_path):
     save_report(report, tmp_path / "report.json", tmp_path / "report.csv")
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["all_passed"] == report.all_passed
-    assert data["version"] == 3
+    assert data["version"] == 4
+    assert data["step_s"] == STEP_S
     assert len(data["legs"]) == 3
     lines = (tmp_path / "report.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 3
@@ -133,3 +141,57 @@ def test_report_serialization(refined_mission, tmp_path):
     assert all("de" not in leg and "achieved_e" in leg for leg in data["legs"])
     header = lines[0].split(",")
     assert "de" not in header and "achieved_e" in header
+    assert {"peak_thrust_n", "pass_thrust"} <= set(header)
+    assert all(leg["pass_thrust"] for leg in data["legs"])
+
+
+def test_tripled_thrust_fails_the_thrust_gate(refined_mission, tmp_path):
+    from orbtour.cli import main
+    scn, tour, arcs = refined_mission
+    thrust_n = scn.spacecraft.thruster.thrust_kn * 1000.0
+    for leg in verify_trajectory(arcs, tour, scn).legs:
+        assert leg.pass_thrust and 0.0 < leg.peak_thrust_n <= thrust_n * (1.0 + 1e-9)
+    # the same impulse at three times the peak thrust: every burn stage's
+    # thrust tripled and its duration cut to a third
+    tampered = []
+    for arc in arcs:
+        burn = np.any(arc.controls != 0.0, axis=1)
+        assert burn.any()
+        tampered.append(RefinedArc(**{
+            **vars(arc), "controls": np.where(burn[:, None], 3.0 * arc.controls,
+                                              arc.controls),
+            "dt": np.where(burn, arc.dt / 3.0, arc.dt)}))
+    assert main(_save_mission(tmp_path, scn, tour, tampered)) == 4
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["all_passed"] is False
+    assert len(data["legs"]) == 3
+    for leg in data["legs"]:
+        # the thrust gate alone fails: the orbit and fuel gates still pass
+        assert not leg["pass_thrust"]
+        assert leg["pass_sma"] and leg["pass_inc"] and leg["pass_fuel"]
+        assert leg["peak_thrust_n"] > 2.9 * thrust_n
+
+
+def _substeps(dt: np.ndarray, step: float) -> np.ndarray:
+    """RK4 substeps of stages of length ``dt`` at ``step``, as rk4_segment."""
+    return np.maximum(1, np.ceil(dt / step - 1e-12))
+
+
+def test_step_is_accurate_and_finer_than_the_refiner(refined_mission, monkeypatch):
+    scn, tour, arcs = refined_mission
+    report = verify_trajectory(arcs, tour, scn)
+    monkeypatch.setattr(orbtour.verify, "STEP_S", STEP_S / 4.0)
+    fine = verify_trajectory(arcs, tour, scn)
+    monkeypatch.undo()
+    # the step's own error is far inside the 10 km and 0.1 deg gates, and
+    # burn stages take one RK4 step at either step, so fuel is exact
+    for leg, ref in zip(report.legs, fine.legs, strict=True):
+        assert abs(leg.da_km - ref.da_km) <= 1e-4
+        assert abs(leg.di_deg - ref.di_deg) <= 1e-8
+        assert leg.fuel_numeric_kg == ref.fuel_numeric_kg
+    # consistency_err compares the refiner with a different integration: on
+    # every arc some coast stage takes other substeps than the refiner's
+    for arc in arcs:
+        coast = np.all(arc.controls == 0.0, axis=1)
+        assert np.any(_substeps(arc.dt[coast], STEP_S)
+                      != _substeps(arc.dt[coast], COAST_SUBSTEP)), arc.label
