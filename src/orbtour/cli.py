@@ -84,49 +84,38 @@ def _json_fits(value, hint) -> bool | None:
     return None
 
 
-def _config_from(cls, path: str | None, convert: dict):
+def _config_from(cls, path: str | None):
     """``cls`` built from the JSON object in the config file ``path`` (the
-    defaults when ``path`` is None).  Each ``key: (field, fn)`` in
-    ``convert`` sets ``field`` to ``fn`` of the file's ``key``.  A file that
-    is not an object, an unknown key or a value of the wrong type raises a
-    schema error naming the file."""
+    defaults when ``path`` is None).  A file that is not an object, an
+    unknown key or a value of the wrong type raises a schema error naming
+    the file."""
     if path is None:
         return cls()
     data = read_json_object(path)
     declared = {f.name: f.type for f in dataclasses.fields(cls)}
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(convert) - set(declared))
+    unknown = sorted(set(data) - set(declared))
     if unknown:
         raise SchemaError(f"{path}: unknown {cls.__name__} key(s): "
                           f"{', '.join(unknown)}")
     for key, value in data.items():
-        name = convert[key][0] if key in convert else key
-        fits = _json_fits(value, hints[name])
+        fits = _json_fits(value, hints[key])
         if fits is None:
             raise SchemaError(f"{path}: {cls.__name__} key {key!r} cannot be set "
                               "from a file")
         if not fits:
             raise SchemaError(f"{path}: {cls.__name__} key {key!r} must be "
-                              f"{declared[name]}, got {json.dumps(value)}")
+                              f"{declared[key]}, got {json.dumps(value)}")
     try:
-        for key, (name, fn) in convert.items():
-            if key in data:
-                data[name] = fn(data.pop(key))
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad {cls.__name__} value: {exc}") from exc
 
 
-def _scenario_config(path: str | None) -> ScenarioConfig:
-    return _config_from(ScenarioConfig, path, {
-        "insertion_inclination_deg": ("insertion_inclination", math.radians),
-        "insertion_raan_deg": ("insertion_raan", math.radians)})
-
-
 def _optimizer_config(path: str | None, seed: int | None) -> OptimizerConfig:
     """The config file's settings; ``seed`` replaces the file's ``seed``, and
     with neither the seed is 0, so every run is reproducible."""
-    config = _config_from(OptimizerConfig, path, {})
+    config = _config_from(OptimizerConfig, path)
     if seed is None:
         seed = 0 if config.seed is None else config.seed
     return dataclasses.replace(config, seed=seed)
@@ -134,7 +123,7 @@ def _optimizer_config(path: str | None, seed: int | None) -> OptimizerConfig:
 
 def active_constants() -> PhysicalConstants:
     """Constants, optionally overridden by the ORBTOUR_CONSTANTS env file."""
-    return _config_from(PhysicalConstants, os.environ.get("ORBTOUR_CONSTANTS") or None, {})
+    return _config_from(PhysicalConstants, os.environ.get("ORBTOUR_CONSTANTS") or None)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +179,7 @@ def load_tour_order(path: str | Path, n_bundles: int) -> list[int]:
 def cmd_generate(args) -> int:
     t0 = time.time()
     consts = active_constants()
-    config = _scenario_config(args.config)
+    config = _config_from(ScenarioConfig, args.config)
     outputs = []
     if args.count == 1:
         scn = sample_scenario(config, args.seed, consts)
@@ -268,7 +257,7 @@ def cmd_verify(args) -> int:
     scn = load_scenario(args.scenario, consts)
     order = load_tour_order(args.tour, scn.n_bundles)
     tour = tour_cost(scn, order, consts)
-    arcs = load_arcs(args.arcs)
+    arcs = load_arcs(args.arcs, consts)
     try:
         report = verify_trajectory(arcs, tour, scn, consts, jobs=args.jobs)
     except SchemaError as exc:  # an arc label that names no leg, or a leg with no arc
@@ -360,7 +349,7 @@ def write_summary(rows: list[dict], path: str | Path) -> list[dict]:
 def cmd_montecarlo(args) -> int:
     t0 = time.time()
     consts = active_constants()
-    config = _scenario_config(args.config)
+    config = _config_from(ScenarioConfig, args.config)
     if args.bundles is not None:
         config = dataclasses.replace(config, fixed_bundles=args.bundles)
     opt = _optimizer_config(args.optimizer_config, None)

@@ -1,5 +1,5 @@
 """Discretized optimal-control problem construction and its batch work:
-stage grids with per-stage thrust bounds aligned to a burn plan, the stage
+stage grids that mark their burn stages, aligned to a burn plan, the stage
 defects of node states and the linearization of the discrete dynamics by
 vectorized central finite differences.  Sequential rolls (warm starts,
 tails, exit rollouts) live in :mod:`orbtour.scp`.
@@ -61,12 +61,14 @@ class BurnWindow:
 
 @dataclass
 class StageGrid:
-    """Nonuniform time discretization with per-stage thrust bounds."""
+    """Nonuniform time discretization that marks each stage once: by the
+    index of the burn window it lies in, or -1 on a coast.  A burn stage may
+    thrust up to ``thrust_kn``; a coast stage carries no control."""
 
-    dt: np.ndarray             # (N,) stage durations [s]
-    tmax: np.ndarray           # (N,) thrust bound [kN]
+    dt: np.ndarray                  # (N,) stage durations [s]
+    window_of_stage: np.ndarray     # (N,) window index or -1
+    thrust_kn: float                # thrust bound of every burn stage [kN]
     windows: list[BurnWindow] = field(default_factory=list)
-    window_of_stage: np.ndarray | None = None   # (N,) window index or -1
 
     @property
     def n_stages(self) -> int:
@@ -107,21 +109,18 @@ def build_grid(plan: BurnPlan, thruster: ThrusterSpec,
     wins = burn_windows(plan, thruster)
 
     dts: list[float] = []
-    bounds: list[float] = []
     owner: list[int] = []
     cursor = 0.0
     for idx, w in enumerate(wins):
         gap = _coast_stages(w.start - cursor, coast_dt)
         dts.extend(gap)
-        bounds.extend([0.0] * len(gap))
         owner.extend([-1] * len(gap))
         d = w.duration / BURN_STAGES
         dts.extend([d] * BURN_STAGES)
-        bounds.extend([thruster.thrust_kn] * BURN_STAGES)
         owner.extend([idx] * BURN_STAGES)
         cursor = w.end
-    return StageGrid(dt=np.array(dts), tmax=np.array(bounds), windows=wins,
-                     window_of_stage=np.array(owner, dtype=np.int64))
+    return StageGrid(dt=np.array(dts), window_of_stage=np.array(owner, dtype=np.int64),
+                     thrust_kn=thruster.thrust_kn, windows=wins)
 
 
 def _coast_stages(duration: float, coast_dt: float) -> list[float]:
@@ -143,17 +142,14 @@ def with_tail(grid: StageGrid, tail: float, orbit_period: float,
         raise ValueError(f"grid needs {n} stages, cap is {stage_cap}; "
                          "split the arc at a coast midpoint")
     return StageGrid(dt=np.concatenate([grid.dt, dts]),
-                     tmax=np.concatenate([grid.tmax, np.zeros(len(dts))]),
-                     windows=grid.windows,
                      window_of_stage=np.concatenate(
-                         [grid.window_of_stage, np.full(len(dts), -1, dtype=np.int64)]))
+                         [grid.window_of_stage, np.full(len(dts), -1, dtype=np.int64)]),
+                     thrust_kn=grid.thrust_kn, windows=grid.windows)
 
 
 def split_plan(plan: BurnPlan, max_duration: float) -> list[BurnPlan]:
     """Split a plan into chunks at coast midpoints so no chunk spans more
     than ``max_duration``; chunk epochs stay on the original timeline."""
-    if plan.duration <= max_duration or len(plan.events) <= 1:
-        return [plan]
     chunks: list[list] = [[]]
     start = 0.0
     for ev in plan.events:

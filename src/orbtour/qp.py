@@ -56,7 +56,7 @@ class SubproblemSolution:
     states: np.ndarray       # (N+1, 7)
     controls: np.ndarray     # (N, 3)
     iterations: int
-    gamma: np.ndarray | None  # (7,) terminal gradient; None without burn stages
+    gamma: np.ndarray        # (7,) terminal gradient P (z_N - z_ref)
 
 
 class ReducedArcSolver:
@@ -120,14 +120,11 @@ class ReducedArcSolver:
             gamma = P (M W(gamma) + e0 - z_ref),
         with W(gamma) the ball-clipped per-stage closed form; the root is
         found to machine precision in a handful of Newton steps, starting
-        from ``warm`` (a previous solution's gamma) when given.
+        from ``warm`` (a previous solution's gamma) when given.  Without
+        burn stages the default start is the root, and the solve returns
+        zero controls at its first residual check.
         """
         sub = self.sub
-        nb = self.burn_idx.size
-        if nb == 0:
-            W = np.zeros((sub.n_stages, 3))
-            return SubproblemSolution(states=self.rollout(W), controls=W,
-                                      iterations=0, gamma=None)
         if sub.r <= 0.0:
             raise ValueError("the condensed solver needs a positive control weight")
         if not np.array_equal(sub.P, sub.P.T):

@@ -126,8 +126,8 @@ class ScenarioConfig:
     altitude_spread: float = 50.0       # uniform half-width [km]
     decommission_altitude: float = 250.0
     insertion_altitude: float = 500.0
-    insertion_inclination: float = math.radians(97.0)
-    insertion_raan: float = math.radians(158.0)
+    insertion_inclination_deg: float = 97.0
+    insertion_raan_deg: float = 158.0
     mass_spread: float = 0.15           # exponential mean of the relative excess
     min_bundles: int = 2
     fixed_bundles: int | None = None    # pin the bundle count instead of sampling
@@ -213,7 +213,8 @@ def sample_scenario(config: ScenarioConfig, seed: int,
 
     insertion = KeplerianState(
         a=consts.re + config.insertion_altitude, e=0.0,
-        i=config.insertion_inclination, raan=config.insertion_raan,
+        i=math.radians(config.insertion_inclination_deg),
+        raan=math.radians(config.insertion_raan_deg),
         argp=0.0, ta=0.0)
     return MissionScenario(
         spacecraft=config.spacecraft,

@@ -5,10 +5,12 @@ the nonuniform stage grid of :mod:`orbtour.ocp`: the dynamics are
 linearized about the current iterate, the convex subproblem is solved once
 with hard per-stage thrust balls, the step toward its solution is scaled so
 the predicted state deviation stays within the trust radius, and the ratio
-of actual to predicted merit reduction accepts or rejects it and drives the
-radius.  SCP stops when a step is predicted to lower the merit by less than
-:data:`STOP_SHARE` of it, which moves no mission gate (10 km, 0.1 deg, 5%
-fuel) by a visible amount.
+of actual to predicted merit reduction accepts or rejects it.  The radius
+starts at :data:`TRUST_RADIUS` and only shrinks: a rejected step sets it to
+half the step taken, so it bounds every step at the size where the linear
+model still holds.  SCP stops when a step is predicted to lower the merit
+by less than :data:`STOP_SHARE` of it, which moves no mission gate (10 km,
+0.1 deg, 5% fuel) by a visible amount.
 
 Candidates are scored by multiple shooting: a candidate's node states are
 the current nodes plus the scaled state step, every stage is propagated
@@ -65,13 +67,12 @@ P_DIAG = (1e4, 1e4, 1e4, 1e4, 1e4, 1e2, 0.0)
 R_SCALE = 1e-6
 #: scale floors for near-zero reference components [p f g h k L m]
 _SCALE_FLOOR = np.array([1.0, 1e-2, 1e-2, 1e-2, 1e-2, 1.0, 1.0])
-#: trust region on the scaled state step: initial radius and its bound
-TRUST_RADIUS, MAX_RADIUS = 0.1, 10.0
+#: trust region on the scaled state step: the initial radius, which no
+#: later radius exceeds
+TRUST_RADIUS = 0.1
 #: a step whose actual-to-predicted reduction ratio is below RATIO_ACCEPT
-#: is rejected and the radius becomes SHRINK times the step taken; a
-#: scaled-down step whose ratio exceeds RATIO_EXPAND grows it by GROW
-SHRINK, GROW = 0.5, 2.0
-RATIO_ACCEPT, RATIO_EXPAND = 0.25, 0.75
+#: is rejected and the radius becomes SHRINK times the step taken
+SHRINK, RATIO_ACCEPT = 0.5, 0.25
 #: the stop rule and the converged bound of :func:`scp_solve`
 STOP_SHARE, STOP_FLOOR, ROLLOUT_SHARE = 1e-4, 1e-9, 1e-6
 #: SCP iteration cap per arc
@@ -95,7 +96,7 @@ class OcpProblem:
 
     def scales(self) -> tuple[np.ndarray, float]:
         sx = np.maximum(np.abs(self.x_ref), _SCALE_FLOOR)
-        su = max(float(np.max(self.grid.tmax, initial=0.0)), 1e-4)
+        su = max(self.grid.thrust_kn, 1e-4)
         return sx, su
 
 
@@ -107,13 +108,17 @@ class RefinedArc:
     controls: np.ndarray          # (N, 3) [kN]
     dt: np.ndarray                # (N,) [s]
     t0: float
-    dv_total: float               # [km/s]
     iterations: int
     converged: bool
     objective: float
     x_ref: np.ndarray
     label: str = "arc"
     objective_history: list[float] = field(default_factory=list)
+
+    @property
+    def dv_total(self) -> float:
+        """The arc's :func:`realized_dv` [km/s]."""
+        return realized_dv(self.controls, self.dt, self.states)
 
     @property
     def terminal_error(self) -> dict:
@@ -178,7 +183,7 @@ def warm_start(grid: StageGrid, x0: np.ndarray, isp: float,
             needed = states[i, 6] * np.asarray(window.dv) + carry
             force = needed / window.duration
             fmag = float(np.linalg.norm(force))
-            bound = float(grid.tmax[i])
+            bound = grid.thrust_kn
             if fmag > bound * (1.0 + 1e-9):
                 force = force * (bound / fmag)
                 applied = force * window.duration
@@ -215,7 +220,8 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     grid = problem.grid
     sx, su = problem.scales()
     P = np.diag(P_DIAG)
-    ball = grid.tmax / su
+    burn = grid.window_of_stage >= 0
+    ball = np.where(burn, grid.thrust_kn, 0.0) / su
     z_ref = problem.x_ref / sx
     dt = grid.dt
     substeps = grid.substeps()
@@ -236,11 +242,10 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
     history = [J]
     radius = TRUST_RADIUS
     stopped, iterations, gamma, solver = False, 0, None, None
-    coast = grid.tmax <= 0.0
     for iterations in range(1, MAX_ITERATIONS + 1):
         if solver is None:
             A, B = linearize_batch(X[:-1], U, dt, substeps, problem.isp, consts,
-                                   u_scale=su, skip_b=coast)
+                                   u_scale=su, skip_b=~burn)
             # scaled deviation dynamics with absolute scaled controls w=u/su:
             # z' = (A*) z + (B*)(w - w_bar) + d  ->  offset c = d - (B*) w_bar
             A *= sx[None, None, :] / sx[None, :, None]
@@ -289,14 +294,11 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
         # accepted: the linearization point moved; the old model goes
         # before the next linearization is built
         solver = sub = A = B = c = None
-        if ratio > RATIO_EXPAND and lam < 1.0:
-            radius = min(radius * GROW, MAX_RADIUS)
 
     if len(history) > 1:
         X = roll_on(problem.x0, U, dt, problem.isp, consts)
     objective = merit(X, U)
-    return RefinedArc(states=X, controls=U, dt=dt, t0=problem.t0,
-                      dv_total=realized_dv(U, dt, X), iterations=iterations,
+    return RefinedArc(states=X, controls=U, dt=dt, t0=problem.t0, iterations=iterations,
                       # one-sided: the rollout may land below its accepted merit
                       converged=stopped and objective <= J + ROLLOUT_SHARE * abs(J),
                       objective=objective,
@@ -548,13 +550,13 @@ def arc_to_dict(arc: RefinedArc) -> dict:
 
 def arc_from_dict(d: dict) -> RefinedArc:
     """The arc of one arcs.json record; a scalar of the wrong JSON type
-    raises a SchemaError that names the arc and the key."""
+    raises a SchemaError that names the arc and the key.  ``dv_mps`` is not
+    read: the arc derives its dv from its arrays."""
     history, t0 = d["objective_history"], d.get("t0_s", 0.0)
     number = lambda v: type(v) in (int, float)   # a bool is no number here
     for key, ok, kind in (("converged", type(d["converged"]) is bool, "a bool"),
                           ("iterations", type(d["iterations"]) is int, "an integer"),
                           ("objective", number(d["objective"]), "a number"),
-                          ("dv_mps", number(d["dv_mps"]), "a number"),
                           ("t0_s", number(t0), "a number"),
                           ("objective_history", type(history) is list
                            and all(map(number, history)), "a list of numbers")):
@@ -563,8 +565,8 @@ def arc_from_dict(d: dict) -> RefinedArc:
                               f"got {json.dumps(d[key])}")
     return RefinedArc(
         states=np.array(d["states"]), controls=np.array(d["controls_lvlh_kN"]),
-        dt=np.array(d["dt_s"]), t0=t0, dv_total=d["dv_mps"] / 1000.0,
-        iterations=d["iterations"], converged=d["converged"], objective=d["objective"],
+        dt=np.array(d["dt_s"]), t0=t0, iterations=d["iterations"],
+        converged=d["converged"], objective=d["objective"],
         x_ref=np.array(d["x_ref"]), label=d.get("label", "arc"),
         objective_history=history)
 
@@ -581,12 +583,13 @@ def save_arcs(arcs: list[RefinedArc], path: str | os.PathLike) -> None:
         fh.write(f'], "version": {ARCS_VERSION}}}\n')
 
 
-def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
+def load_arcs(path: str | os.PathLike,
+              consts: PhysicalConstants = EARTH) -> list[RefinedArc]:
     """The arcs in ``path``.  Another record or version, a label that is not
     a string, a scalar of the wrong type (see :func:`arc_from_dict`), arrays
     that are not numbers of shape ``dt_s`` (N,), ``states`` (N+1, 7),
     ``controls_lvlh_kN`` (N, 3), ``x_ref`` (7,), an open first orbit or a
-    ``dt_s`` outside [0, its period about the Earth] raise a SchemaError."""
+    ``dt_s`` outside [0, its period under ``consts``] raise a SchemaError."""
     data = read_json_object(path)
     if "arcs" not in data:
         raise SchemaError(f"{path} is not an arcs record")
@@ -613,7 +616,7 @@ def load_arcs(path: str | os.PathLike) -> list[RefinedArc]:
         if not (p > 0.0 and f * f + g * g < 1.0):
             raise SchemaError(f"{path}: arc {arc.label!r}: states[0] is not a closed "
                               f"orbit (p = {p}, f^2 + g^2 = {f * f + g * g})")
-        period = 2.0 * math.pi * math.sqrt((p / (1.0 - f * f - g * g))**3 / EARTH.mu)
+        period = 2.0 * math.pi * math.sqrt((p / (1.0 - f * f - g * g))**3 / consts.mu)
         bad = arc.dt[~((arc.dt >= 0.0) & (arc.dt <= period))]
         if bad.size:
             raise SchemaError(f"{path}: arc {arc.label!r}: dt_s must lie in [0, "

@@ -62,6 +62,22 @@ def test_generate_count_and_inventory(tmp_path):
     assert files[0].read_bytes() != files[1].read_bytes()
 
 
+def test_generate_config_sets_the_insertion_orbit_in_degrees(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"insertion_inclination_deg": 98.5, "insertion_raan_deg": 30}')
+    out, plain = tmp_path / "s.json", tmp_path / "plain.json"
+    assert run(["generate", "--seed", 3, "--config", cfg, "--out", out]) == 0
+    assert run(["generate", "--seed", 3, "--out", plain]) == 0
+    got, default = (json.loads(p.read_text()) for p in (out, plain))
+    assert got["insertion"]["i_deg"] == pytest.approx(98.5, abs=1e-12)
+    assert got["insertion"]["raan_deg"] == pytest.approx(30.0, abs=1e-12)
+    assert default["insertion"]["i_deg"] == pytest.approx(97.0, abs=1e-12)
+    assert default["insertion"]["raan_deg"] == pytest.approx(158.0, abs=1e-12)
+    # the keys set only the insertion plane: the rest is the same draw
+    assert got["insertion"]["a_km"] == default["insertion"]["a_km"]
+    assert got["bundles"] == default["bundles"]
+
+
 def test_solve_exact_matches_brute_force(tmp_path, tiny_paths):
     _, scn_path = tiny_paths
     out = tmp_path / "tour.json"
@@ -599,10 +615,10 @@ def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
                 "--out", tmp_path / "arcs.json"]) == 1
     err = capsys.readouterr().err
     assert str(scalar) in err and len(err.strip().splitlines()) == 1
-    # a tour order that is not a list of integers names the file
+    # a tour order that is missing or not a list of integers names the file
     order = tmp_path / "order.json"
-    for text in ('{"order": 5}', '{"order": ["a", "b"]}', '{"order": [0.7, 1.2]}',
-                 '{"order": [true, false]}'):
+    for text in ('{"tour": [0, 1]}', '{"order": 5}', '{"order": ["a", "b"]}',
+                 '{"order": [0.7, 1.2]}', '{"order": [true, false]}'):
         order.write_text(text)
         for command in (["verify", "--arcs", old], ["refine"]):
             assert run(command + ["--tour", order, "--scenario", scn_path,
@@ -615,7 +631,7 @@ def test_verify_rejects_a_file_that_is_not_arcs(tmp_path, tiny_paths, capsys):
     ("converged", "no", "a bool"), ("converged", 1, "a bool"),
     ("iterations", 2.5, "an integer"), ("iterations", True, "an integer"),
     ("objective", "x", "a number"), ("objective", None, "a number"),
-    ("dv_mps", "0", "a number"), ("t0_s", False, "a number"),
+    ("t0_s", "0", "a number"), ("t0_s", False, "a number"),
     ("objective_history", "abc", "a list of numbers"),
     ("objective_history", [0.0, "1"], "a list of numbers"),
     ("objective_history", {"0": 0.0}, "a list of numbers")])

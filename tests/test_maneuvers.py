@@ -10,9 +10,10 @@ from orbtour.dynamics import mean_longitude_rate, orbit_scalars
 from orbtour.elements import KeplerianState, SpacecraftState, kep_to_mee, mee_to_kep
 from orbtour.errors import InsufficientFuelError
 from orbtour.maneuvers import (APOGEE, ASC_NODE, DESC_NODE, PERIGEE, ThrusterSpec,
-                               decommission_estimate, hohmann_dv, mht_estimate,
-                               nic_estimate, phasing_coast, plane_change_dv,
-                               rocket_fuel, sequential_mht_nic, split_dv)
+                               average_period, decommission_estimate, duty_cycle_tof,
+                               hohmann_dv, mht_estimate, nic_estimate, phasing_coast,
+                               plane_change_dv, rocket_fuel, sequential_mht_nic,
+                               split_dv)
 
 TH = ThrusterSpec()
 TAU = 2 * math.pi
@@ -322,3 +323,25 @@ def test_decommission_fuel_consistent_with_rocket_equation():
     est, _ = decommission_estimate(st_, EARTH.re + 250.0, TH)
     assert est.fuel_mass == pytest.approx(
         rocket_fuel(180.0, est.dv_total, TH.exhaust_velocity()), rel=1e-9)
+
+
+def test_average_period_of_equal_radii_is_the_circular_period():
+    # the closed form divides by the radius gap; equal radii take the
+    # circular period, which the form approaches as the gap closes
+    r = 6950.0
+    circular = TAU * math.sqrt(r**3 / EARTH.mu)
+    assert average_period(r, r, EARTH.mu) == circular
+    for gap in (1e-3, -1e-3):
+        assert average_period(r, r + gap, EARTH.mu) == pytest.approx(circular, rel=1e-6)
+
+
+def test_cooldown_longer_than_a_revolution_takes_whole_revolutions_per_burn():
+    # a 12,005 s cycle against a 5,800 s revolution: each burn waits out the
+    # fewest whole revolutions that cover one cycle, here three
+    th = ThrusterSpec(t_cooldown=12000.0)
+    period = 5800.0
+    revs = next(k for k in range(1, 10) if k * period >= th.cycle)
+    assert revs == 3
+    for burns in (1, 4):
+        assert duty_cycle_tof(burns, period, th, cap=1) == burns * revs * period
+    assert duty_cycle_tof(0, period, th, cap=1) == 0.0

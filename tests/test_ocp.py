@@ -22,22 +22,21 @@ def impulse(epoch, dv=(0.0, 1e-3, 0.0), tag="perigee"):
 
 
 # ---------------------------------------------------------------------------
-# per-stage thrust bounds
+# burn-stage marks and the thrust bound
 # ---------------------------------------------------------------------------
 
 def test_empty_plan_is_pure_coast():
     grid = with_tail(build_grid(BurnPlan([]), TH, 5800.0), 600.0, 5800.0)
     assert grid.n_stages > 0
-    assert np.all(grid.tmax == 0.0)
     assert np.all(grid.window_of_stage == -1)
 
 
 def test_single_impulse_quantization():
     th = ThrusterSpec(t_on=20.0)
     grid = with_tail(build_grid(BurnPlan([impulse(100.0)]), th, 5800.0), 600.0, 5800.0)
-    on = grid.tmax > 0.0
+    on = grid.window_of_stage >= 0
     assert np.count_nonzero(on) == BURN_STAGES
-    assert np.all(grid.tmax[on] == th.thrust_kn)
+    assert grid.thrust_kn == th.thrust_kn
     # the burn stages are contiguous and span the window centered on the impulse
     idx = np.flatnonzero(on)
     assert np.all(np.diff(idx) == 1)
@@ -82,7 +81,7 @@ def test_grid_resolution_requirements():
     for w in range(len(grid.windows)):
         assert np.count_nonzero(grid.window_of_stage == w) >= 4
     # coast resolution: at least COAST_STAGES_PER_ORBIT stages per revolution
-    coast_dt = grid.dt[grid.tmax == 0.0]
+    coast_dt = grid.dt[grid.window_of_stage == -1]
     assert np.max(coast_dt) <= period / COAST_STAGES_PER_ORBIT + 1e-9
 
 
@@ -160,7 +159,7 @@ def test_warm_start_is_one_rollout_of_its_controls():
 
     with pytest.warns(UserWarning, match="thrust bound"):
         W, U = warm_start(prefix, x0, TH.isp)
-    burn = prefix.tmax > 0.0
+    burn = prefix.window_of_stage >= 0
     assert np.allclose(np.linalg.norm(U[burn], axis=1), TH.thrust_kn, rtol=1e-12)
     assert np.all(U[~burn] == 0.0)
     assert np.array_equal(W, sequential(U, prefix.dt))
@@ -245,7 +244,8 @@ def test_coarse_coast_stage_is_linear_within_the_trust_radius():
     # 0.53 and 0.052 of the change (0.11 and 0.0099 at 40 stages per orbit)
     x = x0_circular(7000.0, 97.8964)
     period = 2.0 * math.pi * math.sqrt(7000.0**3 / EARTH.mu)
-    grid = StageGrid(dt=np.array([period / COAST_STAGES_PER_ORBIT]), tmax=np.zeros(1))
+    grid = StageGrid(dt=np.array([period / COAST_STAGES_PER_ORBIT]),
+                     window_of_stage=np.full(1, -1), thrust_kn=TH.thrust_kn)
     sx = OcpProblem(x0=x, grid=grid, x_ref=x, isp=TH.isp).scales()[0]
     ns = grid.substeps()
     A, _ = linearize_batch(x[None], np.zeros((1, 3)), grid.dt, ns, TH.isp,
@@ -270,7 +270,8 @@ def test_coast_substep_keeps_a_coast_stage_within_the_error_budget():
     kep = KeplerianState(7000.0, 0.001, math.radians(97.4), math.radians(158.0), 0.0, 0.0)
     x = np.concatenate([kep_to_mee(kep).as_array(), [235.0]])
     period = 2.0 * math.pi * math.sqrt(7000.0**3 / EARTH.mu)
-    grid = StageGrid(dt=np.array([period / COAST_STAGES_PER_ORBIT]), tmax=np.zeros(1))
+    grid = StageGrid(dt=np.array([period / COAST_STAGES_PER_ORBIT]),
+                     window_of_stage=np.full(1, -1), thrust_kn=TH.thrust_kn)
     s0 = SpacecraftState(MeeState.from_array(x[:6]), float(x[6]))
     fine = propagate_numeric(s0, np.zeros((1, 3)), grid.dt, TH.isp,
                              PropagatorConfig(step=10.0))[-1]

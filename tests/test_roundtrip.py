@@ -109,7 +109,7 @@ def arcs(draw):
     return RefinedArc(
         states=states, controls=controls,
         dt=np.array(draw(st.lists(finite(0.1, 600.0), min_size=n, max_size=n))),
-        t0=draw(finite(0.0, 1e8)), dv_total=draw(finite(0.0, 1.0)),
+        t0=draw(finite(0.0, 1e8)),
         iterations=draw(st.integers(0, 50)), converged=draw(st.booleans()),
         objective=draw(finite(0.0, 1e6)), x_ref=np.array(draw(element)),
         label=draw(st.text(max_size=12)),
@@ -139,9 +139,27 @@ def test_arcs_file_is_the_json_dump_of_its_record(tmp_path):
         states=np.array([[7000.0, -0.0, 5e-324, 0.1, -0.0, 1.0, 235.0],
                          [7000.5, 1e-3, -0.0, 0.1, 0.2, 1.5, 234.9]]),
         controls=np.array([[-0.0, 5e-324, 0.0126]]), dt=np.array([5e-324]),
-        t0=-0.0, dv_total=5e-324, iterations=3, converged=False, objective=1e308,
+        t0=-0.0, iterations=3, converged=False, objective=1e308,
         x_ref=np.array([7000.0, -0.0, 0.0, 5e-324, 0.0, 1e308, 200.0]), label="odd",
         objective_history=[1e308, -0.0, 5e-324])
     for arc_list in ([], [odd], [odd, odd]):
         cycle(save_arcs, load_arcs, arc_list, tmp_path / "a.json", tmp_path / "b.json")
         assert_arcs_file_is_json_dump(arc_list, tmp_path / "a.json")
+
+
+def test_arc_dv_read_back_is_bit_equal(tmp_path):
+    # one 1.25 s burn at the peak 12.6 N and one coast: the arc's dv v has
+    # v * 1000 / 1000 != v, so reading it back from dv_mps would move its
+    # last bit.  The arc read back derives it from its arrays instead
+    states = np.array([[7000.0, 0.0, 0.0, 0.0, 0.0, 0.0, 235.0],
+                       [7000.0, 0.0, 0.0, 0.0, 0.0, 0.01, 234.97],
+                       [7000.0, 0.0, 0.0, 0.0, 0.0, 0.5, 234.97]])
+    arc = RefinedArc(states=states, controls=np.array([[0.0, 0.0126, 0.0], [0.0] * 3]),
+                     dt=np.array([1.25, 60.0]), t0=0.0, iterations=1, converged=True,
+                     objective=0.0, x_ref=states[-1].copy(), label="leg0/phase0.0")
+    dv = arc.dv_total
+    assert dv * 1000.0 / 1000.0 != dv
+    save_arcs([arc], tmp_path / "a.json")
+    back, = load_arcs(tmp_path / "a.json")
+    assert back.dv_total == dv
+    assert json.loads((tmp_path / "a.json").read_text())["arcs"][0]["dv_mps"] == dv * 1000.0

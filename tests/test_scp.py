@@ -160,7 +160,7 @@ def test_warm_start_prefix_rolled_once_equals_full_roll(monkeypatch):
         with pytest.warns(UserWarning, match="thrust bound"):
             W_full, U_full = warm_start(full, x0, weak.isp)
         assert np.array_equal(problem.grid.dt, full.dt)
-        assert np.array_equal(problem.grid.tmax, full.tmax)
+        assert problem.grid.thrust_kn == full.thrust_kn
         assert np.array_equal(problem.grid.window_of_stage, full.window_of_stage)
         assert np.array_equal(W, W_full)
         assert np.array_equal(U, U_full)
@@ -179,6 +179,45 @@ def test_iteration_cap_flags_nonconvergence(monkeypatch):
     arc = scp_solve(problem, W, U)
     assert not arc.converged
     assert arc.iterations == 1
+
+
+def test_trust_radius_bounds_every_step_and_never_grows(monkeypatch):
+    # at a trust radius of 1e-3 the weak raise's first QP step is scaled
+    # down to the radius, and the model fits it so well that it is
+    # accepted.  Every later candidate stays within that radius too: the
+    # radius only shrinks.  A candidate's step is measured from the
+    # iterate it steps from: the warm start, or the candidate accepted
+    # just before the last linearization
+    radius = 1e-3
+    problem, W, U = weak_raise_problem()
+    sx = problem.scales()[0]
+    events = []
+    score, linearize = scp.stage_defects, scp.linearize_batch
+
+    def spy_score(states, *args):
+        events.append(states.copy())
+        return score(states, *args)
+
+    def spy_linearize(*args, **kwargs):
+        events.append(None)
+        return linearize(*args, **kwargs)
+
+    monkeypatch.setattr(scp, "stage_defects", spy_score)
+    monkeypatch.setattr(scp, "linearize_batch", spy_linearize)
+    monkeypatch.setattr(scp, "TRUST_RADIUS", radius)
+    arc = scp_solve(problem, W, U)
+    base, candidate, steps, accepted = W, None, [], []
+    for states in events:
+        if states is None:          # a linearization follows an accepted step
+            if candidate is not None:
+                base = candidate
+                accepted.append(len(steps) - 1)
+        else:
+            candidate = states
+            steps.append(float(np.max(np.abs((states - base) / sx))))
+    assert arc.converged and len(steps) >= 3
+    assert steps[0] == pytest.approx(radius, rel=1e-9) and accepted[0] == 0
+    assert max(steps) <= radius * (1.0 + 1e-9)
 
 
 def test_rejected_full_step_is_never_scored_twice(monkeypatch):
@@ -329,7 +368,7 @@ def test_stage_defects_of_a_rollout_and_of_a_moved_node():
     assert np.max(np.abs(d / sx)) < 1e-14
     # moving node j by delta changes exactly the defects of stages j - 1 and
     # j: by -delta, and to the one-stage defect of the scalar integrator
-    for j in (1, int(np.flatnonzero(grid.tmax > 0.0)[2]), len(U) - 1):
+    for j in (1, int(np.flatnonzero(grid.window_of_stage >= 0)[2]), len(U) - 1):
         moved = W.copy()
         moved[j] += 1e-6 * sx
         got = stage_defects(moved, U, grid, TH.isp)
@@ -350,7 +389,8 @@ def test_chunked_stage_defects_equal_whole_grid_oracle():
     n = 3 * BATCH_BLOCK + 37
     x, u, dt, coast = mixed_stage_grid(rng, n + 1)
     u, dt, coast = u[:n], dt[:n], coast[:n]
-    grid = StageGrid(dt=dt, tmax=np.where(coast, 0.0, TH.thrust_kn))
+    grid = StageGrid(dt=dt, window_of_stage=np.where(coast, -1, 0),
+                     thrust_kn=TH.thrust_kn)
     substeps = grid.substeps()
     assert np.array_equal(substeps, np.where(coast, 4, 1))
     for group in (coast, ~coast):
@@ -383,8 +423,9 @@ def test_default_decommission_leg_is_one_piece_per_phase():
     # 33 days.  At 40 coast stages per orbit it needed about 23,000 stages
     # and the stage cap split it; at COAST_STAGES_PER_ORBIT = 4 about 4,600
     cfg = ScenarioConfig()
-    kep = KeplerianState(EARTH.re + cfg.insertion_altitude, 0.0, cfg.insertion_inclination,
-                         cfg.insertion_raan, 0.0, 0.0)
+    kep = KeplerianState(EARTH.re + cfg.insertion_altitude, 0.0,
+                         math.radians(cfg.insertion_inclination_deg),
+                         math.radians(cfg.insertion_raan_deg), 0.0, 0.0)
     state0 = SpacecraftState(kep_to_mee(kep), mass=cfg.spacecraft.wet_mass)
     est, plan = decommission_estimate(state0, EARTH.re + cfg.decommission_altitude,
                                       cfg.spacecraft.thruster)

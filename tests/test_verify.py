@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,9 @@ from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, kep_to_mee
 from orbtour.ocp import COAST_SUBSTEP
 from orbtour.propagate import PropagatorConfig
-from orbtour.scp import RefinedArc, refine_tour
+from orbtour.errors import SchemaError
+from orbtour.scenario import Bundle, MissionScenario, PayloadSpec, SpacecraftSpec
+from orbtour.scp import RefinedArc, load_arcs, refine_tour, roll_on
 from orbtour.tour import tour_cost
 import orbtour.verify
 from orbtour.verify import (STEP_S, TOL_FUEL_FRACTION, repropagate_arc,
@@ -37,7 +40,7 @@ def test_coast_only_arc_repropagates_exactly():
     states = propagate_numeric(s0, controls, dts, 277.0,
                                PropagatorConfig(step=10.0), EARTH)
     arc = RefinedArc(states=states, controls=controls, dt=dts, t0=0.0,
-                     dv_total=0.0, iterations=1, converged=True, objective=0.0,
+                     iterations=1, converged=True, objective=0.0,
                      x_ref=states[-1].copy(), label="leg0/phase0.0")
     traj = repropagate_arc(arc, PropagatorConfig(step=10.0), isp=277.0)
     # no propellant use, and the verifier reproduces the stored trajectory
@@ -85,13 +88,13 @@ def test_tolerances_drive_pass_flags(refined_mission, monkeypatch):
     assert all(leg.pass_sma and leg.pass_fuel for leg in strict.legs)
 
 
-def _save_mission(tmp_path, scn, tour, arcs) -> list[str]:
+def _save_mission(tmp_path, scn, tour, arcs, consts=EARTH) -> list[str]:
     """Write a mission's inputs; the ``verify`` arguments that read them."""
     from orbtour.cli import save_tour
     from orbtour.scenario import save_scenario
     from orbtour.scp import save_arcs
     paths = {n: tmp_path / f"{n}.json" for n in ("scenario", "tour", "arcs", "report")}
-    save_scenario(scn, paths["scenario"])
+    save_scenario(scn, paths["scenario"], consts)
     save_tour(tour, paths["tour"])
     save_arcs(arcs, paths["arcs"])
     return ["verify", "--scenario", str(paths["scenario"]), "--tour",
@@ -195,3 +198,37 @@ def test_step_is_accurate_and_finer_than_the_refiner(refined_mission, monkeypatc
         coast = np.all(arc.controls == 0.0, axis=1)
         assert np.any(_substeps(arc.dt[coast], STEP_S)
                       != _substeps(arc.dt[coast], COAST_SUBSTEP)), arc.label
+
+
+def test_arc_stages_are_checked_against_the_period_under_the_active_constants(
+        tmp_path, monkeypatch):
+    # one coast revolution of a 500 km orbit under mu / 4, in two stages: the
+    # first, 8,000 s, is longer than the orbit's period about the Earth
+    # (5,677 s) but within its period under these constants (11,354 s).  The
+    # single bundle sits on the insertion orbit and the disposal orbit is
+    # the same, so no leg burns and the coast arc alone makes leg0
+    from orbtour.cli import main
+    consts = dataclasses.replace(EARTH, mu=EARTH.mu / 4.0)
+    orbit = KeplerianState(EARTH.re + 500.0, 0.0, math.radians(97.4),
+                           math.radians(158.0), 0.0, 0.0)
+    scn = MissionScenario(SpacecraftSpec(), orbit, orbit.a,
+                          (Bundle((PayloadSpec("cubesat", 6.0, orbit),), orbit),))
+    period = 2.0 * math.pi * math.sqrt(orbit.a**3 / consts.mu)
+    dt = np.array([8000.0, period - 8000.0])
+    x0 = np.concatenate([kep_to_mee(orbit).as_array(), [scn.initial_mass]])
+    states = roll_on(x0, np.zeros((2, 3)), dt, scn.spacecraft.thruster.isp, consts)
+    arc = RefinedArc(states=states, controls=np.zeros((2, 3)), dt=dt, t0=0.0,
+                     iterations=1, converged=True, objective=0.0,
+                     x_ref=states[-1].copy(), label="leg0/phase0.0")
+    argv = _save_mission(tmp_path, scn, tour_cost(scn, [0], consts), [arc], consts)
+    arcs_path = tmp_path / "arcs.json"
+    with pytest.raises(SchemaError, match=r"dt_s must lie in \[0, 5677.0\] s"):
+        load_arcs(arcs_path)
+    loaded, = load_arcs(arcs_path, consts)
+    assert np.array_equal(loaded.dt, dt) and np.array_equal(loaded.states, states)
+    const_file = tmp_path / "constants.json"
+    const_file.write_text(json.dumps({"mu": consts.mu}))
+    monkeypatch.setenv("ORBTOUR_CONSTANTS", str(const_file))
+    assert main(argv) == 0
+    data = json.loads((tmp_path / "report.json").read_text())
+    assert data["all_passed"] is True and [leg["label"] for leg in data["legs"]] == ["leg0"]
