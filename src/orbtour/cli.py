@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-import types
 import typing
 from pathlib import Path
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .constants import PhysicalConstants
-from .errors import OrbtourError, SchemaError, read_json_object, write_json
+from .errors import OrbtourError, SchemaError, json_fits, read_json_object, write_json
 from .optimizer import OptimizerConfig, optimize
 from .parallel import ordered_map
 from .scenario import (MissionScenario, ScenarioConfig, load_scenario,
@@ -71,19 +70,6 @@ def derived_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
-def _json_fits(value, hint) -> bool | None:
-    """Whether the JSON ``value`` can set a field of type ``hint``: a bool
-    is not a number and a float is not an int.  None when no JSON value can
-    set such a field."""
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
-    if hint in (str, type(None)):
-        return isinstance(value, hint)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_json_fits(value, arg) for arg in typing.get_args(hint))
-    return None
-
-
 def _config_from(cls, path: str | None):
     """``cls`` built from the JSON object in the config file ``path`` (the
     defaults when ``path`` is None).  A file that is not an object, an
@@ -99,7 +85,7 @@ def _config_from(cls, path: str | None):
         raise SchemaError(f"{path}: unknown {cls.__name__} key(s): "
                           f"{', '.join(unknown)}")
     for key, value in data.items():
-        fits = _json_fits(value, hints[key])
+        fits = json_fits(value, hints[key])
         if fits is None:
             raise SchemaError(f"{path}: {cls.__name__} key {key!r} cannot be set "
                               "from a file")
@@ -163,8 +149,7 @@ def load_tour_order(path: str | Path, n_bundles: int) -> list[int]:
     if "order" not in data:
         raise SchemaError(f"{path} is not a tour record")
     order = data["order"]
-    if not (isinstance(order, list)
-            and all(isinstance(i, int) and not isinstance(i, bool) for i in order)):
+    if not (isinstance(order, list) and all(json_fits(i, int) for i in order)):
         raise SchemaError(f"{path}: tour order must be a list of integers")
     if sorted(order) != list(range(n_bundles)):
         raise SchemaError(f"{path}: tour order {order} is not a permutation of "

@@ -1,9 +1,12 @@
 """Exception types shared across modules, the reader of JSON input files
-that raises them, and the writer of JSON artifacts."""
+that raises them, the one rule for the JSON type of an input value, and the
+writer of JSON artifacts."""
 from __future__ import annotations
 
 import json
 import os
+import types
+import typing
 
 
 class OrbtourError(Exception):
@@ -34,6 +37,19 @@ def read_json_object(path: str | os.PathLike) -> dict:
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object, found {type(data).__name__}")
     return data
+
+
+def json_fits(value, hint) -> bool | None:
+    """Whether the JSON ``value`` can set a field of type ``hint``: a bool
+    is not a number and a float is not an int.  None when no JSON value can
+    set such a field."""
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if hint in (bool, str, type(None)):
+        return isinstance(value, hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(json_fits(value, arg) for arg in typing.get_args(hint))
+    return None
 
 
 def write_json(path: str | os.PathLike, obj) -> None:

@@ -118,8 +118,9 @@ class BurnPlan:
 class TransferEstimate:
     """Cost summary of one maneuver or maneuver sequence: total ``dv_total``
     [km/s], ``fuel_mass`` [kg], ``burn_count``, ``tof_total`` [s] and the
-    ``end_state``.  ``tof_total`` is the duty-cycle timeline, phasing and
-    node coasts included; the burn plan carries the physical epochs."""
+    ``end_state``.  ``burn_count`` is the event count of the plan returned
+    with it, and ``tof_total`` the duty-cycle timeline of those burns, phasing
+    and node coasts included; the plan carries the physical epochs."""
 
     dv_total: float
     fuel_mass: float
@@ -152,13 +153,6 @@ def rocket_fuel(m0: float, dv: float, ve: float) -> float:
     return m0 * (1.0 - math.exp(-dv / ve))
 
 
-def required_burns(fuel: float, per_burn: float) -> int:
-    """Number of duty-cycle burns needed for ``fuel`` kg of propellant."""
-    if fuel <= 0.0:
-        return 0
-    return max(1, math.ceil(fuel / per_burn - 1e-12))
-
-
 def average_period(r0: float, r1: float, mu: float) -> float:
     """Orbital period averaged over radii swept between r0 and r1 [s]."""
     lo, hi = min(r0, r1), max(r0, r1)
@@ -185,7 +179,8 @@ def split_dv(dv_total: float, m0: float, thruster: ThrusterSpec,
 
     Every burn except the last consumes one full duty cycle of propellant;
     a trailing burn below the minimum impulse bit is merged into its
-    predecessor.  The dv pieces telescope: their sum equals ``dv_total``.
+    predecessor, so it is no burn of its own: the estimators count one burn
+    per piece.  The dv pieces telescope: their sum equals ``dv_total``.
     """
     if dv_total <= 0.0:
         return []
@@ -220,7 +215,9 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
     The total dv equals the direct two-impulse transfer regardless of how
     many burns it is split into.  The plan steps the apsis staircase: the
     departure burns share one apsis, the circularization burns the other,
-    and each revolution uses the current osculating period.
+    and each revolution uses the current osculating period.  Each
+    :func:`split_dv` piece of the two impulses is a burn, and the time of
+    flight charges one per revolution of the radius-averaged period.
     """
     if r0 <= consts.re or r1 <= consts.re:
         raise ValueError("orbit radii must exceed the Earth radius")
@@ -237,19 +234,14 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
     fuel_d = rocket_fuel(craft_mass, dv_d, ve)
     fuel_c = rocket_fuel(craft_mass - fuel_d, dv_c, ve)
 
-    per_burn = thruster.per_burn_fuel(consts)
-    k_d = required_burns(fuel_d, per_burn)
-    k_c = required_burns(fuel_c, per_burn)
-    p_bar = average_period(r0, r1, consts.mu)
-    tof = duty_cycle_tof(k_d + k_c, p_bar, thruster, cap=1)
-
     raising = r1 > r0
     sign = 1.0 if raising else -1.0
     events: list[BurnEvent] = []
     t, m = 0.0, craft_mass
     # phase 1: burns at the departure radius push the far apsis to r1
     v_here = math.sqrt(consts.mu / r0)
-    for dv_j, fuel_j in split_dv(dv_d, craft_mass, thruster, consts):
+    departure = split_dv(dv_d, craft_mass, thruster, consts)
+    for dv_j, fuel_j in departure:
         events.append(BurnEvent(t, (0.0, sign * dv_j, 0.0),
                                 PERIGEE if raising else APOGEE))
         v_here += sign * dv_j
@@ -259,13 +251,16 @@ def mht_estimate(r0: float, r1: float, craft_mass: float, thruster: ThrusterSpec
     # phase 2: half a revolution to the far apsis, then circularize there
     t -= 0.5 * TWO_PI * math.sqrt(sma**3 / consts.mu)
     v_far = math.sqrt(consts.mu * (2.0 / r1 - 1.0 / sma))
-    for dv_j, _ in split_dv(dv_c, m, thruster, consts):
+    circularization = split_dv(dv_c, m, thruster, consts)
+    for dv_j, _ in circularization:
         events.append(BurnEvent(t, (0.0, sign * dv_j, 0.0),
                                 APOGEE if raising else PERIGEE))
         v_far += sign * dv_j
         sma = 1.0 / (2.0 / r1 - v_far**2 / consts.mu)
         t += TWO_PI * math.sqrt(sma**3 / consts.mu)
 
+    k_d, k_c = len(departure), len(circularization)
+    tof = duty_cycle_tof(k_d + k_c, average_period(r0, r1, consts.mu), thruster, cap=1)
     # reported as the departure's plus the circularization's share of the
     # duty-cycle time: the sum can differ from ``tof`` in the last bit, and
     # tour timelines are accumulated from it
@@ -285,7 +280,8 @@ def nic_estimate(di: float, r: float, craft_mass: float, thruster: ThrusterSpec,
     The out-of-plane sign of each burn flips between the ascending and
     descending nodes so every impulse pushes the inclination the same way.
     Plan epochs use Keplerian node spacing; the refiner retimes them against
-    the J2 dynamics before use.
+    the J2 dynamics before use.  Each :func:`split_dv` piece is a burn, and
+    the time of flight charges up to two per revolution.
     """
     if r <= consts.re:
         raise ValueError("orbit radius must exceed the Earth radius")
@@ -296,8 +292,6 @@ def nic_estimate(di: float, r: float, craft_mass: float, thruster: ThrusterSpec,
     dv = plane_change_dv(di, v_circ)
     ve = thruster.exhaust_velocity(consts)
     fuel = rocket_fuel(craft_mass, dv, ve)
-    k = required_burns(fuel, thruster.per_burn_fuel(consts))
-    tof = duty_cycle_tof(k, period, thruster, cap=2)
 
     half = math.pi / n_mean
 
@@ -310,9 +304,10 @@ def nic_estimate(di: float, r: float, craft_mass: float, thruster: ThrusterSpec,
                                 ASC_NODE if ascending else DESC_NODE))
         t += half
 
+    tof = duty_cycle_tof(len(events), period, thruster, cap=2)
     end_kep = KeplerianState(a=r, e=0.0, i=abs(di), raan=0.0, argp=0.0, ta=0.0)
     end = SpacecraftState(kep_to_mee(end_kep), mass=craft_mass - fuel, epoch=tof)
-    return TransferEstimate(dv, fuel, k, tof, end), BurnPlan(events)
+    return TransferEstimate(dv, fuel, len(events), tof, end), BurnPlan(events)
 
 
 def phasing_coast(L_chaser: float, L_target_at_arrival: float,
@@ -377,7 +372,6 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
     plan = BurnPlan([])
     dv_total = 0.0
     fuel_total = 0.0
-    burns = 0
 
     def coast(a_mean: float, i_mean: float, dt: float) -> None:
         nonlocal raan, elapsed, phys_t
@@ -387,10 +381,9 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
 
     def burn(est: TransferEstimate, raw_plan: BurnPlan, a_mean: float,
              i_mean: float) -> None:
-        nonlocal raan, mass, elapsed, phys_t, dv_total, fuel_total, burns, plan
+        nonlocal raan, mass, elapsed, phys_t, dv_total, fuel_total, plan
         dv_total += est.dv_total
         fuel_total += est.fuel_mass
-        burns += est.burn_count
         mass -= est.fuel_mass
         raan += _sec_drift(a_mean, i_mean, est.tof_total, consts)
         plan = plan.then(raw_plan, phys_t, thruster.cycle)
@@ -434,7 +427,7 @@ def sequential_mht_nic(state: SpacecraftState, target: KeplerianState,
         raise InsufficientFuelError("release mass exceeds remaining spacecraft mass")
     end = SpacecraftState(kep_to_mee(end_kep), mass=end_mass,
                           epoch=state.epoch + elapsed)
-    return TransferEstimate(dv_total, fuel_total, burns, elapsed, end), plan
+    return TransferEstimate(dv_total, fuel_total, len(plan.events), elapsed, end), plan
 
 
 def decommission_estimate(state: SpacecraftState, decom_radius: float,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import EARTH, SECONDS_PER_YEAR, TWO_PI, PhysicalConstants
 from .elements import KeplerianState, SpacecraftState, kep_to_mee
-from .errors import SchemaError, read_json_object, write_json
+from .errors import SchemaError, json_fits, read_json_object, write_json
 from .maneuvers import ThrusterSpec
 
 SCHEMA_VERSION = 1
@@ -134,10 +134,17 @@ class ScenarioConfig:
     spacecraft: SpacecraftSpec = field(default_factory=SpacecraftSpec)
 
     def __post_init__(self) -> None:
-        if (self.fixed_bundles is not None
-                and not self.min_bundles <= self.fixed_bundles <= self.n_payloads):
-            raise ValueError(f"fixed_bundles must be in [{self.min_bundles}, "
-                             f"{self.n_payloads}], got {self.fixed_bundles}")
+        for name in ("n_cubesats", "n_pocketqubes", "n_smallsats",
+                     "altitude_spread", "mass_spread"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_payloads < 2:
+            raise ValueError("n_cubesats + n_pocketqubes + n_smallsats must be >= 2, "
+                             f"got {self.n_payloads}")
+        for name, low in (("min_bundles", 1), ("fixed_bundles", self.min_bundles)):
+            value = getattr(self, name)
+            if value is not None and not low <= value <= self.n_payloads:
+                raise ValueError(f"{name} must be in [{low}, {self.n_payloads}], got {value}")
 
     @property
     def n_payloads(self) -> int:
@@ -169,8 +176,6 @@ def sample_scenario(config: ScenarioConfig, seed: int,
     nominal altitude, inclination uniform across the sun-synchronous band of
     that altitude range, free node/perigee/anomaly, and payload masses at or
     above their class nominal (exponential excess)."""
-    if config.n_payloads < 2:
-        raise ValueError("the payload inventory must contain at least two payloads")
     rng = np.random.default_rng(seed)
     inventory = config.inventory()
     n = len(inventory)
@@ -290,14 +295,40 @@ def scenario_to_dict(scn: MissionScenario, consts: PhysicalConstants = EARTH) ->
     }
 
 
-def _check_finite(value, where: str) -> None:
-    """Raise a schema error naming, as a dotted path, the first number in
-    ``value`` that is not finite (JSON's NaN and Infinity, or an overflow)."""
-    if isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _check_finite(item, f"{where}.{key}" if where else str(key))
-    elif isinstance(value, float) and not math.isfinite(value):
-        raise SchemaError(f"{where} must be a finite number, got {value}")
+_ORBIT = dict.fromkeys(("a_km", "e", "i_deg", "raan_deg", "argp_deg", "ta_deg"), float)
+#: the type of every scalar a scenario record holds; a list's one element
+#: is the schema of each of its items
+_SCHEMA = {
+    "seed": int | None, "epoch0_s": float, "decommission_alt_km": float,
+    "spacecraft": {
+        "wet_mass_kg": float, "payload_mass_total_kg": float, "fuel_mass_kg": float,
+        "thruster": {"thrust_n": float, "isp_s": float, "t_on_s": float,
+                     "t_cooldown_s": float, "min_impulse_bit_ns": float, "cluster": int}},
+    "insertion": _ORBIT,
+    "bundles": [{"target": _ORBIT, "payloads": [{"class": str, "mass_kg": float}]}],
+}
+_KINDS = {float: "a number", int: "an integer", str: "a string",
+          int | None: "an integer or null"}
+
+
+def _check_types(value, schema, where: str) -> None:
+    """Raise a schema error naming, as a dotted path, the first scalar in
+    ``value`` whose JSON type cannot set a field of its ``schema`` type
+    (:func:`json_fits`) or that is a number but not finite (JSON's NaN and
+    Infinity, or an overflow).  Missing keys and records of another shape
+    are left to the loader."""
+    if isinstance(schema, dict) and isinstance(value, dict):
+        for key, sub in schema.items():
+            if key in value:
+                _check_types(value[key], sub, f"{where}.{key}" if where else key)
+    elif isinstance(schema, list) and isinstance(value, list):
+        for k, item in enumerate(value):
+            _check_types(item, schema[0], f"{where}.{k}")
+    elif not isinstance(schema, (dict, list)):
+        if not json_fits(value, schema):
+            raise SchemaError(f"{where} must be {_KINDS[schema]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(f"{where} must be a finite number, got {value}")
 
 
 def scenario_from_dict(d: dict, consts: PhysicalConstants = EARTH) -> MissionScenario:
@@ -305,10 +336,7 @@ def scenario_from_dict(d: dict, consts: PhysicalConstants = EARTH) -> MissionSce
         raise SchemaError("not a scenario record")
     if d["version"] != SCHEMA_VERSION:
         raise SchemaError(f"unsupported scenario schema version {d['version']!r}")
-    _check_finite(d, "")
-    epoch0 = d.get("epoch0_s", 0.0)
-    if isinstance(epoch0, bool) or not isinstance(epoch0, (int, float)):
-        raise SchemaError(f"epoch0_s must be a number, got {epoch0!r}")
+    _check_types(d, _SCHEMA, "")
     try:
         th = d["spacecraft"]["thruster"]
         thruster = ThrusterSpec(thrust=th["thrust_n"], isp=th["isp_s"], t_on=th["t_on_s"],
@@ -334,7 +362,7 @@ def scenario_from_dict(d: dict, consts: PhysicalConstants = EARTH) -> MissionSce
             insertion=_kep_from_dict(d["insertion"], "insertion"),
             decommission_radius=decommission_radius,
             bundles=tuple(bundles),
-            epoch0=epoch0,
+            epoch0=d.get("epoch0_s", 0.0),
             seed=d.get("seed"),
         )
     except (KeyError, TypeError) as exc:

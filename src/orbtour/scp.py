@@ -47,7 +47,7 @@ import numpy as np
 
 from .constants import EARTH, PhysicalConstants
 from .elements import MeeState, SpacecraftState, mee_to_kep
-from .errors import SchemaError, read_json_object
+from .errors import SchemaError, json_fits, read_json_object
 from .maneuvers import (ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec,
                         TransferEstimate)
 from .ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, STAGE_CAP,
@@ -334,16 +334,15 @@ def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
     physical target is just the staircase state where the next piece starts.
     """
     groups = _phase_groups(plan)
+    period = 2.0 * math.pi * math.sqrt(mee_to_kep(state0.mee).a**3 / consts.mu)
     pieces: list[tuple[BurnPlan, np.ndarray | None, str]] = []
     for gi, g in enumerate(groups):
         # enforce the stage cap by splitting long phases at coast midpoints;
         # the margin covers the phase-matching tail and per-gap rounding
-        kep = mee_to_kep(state0.mee)
-        period = 2.0 * math.pi * math.sqrt(kep.a**3 / consts.mu)
         est_stages = (len(g.events) * (BURN_STAGES + 1)
                       + (g.duration / period + 2.5) * COAST_STAGES_PER_ORBIT)
-        n_chunks = max(1, math.ceil(est_stages / (0.9 * options.stage_cap)))
-        chunks = split_plan(g, g.duration / n_chunks) if n_chunks > 1 else [g]
+        n_chunks = math.ceil(est_stages / (0.9 * options.stage_cap))
+        chunks = split_plan(g, g.duration / n_chunks)
         for ci, chunk in enumerate(chunks):
             last = (gi == len(groups) - 1) and (ci == len(chunks) - 1)
             pieces.append((chunk, x_ref_final if last else None,
@@ -553,13 +552,12 @@ def arc_from_dict(d: dict) -> RefinedArc:
     raises a SchemaError that names the arc and the key.  ``dv_mps`` is not
     read: the arc derives its dv from its arrays."""
     history, t0 = d["objective_history"], d.get("t0_s", 0.0)
-    number = lambda v: type(v) in (int, float)   # a bool is no number here
-    for key, ok, kind in (("converged", type(d["converged"]) is bool, "a bool"),
-                          ("iterations", type(d["iterations"]) is int, "an integer"),
-                          ("objective", number(d["objective"]), "a number"),
-                          ("t0_s", number(t0), "a number"),
-                          ("objective_history", type(history) is list
-                           and all(map(number, history)), "a list of numbers")):
+    for key, ok, kind in (("converged", json_fits(d["converged"], bool), "a bool"),
+                          ("iterations", json_fits(d["iterations"], int), "an integer"),
+                          ("objective", json_fits(d["objective"], float), "a number"),
+                          ("t0_s", json_fits(t0, float), "a number"),
+                          ("objective_history", type(history) is list and all(
+                              json_fits(v, float) for v in history), "a list of numbers")):
         if not ok:
             raise SchemaError(f"arc {d.get('label', 'arc')!r}: {key} must be {kind}, "
                               f"got {json.dumps(d[key])}")

@@ -303,6 +303,27 @@ def test_a_failing_leg_fails_refine_alike_on_one_or_two_jobs(tmp_path, tiny_path
     assert multiprocessing.active_children() == []
 
 
+def test_refine_with_unconverged_arcs_writes_them_and_exits_3(tmp_path, tiny_paths,
+                                                              capsys, monkeypatch):
+    # one SCP iteration leaves three of the tiny tour's arcs short of the
+    # stopping test: a partial refinement, written and named, not an error
+    import orbtour.scp
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    arcs = tmp_path / "arcs.json"
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(orbtour.scp, "MAX_ITERATIONS", 1)
+    assert run(["refine", "--tour", tour, "--scenario", scn_path, "--jobs", 1,
+                "--out", arcs]) == 3
+    bad = ["leg0/phase1.0", "leg1/phase0.0", "leg1/phase1.0"]
+    assert capsys.readouterr().err == (f"refine: 3 arc(s) did not converge: "
+                                       f"{', '.join(bad)}\n")
+    records = json.loads(arcs.read_text())["arcs"]
+    assert [a["label"] for a in records if not a["converged"]] == bad
+    assert all(a["iterations"] == 1 for a in records)
+
+
 COUNT_OPTIONS = {"refine": ("refine", "--jobs"), "verify": ("verify", "--jobs"),
                  "montecarlo": ("montecarlo", "--jobs"),
                  "generate-count": ("generate", "--count"),
@@ -557,6 +578,26 @@ def test_bundle_count_out_of_range_names_value_and_range(tmp_path, capsys):
         assert err.endswith(f"fixed_bundles must be in [2, 13], got {bad}")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n_cubesats": -3}', "n_cubesats must be >= 0, got -3"),
+    ('{"n_cubesats": 1, "n_pocketqubes": 0, "n_smallsats": 0}',
+     "n_cubesats + n_pocketqubes + n_smallsats must be >= 2, got 1"),
+    ('{"min_bundles": 20}', "min_bundles must be in [1, 13], got 20"),
+    ('{"min_bundles": 0}', "min_bundles must be in [1, 13], got 0"),
+    ('{"altitude_spread": -400}', "altitude_spread must be >= 0, got -400"),
+    ('{"mass_spread": -1}', "mass_spread must be >= 0, got -1")],
+    ids=["n_cubesats", "n_payloads", "min_bundles-high", "min_bundles-low",
+         "altitude_spread", "mass_spread"])
+def test_generate_config_out_of_range_names_the_key(tmp_path, capsys, text, message):
+    # "n_cubesats": -3 once sampled a 5-payload inventory that reported 2
+    # payloads, and the others failed in numpy with text naming no key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["generate", "--config", cfg, "--out", tmp_path / "s.json"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: bad ScenarioConfig value: {message}\n"
+    assert not (tmp_path / "s.json").exists()
+
+
 def arc_record(label: str = "leg0/phase0.0", stages: int = 1, **fields) -> dict:
     """An arcs.json arc of ``stages`` coast stages, with ``fields`` replaced."""
     x = [7000.0, 0, 0, 0, 0, 0, 235.0]
@@ -688,6 +729,42 @@ def test_verify_rejects_arcs_that_leave_a_burning_leg_unrefined(tmp_path, tiny_p
     assert capsys.readouterr().err == (f"error: {arcs}: no arc refines {missing}, "
                                        "which the tour says must burn\n")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("path, value, text", [
+    ("spacecraft.thruster.cluster", 2.5, "an integer, got 2.5"),
+    ("spacecraft.thruster.t_on_s", True, "a number, got True"),
+    ("spacecraft.thruster.thrust_n", True, "a number, got True"),
+    ("spacecraft.wet_mass_kg", "235", "a number, got '235'"),
+    ("bundles.0.payloads.1.mass_kg", False, "a number, got False"),
+    ("bundles.1.payloads.0.class", 5, "a string, got 5"),
+    ("insertion.e", None, "a number, got None"),
+    ("bundles.1.target.a_km", True, "a number, got True"),
+    ("decommission_alt_km", "460", "a number, got '460'"),
+    ("seed", "abc", "an integer or null, got 'abc'"),
+    ("seed", 1.0, "an integer or null, got 1.0")])
+def test_a_scenario_value_of_the_wrong_json_type_is_an_error(tmp_path, tiny_paths, capsys,
+                                                             path, value, text):
+    # a bool is not a number and a float is not an int: "cluster": 2.5 once
+    # scaled the thrust by 2.5, "t_on_s": true loaded as 1 s, and "seed":
+    # "abc" was written back to the next scenario file; the message names
+    # the key by its dotted path
+    _, scn_path = tiny_paths
+    tour = tmp_path / "tour.json"
+    assert run(["solve", "--scenario", scn_path, "--exact", "--out", tour]) == 0
+    record = json.loads(scn_path.read_text())
+    *parents, key = path.split(".")
+    node = record
+    for step in parents:
+        node = node[int(step) if step.isdigit() else step]
+    node[key] = value
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(record))
+    capsys.readouterr()
+    for command in (["refine", "--tour", tour],
+                    ["verify", "--arcs", tmp_path / "arcs.json", "--tour", tour]):
+        assert run(command + ["--scenario", bad, "--out", tmp_path / "o.json"]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {path} must be {text}\n"
 
 
 def test_a_bad_scenario_or_tour_order_names_its_file(tmp_path, tiny_paths, capsys):

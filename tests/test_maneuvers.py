@@ -14,6 +14,8 @@ from orbtour.maneuvers import (APOGEE, ASC_NODE, DESC_NODE, PERIGEE, ThrusterSpe
                                hohmann_dv, mht_estimate, nic_estimate, phasing_coast,
                                plane_change_dv, rocket_fuel, sequential_mht_nic,
                                split_dv)
+from orbtour.scenario import ScenarioConfig, sample_scenario
+from orbtour.tour import tour_plans
 
 TH = ThrusterSpec()
 TAU = 2 * math.pi
@@ -91,6 +93,33 @@ def test_minimum_impulse_bit_merges_trailing_sliver():
     pieces = split_dv(dv, m0, TH)
     assert len(pieces) == 1
     assert sum(p[0] for p in pieces) == pytest.approx(dv, rel=1e-12)
+
+
+def test_burn_count_is_the_plan_event_count_and_prices_the_duty_cycle():
+    # a split_dv that merges a trailing sliver plans one burn fewer than
+    # ceil(fuel / per-burn fuel); the estimate must count, and charge
+    # duty-cycle time for, the burns its plan fires
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        r0, r1 = rng.uniform(6700.0, 7400.0, 2)
+        mass = rng.uniform(150.0, 300.0)
+        est, plan = mht_estimate(r0, r1, mass, TH)
+        k = len(plan.events)
+        assert est.burn_count == k
+        k_d = sum(ev.tag == plan.events[0].tag for ev in plan.events)
+        tof = duty_cycle_tof(k, average_period(r0, r1, EARTH.mu), TH, cap=1)
+        assert est.tof_total == tof * k_d / k + tof * (k - k_d) / k
+
+        r, di = rng.uniform(6700.0, 7400.0), rng.uniform(-0.05, 0.05)
+        est, plan = nic_estimate(di, r, mass, TH)
+        assert est.burn_count == len(plan.events)
+        assert est.tof_total == duty_cycle_tof(len(plan.events), orbit_scalars(r)[1],
+                                               TH, cap=2)
+
+    for seed in range(40):
+        scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed)
+        for _, est, plan in tour_plans(scn, range(13)):
+            assert est.burn_count == len(plan.events)
 
 
 @given(st.floats(0.001, 0.5), st.floats(150.0, 300.0))
