@@ -17,14 +17,14 @@ frame, and skips the thrust terms and mass updates of thrust-free segments.
 Both raise :class:`~orbtour.errors.SingularStateError` where w <= 0 (the
 radius diverges); the scalar one also raises once the mass is burnt to zero.
 
-The batch integrator walks its rows in blocks of at most
-:data:`BATCH_BLOCK`, in struct-of-arrays layout on one work array it
-allocates once per call: one contiguous row per element, control
-component, per-row constant (mass rate, step sizes), stage input, rate,
-rate sum and right-hand-side intermediate, every operation written in
-place.  Rows never interact and each keeps the operation order of the
-expression-form whole-batch integration, so the result is bit-identical
-for any block split.
+The batch integrator works in struct-of-arrays layout on one work array
+it allocates per call, as wide as its batch: one contiguous row per
+element, control component, per-row constant (mass rate, step sizes),
+stage input, rate, rate sum and right-hand-side intermediate, every
+operation written in place.  Rows never interact and each keeps the
+operation order of the expression-form whole-batch integration, so a row's
+result does not depend on the batch it is integrated in.  Its callers in
+:mod:`orbtour.ocp` bound the batch, and with it the work array.
 """
 from __future__ import annotations
 
@@ -206,8 +206,6 @@ def propagate_numeric(state: SpacecraftState, controls: np.ndarray,
 # batch integration for finite differencing
 # ---------------------------------------------------------------------------
 
-#: rows per block of :func:`rk4_batch`, and the width of its work array
-BATCH_BLOCK = 8192
 #: scratch rows of :func:`_rhs_into`
 _RHS_SCRATCH = 13
 #: rows of the work array of :func:`rk4_batch`: state, controls, per-row
@@ -228,7 +226,7 @@ def _rhs_into(rate, p, f, g, h, k, L, m, ur, ut, un, mu: float, cj2: float,
     takes the operations of the expression form kept as the oracle in
     ``tests/conftest.py``, in the same order, one ufunc at a time into a
     preallocated row, so the bits are the same.  The mass rate is constant
-    per row, so :func:`_rk4_block` computes it once."""
+    per row, so :func:`rk4_batch` computes it once."""
     cosL, sinL, w, v, s2, s4, coef, ar, at, an, sqpm, x, y = scratch
     rp, rf, rg, rh, rk, rL = rate
     np.cos(L, out=cosL)
@@ -331,15 +329,24 @@ def _rhs_into(rate, p, f, g, h, k, L, m, ur, ut, un, mu: float, cj2: float,
     rL += x
 
 
-def _rk4_block(y, u, duration, nsteps: int, ve: float, mu: float, cj2: float,
-               work, out) -> None:
-    """RK4 over one block of b rows in struct-of-arrays layout, in place on
-    the rows of ``work`` (:data:`_WORK_ROWS`, b): y (b, 7), u (b, 3) and
-    duration (b,) -> end states written to ``out`` (b, 7).
+def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
+              ve: float, consts: PhysicalConstants) -> np.ndarray:
+    """Integrate a batch of states over one constant-control segment each:
+    y (B, 7), u (B, 3), duration (B,) -> (B, 7).  All rows share the same
+    substep count (callers group rows accordingly).
 
-    The rates of the four stages are summed into one set of six rows as
-    k1 + 2 k2 + 2 k3 + k4, left to right, which is the operation order of
-    the expression form."""
+    The rows are integrated in struct-of-arrays layout, in place on the
+    rows of one work array (:data:`_WORK_ROWS`, B), so every element works
+    on a contiguous (B,) array.  The rates of the four stages are summed
+    into one set of six rows as k1 + 2 k2 + 2 k3 + k4, left to right, which
+    is the operation order of the expression form.  The work array grows
+    with B; the callers in :mod:`orbtour.ocp` bound B by
+    :data:`~orbtour.ocp.BATCH_BLOCK`.
+    """
+    duration = np.asarray(duration, dtype=float)
+    mu = consts.mu
+    cj2 = mu * consts.j2 * consts.re * consts.re
+    work = np.empty((_WORK_ROWS, y.shape[0]))
     state, stage, rate, total = work[:7], work[16:22], work[23:29], work[29:35]
     p, f, g, h, k, L, m, ur, ut, un, dt, half, sixth, dm_half, dm_full, dm_step = work[:16]
     ms = work[22]
@@ -376,29 +383,4 @@ def _rk4_block(y, u, duration, nsteps: int, ve: float, mu: float, cj2: float,
         total *= sixth
         state[:6] += total
         m += dm_step
-    out[:] = state.T
-
-
-def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
-              ve: float, consts: PhysicalConstants) -> np.ndarray:
-    """Integrate a batch of states over one constant-control segment each:
-    y (B, 7), u (B, 3), duration (B,) -> (B, 7).  All rows share the same
-    substep count (callers group rows accordingly).
-
-    The rows are walked in blocks of at most :data:`BATCH_BLOCK` on one
-    work array allocated once per call, so every element works on
-    contiguous (b,) arrays that stay allocated.  Rows never interact and
-    each keeps the operation order of a whole-batch integration, so any
-    block split gives the same bits.
-    """
-    duration = np.asarray(duration, dtype=float)
-    n = y.shape[0]
-    mu = consts.mu
-    cj2 = mu * consts.j2 * consts.re * consts.re
-    out = np.empty((n, 7))
-    work = np.empty((_WORK_ROWS, min(BATCH_BLOCK, n)))
-    for s in range(0, n, BATCH_BLOCK):
-        e = min(s + BATCH_BLOCK, n)
-        _rk4_block(y[s:e], u[s:e], duration[s:e], nsteps, ve, mu, cj2,
-                   work[:, :e - s], out[s:e])
-    return out
+    return state.T.copy()

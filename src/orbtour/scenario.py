@@ -138,6 +138,15 @@ class ScenarioConfig:
                      "altitude_spread", "mass_spread"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, value in (("decommission_altitude", self.decommission_altitude),
+                            ("insertion_altitude", self.insertion_altitude),
+                            ("nominal_altitude - altitude_spread",
+                             self.nominal_altitude - self.altitude_spread)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not 0 <= self.insertion_inclination_deg < 180:
+            raise ValueError("insertion_inclination_deg must be in [0, 180), "
+                             f"got {self.insertion_inclination_deg}")
         if self.n_payloads < 2:
             raise ValueError("n_cubesats + n_pocketqubes + n_smallsats must be >= 2, "
                              f"got {self.n_payloads}")

@@ -50,9 +50,8 @@ from .elements import MeeState, SpacecraftState, mee_to_kep
 from .errors import SchemaError, json_fits, read_json_object
 from .maneuvers import (ASC_NODE, BurnEvent, BurnPlan, DESC_NODE, ThrusterSpec,
                         TransferEstimate)
-from .ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, STAGE_CAP,
-                  StageGrid, build_grid, linearize_batch, split_plan, stage_defects,
-                  with_tail)
+from .ocp import (COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, STAGE_CAP, StageGrid,
+                  build_grid, linearize_batch, stage_defects, with_tail)
 from .parallel import ordered_map
 from .propagate import PropagatorConfig, propagate_numeric
 from .qp import ConvexSubproblem, ReducedArcSolver
@@ -312,6 +311,8 @@ def scp_solve(problem: OcpProblem, warm_states: np.ndarray,
 
 @dataclass
 class RefineOptions:
+    """``stage_cap``: the memory guard of :func:`~orbtour.ocp.with_tail`."""
+
     stage_cap: int = STAGE_CAP
 
 
@@ -322,58 +323,33 @@ def _phase_groups(plan: BurnPlan) -> list[BurnPlan]:
             groupby(plan.events, lambda ev: ev.tag in (ASC_NODE, DESC_NODE))]
 
 
-def _problems_for_leg(state0: SpacecraftState, plan: BurnPlan,
-                      options: RefineOptions, x_ref_final: np.ndarray,
-                      consts: PhysicalConstants,
-                      label: str) -> list[tuple[BurnPlan, np.ndarray | None, str]]:
-    """(sub-plan, terminal reference or None, label) triples for one leg:
-    one per maneuver phase, or more where the stage cap splits a phase.
-
-    A None reference means "pin to the warm rollout terminal": used for the
-    interior pieces produced by phase grouping or stage-cap splitting, whose
-    physical target is just the staircase state where the next piece starts.
-    """
-    groups = _phase_groups(plan)
-    period = 2.0 * math.pi * math.sqrt(mee_to_kep(state0.mee).a**3 / consts.mu)
-    pieces: list[tuple[BurnPlan, np.ndarray | None, str]] = []
-    for gi, g in enumerate(groups):
-        # enforce the stage cap by splitting long phases at coast midpoints;
-        # the margin covers the phase-matching tail and per-gap rounding
-        est_stages = (len(g.events) * (BURN_STAGES + 1)
-                      + (g.duration / period + 2.5) * COAST_STAGES_PER_ORBIT)
-        n_chunks = math.ceil(est_stages / (0.9 * options.stage_cap))
-        chunks = split_plan(g, g.duration / n_chunks)
-        for ci, chunk in enumerate(chunks):
-            last = (gi == len(groups) - 1) and (ci == len(chunks) - 1)
-            pieces.append((chunk, x_ref_final if last else None,
-                           f"{label}/phase{gi}.{ci}"))
-    return pieces
-
-
 def refine_leg(leg: tuple[str, SpacecraftState, TransferEstimate, BurnPlan],
                thruster: ThrusterSpec, options: RefineOptions,
                consts: PhysicalConstants) -> list[RefinedArc]:
     """Refine one leg ``(label, state0, est, plan)`` of a tour: one
-    RefinedArc per piece of :func:`_problems_for_leg`, chained on the leg
-    timeline from ``state0``."""
+    RefinedArc per maneuver phase of :func:`_phase_groups`, labelled
+    ``{label}/phase{g}.0`` and chained on the leg timeline from ``state0``.
+
+    The last phase targets the leg's reference; an earlier phase pins to its
+    own warm terminal, the state where the next phase starts."""
     label, state0, est, plan = leg
+    groups = _phase_groups(plan)
     x_ref_final = np.concatenate([est.end_state.mee.as_array(),
                                   [est.end_state.mass]])
-    pieces = _problems_for_leg(state0, plan, options, x_ref_final, consts, label)
-    # chain on the leg timeline: each piece starts where the previous arc's
-    # rollout (which extends past its last burn) ended; terminal pieces
-    # anchor their endpoint phase to the leg's starting phase
+    # chain on the leg timeline: each phase starts where the previous arc's
+    # rollout (which extends past its last burn) ended; the last phase
+    # anchors its endpoint phase to the leg's starting phase
     x_cursor = np.concatenate([state0.mee.as_array(), [state0.mass]])
     leg_u0 = (state0.mee.L - math.atan2(state0.mee.k, state0.mee.h))
     cursor = 0.0  # leg-relative time already covered
     arcs = []
-    for chunk, x_ref, piece_label in pieces:
-        arc_start = max(chunk.events[0].epoch - 0.5 * thruster.t_on, cursor)
+    for gi, group in enumerate(groups):
+        arc_start = max(group.events[0].epoch - 0.5 * thruster.t_on, cursor)
         lead = arc_start - cursor
-        rel_plan = chunk.shifted(-arc_start)
-        arc = refine_arc(x_cursor, rel_plan, thruster, x_ref, options,
+        x_ref = x_ref_final if gi == len(groups) - 1 else None
+        arc = refine_arc(x_cursor, group.shifted(-arc_start), thruster, x_ref, options,
                          consts, isp=thruster.isp,
-                         t0=state0.epoch + arc_start, label=piece_label,
+                         t0=state0.epoch + arc_start, label=f"{label}/phase{gi}.0",
                          lead_coast=lead, u_anchor=leg_u0)
         arcs.append(arc)
         x_cursor = arc.states[-1].copy()
@@ -385,8 +361,8 @@ def refine_tour(order, scenario: MissionScenario,
                 options: RefineOptions = RefineOptions(),
                 consts: PhysicalConstants = EARTH,
                 jobs: int | None = 1) -> list[RefinedArc]:
-    """Refine every leg of a visit order; returns one RefinedArc per solved
-    piece, in leg order.
+    """Refine every leg of a visit order; returns one RefinedArc per
+    maneuver phase, in leg order.
 
     Each leg starts from its analytic :func:`~orbtour.tour.tour_plans`
     state, not from the previous leg's arcs, so the legs are independent.
@@ -394,7 +370,7 @@ def refine_tour(order, scenario: MissionScenario,
     processes (None: every available CPU), most burns first; the arcs are
     bit-identical to a serial run's.
 
-    Non-converged pieces are flagged on their arc; callers treat the tour as
+    Non-converged phases are flagged on their arc; callers treat the tour as
     partially refined when any flag is down.
     """
     legs = [(f"leg{li}", state0, est, plan)
@@ -446,20 +422,21 @@ def prepare_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
                 label: str = "arc", lead_coast: float = 0.0,
                 u_anchor: float | None = None,
                 ) -> tuple[OcpProblem, np.ndarray, np.ndarray]:
-    """Build the refinement problem and warm start for one plan chunk.
+    """Build the refinement problem and warm start for one maneuver phase.
 
     ``lead_coast`` seconds of coast are prepended numerically to ``x0``
-    before the first window (phasing/idle time between chunks).  The warm
+    before the first window (phasing/idle time before the phase).  The warm
     start through the last window is rolled once and each trailing coast is
     rolled on from it, so the result equals a whole warm start on the final
-    grid and its warnings appear once.  Interior chunks (``x_ref`` None)
-    get a one-stage tail and pin to their own warm terminal.  Terminal
-    chunks get a tail stretched, in up to three fits, to end at the anchor
-    argument-of-latitude phase — the phase where the leg's ideal-element
-    boundary state was defined — so the J2 short-period oscillations of the
-    size and plane cancel between the leg endpoints.  Their reference keeps
-    the target's a and i and takes every other element from the warm
-    terminal.  Returns (problem, warm states, warm controls).
+    grid and its warnings appear once.  A phase that a later one follows
+    (``x_ref`` None) gets a one-stage tail and pins to its own warm
+    terminal.  A leg's last phase gets a tail stretched, in up to three
+    fits, to end at the anchor argument-of-latitude phase — the phase where
+    the leg's ideal-element boundary state was defined — so the J2
+    short-period oscillations of the size and plane cancel between the leg
+    endpoints.  Its reference keeps the target's a and i and takes every
+    other element from the warm terminal.  Returns (problem, warm states,
+    warm controls).
     """
     x0 = np.asarray(x0, dtype=float)
     if lead_coast > 0.0:
@@ -517,7 +494,7 @@ def refine_arc(x0: np.ndarray, plan: BurnPlan, thruster: ThrusterSpec,
                consts: PhysicalConstants, isp: float, t0: float = 0.0,
                label: str = "arc", lead_coast: float = 0.0,
                u_anchor: float | None = None) -> RefinedArc:
-    """Prepare and solve one plan chunk."""
+    """Prepare and solve one maneuver phase."""
     problem, W, U = prepare_arc(x0, plan, thruster, x_ref, options, consts,
                                 isp, t0, label, lead_coast, u_anchor)
     return scp_solve(problem, W, U)

@@ -585,9 +585,21 @@ def test_bundle_count_out_of_range_names_value_and_range(tmp_path, capsys):
     ('{"min_bundles": 20}', "min_bundles must be in [1, 13], got 20"),
     ('{"min_bundles": 0}', "min_bundles must be in [1, 13], got 0"),
     ('{"altitude_spread": -400}', "altitude_spread must be >= 0, got -400"),
-    ('{"mass_spread": -1}', "mass_spread must be >= 0, got -1")],
+    ('{"mass_spread": -1}', "mass_spread must be >= 0, got -1"),
+    # each of these once generated a scenario that the loader or solve
+    # refused, or failed naming no key
+    ('{"decommission_altitude": -100}', "decommission_altitude must be > 0, got -100"),
+    ('{"decommission_altitude": 0}', "decommission_altitude must be > 0, got 0"),
+    ('{"insertion_altitude": -7000}', "insertion_altitude must be > 0, got -7000"),
+    ('{"altitude_spread": 600}', "nominal_altitude - altitude_spread must be > 0, got -100.0"),
+    ('{"insertion_inclination_deg": 180}',
+     "insertion_inclination_deg must be in [0, 180), got 180"),
+    ('{"insertion_inclination_deg": -1}',
+     "insertion_inclination_deg must be in [0, 180), got -1")],
     ids=["n_cubesats", "n_payloads", "min_bundles-high", "min_bundles-low",
-         "altitude_spread", "mass_spread"])
+         "altitude_spread", "mass_spread", "decommission_altitude-negative",
+         "decommission_altitude-zero", "insertion_altitude", "altitude_spread-below-surface",
+         "insertion_inclination_deg-high", "insertion_inclination_deg-negative"])
 def test_generate_config_out_of_range_names_the_key(tmp_path, capsys, text, message):
     # "n_cubesats": -3 once sampled a 5-payload inventory that reported 2
     # payloads, and the others failed in numpy with text naming no key

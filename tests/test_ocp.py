@@ -10,7 +10,7 @@ from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
 from orbtour.ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, StageGrid,
-                         build_grid, burn_windows, linearize_batch, split_plan, with_tail)
+                         build_grid, burn_windows, linearize_batch, with_tail)
 from orbtour.propagate import PropagatorConfig, propagate_numeric
 from orbtour.scp import TRUST_RADIUS, OcpProblem, roll_on, warm_start
 
@@ -89,18 +89,6 @@ def test_grid_cap_enforced():
     est, plan = mht_estimate(6950.0, 7000.0, 235.0, TH)
     with pytest.raises(ValueError, match="cap"):
         with_tail(build_grid(plan, TH, 5800.0), 0.25 * 5800.0, 5800.0, stage_cap=100)
-
-
-def test_split_plan_respects_duration():
-    events = [impulse(float(t)) for t in range(0, 10000, 500)]
-    plan = BurnPlan(events)
-    chunks = split_plan(plan, 3000.0)
-    assert sum(len(c.events) for c in chunks) == len(events)
-    for c in chunks:
-        assert c.events[-1].epoch - c.events[0].epoch <= 3000.0 + 500.0
-    # epochs stay on the original timeline
-    flat = [ev.epoch for c in chunks for ev in c.events]
-    assert flat == [ev.epoch for ev in events]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +331,7 @@ def test_linearization_equals_every_offset_oracle(monkeypatch, consts):
     A, B = linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=coast)
     assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
     assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
-    assert len(rows) == 4 and max(rows) <= propagate.BATCH_BLOCK
+    assert len(rows) == 4 and max(rows) <= ocp.BATCH_BLOCK
     assert sum(rows) == 12 * n + 2 * np.sum(np.any(u != 0.0, axis=1)) + 6 * np.sum(~coast)
 
 

@@ -222,12 +222,12 @@ def test_fused_batch_rhs_equals_unfused_oracle(consts):
 
 
 @pytest.mark.parametrize("nsteps", [1, 4])
-def test_blocked_batch_equals_whole_batch_oracle(nsteps):
-    # more than two blocks with a ragged tail, coast and burn rows mixed,
-    # walked on one work array: the bits of the whole-batch oracle and of
-    # the expression-form block
+def test_whole_batch_equals_whole_batch_oracle(nsteps):
+    # a batch larger than any chunk of the ocp walks, coast and burn rows
+    # mixed, integrated on one work array: the bits of the whole-batch
+    # oracle and of the expression-form block
     rng = np.random.default_rng(29)
-    n = 2 * propagate.BATCH_BLOCK + 1234
+    n = 2 * ocp.BATCH_BLOCK + 1234
     y = near_circular_states(rng, n)
     u = thrusts(rng, n)
     u[::3] = 0.0
@@ -269,10 +269,10 @@ def test_batch_row_with_nonpositive_w_raises():
                   [7000.0, -1.5, 0.0, 0.0, 0.0, 0.0, 235.0]])
     with pytest.raises(SingularStateError):
         rk4_batch(y, np.zeros((2, 3)), np.array([10.0, 10.0]), 1, VE, EARTH)
-    # a bad row in the third block
-    n = 2 * propagate.BATCH_BLOCK + 10
+    # a bad row near the end of a large batch
+    n = 2 * ocp.BATCH_BLOCK + 10
     y = np.tile(y[0], (n, 1))
-    y[2 * propagate.BATCH_BLOCK + 5, 1:6] = [-1.5, 0.0, 0.0, 0.0, 0.0]
+    y[2 * ocp.BATCH_BLOCK + 5, 1:6] = [-1.5, 0.0, 0.0, 0.0, 0.0]
     with pytest.raises(SingularStateError):
         rk4_batch(y, np.zeros((n, 3)), np.full(n, 10.0), 1, VE, EARTH)
     # a bad stage in a later chunk of a linearization

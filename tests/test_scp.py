@@ -11,17 +11,15 @@ from orbtour import scp
 from orbtour.constants import EARTH
 from orbtour.elements import (KeplerianState, MeeState, SpacecraftState, kep_to_mee,
                                mee_to_kep)
-from orbtour.maneuvers import (BurnPlan, ThrusterSpec, decommission_estimate, mht_estimate,
-                               nic_estimate)
-from orbtour.ocp import (COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, StageGrid, build_grid,
-                         with_tail)
-from orbtour.propagate import (BATCH_BLOCK, PropagatorConfig, propagate_numeric, rk4_batch,
-                               rk4_segment)
-from orbtour.scenario import ScenarioConfig
-from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc,
+from orbtour.maneuvers import BurnPlan, ThrusterSpec, mht_estimate, nic_estimate
+from orbtour.ocp import (BATCH_BLOCK, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, StageGrid,
+                         build_grid, with_tail)
+from orbtour.propagate import PropagatorConfig, propagate_numeric, rk4_batch, rk4_segment
+from orbtour.scenario import ScenarioConfig, sample_scenario
+from orbtour.scp import (OcpProblem, RefineOptions, prepare_arc, refine_arc, refine_leg,
                          refine_tour, save_arcs, load_arcs, scp_solve, stage_defects,
                          warm_start)
-from orbtour.tour import tour_cost
+from orbtour.tour import brute_force, tour_cost, tour_plans
 from orbtour.verify import STEP_S, repropagate_arc
 
 TH = ThrusterSpec()
@@ -404,36 +402,25 @@ def test_chunked_stage_defects_equal_whole_grid_oracle():
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_stage_cap_splits_arc_into_chunks():
-    scn = tiny_mission()
-    full = refine_tour([0, 1], scn)
-    split = refine_tour([0, 1], scn, RefineOptions(stage_cap=400))
-    assert len(split) > len(full)
-    # chained chunks still land on the mission orbits
-    last_by_leg = {}
-    for arc in split:
-        last_by_leg[arc.label.split("/")[0]] = arc
-    for leg, arc in last_by_leg.items():
-        assert abs(arc.terminal_error["da_km"]) < 10.0
+def test_a_grid_above_the_stage_cap_is_refused(tiny_refined):
+    # the cap is a memory guard, not a split: a grid above it raises one
+    # error naming its stage count and the cap
+    scn, tour, arcs = tiny_refined
+    cap = max(arc.dt.size for arc in arcs) - 1
+    with pytest.raises(ValueError, match=rf"^grid needs \d+ stages, cap is {cap}$") as err:
+        refine_tour(tour.order, scn, RefineOptions(stage_cap=cap))
+    assert int(str(err.value).split()[2]) > cap
 
 
-def test_default_decommission_leg_is_one_piece_per_phase():
-    # the default ScenarioConfig's decommission, 500 -> 250 km, flown at the
-    # full wet mass (more than any tour has left by then): 518 burns over
-    # 33 days.  At 40 coast stages per orbit it needed about 23,000 stages
-    # and the stage cap split it; at COAST_STAGES_PER_ORBIT = 4 about 4,600
-    cfg = ScenarioConfig()
-    kep = KeplerianState(EARTH.re + cfg.insertion_altitude, 0.0,
-                         math.radians(cfg.insertion_inclination_deg),
-                         math.radians(cfg.insertion_raan_deg), 0.0, 0.0)
-    state0 = SpacecraftState(kep_to_mee(kep), mass=cfg.spacecraft.wet_mass)
-    est, plan = decommission_estimate(state0, EARTH.re + cfg.decommission_altitude,
-                                      cfg.spacecraft.thruster)
-    assert len(plan.events) == 518
-    x_ref = np.concatenate([est.end_state.mee.as_array(), [est.end_state.mass]])
-    pieces = scp._problems_for_leg(state0, plan, RefineOptions(), x_ref, EARTH, "leg")
-    assert [label for _, _, label in pieces] == [
-        f"leg/phase{gi}.0" for gi in range(len(scp._phase_groups(plan)))]
+def test_each_maneuver_phase_refines_as_one_arc():
+    # leg 1 of generated seed 11 puts a 2-burn raise after a 316.5-day
+    # phasing coast, then a 24-burn plane change.  The stage-cap estimate
+    # once counted that coast and split the raise into 1 + 1 burns and the
+    # plane change into 1 + 23
+    scn = sample_scenario(ScenarioConfig(), 11)
+    leg = tour_plans(scn, brute_force(scn).order)[1]
+    arcs = refine_leg(("leg1", *leg), scn.spacecraft.thruster, RefineOptions(), EARTH)
+    assert [arc.label for arc in arcs] == ["leg1/phase0.0", "leg1/phase1.0"]
 
 
 @pytest.fixture(scope="module")
@@ -441,6 +428,25 @@ def tiny_refined():
     scn = tiny_mission()
     tour = tour_cost(scn, [0, 1])
     return scn, tour, refine_tour(tour.order, scn)
+
+
+def test_a_legs_arcs_chain(tiny_refined):
+    # each leg's arcs start from its planned start mass and each later arc
+    # from where the previous one ended: lead coasts burn nothing, and no
+    # arc starts before the previous one ends
+    scn, tour, arcs = tiny_refined
+    starts = tour_plans(scn, tour.order)
+    by_leg = {}
+    for arc in sorted(arcs, key=lambda arc: arc.label):
+        by_leg.setdefault(arc.label.split("/")[0], []).append(arc)
+    assert by_leg
+    for leg, leg_arcs in by_leg.items():
+        state0 = starts[int(leg[3:])][0]
+        assert leg_arcs[0].states[0, 6] == state0.mass
+        assert leg_arcs[0].t0 >= state0.epoch
+        for prev, arc in zip(leg_arcs, leg_arcs[1:]):
+            assert arc.states[0, 6] == prev.states[-1, 6]
+            assert arc.t0 >= prev.t0 + prev.dt.sum()
 
 
 def test_tiny_mission_legs_realize_their_plane_changes(tiny_refined):
