@@ -37,7 +37,8 @@ from .parallel import ordered_map
 from .scenario import (MissionScenario, ScenarioConfig, load_scenario,
                        sample_scenario, save_scenario)
 from .scp import RefineOptions, load_arcs, refine_tour, save_arcs
-from .tour import MAX_EXACT_BUNDLES, Tour, brute_force, heuristic_walks, tour_cost
+from .tour import (EXACT_CROSSOVER, MAX_EXACT_BUNDLES, Tour, brute_force,
+                   heuristic_walks, tour_cost)
 from .verify import save_report, verify_trajectory
 
 
@@ -282,12 +283,16 @@ def _mc_row(scenario: MissionScenario, tour: Tour, index: int, seed: int) -> dic
 def _mc_task(payload: tuple) -> tuple[int, dict | None, dict | None, str | None]:
     """One montecarlo scenario: (index, row, tour record, None), or
     (index, None, None, message) when it fails, so one bad scenario does
-    not end the run."""
+    not end the run.  Up to :data:`EXACT_CROSSOVER` bundles the tour is the
+    exact optimum, above it the island search's under ``opt_seed``."""
     index, scn_seed, opt_seed, config, opt, consts = payload
     try:
         scn = sample_scenario(config, scn_seed, consts)
-        opt = dataclasses.replace(opt, seed=opt_seed)
-        tour, _ = optimize(scn, opt, consts=consts)
+        if scn.n_bundles <= EXACT_CROSSOVER:
+            tour = brute_force(scn, consts=consts)
+        else:
+            tour, _ = optimize(scn, dataclasses.replace(opt, seed=opt_seed),
+                               consts=consts)
     except Exception as exc:  # reported per scenario; the run continues
         return index, None, None, str(exc)
     return index, _mc_row(scn, tour, index, scn_seed), tour_to_dict(tour), None

@@ -34,9 +34,13 @@ from .scenario import MissionScenario
 
 #: multiplier on fuel overrun when pricing infeasible tours
 OVERRUN_PENALTY = 10.0
-#: most bundles :func:`brute_force` will take; its tables grow as n·2ⁿ, to a
-#: 33 MB peak at 16, and ``generate`` draws at most 13 by default
+#: most bundles :func:`brute_force` will take; its tie masks grow as n·2ⁿ,
+#: to a 14 MiB traced peak at 16, and ``generate`` draws at most 13 by default
 MAX_EXACT_BUNDLES = 16
+#: most bundles ``montecarlo`` prices by :func:`brute_force` rather than the
+#: island search; per scenario on a 2-CPU x86-64 host the two took 19 and 79 ms
+#: at 13 bundles, 39 and 84 at 14, 92 and 90 at 15
+EXACT_CROSSOVER = 14
 
 
 @dataclass
@@ -152,36 +156,44 @@ class TourEvaluator:
         J. SIAM 10, 1962).  Each state keeps that prefix's mass and fuel,
         priced by :meth:`_leg` in one step per set size and last bundle, and
         the bitmask of the predecessors whose mass ties it bit for bit.
-        Every full set is closed by its disposal leg.  The winner is
-        rebuilt forward: the states on a path of tied predecessors to a
-        minimum-cost full set are marked walking backward, then from the
-        insertion the smallest next bundle that stays on a marked path is
-        taken.  n²·2ⁿ⁻¹ legs and 3·n·2ⁿ stored values: 21k legs and 14k
-        values at 9 bundles, 8.4 M legs and 3.1 M values at 16.
+        Mass and fuel are kept for two set sizes at a time, a set's row being
+        its ``rank`` among the sets of its size.  Every full set is closed by
+        its disposal leg.  The winner is rebuilt forward: the states on a
+        path of tied predecessors to a minimum-cost full set are marked
+        walking backward, then from the insertion the smallest next bundle
+        that stays on a marked path is taken.  n²·2ⁿ⁻¹ legs; n·2ⁿ tie masks
+        and marks, beside at most 4·n·C(n, ⌊n/2⌋) values of mass and fuel:
+        0.7 M legs and a 1.6 MiB traced peak at 13 bundles, 8.4 M legs and
+        14 MiB at 16.
         """
         n = self.scenario.n_bundles
         sets, bits = np.arange(1 << n), np.arange(n)
         single = 1 << bits
         member = sets[:, None] & single > 0
         layers = [sets[member.sum(axis=1) == k] for k in range(n + 1)]
-        mass, fuel = np.zeros((2, 1 << n, n))
-        ties = np.zeros((1 << n, n), dtype=np.int64)
+        rank = np.zeros(1 << n, dtype=np.int64)
+        for layer in layers:
+            rank[layer] = np.arange(layer.size)
+        ties = np.zeros((1 << n, n), dtype=np.uint16)
         m, f = np.full(n, self._m0), np.zeros(n)
         self._leg(m, f, self.leg_frac[n], self.bundle_mass, np.empty(n))
-        mass[single, bits], fuel[single, bits] = m, f
+        mass, fuel = np.diag(m), np.diag(f)  # size 1: row b is the set {b}
         for layer in layers[2:]:
+            prev_mass, prev_fuel = mass, fuel
+            mass, fuel = np.zeros((2, layer.size, n))
             for j in bits:
                 cur = layer[member[layer, j]]
                 prev = cur ^ single[j]
-                m, f = mass[prev], fuel[prev]
+                m, f = prev_mass[rank[prev]], prev_fuel[rank[prev]]
                 self._leg(m, f, self.leg_frac[:n, j], self.bundle_mass[j],
                           np.empty_like(m))
                 m[~member[prev]] = -np.inf
                 tied = m == m.max(axis=1, keepdims=True)
                 pick, rows = tied.argmax(axis=1), np.arange(cur.size)
-                mass[cur, j], fuel[cur, j] = m[rows, pick], f[rows, pick]
+                at = rank[cur]
+                mass[at, j], fuel[at, j] = m[rows, pick], f[rows, pick]
                 ties[cur, j] = tied @ single
-        end = fuel[-1] + mass[-1] * self.decommission_frac
+        end = fuel[0] + mass[0] * self.decommission_frac
         cost, _ = overrun_cost(end, self._budget)
         marked = np.zeros((1 << n, n), dtype=bool)
         marked[-1] = cost == cost.min()

@@ -397,18 +397,18 @@ def test_montecarlo_and_report(tmp_path):
 
 
 def test_montecarlo_failed_scenario_is_reported(tmp_path, capsys, monkeypatch):
-    # scenario 1 fails in the optimizer; serial and parallel runs report it
-    # the same way and keep the other rows (workers fork, so see the patch)
+    # scenario 1 fails in the exact search; serial and parallel runs report
+    # it the same way and keep the other rows (workers fork, so see the patch)
     from orbtour import cli
-    real = cli.optimize
-    bad_seed = cli.derived_seed(3, 2 * 1 + 1)
+    real = cli.brute_force
+    bad_seed = cli.derived_seed(3, 2 * 1)
 
-    def optimize(scn, config, **kwargs):
-        if config.seed == bad_seed:
+    def brute_force(scn, **kwargs):
+        if scn.seed == bad_seed:
             raise RuntimeError("injected failure")
-        return real(scn, config, **kwargs)
+        return real(scn, **kwargs)
 
-    monkeypatch.setattr(cli, "optimize", optimize)
+    monkeypatch.setattr(cli, "brute_force", brute_force)
     opt = tmp_path / "opt.json"
     opt.write_text('{"generations": 5, "islands": 2, "population": 8}')
     errs, tables = [], []
@@ -422,6 +422,51 @@ def test_montecarlo_failed_scenario_is_reported(tmp_path, capsys, monkeypatch):
             "tour_0000.json", "tour_0002.json"]
     assert errs[0] == errs[1] == "montecarlo: scenario 1 failed: injected failure\n"
     assert tables[0] == tables[1] and len(tables[0].splitlines()) == 3
+
+
+def test_montecarlo_prices_default_scenarios_exactly(tmp_path):
+    # every default scenario has at most 13 bundles, under the crossover, so
+    # each tour is the dynamic program's optimum, in serial and in parallel;
+    # the default island search misses scenario 1 of seed 10 by 0.42 kg
+    from orbtour.scenario import ScenarioConfig, sample_scenario
+    from orbtour.tour import EXACT_CROSSOVER, brute_force
+    assert ScenarioConfig().n_payloads <= EXACT_CROSSOVER
+    outs = [tmp_path / "mc1", tmp_path / "mc2"]
+    for jobs, out in zip((1, 2), outs):
+        assert run(["montecarlo", "--n", 4, "--seed", 10, "--out-dir", out,
+                    "--jobs", jobs]) in (0, 2)
+    lines = (outs[0] / "montecarlo.csv").read_text().splitlines()[1:]
+    assert len(lines) == 4
+    for line in lines:
+        index, seed = (int(cell) for cell in line.split(",")[:2])
+        tour = json.loads((outs[0] / f"tour_{index:04d}.json").read_text())
+        exact = brute_force(sample_scenario(ScenarioConfig(), seed))
+        assert tuple(tour["order"]) == exact.order, index
+    for name in ["montecarlo.csv"] + [f"tour_{i:04d}.json" for i in range(4)]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_montecarlo_searches_above_the_crossover(tmp_path):
+    # 15 bundles lie above the crossover: the tour is the island search's,
+    # under the scenario's optimizer seed; this short search misses the optimum
+    from orbtour.cli import derived_seed
+    from orbtour.optimizer import OptimizerConfig, optimize
+    from orbtour.scenario import ScenarioConfig, sample_scenario
+    from orbtour.tour import EXACT_CROSSOVER, brute_force
+    config = ScenarioConfig(n_cubesats=10, fixed_bundles=15)
+    assert config.fixed_bundles > EXACT_CROSSOVER
+    cfg, opt = tmp_path / "cfg.json", tmp_path / "opt.json"
+    cfg.write_text('{"n_cubesats": 10}')
+    opt.write_text('{"generations": 5, "islands": 2, "population": 8}')
+    out = tmp_path / "mc"
+    assert run(["montecarlo", "--config", cfg, "--bundles", 15, "--n", 1,
+                "--seed", 3, "--jobs", 1, "--optimizer-config", opt,
+                "--out-dir", out]) in (0, 2)
+    tour = json.loads((out / "tour_0000.json").read_text())
+    scn = sample_scenario(config, derived_seed(3, 0))
+    best, _ = optimize(scn, OptimizerConfig(generations=5, islands=2, population=8,
+                                            seed=derived_seed(3, 1)))
+    assert tuple(tour["order"]) == best.order != brute_force(scn).order
 
 
 def test_bundle_count_drives_mission_cost():

@@ -281,6 +281,19 @@ def test_brute_force_memory_stays_small_at_9_bundles():
     assert peak < 2e6
 
 
+def test_brute_force_memory_stays_small_at_13_bundles():
+    # mass and fuel are kept for two set sizes at a time: about 1.6 MiB here,
+    # against 3.1 MiB with a row for each of the 2¹³ sets
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=13)
+    tracemalloc.start()
+    try:
+        brute_force(scn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_dropping_decommission_never_raises_cost(small_scenario):
     ev = TourEvaluator(small_scenario)
     orders = lex_orders(small_scenario.n_bundles)
