@@ -98,9 +98,9 @@ def _ga_step(keys: np.ndarray, cost: np.ndarray, rng: np.random.Generator) -> No
         winner = np.where(beats, picks[..., k], winner)
         least = np.minimum(least, fought[..., k])
     flat = keys.reshape(isl * pop, n)
-    parents = flat.take(winner, axis=0)
+    # each parent slot gathered whole, so both are contiguous
+    pa, pb = flat.take(winner.transpose(1, 0, 2), axis=0)
     elite = flat.take(first + cost.argmin(axis=1), axis=0)
-    pa, pb = parents[:, 0], parents[:, 1]
     # blend crossover per gene: lo + (hi - lo) * U[0, 1) is how
     # Generator.uniform draws, bit for bit, without its per-call overhead
     lo, hi = np.minimum(pa, pb), np.maximum(pa, pb, out=pa)
@@ -112,8 +112,8 @@ def _ga_step(keys: np.ndarray, cost: np.ndarray, rng: np.random.Generator) -> No
     hi *= uniform[0]
     child = np.add(lo, hi, out=lo)
     # gaussian mutation of the masked genes
-    mutated = uniform[1] < MUTATION_RATE
-    child[mutated] += rng.normal(0.0, MUTATION_SIGMA, np.count_nonzero(mutated))
+    mutated = np.flatnonzero(uniform[1] < MUTATION_RATE)
+    child.reshape(-1)[mutated] += rng.normal(0.0, MUTATION_SIGMA, mutated.size)
     keys[:, 0] = elite
     np.minimum(np.maximum(child, 0.0, out=child), _KEY_MAX, out=keys[:, 1:])
 

@@ -35,11 +35,12 @@ from .scenario import MissionScenario
 #: multiplier on fuel overrun when pricing infeasible tours
 OVERRUN_PENALTY = 10.0
 #: most bundles :func:`brute_force` will take; its tie masks grow as n·2ⁿ,
-#: to a 14 MiB traced peak at 16, and ``generate`` draws at most 13 by default
+#: to an 11 MiB traced peak at 16, and ``generate`` draws at most 13 by default
 MAX_EXACT_BUNDLES = 16
 #: most bundles ``montecarlo`` prices by :func:`brute_force` rather than the
-#: island search; per scenario on a 2-CPU x86-64 host the two took 19 and 79 ms
-#: at 13 bundles, 39 and 84 at 14, 92 and 90 at 15
+#: island search.  On a 2-CPU x86-64 host the DP is the faster up to 16
+#: bundles (9, 15, 32 and 65 ms against 66, 72, 75 and 89 ms per scenario at
+#: 13 to 16), but above 14 the search keeps :func:`brute_force` as its oracle
 EXACT_CROSSOVER = 14
 
 
@@ -153,47 +154,65 @@ class TourEvaluator:
         Mass after a leg is increasing in the mass before it, and total fuel
         is the initial mass less the final mass and the payloads, so only the
         heaviest prefix of each state can lead to an optimum (Held & Karp,
-        J. SIAM 10, 1962).  Each state keeps that prefix's mass and fuel,
-        priced by :meth:`_leg` in one step per set size and last bundle, and
-        the bitmask of the predecessors whose mass ties it bit for bit.
-        Mass and fuel are kept for two set sizes at a time, a set's row being
-        its ``rank`` among the sets of its size.  Every full set is closed by
-        its disposal leg.  The winner is rebuilt forward: the states on a
-        path of tied predecessors to a minimum-cost full set are marked
-        walking backward, then from the insertion the smallest next bundle
-        that stays on a marked path is taken.  n²·2ⁿ⁻¹ legs; n·2ⁿ tie masks
-        and marks, beside at most 4·n·C(n, ⌊n/2⌋) values of mass and fuel:
-        0.7 M legs and a 1.6 MiB traced peak at 13 bundles, 8.4 M legs and
-        14 MiB at 16.
+        J. SIAM 10, 1962).  Each state keeps that prefix's mass and fuel and
+        the bitmask of the predecessors whose mass ties it bit for bit.  One
+        step per set size and last bundle prices the leg from every
+        predecessor with :meth:`_leg`'s arithmetic, mass only; the fuel is
+        then priced for the chosen predecessor alone.  Mass and fuel are
+        kept for two set sizes at a time, last bundle major: row b, column
+        the set's ``rank`` among the sets of its size, so each maximum and
+        tie mask reduces across n contiguous rows.  Bundles outside a set
+        hold -inf, which a leg turns into a NaN that ``fmax`` never picks.
+        Every full set is closed by its disposal leg.  The winner is rebuilt
+        forward: the states on a path of tied predecessors to a
+        minimum-cost full set are marked walking backward, then from the
+        insertion the smallest next bundle that stays on a marked path is
+        taken.  n²·2ⁿ⁻¹ legs; n·2ⁿ tie masks and marks, beside at most
+        4·n·C(n, ⌊n/2⌋) values of mass and fuel.  On a 2-CPU x86-64 host:
+        0.7 M legs in 9 ms and a 1.4 MiB traced peak at 13 bundles, 8.4 M
+        legs in 65 ms and 11 MiB at 16.
         """
         n = self.scenario.n_bundles
-        sets, bits = np.arange(1 << n), np.arange(n)
-        single = 1 << bits
-        member = sets[:, None] & single > 0
-        layers = [sets[member.sum(axis=1) == k] for k in range(n + 1)]
+        sets, bits = np.arange(1 << n, dtype=np.uint16), np.arange(n)
+        single = sets[1 << bits]
+        # set sizes by doubling: adding bundle b to the sets below 2ᵇ
+        size = np.zeros(1, dtype=np.uint8)
+        for _ in bits:
+            size = np.concatenate([size, size + 1])
+        layers = [sets[size == k] for k in range(n + 1)]
         rank = np.zeros(1 << n, dtype=np.int64)
         for layer in layers:
             rank[layer] = np.arange(layer.size)
         ties = np.zeros((1 << n, n), dtype=np.uint16)
         m, f = np.full(n, self._m0), np.zeros(n)
         self._leg(m, f, self.leg_frac[n], self.bundle_mass, np.empty(n))
-        mass, fuel = np.diag(m), np.diag(f)  # size 1: row b is the set {b}
-        for layer in layers[2:]:
-            prev_mass, prev_fuel = mass, fuel
-            mass, fuel = np.zeros((2, layer.size, n))
-            for j in bits:
-                cur = layer[member[layer, j]]
-                prev = cur ^ single[j]
-                m, f = prev_mass[rank[prev]], prev_fuel[rank[prev]]
-                self._leg(m, f, self.leg_frac[:n, j], self.bundle_mass[j],
-                          np.empty_like(m))
-                m[~member[prev]] = -np.inf
-                tied = m == m.max(axis=1, keepdims=True)
-                pick, rows = tied.argmax(axis=1), np.arange(cur.size)
-                at = rank[cur]
-                mass[at, j], fuel[at, j] = m[rows, pick], f[rows, pick]
-                ties[cur, j] = tied @ single
-        end = fuel[0] + mass[0] * self.decommission_frac
+        # size 1: column b is the set {b}
+        mass, fuel = np.full((n, n), -np.inf), np.diag(f)
+        np.fill_diagonal(mass, m)
+        # bundles outside a set weigh -inf, NaN after a leg: never a maximum
+        with np.errstate(invalid="ignore"):
+            for layer in layers[2:]:
+                prev_mass, prev_fuel = mass, fuel
+                mass, fuel = np.full((2, n, layer.size), -np.inf)
+                for j in bits:
+                    at = np.flatnonzero(layer & single[j])
+                    cur = layer[at]
+                    rp = rank[cur ^ single[j]]
+                    m = prev_mass.take(rp, axis=1)
+                    burn = m * self.leg_frac[:n, j, None]
+                    burn += self.bundle_mass[j]
+                    m -= burn
+                    best = np.fmax.reduce(m, axis=0)
+                    tied = np.einsum("i,ij->j", single, m == best)
+                    # the lowest tied bundle, as argmax would pick it: t & -t
+                    # keeps t's lowest bit 2ᵖ, which frexp writes 0.5·2ᵖ⁺¹
+                    pick = np.frexp(tied & -tied)[1] - 1
+                    mass[j, at] = best
+                    k = pick * prev_mass.shape[1] + rp  # (pick, rp), flat
+                    fuel[j, at] = (prev_fuel.take(k)
+                                   + prev_mass.take(k) * self.leg_frac[pick, j])
+                    ties[cur, j] = tied
+        end = fuel[:, 0] + mass[:, 0] * self.decommission_frac
         cost, _ = overrun_cost(end, self._budget)
         marked = np.zeros((1 << n, n), dtype=bool)
         marked[-1] = cost == cost.min()

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +271,55 @@ def test_dynamic_program_matches_enumeration_on_sampled_scenarios():
         assert dp_fuel == fuel[first] == ev.fuel_batch(order)[0], seed
 
 
+def shared_target_scenario() -> MissionScenario:
+    """Six bundles, the last deploying one payload of bundle 0 at bundle 0's
+    target: the leg between the two burns exactly nothing."""
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=5), seed=65)
+    first = scn.bundles[0]
+    return dataclasses.replace(scn, bundles=scn.bundles + (
+        Bundle(first.payloads[:1], first.target),))
+
+
+def overrun_scenario() -> MissionScenario:
+    """Five bundles and half a kilogram of propellant: every order overruns."""
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=5), seed=66)
+    return dataclasses.replace(
+        scn, spacecraft=dataclasses.replace(scn.spacecraft, fuel_mass=0.5))
+
+
+@pytest.mark.parametrize("make", [shared_target_scenario, overrun_scenario])
+def test_dynamic_program_matches_enumeration_on_edge_scenarios(make):
+    # bundles outside a set enter each leg as -inf mass; the NaN a
+    # zero-fraction leg makes of them must neither win, tie nor warn
+    scn = make()
+    ev = TourEvaluator(scn)
+    orders = lex_orders(scn.n_bundles)
+    cost, fuel, feasible = ev.cost_batch(orders)
+    if make is shared_target_scenario:
+        assert ev.leg_frac[0, 5] == ev.leg_frac[5, 0] == 0.0
+    else:
+        assert not feasible.any()
+    first = int(np.argmin(cost))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ev.exact_order() == (tuple(orders[first].tolist()), fuel[first])
+
+
+@pytest.mark.parametrize("cubesats, bundles, order, fuel", [
+    (10, 14, (6, 2, 5, 7, 11, 12, 9, 8, 3, 10, 4, 0, 13, 1), "0x1.8d0bea746dc59p+4"),
+    (10, 15, (9, 7, 6, 4, 8, 0, 1, 2, 12, 3, 11, 10, 14, 5, 13), "0x1.8d33822bfe24cp+4"),
+    (11, 16, (11, 3, 4, 15, 8, 14, 5, 6, 2, 10, 12, 0, 9, 13, 1, 7),
+     "0x1.a389f7cc42736p+4"),
+])
+def test_brute_force_pins_above_the_enumerations_reach(cubesats, bundles, order, fuel):
+    # beyond the enumeration oracle: orders and fuels recorded from the
+    # dynamic program's set-major tables, before its last-bundle-major layout
+    scn = sample_scenario(ScenarioConfig(n_cubesats=cubesats, fixed_bundles=bundles),
+                          seed=0)
+    tour = brute_force(scn)
+    assert (tour.order, tour.fuel_total.hex()) == (order, fuel)
+
+
 def test_brute_force_memory_stays_small_at_9_bundles():
     # the tables hold 14k values here; pricing all 9! orders took about 23 MB
     scn = sample_scenario(ScenarioConfig(fixed_bundles=9), seed=9)
@@ -282,7 +333,7 @@ def test_brute_force_memory_stays_small_at_9_bundles():
 
 
 def test_brute_force_memory_stays_small_at_13_bundles():
-    # mass and fuel are kept for two set sizes at a time: about 1.6 MiB here,
+    # mass and fuel are kept for two set sizes at a time: about 1.4 MiB here,
     # against 3.1 MiB with a row for each of the 2¹³ sets
     scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=13)
     tracemalloc.start()
