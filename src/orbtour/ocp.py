@@ -4,13 +4,17 @@ defects of node states and the linearization of the discrete dynamics by
 vectorized central finite differences.  Sequential rolls (warm starts,
 tails, exit rollouts) live in :mod:`orbtour.scp`.
 
-:func:`stage_defects` and :func:`linearize_batch` walk the grid in chunks
-of stages sharing a substep count, each chunk one
-:func:`~orbtour.propagate.rk4_batch` call of at most :data:`BATCH_BLOCK`
-rows, and write every chunk's result straight into the grid-sized output.
-What they hold besides that output is bounded by one chunk, not by the
-grid; since stages never interact, the bits do not depend on the chunk
-split.
+:func:`stage_defects` and :func:`linearize_batch` sort the stages by
+substep count, most first, and cut them into chunks of at most
+:data:`BATCH_BLOCK` rows.  A chunk is integrated in one walk: every row
+takes the smallest count's steps, then the rows that need more continue,
+one count level at a time, on a shrinking prefix of the chunk, so a chunk
+costs as many lock-step RK4 steps as its largest count.  Every chunk's
+result goes straight into the grid-sized output.  What they hold besides
+that output is bounded by one chunk, not by the grid; since stages never
+interact and a row keeps its bits across calls of
+:func:`~orbtour.propagate.rk4_batch`, the bits do not depend on the chunk
+split or on the walk.
 
 The stage grid is nonuniform: burn windows (one per planned impulse, the
 thruster's maximum on-time wide, centered on the impulse) are resolved by
@@ -157,26 +161,43 @@ BATCH_BLOCK = 8192
 
 
 def _chunks(substeps: np.ndarray, size: int):
-    """Runs of at most ``size`` stages sharing a substep count, as
-    (substep count, stage indices) pairs in stage order within a count."""
-    for ns in np.unique(substeps):
-        stages = np.flatnonzero(substeps == ns)
-        for a in range(0, stages.size, size):
-            yield int(ns), stages[a:a + size]
+    """Stage indices in descending substep count (stage order within a
+    count), cut into runs of at most ``size``."""
+    order = np.argsort(-substeps, kind="stable")
+    for a in range(0, order.size, size):
+        yield order[a:a + size]
+
+
+def _walk(y: np.ndarray, u: np.ndarray, step: np.ndarray, counts: np.ndarray,
+          ve: float, consts: PhysicalConstants) -> np.ndarray:
+    """End states of rows sorted by substep count, most first: every row
+    takes ``step`` ``counts`` times.  One :func:`~orbtour.propagate.rk4_batch`
+    call per distinct count continues the rows that need at least that
+    many, a prefix, from where the last call left them.  Overwrites and
+    returns ``y``."""
+    done = 0
+    for ns in np.unique(counts):
+        n = int(np.count_nonzero(counts >= ns))
+        y[:n] = rk4_batch(y[:n], u[:n], step[:n], int(ns) - done, ve, consts)
+        done = int(ns)
+    return y
 
 
 def stage_defects(states: np.ndarray, controls: np.ndarray, grid: StageGrid,
                   isp: float, consts: PhysicalConstants = EARTH) -> np.ndarray:
     """Stage defects of node states (N+1, 7) under controls (N, 3): the end
     state of every stage integrated from its own node, minus the next node,
-    in physical units (N, 7).  The stages are walked in chunks of at most
-    :data:`BATCH_BLOCK` sharing a substep count, one
-    :func:`~orbtour.propagate.rk4_batch` call each, so the memory the walk
-    holds besides its result does not grow with N."""
+    in physical units (N, 7).  The stages are sorted by substep count and
+    walked in chunks of at most :data:`BATCH_BLOCK`, each chunk in as many
+    lock-step steps as its largest count, so the memory the walk holds
+    besides its result does not grow with N."""
     ve = isp * consts.g0
+    substeps = grid.substeps()
+    step = grid.dt / substeps
     out = np.empty((grid.n_stages, 7))
-    for ns, i in _chunks(grid.substeps(), BATCH_BLOCK):
-        out[i] = rk4_batch(states[i], controls[i], grid.dt[i], ns, ve, consts) - states[i + 1]
+    for i in _chunks(substeps, BATCH_BLOCK):
+        out[i] = _walk(states[i], controls[i], step[i], substeps[i], ve,
+                       consts) - states[i + 1]
     return out
 
 
@@ -211,11 +232,12 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
 
     The step sizes (from ``u_scale``, by default the largest thrust of the
     whole grid) and the thrust and ``skip_b`` masks are fixed over the
-    whole grid first.  Then the stages are walked in chunks of
-    :data:`LINEARIZE_CHUNK` sharing a substep count: a chunk's offset rows
-    are built, integrated by one :func:`~orbtour.propagate.rk4_batch` call
-    and reduced straight into the preallocated A and B, so the memory in
-    flight is bounded by one chunk.  Returns (A (N,7,7), B (N,7,3)).
+    whole grid first.  Then the stages, sorted by substep count, are cut
+    into chunks of :data:`LINEARIZE_CHUNK`: a chunk's offset rows are built,
+    sorted by substep count, integrated in one walk of as many lock-step
+    steps as the chunk's largest count, scattered back and reduced straight
+    into the preallocated A and B, so the memory in flight is bounded by one
+    chunk.  Returns (A (N,7,7), B (N,7,3)).
     """
     N = x.shape[0]
     ve = isp * consts.g0
@@ -227,7 +249,8 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
 
     A = np.zeros((N, 7, 7))
     B = np.zeros((N, 7, 3))
-    for ns, i in _chunks(substeps, LINEARIZE_CHUNK):
+    step = dt / substeps
+    for i in _chunks(substeps, LINEARIZE_CHUNK):
         # the stages of the +/- offset rows of each of the 10 inputs: every
         # stage for p..L, the thrusting ones for m, those with a B block for u
         stages = [i] * 6 + [i[fire[i]]] + [i[bsel[i]]] * 3
@@ -238,7 +261,11 @@ def linearize_batch(x: np.ndarray, u: np.ndarray, dt: np.ndarray,
             big[off:off + s.size, j] += eps[j]
             big[off + s.size:off + 2 * s.size, j] -= eps[j]
             off += 2 * s.size
-        end = rk4_batch(big[:, :7], big[:, 7:], dt[idx], ns, ve, consts)
+        order = np.argsort(-substeps[idx], kind="stable")
+        rows = idx[order]
+        end = np.empty((idx.size, 7))
+        end[order] = _walk(big[order, :7], big[order, 7:], step[rows], substeps[rows],
+                           ve, consts)
         off = 0
         for j, s in enumerate(stages):
             jac, col = (A, j) if j < 7 else (B, j - 7)

@@ -7,8 +7,9 @@ that u/m is directly the LVLH acceleration in km/s^2.  The true longitude is
 left unwrapped so multi-revolution arcs stay continuous.
 
 Two entry points: a scalar sequential integrator used for trajectory
-rollouts, warm starts and verification, and a batch one-segment integrator
-used for vectorized finite differencing.  Each has one fused right-hand
+rollouts, warm starts and verification, and a batch integrator of one
+constant-control segment per row, used for the stage defects and the
+vectorized finite differencing.  Each has one fused right-hand
 side: the J2 acceleration and the Gauss variational equations in the LVLH
 frame share cos L, sin L, w, s^2 and v, in the operation order of the
 separate functions the tests hold as oracles.  The scalar integrator writes
@@ -23,8 +24,10 @@ element, control component, per-row constant (mass rate, step sizes),
 stage input, rate, rate sum and right-hand-side intermediate, every
 operation written in place.  Rows never interact and each keeps the
 operation order of the expression-form whole-batch integration, so a row's
-result does not depend on the batch it is integrated in.  Its callers in
-:mod:`orbtour.ocp` bound the batch, and with it the work array.
+result does not depend on the batch it is integrated in.  Each row takes
+its own step size, so a row integrated for n1 steps and then, in a later
+call, for n2 more ends with the bits of one n1 + n2 step call.  Its
+callers in :mod:`orbtour.ocp` bound the batch, and with it the work array.
 """
 from __future__ import annotations
 
@@ -329,11 +332,14 @@ def _rhs_into(rate, p, f, g, h, k, L, m, ur, ut, un, mu: float, cj2: float,
     rL += x
 
 
-def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
+def rk4_batch(y: np.ndarray, u: np.ndarray, step: np.ndarray, nsteps: int,
               ve: float, consts: PhysicalConstants) -> np.ndarray:
-    """Integrate a batch of states over one constant-control segment each:
-    y (B, 7), u (B, 3), duration (B,) -> (B, 7).  All rows share the same
-    substep count (callers group rows accordingly).
+    """Take ``nsteps`` RK4 steps of a batch of states, each row under its
+    own constant control and step size: y (B, 7), u (B, 3), step (B,) [s]
+    -> (B, 7).  A stage of duration d in n substeps takes ``step = d / n``;
+    its rows may take those n steps over several calls, each continuing
+    from the state the last returned, with the same bits (the callers in
+    :mod:`orbtour.ocp` walk rows of several substep counts that way).
 
     The rows are integrated in struct-of-arrays layout, in place on the
     rows of one work array (:data:`_WORK_ROWS`, B), so every element works
@@ -343,7 +349,6 @@ def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
     with B; the callers in :mod:`orbtour.ocp` bound B by
     :data:`~orbtour.ocp.BATCH_BLOCK`.
     """
-    duration = np.asarray(duration, dtype=float)
     mu = consts.mu
     cj2 = mu * consts.j2 * consts.re * consts.re
     work = np.empty((_WORK_ROWS, y.shape[0]))
@@ -353,7 +358,7 @@ def rk4_batch(y: np.ndarray, u: np.ndarray, duration: np.ndarray, nsteps: int,
     scratch = work[35:]
     state[:] = y.T
     work[7:10] = u.T
-    np.divide(duration, nsteps, out=dt)
+    dt[:] = step
     np.multiply(dt, 0.5, out=half)
     np.divide(dt, 6.0, out=sixth)
     dm = -np.linalg.norm(u, axis=1) / ve

@@ -57,8 +57,8 @@ def linearize_one(x, u, dt: float, substeps: int, isp: float, consts=EARTH,
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     A, B = linearize_batch(x[None, :], u[None, :], np.array([dt]),
                            np.array([substeps]), isp, consts, u_scale=u_scale)
-    f = rk4_batch(x[None, :], u[None, :], np.array([dt]), substeps, isp * consts.g0,
-                  consts)[0]
+    f = rk4_batch(x[None, :], u[None, :], np.array([dt / substeps]), substeps,
+                  isp * consts.g0, consts)[0]
     return A[0], B[0], f - A[0] @ x - B[0] @ u
 
 

@@ -213,7 +213,7 @@ def test_criterion_09_refiner_internal_checks(case1):
     ve = TH.isp * EARTH.g0
 
     def f(xx, uu):
-        return rk4_batch(xx[None, :].copy(), uu[None, :], np.array([dt]), sub,
+        return rk4_batch(xx[None, :].copy(), uu[None, :], np.array([dt / sub]), sub,
                          ve, EARTH)[0]
 
     scale = np.array([7000.0, 1, 1, 1, 1, 1, 200.0])

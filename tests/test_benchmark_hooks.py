@@ -42,7 +42,7 @@ def test_benchmark_counters_read_the_arguments_they_name(monkeypatch, tmp_path):
                                  PropagatorConfig(step=10.0))
         scp.linearize_batch(x, u, np.array([20.0]), np.array([2]), 277.0)
         rows = tracer.counts["propagate.batch_rows"]
-        ocp.rk4_batch(x, u, np.array([20.0]), 2, 277.0 * EARTH.g0, EARTH)
+        ocp.rk4_batch(x, u, np.array([10.0]), 2, 277.0 * EARTH.g0, EARTH)
         cli.save_arcs([], tmp_path / "arcs.json")
     finally:
         tracer.restore()
@@ -52,6 +52,32 @@ def test_benchmark_counters_read_the_arguments_they_name(monkeypatch, tmp_path):
     assert counts["ocp.linearize_stages"] == 1
     assert rows == 2 * 20 and counts["propagate.batch_rows"] == rows + 2
     assert counts["cli.arcs_bytes"] == (tmp_path / "arcs.json").stat().st_size > 0
+
+
+def test_benchmark_counts_every_substep_of_mixed_count_walks(monkeypatch):
+    # the stage walks continue the rows of larger substep counts over
+    # several rk4_batch calls; propagate.batch_rows, rows times nsteps per
+    # call, still counts each row's substeps once
+    spans = load_spans(monkeypatch)
+    x = np.tile([7000.0, 0.0, 0.0, 0.1, 0.2, 0.3, 235.0], (5, 1))
+    u = np.array([[0.0, 0.0126, 0.0], [0.0, 0.0, 0.0], [0.0126, 0.0, 0.0],
+                  [0.0, 0.0, 0.0]])
+    grid = ocp.StageGrid(dt=np.array([20.0, 250.0, 100.0, 170.0]),
+                         window_of_stage=np.array([0, -1, 1, -1]),
+                         thrust_kn=ThrusterSpec().thrust_kn)
+    substeps = grid.substeps()
+    assert list(substeps) == [1, 4, 2, 3]
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        scp.linearize_batch(x[:-1], u, grid.dt, substeps, 277.0)
+        rows = tracer.counts["propagate.batch_rows"]
+        ocp.stage_defects(x, u, grid, 277.0)
+    finally:
+        tracer.restore()
+    fire = np.any(u != 0.0, axis=1)
+    assert rows == np.sum(substeps * (12 + 2 * fire + 6)) == 186
+    assert tracer.counts["propagate.batch_rows"] == rows + np.sum(substeps)
 
 
 def test_sequential_rolls_are_bound_only_where_the_benchmark_wraps_them():

@@ -4,13 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TWO_BODY, full_linearize_batch, linearize_one, mixed_stage_grid
+from conftest import (TWO_BODY, aos_rk4_batch, full_linearize_batch, linearize_one,
+                      mixed_stage_grid)
 from orbtour import ocp, propagate
 from orbtour.constants import EARTH
 from orbtour.elements import KeplerianState, MeeState, SpacecraftState, kep_to_mee
 from orbtour.maneuvers import (BurnEvent, BurnPlan, ThrusterSpec, mht_estimate)
 from orbtour.ocp import (BURN_STAGES, COAST_STAGES_PER_ORBIT, COAST_SUBSTEP, StageGrid,
-                         build_grid, burn_windows, linearize_batch, with_tail)
+                         build_grid, burn_windows, linearize_batch, stage_defects,
+                         with_tail)
 from orbtour.propagate import PropagatorConfig, propagate_numeric
 from orbtour.scp import TRUST_RADIUS, OcpProblem, roll_on, warm_start
 
@@ -204,7 +206,7 @@ def test_jacobian_matches_richardson_oracle():
     ve = TH.isp * EARTH.g0
 
     def f(xx, uu):
-        return rk4_batch(xx[None, :].copy(), uu[None, :], np.array([dt]), sub,
+        return rk4_batch(xx[None, :].copy(), uu[None, :], np.array([dt / sub]), sub,
                          ve, EARTH)[0]
 
     scale = np.array([7000.0, 1, 1, 1, 1, 1, 200.0])
@@ -242,7 +244,7 @@ def test_coarse_coast_stage_is_linear_within_the_trust_radius():
     for radius, bound in ((TRUST_RADIUS, 0.6), (0.1 * TRUST_RADIUS, 0.06)):
         dx = radius * direction * sx
         end = propagate.rk4_batch(np.vstack([x + dx, x]), np.zeros((2, 3)),
-                                  np.repeat(grid.dt, 2), int(ns[0]),
+                                  np.repeat(grid.dt / ns, 2), int(ns[0]),
                                   TH.isp * EARTH.g0, EARTH)
         change = (end[0] - end[1]) / sx
         model = A[0] @ dx / sx
@@ -263,8 +265,9 @@ def test_coast_substep_keeps_a_coast_stage_within_the_error_budget():
     s0 = SpacecraftState(MeeState.from_array(x[:6]), float(x[6]))
     fine = propagate_numeric(s0, np.zeros((1, 3)), grid.dt, TH.isp,
                              PropagatorConfig(step=10.0))[-1]
-    batch = propagate.rk4_batch(x[None].copy(), np.zeros((1, 3)), grid.dt,
-                                int(grid.substeps()[0]), TH.isp * EARTH.g0, EARTH)[0]
+    ns = grid.substeps()
+    batch = propagate.rk4_batch(x[None].copy(), np.zeros((1, 3)), grid.dt / ns,
+                                int(ns[0]), TH.isp * EARTH.g0, EARTH)[0]
     rolled = roll_on(x, np.zeros((1, 3)), grid.dt, TH.isp)[-1]
     scale = np.maximum(np.abs(x), 1e-2)
     for coarse in (batch, rolled):
@@ -303,20 +306,26 @@ def test_linearization_equals_every_offset_oracle(monkeypatch, consts):
     u[30] = 0.0
     dt = rng.uniform(5.0, 160.0, n)
     substeps = rng.integers(1, 4, n)
-    rows = []
+    calls = []
     batch = ocp.rk4_batch
 
-    def counting(y, *args):
-        rows.append(y.shape[0])
-        return batch(y, *args)
+    def counting(y, u, step, nsteps, *args):
+        calls.append((y.shape[0], nsteps))
+        return batch(y, u, step, nsteps, *args)
+
+    def row_steps():
+        return sum(rows * nsteps for rows, nsteps in calls)
 
     monkeypatch.setattr(ocp, "rk4_batch", counting)
     A, B = linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=skip_b)
     A0, B0 = full_linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=skip_b)
     assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
     assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
-    # 14 rows per thrusting stage, 12 per thrust-free one, 6 per B block
-    assert sum(rows) == 14 * n - 2 * 25 + 6 * 16
+    # 14 rows per thrusting stage, 12 per thrust-free one, 6 per B block,
+    # each taking its stage's substeps
+    fire = np.any(u != 0.0, axis=1)
+    assert np.sum(12 + 2 * fire + 6 * ~skip_b) == 14 * n - 2 * 25 + 6 * 16
+    assert row_steps() == np.sum(substeps * (12 + 2 * fire + 6 * ~skip_b))
 
     # longer than a chunk: two chunks of 4-substep coasts and two of
     # 1-substep burns, each second one ragged, the step sizes taken from
@@ -327,12 +336,62 @@ def test_linearization_equals_every_offset_oracle(monkeypatch, consts):
     for group in (coast, ~coast):
         assert ocp.LINEARIZE_CHUNK < np.sum(group) < 2 * ocp.LINEARIZE_CHUNK
     A0, B0 = full_linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=coast)
-    rows.clear()
+    calls.clear()
     A, B = linearize_batch(x, u, dt, substeps, TH.isp, consts, skip_b=coast)
     assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
     assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
-    assert len(rows) == 4 and max(rows) <= ocp.BATCH_BLOCK
-    assert sum(rows) == 12 * n + 2 * np.sum(np.any(u != 0.0, axis=1)) + 6 * np.sum(~coast)
+    assert max(rows for rows, _ in calls) <= ocp.BATCH_BLOCK
+    fire = np.any(u != 0.0, axis=1)
+    assert row_steps() == np.sum(substeps * (12 + 2 * fire + 6 * ~coast))
+
+
+def test_mixed_substep_chunks_walk_their_largest_count(monkeypatch):
+    # substep counts 1-19 over more than two linearization chunks, the count
+    # at the first chunk boundary on both sides of it: both batch walks keep
+    # the bits of the whole-batch oracles, and a chunk takes as many
+    # lock-step steps as its largest count, not one walk per count
+    rng = np.random.default_rng(34)
+    n = 2 * ocp.LINEARIZE_CHUNK + 101
+    x, u, _, coast = mixed_stage_grid(rng, n + 1)
+    u, coast = u[:n], coast[:n]
+    counts = rng.integers(1, 20, n)
+    dt = rng.uniform((counts - 1) * COAST_SUBSTEP + 1.0, counts * COAST_SUBSTEP)
+    grid = StageGrid(dt=dt, window_of_stage=np.where(coast, -1, 0),
+                     thrust_kn=TH.thrust_kn)
+    substeps = grid.substeps()
+    assert np.array_equal(substeps, counts)
+    most_first = np.sort(substeps)[::-1]
+    assert most_first[ocp.LINEARIZE_CHUNK - 1] == most_first[ocp.LINEARIZE_CHUNK]
+    calls = []
+    batch = ocp.rk4_batch
+
+    def counting(y, u, step, nsteps, *args):
+        calls.append((y.shape[0], nsteps))
+        return batch(y, u, step, nsteps, *args)
+
+    monkeypatch.setattr(ocp, "rk4_batch", counting)
+    ve = TH.isp * EARTH.g0
+    want = np.empty((n, 7))
+    for ns in np.unique(substeps):
+        rows = substeps == ns
+        want[rows] = aos_rk4_batch(x[:-1][rows], u[rows], dt[rows], int(ns), ve,
+                                   EARTH) - x[1:][rows]
+    got = stage_defects(x, u, grid, TH.isp)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert sum(nsteps for _, nsteps in calls) == substeps.max()
+    assert sum(rows * nsteps for rows, nsteps in calls) == np.sum(substeps)
+
+    calls.clear()
+    A0, B0 = full_linearize_batch(x[:-1], u, dt, substeps, TH.isp, skip_b=coast)
+    A, B = linearize_batch(x[:-1], u, dt, substeps, TH.isp, skip_b=coast)
+    assert np.array_equal(A.view(np.uint64), A0.view(np.uint64))
+    assert np.array_equal(B.view(np.uint64), B0.view(np.uint64))
+    largest = most_first[::ocp.LINEARIZE_CHUNK]
+    assert largest.size == 3
+    assert sum(nsteps for _, nsteps in calls) == np.sum(largest)
+    fire = np.any(u != 0.0, axis=1)
+    assert sum(rows * nsteps for rows, nsteps in calls) == np.sum(
+        substeps * (12 + 2 * fire + 6 * ~coast))
 
 
 def test_linearization_memory_is_flat_in_the_stage_count():

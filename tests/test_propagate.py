@@ -237,7 +237,7 @@ def test_whole_batch_equals_whole_batch_oracle(nsteps):
                                   duration / nsteps, nsteps, EARTH.mu,
                                   EARTH.mu * EARTH.j2 * EARTH.re * EARTH.re).T
     assert np.array_equal(blocks.view(np.uint64), expected.view(np.uint64))
-    got = rk4_batch(y, u, duration, nsteps, VE, EARTH)
+    got = rk4_batch(y, u, duration / nsteps, nsteps, VE, EARTH)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 

@@ -358,7 +358,7 @@ def test_stage_defects_of_a_rollout_and_of_a_moved_node():
     X = np.empty_like(W)
     X[0] = W[0]
     for i, ns in enumerate(grid.substeps()):
-        X[i + 1] = rk4_batch(X[i:i + 1], U[i:i + 1], grid.dt[i:i + 1], int(ns), ve,
+        X[i + 1] = rk4_batch(X[i:i + 1], U[i:i + 1], grid.dt[i:i + 1] / ns, int(ns), ve,
                              EARTH)[0]
     assert np.array_equal(stage_defects(X, U, grid, TH.isp), np.zeros((len(U), 7)))
     # the sequential warm rollout differs from it only by rounding
