@@ -6,8 +6,8 @@ FIRST .. FIRST+COUNT-1 and each optimizer seed 0 .. SEEDS-1, the default
 search runs unseeded and seeded with the four hand-made walks.  Fifteen
 bundles lie just above ``EXACT_CROSSOVER``, so ``montecarlo`` runs the
 search there; up to it, it takes the dynamic program's tour.  Each
-result's cost is compared with the cost of ``TourEvaluator.exact_order``'s
-optimum, about 0.1 s per scenario.  For each seeding the script prints the
+result's cost is compared with the cost of the optimum ``brute_force``
+finds, about 0.1 s per scenario.  For each seeding the script prints the
 runs, the misses (a cost more than 1e-9 above the optimum) and the mean
 and worst relative gap, then how many seeded runs ended worse than their
 best walk.  The output is deterministic.
@@ -21,7 +21,7 @@ import numpy as np
 
 from orbtour.optimizer import OptimizerConfig, optimize
 from orbtour.scenario import ScenarioConfig, sample_scenario
-from orbtour.tour import TourEvaluator, heuristic_walks, tour_cost
+from orbtour.tour import brute_force, heuristic_walks
 
 CONFIG = ScenarioConfig(n_cubesats=10, fixed_bundles=15)
 
@@ -31,7 +31,7 @@ def main(first: int, count: int, seeds: int) -> None:
     worse = 0
     for scenario_seed in range(first, first + count):
         scn = sample_scenario(CONFIG, scenario_seed)
-        optimum = tour_cost(scn, TourEvaluator(scn).exact_order()[0]).cost
+        optimum = brute_force(scn).cost
         walks = list(heuristic_walks(scn).values())
         for seed in range(seeds):
             plain, _ = optimize(scn, OptimizerConfig(seed=seed))

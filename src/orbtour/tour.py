@@ -34,8 +34,8 @@ from .scenario import MissionScenario
 
 #: multiplier on fuel overrun when pricing infeasible tours
 OVERRUN_PENALTY = 10.0
-#: most bundles :func:`brute_force` will take; its tie masks grow as n·2ⁿ,
-#: to an 11 MiB traced peak at 16, and ``generate`` draws at most 13 by default
+#: most bundles :func:`brute_force` will take (a 10 MiB traced peak at 16, an
+#: n·2ⁿ-byte predecessor table); ``generate`` draws at most 13 by default
 MAX_EXACT_BUNDLES = 16
 #: most bundles ``montecarlo`` prices by :func:`brute_force` rather than the
 #: island search.  On a 2-CPU x86-64 host the DP is the faster up to 16
@@ -155,22 +155,21 @@ class TourEvaluator:
         is the initial mass less the final mass and the payloads, so only the
         heaviest prefix of each state can lead to an optimum (Held & Karp,
         J. SIAM 10, 1962).  Each state keeps that prefix's mass and fuel and
-        the bitmask of the predecessors whose mass ties it bit for bit.  One
-        step per set size and last bundle prices the leg from every
-        predecessor with :meth:`_leg`'s arithmetic, mass only; the fuel is
-        then priced for the chosen predecessor alone.  Mass and fuel are
-        kept for two set sizes at a time, last bundle major: row b, column
-        the set's ``rank`` among the sets of its size, so each maximum and
-        tie mask reduces across n contiguous rows.  Bundles outside a set
-        hold -inf, which a leg turns into a NaN that ``fmax`` never picks.
-        Every full set is closed by its disposal leg.  The winner is rebuilt
-        forward: the states on a path of tied predecessors to a
-        minimum-cost full set are marked walking backward, then from the
-        insertion the smallest next bundle that stays on a marked path is
-        taken.  n²·2ⁿ⁻¹ legs; n·2ⁿ tie masks and marks, beside at most
-        4·n·C(n, ⌊n/2⌋) values of mass and fuel.  On a 2-CPU x86-64 host:
-        0.7 M legs in 9 ms and a 1.4 MiB traced peak at 13 bundles, 8.4 M
-        legs in 65 ms and 11 MiB at 16.
+        its last predecessor, the lowest-index one whose leg leaves the
+        heaviest mass bit for bit.  One step per set size and last bundle
+        prices the leg from every predecessor with :meth:`_leg`'s arithmetic,
+        mass only; the fuel is then priced for the chosen predecessor alone.
+        Mass and fuel are kept for two set sizes at a time, last bundle
+        major: row b, column the set's ``rank`` among the sets of its size,
+        so each maximum reduces across n contiguous rows.  Bundles outside a
+        set hold -inf, which a leg turns into a NaN that ``fmax`` never
+        picks.  Every full set is closed by its disposal leg; the winner
+        ends at the lowest-index bundle of minimum cost and is rebuilt by
+        walking the predecessors back, so its fuel is the one those picks
+        priced.  n²·2ⁿ⁻¹ legs; one byte of predecessor per (set, last
+        bundle), beside at most 4·n·C(n, ⌊n/2⌋) values of mass and fuel.  On
+        a 2-CPU x86-64 host: 0.7 M legs in 9 ms and a 1.3 MiB traced peak at
+        13 bundles, 8.4 M legs in 65 ms and 10 MiB at 16.
         """
         n = self.scenario.n_bundles
         sets, bits = np.arange(1 << n, dtype=np.uint16), np.arange(n)
@@ -183,7 +182,7 @@ class TourEvaluator:
         rank = np.zeros(1 << n, dtype=np.int64)
         for layer in layers:
             rank[layer] = np.arange(layer.size)
-        ties = np.zeros((1 << n, n), dtype=np.uint16)
+        pred = np.zeros((1 << n, n), dtype=np.uint8)
         m, f = np.full(n, self._m0), np.zeros(n)
         self._leg(m, f, self.leg_frac[n], self.bundle_mass, np.empty(n))
         # size 1: column b is the set {b}
@@ -203,31 +202,20 @@ class TourEvaluator:
                     burn += self.bundle_mass[j]
                     m -= burn
                     best = np.fmax.reduce(m, axis=0)
-                    tied = np.einsum("i,ij->j", single, m == best)
-                    # the lowest tied bundle, as argmax would pick it: t & -t
-                    # keeps t's lowest bit 2ᵖ, which frexp writes 0.5·2ᵖ⁺¹
-                    pick = np.frexp(tied & -tied)[1] - 1
+                    pick = (m == best).argmax(axis=0)
                     mass[j, at] = best
                     k = pick * prev_mass.shape[1] + rp  # (pick, rp), flat
                     fuel[j, at] = (prev_fuel.take(k)
                                    + prev_mass.take(k) * self.leg_frac[pick, j])
-                    ties[cur, j] = tied
+                    pred[cur, j] = pick
         end = fuel[:, 0] + mass[:, 0] * self.decommission_frac
         cost, _ = overrun_cost(end, self._budget)
-        marked = np.zeros((1 << n, n), dtype=bool)
-        marked[-1] = cost == cost.min()
-        for layer in layers[:1:-1]:
-            rows, last = np.nonzero(marked[layer])
-            pick, pred = np.nonzero(ties[layer[rows], last][:, None] & single)
-            marked[layer[rows[pick]] ^ single[last[pick]], pred] = True
-        order, seen = [], 0
-        for _ in bits:
-            ok = marked[seen | single, bits] & (seen & single == 0)
-            if order:
-                ok &= ties[seen | single, bits] & single[order[-1]] > 0
-            order.append(int(np.argmax(ok)))
-            seen |= single[order[-1]]
-        return tuple(order), float(end[order[-1]])
+        last = int(cost.argmin())
+        order, seen = [last], sets[-1]
+        while seen != single[last]:
+            seen, last = seen ^ single[last], int(pred[seen, last])
+            order.append(last)
+        return tuple(reversed(order)), float(end[order[0]])
 
     def cost_batch(self, orders: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,10 +291,12 @@ def brute_force(scenario: MissionScenario,
     :meth:`TourEvaluator.exact_order`; scenarios above
     :data:`MAX_EXACT_BUNDLES` bundles are refused.
 
-    Among cost ties the lexicographically first order wins, counting the
-    orders whose every prefix is the heaviest of its (set, last bundle)
-    state: an order with a prefix lighter by rounding whose cost still ties
-    is not counted.
+    Among cost ties the order whose reversed order is lexicographically
+    first wins, counting the orders whose every prefix is the heaviest of
+    its (set, last bundle) state: the lowest last bundle, then the lowest
+    predecessor, and so on back.  An order with a prefix lighter by rounding
+    whose cost still ties is not counted.  Up to 16 bundles, in 65 ms and a
+    10 MiB traced peak at 16 on a 2-CPU x86-64 host.
     """
     n = scenario.n_bundles
     if n > MAX_EXACT_BUNDLES:

@@ -1,6 +1,7 @@
-"""Static checks on the package source: every imported name and every
-function parameter is used, and every name the experiment scripts and the
-benchmark import from the package, or read off its modules, exists."""
+"""Static checks on the package source and the experiment scripts: every
+imported name and every function parameter is used, and every name the
+scripts and the benchmark import from the package, or read off its modules,
+exists."""
 import ast
 import importlib
 from pathlib import Path
@@ -40,7 +41,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
@@ -70,7 +71,7 @@ def unused_parameters(tree: ast.Module) -> list[str]:
     return unused
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_parameters(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_parameters(tree) == []

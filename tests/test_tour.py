@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import disposal_dv, leg_dv, lex_orders, order_fuel
 from orbtour.constants import EARTH, SECONDS_PER_YEAR
@@ -16,8 +18,8 @@ from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario,
                               sso_inclination)
 from orbtour.tour import (MAX_EXACT_BUNDLES, OVERRUN_PENALTY, TourEvaluator,
-                          brute_force, drifted_target, heuristic_walks, tour_cost,
-                          tour_plans)
+                          brute_force, drifted_target, heuristic_walks, overrun_cost,
+                          tour_cost, tour_plans)
 
 
 def single_bundle_at_insertion() -> MissionScenario:
@@ -206,10 +208,11 @@ def test_brute_force_enumerates_all_orders(small_scenario):
     costs = {tuple(order): tour_cost(small_scenario, order).cost
              for order in lex_orders(small_scenario.n_bundles).tolist()}
     assert best.cost == pytest.approx(min(costs.values()), rel=1e-12)
-    # lexicographically first among ties
+    # among ties, the dynamic program's own rule
     minimum = min(costs.values())
-    winners = sorted(o for o, c in costs.items() if abs(c - minimum) < 1e-15)
-    assert best.order == winners[0]
+    assert best.order in [o for o, c in costs.items() if abs(c - minimum) < 1e-15]
+    assert best.order == dp_tie_winner(TourEvaluator(small_scenario),
+                                       lex_orders(small_scenario.n_bundles))
 
 
 def test_brute_force_respects_cap():
@@ -232,6 +235,26 @@ def test_brute_force_n8_fast_and_lower_bounds_walks():
         assert best.cost <= tour.cost + 1e-12
 
 
+def dp_tie_winner(ev: TourEvaluator, orders: np.ndarray) -> tuple[int, ...]:
+    """The order the dynamic program must return, by enumeration: of the
+    minimum-cost ``orders``, those whose every prefix leaves the heaviest
+    mass of its (visited set, last bundle) state bit for bit, the one whose
+    reversed order is lexicographically first (the lowest last bundle, then
+    the lowest predecessor, and so on back)."""
+    count, n = orders.shape
+    cost, _, _ = ev.cost_batch(orders)
+    m, prev, seen = np.full(count, ev.scenario.initial_mass), np.full(count, n), 0
+    mass, state = np.empty((n, count)), np.empty((n, count), dtype=np.int64)
+    for leg, cur in enumerate(orders.T):
+        m = m - (m * ev.leg_frac[prev, cur] + ev.bundle_mass[cur])
+        seen = seen | 1 << cur
+        mass[leg], state[leg], prev = m, seen * n + cur, cur
+    heaviest = np.full(state.max() + 1, -np.inf)
+    np.maximum.at(heaviest, state, mass)
+    kept = (mass == heaviest[state]).all(axis=0) & (cost == cost.min())
+    return min((tuple(o) for o in orders[kept].tolist()), key=lambda o: o[::-1])
+
+
 def twin_bundle_scenario() -> MissionScenario:
     """Five bundles, two of them identical: every order has a twin, the two
     bundles swapped, of bitwise-equal cost."""
@@ -250,13 +273,35 @@ def test_permutation_tree_matches_enumeration_and_first_minimum_wins(n):
         scn = sample_scenario(ScenarioConfig(fixed_bundles=n), seed=60 + n)
     ev = TourEvaluator(scn)
     orders = lex_orders(scn.n_bundles)
-    cost, fuel, _ = ev.cost_batch(orders)
-    first = int(np.argmin(cost))
+    cost, _, _ = ev.cost_batch(orders)
+    expected = dp_tie_winner(ev, orders)
     if n == "twins":
-        assert np.count_nonzero(cost == cost[first]) >= 2
-    # the enumeration is lexicographic, so its first tied row is the winner
-    assert brute_force(scn).order == tuple(orders[first].tolist())
-    assert ev.exact_order() == (tuple(orders[first].tolist()), fuel[first])
+        assert np.count_nonzero(cost == cost.min()) >= 2
+    else:
+        # a unique minimum: the enumeration's first minimum is the winner
+        assert expected == tuple(orders[np.argmin(cost)].tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order, fuel = ev.exact_order()
+    assert order == brute_force(scn).order == expected
+    assert fuel == ev.fuel_batch(order)[0]
+
+
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_dynamic_program_prices_random_tie_scenarios_exactly(base, seed, data):
+    # one bundle duplicated: every order ties with its twin, the two swapped
+    scn = sample_scenario(ScenarioConfig(fixed_bundles=base), seed=seed)
+    twin = data.draw(st.integers(0, base - 1))
+    at = data.draw(st.integers(0, base))
+    bundles = scn.bundles[:at] + scn.bundles[twin:twin + 1] + scn.bundles[at:]
+    ev = TourEvaluator(dataclasses.replace(scn, bundles=bundles))
+    orders = lex_orders(base + 1)
+    cost, _, _ = ev.cost_batch(orders)
+    order, fuel = ev.exact_order()
+    assert fuel == ev.fuel_batch(order)[0]
+    assert overrun_cost(fuel, ev.scenario.fuel_budget)[0] == cost.min()
+    assert order == dp_tie_winner(ev, orders)
 
 
 def test_dynamic_program_matches_enumeration_on_sampled_scenarios():
@@ -294,15 +339,16 @@ def test_dynamic_program_matches_enumeration_on_edge_scenarios(make):
     scn = make()
     ev = TourEvaluator(scn)
     orders = lex_orders(scn.n_bundles)
-    cost, fuel, feasible = ev.cost_batch(orders)
+    _, _, feasible = ev.cost_batch(orders)
     if make is shared_target_scenario:
         assert ev.leg_frac[0, 5] == ev.leg_frac[5, 0] == 0.0
     else:
         assert not feasible.any()
-    first = int(np.argmin(cost))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ev.exact_order() == (tuple(orders[first].tolist()), fuel[first])
+        order, fuel = ev.exact_order()
+    assert order == dp_tie_winner(ev, orders)
+    assert fuel == ev.fuel_batch(order)[0]
 
 
 @pytest.mark.parametrize("cubesats, bundles, order, fuel", [
@@ -333,7 +379,7 @@ def test_brute_force_memory_stays_small_at_9_bundles():
 
 
 def test_brute_force_memory_stays_small_at_13_bundles():
-    # mass and fuel are kept for two set sizes at a time: about 1.4 MiB here,
+    # mass and fuel are kept for two set sizes at a time: about 1.3 MiB here,
     # against 3.1 MiB with a row for each of the 2¹³ sets
     scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=13)
     tracemalloc.start()
