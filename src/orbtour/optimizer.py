@@ -1,25 +1,24 @@
-"""Island-model genetic search of visit orders over random keys.
+"""Island-model genetic search of visit orders, held as permutations.
 
-Each island evolves a population of key vectors in [0,1)^n, decoded to
-permutations by stable argsort, with a generational GA: tournament
-selection, blend crossover, Gaussian key mutation and one elite.  Every
-island starts from uniform keys.  Candidate solutions, ranked by cost, seed
-island 0 alone: as many as a population holds go into its first slots,
-cheapest first, so its elite and the final best can never be worse than the
-best seed, while the other islands explore unseeded (seeding every island
-pulls the whole archipelago into the seeds' basin).  A ring migration moves
-each island's best individual onto its neighbour's worst slot every few
-generations, priced at its known cost, so the next step keeps the cheaper
-of the island's own best and the migrant as its elite.
+Each island evolves a population of orders with a generational GA:
+tournament selection, order crossover, one random insertion, one segment
+reversal and one elite.  Every island starts from uniform permutations.
+Candidate solutions, ranked by cost, seed island 0 alone: as many as a
+population holds go verbatim into its first slots, cheapest first, so its
+elite and the final best can never be worse than the best seed, while the
+other islands explore unseeded (seeding every island pulls the whole
+archipelago into the seeds' basin).  A ring migration moves each island's
+best individual onto its neighbour's worst slot every few generations,
+priced at its known cost, so the next step keeps the cheaper of the
+island's own best and the migrant as its elite.
 
-All islands are held as one (islands, population, n) key array: each
+All islands are held as one (islands, population, n) integer array: each
 generation prices every member in one batch and steps every island in
-place.  One generator, seeded from the config, draws everything: the
-uniform keys of the whole archipelago in one block, then the keys that
-encode the seeds, and then, each generation, the tournament picks of every
-island, one block of uniforms (every island's crossover, then every
-mutation mask) and a normal for each masked gene only, so results are
-reproducible bit for bit.
+place, each operator one gather from index tables built once per n.  One
+generator, seeded from the config, draws everything: the initial
+permutations in one block, then each generation one block of uniforms
+for every child's parents and operators, so results are reproducible bit
+for bit.
 """
 from __future__ import annotations
 
@@ -32,14 +31,10 @@ from .scenario import MissionScenario
 from .tour import Tour, TourEvaluator, tour_cost
 
 
-#: GA: tournament size, blend-crossover reach, per-gene mutation rate and
-#: step
+#: GA: tournament size, and the share of children made by order crossover,
+#: then moved by one insertion and by one segment reversal
 TOURNAMENT = 3
-CROSSOVER_BLEND = 0.3
-MUTATION_RATE = 0.15
-MUTATION_SIGMA = 0.2
-#: the largest key, so every key stays in [0, 1)
-_KEY_MAX = np.nextafter(1.0, 0.0)
+RATES = (0.9, 0.3, 0.2)
 
 
 @dataclass(frozen=True)
@@ -78,60 +73,73 @@ class EvolutionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _ga_step(keys: np.ndarray, cost: np.ndarray, rng: np.random.Generator) -> None:
-    """Step the islands ``keys`` (islands, pop, n) priced at ``cost``
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operators' index tables on n positions.  Row i·(n+1)+j of
+    ``outside`` ((n+1)², n) marks the positions outside the slice
+    min(i, j) .. max(i, j)-1, and that row of ``reverse`` gathers an order
+    with the slice reversed; row a·n+b of ``insert`` (n², n) gathers one
+    with the member at position a moved to b.  Row 0 changes nothing."""
+    k = np.arange(n)
+    i, j = np.ix_(np.arange(n + 1), np.arange(n + 1))
+    lo, hi = np.minimum(i, j)[..., None], np.maximum(i, j)[..., None]
+    inside = (lo <= k) & (k < hi)
+    reverse = np.where(inside, lo + hi - 1 - k, k)
+    a, b = (v[..., None] for v in np.ix_(k, k))
+    insert = np.where(k == b, a, k + ((a <= k) & (k < b)) - ((b < k) & (k <= a)))
+    return ~inside.reshape(-1, n), insert.reshape(-1, n), reverse.reshape(-1, n)
+
+
+def _order_crossover(pa: np.ndarray, pb: np.ndarray, fill: np.ndarray) -> np.ndarray:
+    """Order crossover (Davis, IJCAI 1985) of the rows of ``pa`` and ``pb``
+    (rows, n), in place of ``pa``: each child keeps ``pa``'s members where
+    ``fill`` is false and fills the rest, left to right, with ``pb``'s
+    other members in ``pb``'s order."""
+    offset = pa.shape[1] * np.arange(len(pa))[:, None]
+    free = np.empty(pa.size, dtype=bool)
+    free[pa + offset] = fill
+    pa[fill] = pb[free.take(pb + offset)]
+    return pa
+
+
+def _ga_step(perms: np.ndarray, cost: np.ndarray, rng: np.random.Generator,
+             tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Step the islands ``perms`` (islands, pop, n) priced at ``cost``
     (islands, pop) in place: the cheapest member of each island, then its
-    offspring.  ``rng`` draws the tournament picks of every island, one
-    block of uniforms (every island's crossover, then every mutation mask)
-    and the mutation normals of the masked genes only."""
-    isl, pop, n = keys.shape
-    picks = rng.integers(0, pop, (isl, 2, pop - 1, TOURNAMENT))
-    uniform = rng.random((2, isl, pop - 1, n))
+    offspring, made with the operators' ``_tables(n)``.  ``rng`` draws one
+    block of uniforms, nine rows of one per child: three tournament picks
+    for each parent, then one for each of the crossover, the insertion and
+    the reversal.  An operator acts when its uniform is below its rate, and
+    that uniform, scaled by the rate, then picks its row of the operator's
+    table."""
+    isl, pop, n = perms.shape
+    rows = np.array([len(table) for table in tables])
+    scale = np.concatenate([[pop] * 2 * TOURNAMENT, rows / RATES])
+    draws = (rng.random((2 * TOURNAMENT + 3, isl, pop - 1))
+             * scale[:, None, None]).astype(np.intp)
     # tournament selection for both parent slots, on flat member indices
     first = pop * np.arange(isl)
-    picks += first[:, None, None, None]
+    picks = draws[:2 * TOURNAMENT].reshape(2, TOURNAMENT, -1)
+    picks += first.repeat(pop - 1)
     # the first of the cheapest picks wins, as argmin would choose
     fought = cost.take(picks)
-    winner, least = picks[..., 0], fought[..., 0]
+    winner, least = picks[:, 0], fought[:, 0]
     for k in range(1, TOURNAMENT):
-        beats = fought[..., k] < least
-        winner = np.where(beats, picks[..., k], winner)
-        least = np.minimum(least, fought[..., k])
-    flat = keys.reshape(isl * pop, n)
-    # each parent slot gathered whole, so both are contiguous
-    pa, pb = flat.take(winner.transpose(1, 0, 2), axis=0)
-    elite = flat.take(first + cost.argmin(axis=1), axis=0)
-    # blend crossover per gene: lo + (hi - lo) * U[0, 1) is how
-    # Generator.uniform draws, bit for bit, without its per-call overhead
-    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb, out=pa)
-    reach = np.subtract(hi, lo, out=pb)
-    reach *= CROSSOVER_BLEND
-    lo -= reach
-    hi += reach
-    hi -= lo
-    hi *= uniform[0]
-    child = np.add(lo, hi, out=lo)
-    # gaussian mutation of the masked genes
-    mutated = np.flatnonzero(uniform[1] < MUTATION_RATE)
-    child.reshape(-1)[mutated] += rng.normal(0.0, MUTATION_SIGMA, mutated.size)
-    keys[:, 0] = elite
-    np.minimum(np.maximum(child, 0.0, out=child), _KEY_MAX, out=keys[:, 1:])
-
-
-def decode(keys) -> np.ndarray:
-    """Permutation encoded by a key vector: stable argsort (ties keep index
-    order)."""
-    return np.asarray(keys).argsort(kind="stable")
-
-
-def encode(perm, rng: np.random.Generator) -> np.ndarray:
-    """Key vector whose decode is ``perm``: draw keys from ``rng``, sort
-    them, and place the j-th smallest at position perm[j]."""
-    perm = np.asarray(perm, dtype=np.int64)
-    keys = np.sort(rng.random(perm.size))
-    out = np.empty(perm.size)
-    out[perm] = keys
-    return out
+        beats = fought[:, k] < least
+        winner = np.where(beats, picks[:, k], winner)
+        least = np.minimum(least, fought[:, k])
+    flat = perms.reshape(isl * pop, n)
+    pa, pb = flat.take(winner, axis=0)
+    # an operator that does not act takes row 0: the crossover then copies
+    # the second parent, and the insertion and the reversal change nothing
+    ops = draws[2 * TOURNAMENT:].reshape(3, -1)
+    ops *= ops < rows[:, None]
+    outside, insert, reverse = tables
+    child = _order_crossover(pa, pb, outside.take(ops[0], axis=0))
+    offset = n * np.arange(len(child))[:, None]
+    moved = insert.take(ops[1], axis=0) + offset
+    turned = reverse.take(ops[2], axis=0) + offset
+    perms[:, 0] = flat.take(first + cost.argmin(axis=1), axis=0)
+    perms[:, 1:] = child.take(moved).take(turned).reshape(isl, pop - 1, n)
 
 
 def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
@@ -141,57 +149,48 @@ def optimize(scenario: MissionScenario, config: OptimizerConfig | None = None,
 
     ``seeds`` may contain Tours or plain orders; ranked by cost, as many as
     a population holds go verbatim into island 0's first slots, cheapest
-    first, and every other member starts from uniform keys.
+    first, and every other member starts as a uniform permutation.
     """
     config = config or OptimizerConfig()
     n = scenario.n_bundles
     evaluator = TourEvaluator(scenario, consts)
-    candidates = []
-    for s in (seeds or []):
-        order = np.asarray(s.order if isinstance(s, Tour) else s, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(n)):
-            raise ValueError("seed tours must be permutations of the bundle indices")
-        candidates.append(order)
-    if candidates:
-        # cheapest first, so a population too small for every seed keeps the
-        # best ones
-        rank = evaluator.cost_batch(np.stack(candidates))[0].argsort(kind="stable")
-        candidates = [candidates[i] for i in rank]
+    candidates = [np.asarray(s.order if isinstance(s, Tour) else s, dtype=np.int64)
+                  for s in seeds or []]
+    if any(sorted(order.tolist()) != list(range(n)) for order in candidates):
+        raise ValueError("seed tours must be permutations of the bundle indices")
 
     isl, pop = config.islands, config.population
     rng = np.random.default_rng(config.seed)
-    keys = rng.random((isl, pop, n))
-    for slot, order in enumerate(candidates[:pop]):
-        keys[0, slot] = encode(order, rng)
-    flat = keys.reshape(-1, n)
+    perms = rng.permuted(np.broadcast_to(np.arange(n), (isl, pop, n)), axis=2)
+    if candidates:
+        # cheapest first: a population too small for every seed keeps the best
+        seeded = np.stack(candidates)
+        seeded = seeded[evaluator.cost_batch(seeded)[0].argsort(kind="stable")[:pop]]
+        perms[0, :len(seeded)] = seeded
+    flat, tables = perms.reshape(-1, n), _tables(n)
     first = pop * np.arange(isl)
     best_fuel = np.empty((config.generations, isl))
     mean_fuel = np.empty((config.generations, isl))
     migrations: list[tuple[int, int, int]] = []
-    global_best_cost, global_best_keys = np.inf, None
 
     for gen in range(config.generations):
-        cost, fuel, _ = (a.reshape(isl, pop)
-                         for a in evaluator.cost_batch(decode(flat)))
+        if gen:
+            _ga_step(perms, cost, rng, tables)
+        cost, fuel, _ = (a.reshape(isl, pop) for a in evaluator.cost_batch(flat))
         b = first + cost.argmin(axis=1)
-        best_cost, best_keys = cost.take(b), flat.take(b, axis=0)
-        top = best_cost.argmin()
-        if best_cost[top] < global_best_cost:
-            global_best_cost, global_best_keys = best_cost[top], best_keys[top]
+        best_cost, best = cost.take(b), flat.take(b, axis=0)
         fuel.take(b, out=best_fuel[gen])
         np.add.reduce(fuel, axis=1, out=mean_fuel[gen])  # fuel.mean's sum
         if (gen + 1) % config.migration_interval == 0 and isl > 1:
             # ring migration: each island's best replaces its neighbour's worst
             worst = first + cost.argmax(axis=1)
-            flat[worst] = np.roll(best_keys, 1, axis=0)
+            flat[worst] = np.roll(best, 1, axis=0)
             cost.reshape(-1)[worst] = np.roll(best_cost, 1)
             migrations += [(gen, i, (i + 1) % isl) for i in range(isl)]
-        if gen == config.generations - 1:
-            break
-        _ga_step(keys, cost, rng)
     mean_fuel /= pop
     # each island's best member fuel so far
     np.minimum.accumulate(best_fuel, axis=0, out=best_fuel)
 
-    return (tour_cost(scenario, decode(global_best_keys), consts),
+    # no island's best gets dearer, so the last generation holds the best
+    return (tour_cost(scenario, best[best_cost.argmin()], consts),
             EvolutionTrace(best_fuel=best_fuel, mean_fuel=mean_fuel, migrations=migrations))

@@ -34,13 +34,13 @@ from .scenario import MissionScenario
 
 #: multiplier on fuel overrun when pricing infeasible tours
 OVERRUN_PENALTY = 10.0
-#: most bundles :func:`brute_force` will take (a 10 MiB traced peak at 16, an
-#: n·2ⁿ-byte predecessor table); ``generate`` draws at most 13 by default
-MAX_EXACT_BUNDLES = 16
-#: most bundles ``montecarlo`` prices by :func:`brute_force` rather than the
-#: island search.  On a 2-CPU x86-64 host the DP is the faster up to 16
-#: bundles (9, 15, 32 and 65 ms against 66, 72, 75 and 89 ms per scenario at
-#: 13 to 16), but above 14 the search keeps :func:`brute_force` as its oracle
+#: most bundles :func:`brute_force` will take (2.2 s and 266 MB of RSS at 20,
+#: mostly mass and fuel tables); ``generate`` draws at most 13 by default
+MAX_EXACT_BUNDLES = 20
+#: most bundles ``montecarlo`` prices by :func:`brute_force`, not the island
+#: search.  On a 2-CPU x86-64 host the DP takes 13, 20, 38 and 67 ms at 13 to
+#: 16 bundles, the search 61, 62, 69 and 65 ms, missing the optimum in 2 and 4
+#: of 40 runs at 15 and 16; moving it changes ``montecarlo`` results
 EXACT_CROSSOVER = 14
 
 
@@ -166,13 +166,12 @@ class TourEvaluator:
         picks.  Every full set is closed by its disposal leg; the winner
         ends at the lowest-index bundle of minimum cost and is rebuilt by
         walking the predecessors back, so its fuel is the one those picks
-        priced.  n²·2ⁿ⁻¹ legs; one byte of predecessor per (set, last
-        bundle), beside at most 4·n·C(n, ⌊n/2⌋) values of mass and fuel.  On
-        a 2-CPU x86-64 host: 0.7 M legs in 9 ms and a 1.3 MiB traced peak at
-        13 bundles, 8.4 M legs in 65 ms and 10 MiB at 16.
+        priced.  Sets are 16-bit up to 16 bundles and 32-bit above; n²·2ⁿ⁻¹
+        legs, one byte of predecessor per (set, last bundle), beside at most
+        4·n·C(n, ⌊n/2⌋) values of mass and fuel (times in :func:`brute_force`).
         """
         n = self.scenario.n_bundles
-        sets, bits = np.arange(1 << n, dtype=np.uint16), np.arange(n)
+        sets, bits = np.arange(1 << n, dtype=np.uint16 if n <= 16 else np.uint32), np.arange(n)
         single = sets[1 << bits]
         # set sizes by doubling: adding bundle b to the sets below 2ᵇ
         size = np.zeros(1, dtype=np.uint8)
@@ -295,8 +294,9 @@ def brute_force(scenario: MissionScenario,
     first wins, counting the orders whose every prefix is the heaviest of
     its (set, last bundle) state: the lowest last bundle, then the lowest
     predecessor, and so on back.  An order with a prefix lighter by rounding
-    whose cost still ties is not counted.  Up to 16 bundles, in 65 ms and a
-    10 MiB traced peak at 16 on a 2-CPU x86-64 host.
+    whose cost still ties is not counted.  Up to 20 bundles, in 9 ms and a
+    1.3 MiB traced peak at 13, 65 ms and 10 MiB at 16, and 2.2 s, 191 MiB
+    traced and 266 MB of process RSS at 20 on a 2-CPU x86-64 host.
     """
     n = scenario.n_bundles
     if n > MAX_EXACT_BUNDLES:

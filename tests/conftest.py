@@ -38,8 +38,7 @@ from orbtour.elements import KeplerianState, MeeState
 from orbtour.errors import SingularStateError
 from orbtour.maneuvers import hohmann_dv, plane_change_dv
 from orbtour.ocp import _FD_REL, _FD_STATE_SCALE, COAST_SUBSTEP, linearize_batch
-from orbtour.optimizer import (CROSSOVER_BLEND, MUTATION_RATE, MUTATION_SIGMA,
-                               TOURNAMENT, decode)
+from orbtour.optimizer import RATES, TOURNAMENT
 from orbtour.propagate import rk4_batch
 from orbtour.scenario import (Bundle, MissionScenario, PayloadSpec,
                               ScenarioConfig, SpacecraftSpec, sample_scenario)
@@ -461,11 +460,12 @@ def kep_to_cartesian(kep: KeplerianState, consts: PhysicalConstants = EARTH) -> 
 # ---------------------------------------------------------------------------
 
 def sample_uniform_permutations(n: int, count: int, seed: int = 0) -> np.ndarray:
-    """Uniform permutations of [0, n), decoded from uniform keys as the
-    optimizer's initial populations are, shape (count, n)."""
+    """Uniform permutations of [0, n), shuffled as the optimizer's initial
+    populations are, shape (count, n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return decode(np.random.default_rng(seed).random((count, n)))
+    rng = np.random.default_rng(seed)
+    return rng.permuted(np.broadcast_to(np.arange(n), (count, n)), axis=1)
 
 
 def lex_orders(n: int) -> np.ndarray:
@@ -503,29 +503,39 @@ def order_fuel(scenario: MissionScenario, order, consts=EARTH) -> float:
     return fuel + m * (1.0 - np.exp(-disposal_dv(here.a, scenario, consts) / ve))
 
 
-def ga_step_uniform(keys: np.ndarray, cost: np.ndarray,
+def ga_step_uniform(perms: np.ndarray, cost: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
-    """The GA step with its blend crossover drawn by ``Generator.uniform``,
-    its mutation by ``Generator.normal`` at the masked genes only and the
-    elite taken by a stable sort: the reference for
-    :func:`orbtour.optimizer._ga_step`."""
-    isl, pop, n = keys.shape
-    elites = 1
-    n_off = pop - elites
-    rows = np.arange(isl)[:, None]
-    children = np.empty_like(keys)
-    children[:, :elites] = keys[rows, np.argsort(cost, axis=1, kind="stable")[:, :elites]]
-    picks = rng.integers(0, pop, (isl, 2, n_off, TOURNAMENT))
-    won = np.argmin(cost[rows[..., None, None], picks], axis=3)
-    winners = np.take_along_axis(picks, won[..., None], axis=3)[..., 0]
-    pa, pb = keys[rows, winners[:, 0]], keys[rows, winners[:, 1]]
-    lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-    reach = CROSSOVER_BLEND * (hi - lo)
-    child = rng.uniform(lo - reach, hi + reach)
-    mask = rng.random((isl, n_off, n)) < MUTATION_RATE
-    child[mask] = child[mask] + rng.normal(0.0, MUTATION_SIGMA, int(mask.sum()))
-    children[:, elites:] = np.clip(child, 0.0, np.nextafter(1.0, 0.0))
-    return children
+    """The GA step as a plain loop over islands and children, on Python
+    lists: each island's first cheapest member, then for each child a
+    tournament won by the first cheapest of its picks, order crossover,
+    one insertion and one segment reversal, from the same block of
+    uniforms.  The reference for :func:`orbtour.optimizer._ga_step`."""
+    isl, pop, n = perms.shape
+    rows = ((n + 1) ** 2, n * n, (n + 1) ** 2)
+    uniform = rng.random((2 * TOURNAMENT + 3, isl, pop - 1))
+    stepped = np.empty_like(perms)
+    for s in range(isl):
+        members, costs = perms[s].tolist(), cost[s].tolist()
+        stepped[s, 0] = members[costs.index(min(costs))]
+        for c in range(pop - 1):
+            u = uniform[:, s, c].tolist()
+            parents = []
+            for slot in range(2):
+                picks = [int(x * pop) for x in u[slot * TOURNAMENT:][:TOURNAMENT]]
+                parents.append(members[min(picks, key=lambda p: costs[p])])
+            acts = [int(x * (r / rate))
+                    for x, r, rate in zip(u[2 * TOURNAMENT:], rows, RATES)]
+            cross, move, turn = (a if a < r else 0 for a, r in zip(acts, rows))
+            lo, hi = sorted(divmod(cross, n + 1))
+            kept = parents[0][lo:hi]
+            rest = [g for g in parents[1] if g not in kept]
+            child = rest[:lo] + kept + rest[lo:]
+            a, b = divmod(move, n)
+            child.insert(b, child.pop(a))
+            lo, hi = sorted(divmod(turn, n + 1))
+            child[lo:hi] = child[lo:hi][::-1]
+            stepped[s, c + 1] = child
+    return stepped
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,14 @@ def test_solve_exact_above_the_cap_is_a_one_line_error(tmp_path, capsys):
     from orbtour.scenario import ScenarioConfig, sample_scenario
     from orbtour.tour import MAX_EXACT_BUNDLES
     scn_path = tmp_path / "s.json"
-    cfg = ScenarioConfig(n_cubesats=13, n_pocketqubes=4, n_smallsats=0, fixed_bundles=17)
+    cfg = ScenarioConfig(n_cubesats=17, n_pocketqubes=4, n_smallsats=0, fixed_bundles=21)
     save_scenario(sample_scenario(cfg, 3), scn_path)
     capsys.readouterr()
     code = run(["solve", "--scenario", scn_path, "--exact", "--out", tmp_path / "t.json"])
     err = capsys.readouterr().err
     assert code == 1 and not (tmp_path / "t.json").exists()
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"limited to {MAX_EXACT_BUNDLES} bundles" in err and "has 17" in err
+    assert f"limited to {MAX_EXACT_BUNDLES} bundles" in err and "has 21" in err
 
 
 @pytest.mark.parametrize("option", [["--trace", "t.csv"], ["--seed", "3"],
@@ -448,7 +448,8 @@ def test_montecarlo_prices_default_scenarios_exactly(tmp_path):
 
 def test_montecarlo_searches_above_the_crossover(tmp_path):
     # 15 bundles lie above the crossover: the tour is the island search's,
-    # under the scenario's optimizer seed; this short search misses the optimum
+    # under the scenario's optimizer seed, the same in serial and parallel;
+    # this short search misses the optimum
     from orbtour.cli import derived_seed
     from orbtour.optimizer import OptimizerConfig, optimize
     from orbtour.scenario import ScenarioConfig, sample_scenario
@@ -458,10 +459,13 @@ def test_montecarlo_searches_above_the_crossover(tmp_path):
     cfg, opt = tmp_path / "cfg.json", tmp_path / "opt.json"
     cfg.write_text('{"n_cubesats": 10}')
     opt.write_text('{"generations": 5, "islands": 2, "population": 8}')
-    out = tmp_path / "mc"
-    assert run(["montecarlo", "--config", cfg, "--bundles", 15, "--n", 1,
-                "--seed", 3, "--jobs", 1, "--optimizer-config", opt,
-                "--out-dir", out]) in (0, 2)
+    out, par = tmp_path / "mc", tmp_path / "mc2"
+    for jobs, where in ((1, out), (2, par)):
+        assert run(["montecarlo", "--config", cfg, "--bundles", 15, "--n", 2,
+                    "--seed", 3, "--jobs", jobs, "--optimizer-config", opt,
+                    "--out-dir", where]) in (0, 2)
+    for name in ("montecarlo.csv", "tour_0000.json", "tour_0001.json"):
+        assert (out / name).read_bytes() == (par / name).read_bytes()
     tour = json.loads((out / "tour_0000.json").read_text())
     scn = sample_scenario(config, derived_seed(3, 0))
     best, _ = optimize(scn, OptimizerConfig(generations=5, islands=2, population=8,

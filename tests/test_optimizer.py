@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ga_step_uniform
 from orbtour import optimizer
-from orbtour.optimizer import OptimizerConfig, _ga_step, optimize
+from orbtour.optimizer import OptimizerConfig, _ga_step, _tables, optimize
 from orbtour.scenario import ScenarioConfig, sample_scenario
 from orbtour.tour import TourEvaluator, brute_force, heuristic_walks, tour_cost
 
@@ -30,12 +30,14 @@ def test_matches_brute_force_on_small_instance():
 @pytest.mark.parametrize("seed", range(20))
 def test_ga_step_equals_uniform_crossover_oracle(seed):
     g = np.random.default_rng(seed)
-    islands, pop, n = (int(v) for v in g.integers((1, 2, 1), (5, 70, 14)))
-    keys, cost = g.random((islands, pop, n)), g.random((islands, pop))
+    islands, pop, n = (int(v) for v in g.integers((1, 2, 1), (5, 70, 21)))
+    perms = g.permuted(np.broadcast_to(np.arange(n), (islands, pop, n)), axis=2)
+    # coarse costs, so tournaments meet ties
+    cost = g.integers(0, 4, (islands, pop)).astype(float)
     mine, oracle = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-    stepped = keys.copy()
-    _ga_step(stepped, cost, mine)
-    assert np.array_equal(stepped, ga_step_uniform(keys, cost, oracle))
+    stepped = perms.copy()
+    _ga_step(stepped, cost, mine, _tables(n))
+    assert np.array_equal(stepped, ga_step_uniform(perms, cost, oracle))
     # the generator is left in the same state
     assert mine.random() == oracle.random()
 
@@ -108,9 +110,8 @@ def test_deterministic_under_seed(small_scenario):
 
 def test_archipelago_priced_once_per_generation_with_pinned_results(
         small_scenario, monkeypatch):
-    # the order, trace digest and migrations were recorded against a plain
-    # loop that priced and stepped each island with the reference GA step,
-    # each migrant keeping its known cost
+    # the order, trace digest and migrations were recorded with each step
+    # taken by the per-island reference loop, conftest.ga_step_uniform
     calls = []
     original = TourEvaluator.cost_batch
 
@@ -124,44 +125,44 @@ def test_archipelago_priced_once_per_generation_with_pinned_results(
                                            population=16))
     assert best.order == (1, 2, 0)
     assert (hashlib.sha256(trace.to_csv().encode()).hexdigest()
-            == "04454c902058a92f97a089a926954d7c86db29501050c21d98b17a5d5fa509f4")
+            == "abf46a39a04a45e1ca72ee39cf92133febfba2bc23b4eddb4a16288923105b28")
     assert trace.migrations == [(19, 0, 1), (19, 1, 2), (19, 2, 0)]
     assert calls == [3 * 16] * 30
 
 
 def test_production_size_search_pinned():
     # the default archipelago (8 GA islands of 64 members, 200 generations)
-    # on 13 bundles; order, fuel, migrations and trace digest recorded
-    # against a plain loop that stepped each island with the reference GA
-    # step, each migrant keeping its known cost
+    # on 13 bundles; order, fuel, migrations and trace digest recorded with
+    # each step taken by the per-island reference loop, and the order is
+    # the exact optimum
     scn = sample_scenario(ScenarioConfig(fixed_bundles=13), seed=1913)
     best, trace = optimize(scn, OptimizerConfig(seed=19))
-    assert best.order == (2, 3, 11, 0, 4, 1, 12, 9, 6, 7, 10, 8, 5)
-    assert repr(float(best.fuel_total)) == "24.96445952376199"
+    assert best.order == (2, 3, 11, 10, 7, 8, 5, 6, 0, 4, 1, 12, 9)
+    assert best.order == brute_force(scn).order
+    assert repr(float(best.fuel_total)) == "24.703074086358253"
     assert trace.migrations == [(g, i, (i + 1) % 8) for g in range(19, 200, 20)
                                 for i in range(8)]
     assert (hashlib.sha256(trace.to_csv().encode()).hexdigest()
-            == "813ecdda762d02fac739c305574cc1add8cf125ce66f6793666c13faffd8d448")
+            == "6f838b2d4cdf5364958dcb9afd74fb9169e7b929fad76b2ef24376c2d7223de7")
 
 
 @pytest.mark.parametrize("config, order, fuel, digest", [
     (OptimizerConfig(islands=1, population=24, generations=40, seed=21),
      (2, 1, 3, 4, 7, 0, 6, 5), "18.482476866167584",
-     "d1ad5385ec4c8561ff42b48e66adc3ab2fe7c7e0f264a85b5c6aba01de64c1f8"),
+     "4d57e5d39d10f82135ccb1c1b8e1cdd7b985d2a5f06d08672f17bc796be1f160"),
     (OptimizerConfig(islands=4, population=1, generations=30, migration_interval=5,
                      seed=23),
-     (1, 3, 4, 5, 2, 6, 0, 7), "26.313752962027326",
-     "86fc7d76855b731c2c111b75b24bf03f6584ea9ddd553dad47a63e2a2acc7edd"),
+     (2, 3, 6, 5, 7, 0, 1, 4), "27.15554070748249",
+     "4d6c47ef6ab8f2ffa393a1be23ffdbcd8ec589a26e9d337bee62d06b0adf6440"),
     (OptimizerConfig(islands=5, population=16, generations=50, migration_interval=7,
                      seed=20),
      (2, 1, 3, 4, 7, 0, 6, 5), "18.482476866167584",
-     "27e2d00d9ed58e65f1c20e7d0174328e50815dbe363c9714acb8389b98ffee54"),
+     "d64b6618323c02c2b302a1262cd039ba4ab682fc8c2cfa8ef030abceba1ff3fd"),
 ], ids=["single-island", "population-1", "odd-ring"])
 def test_island_layouts_pinned(config, order, fuel, digest):
     # one island, one member per island, and an odd ring of five islands;
-    # the values were recorded against a plain loop that priced and stepped
-    # each island with the reference GA step, each migrant keeping its
-    # known cost
+    # the values were recorded with each step taken by the per-island
+    # reference loop
     scn = sample_scenario(ScenarioConfig(fixed_bundles=8), seed=2020)
     best, trace = optimize(scn, config)
     isl, every = config.islands, config.migration_interval
@@ -182,14 +183,14 @@ def test_no_island_best_gets_worse_across_a_step(monkeypatch):
     step = optimizer._ga_step
     worse = []
 
-    def island_best(keys):
-        cost = evaluator.cost_batch(optimizer.decode(keys.reshape(-1, keys.shape[2])))[0]
-        return cost.reshape(keys.shape[:2]).min(axis=1)
+    def island_best(perms):
+        cost = evaluator.cost_batch(perms.reshape(-1, perms.shape[2]))[0]
+        return cost.reshape(perms.shape[:2]).min(axis=1)
 
-    def checked(keys, cost, rng):
-        before = island_best(keys)
-        step(keys, cost, rng)
-        worse.append(int(np.count_nonzero(island_best(keys) > before)))
+    def checked(perms, cost, rng, tables):
+        before = island_best(perms)
+        step(perms, cost, rng, tables)
+        worse.append(int(np.count_nonzero(island_best(perms) > before)))
 
     monkeypatch.setattr(optimizer, "_ga_step", checked)
     optimize(scn, OptimizerConfig(seed=19))

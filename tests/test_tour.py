@@ -216,11 +216,11 @@ def test_brute_force_enumerates_all_orders(small_scenario):
 
 
 def test_brute_force_respects_cap():
-    cfg = ScenarioConfig(n_cubesats=13, n_pocketqubes=4, n_smallsats=0, fixed_bundles=17)
+    cfg = ScenarioConfig(n_cubesats=17, n_pocketqubes=4, n_smallsats=0, fixed_bundles=21)
     scn = sample_scenario(cfg, seed=4)
     assert scn.n_bundles == MAX_EXACT_BUNDLES + 1
     with pytest.raises(ValueError, match=f"limited to {MAX_EXACT_BUNDLES} bundles, "
-                                         f"scenario has 17"):
+                                         f"scenario has 21"):
         brute_force(scn)
 
 
@@ -356,14 +356,29 @@ def test_dynamic_program_matches_enumeration_on_edge_scenarios(make):
     (10, 15, (9, 7, 6, 4, 8, 0, 1, 2, 12, 3, 11, 10, 14, 5, 13), "0x1.8d33822bfe24cp+4"),
     (11, 16, (11, 3, 4, 15, 8, 14, 5, 6, 2, 10, 12, 0, 9, 13, 1, 7),
      "0x1.a389f7cc42736p+4"),
+    (18, 18, (15, 17, 5, 9, 8, 4, 7, 11, 6, 12, 14, 13, 16, 0, 10, 3, 2, 1),
+     "0x1.aa837ee98fd98p+4"),
 ])
 def test_brute_force_pins_above_the_enumerations_reach(cubesats, bundles, order, fuel):
-    # beyond the enumeration oracle: orders and fuels recorded from the
-    # dynamic program's set-major tables, before its last-bundle-major layout
+    # beyond the enumeration oracle: orders and fuels up to 16 bundles
+    # recorded from the dynamic program's set-major tables, before its
+    # last-bundle-major layout; at 18, from the layout with 32-bit sets
     scn = sample_scenario(ScenarioConfig(n_cubesats=cubesats, fixed_bundles=bundles),
                           seed=0)
     tour = brute_force(scn)
     assert (tour.order, tour.fuel_total.hex()) == (order, fuel)
+
+
+@pytest.mark.parametrize("bundles", range(17, MAX_EXACT_BUNDLES + 1))
+def test_dynamic_program_prices_its_order_exactly_above_16_bundles(bundles):
+    # above 16 bundles the sets take 32 bits; the fuel is still the batch
+    # price of the order, bit for bit
+    scn = sample_scenario(ScenarioConfig(n_cubesats=bundles, fixed_bundles=bundles),
+                          seed=bundles)
+    ev = TourEvaluator(scn)
+    order, fuel = ev.exact_order()
+    assert sorted(order) == list(range(bundles))
+    assert fuel == ev.fuel_batch(order)[0]
 
 
 def test_brute_force_memory_stays_small_at_9_bundles():
